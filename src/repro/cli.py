@@ -1176,7 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     leaf = store_sub.add_parser(
         "cat", help="print a stored version (past versions are "
-                    "reconstructed by backward delta replay)"
+                    "reconstructed from the nearest stored state)"
     )
     leaf.add_argument("doc_id")
     add_store_url(leaf)

@@ -405,7 +405,8 @@ async def handle_doc(server, request: Request, params, obs) -> Response:
 
 async def handle_version(server, request: Request, params, obs) -> Response:
     """GET /repos/{store}/docs/{doc_id}/versions/{version} — any stored
-    version, reconstructed by backward delta replay when needed."""
+    version, reconstructed from the nearest stored state (either
+    direction) when needed."""
     version = _int_param(params["version"], "version")
     return await _serve_version(server, params, obs, version=version)
 

@@ -14,15 +14,16 @@ against each document's ``manifest.json`` record and, with
   crash before the first commit completed) is removed;
 - a **missing or unreadable manifest** is rebuilt from the stored
   values (trust-on-first-hash, the only option for legacy stores);
-- a **damaged ``current.xml``** is re-derived by replaying the stored
-  delta chain *forward* from the nearest checkpoint snapshot — the
-  recovery move the paper's completed deltas are designed for;
-- a **damaged checkpoint snapshot** is re-derived by replaying the
-  chain *backward* from ``current.xml`` (completed deltas invert for
-  free).
+- a **damaged ``current.xml`` or checkpoint snapshot** is re-derived
+  with :meth:`~repro.versioning.repository.Repository.materialize`
+  from the nearest *other* stored state, either direction: a
+  checkpoint below replays the delta chain forward, ``current.xml`` or
+  a checkpoint above replays it backward (completed deltas invert for
+  free) — the recovery move the paper's completed deltas are designed
+  for.
 
-Either replay only counts as a repair when the reconstructed bytes
-match the manifest's recorded SHA-256 — a repair can never silently
+A replay only counts as a repair when the reconstructed bytes match
+the manifest's recorded SHA-256 — a repair can never silently
 substitute different content.  Damaged delta files and metadata are
 reported but not repaired: their content exists nowhere else.
 
@@ -49,7 +50,6 @@ from repro.versioning.repository import (
     RecoveryEvent,
     _DELTA_FILE_RE,
     _SNAPSHOT_FILE_RE,
-    _replay_from_snapshot,
 )
 from repro.versioning.sharded import ShardedRepository, open_repository
 from repro.xmlkit.errors import ReproError
@@ -173,10 +173,8 @@ def _repair(repo, finding: Finding) -> bool:
             return _record_checksum(target, finding.key)
         if finding.kind in ("checksum-mismatch", "missing-file"):
             name = finding.key.rsplit("/", 1)[-1]
-            if name == CURRENT_NAME:
-                return _rederive_current(target, prefix)
-            if _SNAPSHOT_FILE_RE.match(name):
-                return _rederive_snapshot(target, prefix, name)
+            if name == CURRENT_NAME or _SNAPSHOT_FILE_RE.match(name):
+                return _rederive(target, prefix, name)
         return False
     except (ReproError, OSError):
         return False
@@ -217,47 +215,27 @@ def _record_checksum(repo: BackendRepository, key: str) -> bool:
     return True
 
 
-def _rederive_current(repo: BackendRepository, prefix: str) -> bool:
-    """Replay the delta chain forward from the nearest checkpoint."""
-    meta = _read_meta(repo, prefix)
-    manifest = repo._read_json(prefix + "/" + MANIFEST_NAME, "manifest")
-    expected = manifest.get("files", {}).get(CURRENT_NAME)
-    document = _replay_from_snapshot(
-        repo.backend, prefix, meta, int(meta.get("current_version", 1))
-    )
-    if document is None:
-        return False
-    data = serialize_bytes(document)
-    if expected is not None and sha256_bytes(data) != expected:
-        return False
-    repo.backend.put(prefix + "/" + CURRENT_NAME, data)
-    repo._current_cache.pop(str(meta.get("doc_id", "")), None)
-    return True
+def _rederive(repo: BackendRepository, prefix: str, name: str) -> bool:
+    """Rebuild the damaged ``current.xml`` or checkpoint ``name``.
 
-
-def _rederive_snapshot(
-    repo: BackendRepository, prefix: str, name: str
-) -> bool:
-    """Replay the delta chain backward from ``current.xml``.
-
-    Completed deltas invert for free, so any checkpoint is
-    reconstructible from the current version — provided ``current.xml``
-    and the deltas between are themselves intact.
+    :meth:`~repro.versioning.repository.Repository.materialize` walks
+    from the nearest *other* stored state, so the damaged copy is never
+    its own source.  The result only replaces it when its SHA-256
+    matches the manifest's record.
     """
-    from repro.core.apply import apply_backward
-
     meta = _read_meta(repo, prefix)
-    version = int(_SNAPSHOT_FILE_RE.match(name).group(1))
     doc_id = str(meta.get("doc_id", prefix))
+    snapshot = _SNAPSHOT_FILE_RE.match(name)
+    version = (
+        int(snapshot.group(1))
+        if snapshot
+        else int(meta.get("current_version", 1))
+    )
     manifest = repo._read_json(prefix + "/" + MANIFEST_NAME, "manifest")
     expected = manifest.get("files", {}).get(name)
-    document = repo.load_current(doc_id)
-    for base in range(int(meta.get("current_version", 1)) - 1, version - 1, -1):
-        document = apply_backward(
-            repo.load_delta(doc_id, base), document, in_place=True
-        )
-    data = serialize_bytes(document)
+    data = serialize_bytes(repo.materialize(doc_id, version, damaged=name))
     if expected is not None and sha256_bytes(data) != expected:
         return False
     repo.backend.put(prefix + "/" + name, data)
+    repo._current_cache.pop(doc_id, None)
     return True

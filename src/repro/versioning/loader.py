@@ -12,7 +12,7 @@ document versions; it versions them (diff on commit), runs the alerter,
 maintains the full-text index and the change statistics — and it times
 every stage, so the paper's efficiency requirement ("diff at indexer
 speed") is a measurable property, not a slogan (see
-``benchmarks/test_pipeline_throughput.py``).
+``tests/integration/test_paper_claims.py``).
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ A :class:`Repository` keeps, per document: the **current snapshot**, the
 state**.  That is exactly the paper's storage policy — "this delta is
 appended to the existing sequence of deltas for this document; the old
 version is then possibly removed from the repository" — old versions are
-reconstructed on demand by applying deltas backward from the current
-snapshot.
+reconstructed on demand by :meth:`Repository.materialize`, which starts
+from the nearest stored state (the current snapshot or a checkpoint) and
+applies the completed deltas from there in either direction: forward
+from a state below the requested version, backward from one above.
 
 Three implementations share the interface:
 
@@ -43,8 +45,8 @@ repository therefore commits with a write discipline:
   transaction on SQLite).  On reopen, a leftover journal identifies a
   torn commit, which is rolled forward (all content landed — finish
   the metadata) or rolled back (remove the half-commit; if
-  ``current.xml`` itself was torn, replay the delta chain from the
-  nearest checkpoint to re-derive it) deterministically.
+  ``current.xml`` itself was torn, materialize it from the nearest
+  checkpoint) deterministically.
 
 :meth:`BackendRepository.verify` audits checksums and structure and
 returns findings; ``repro fsck`` (see :mod:`repro.versioning.fsck`)
@@ -59,13 +61,14 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.apply import apply_backward, apply_delta
 from repro.core.delta import Delta
 from repro.core.deltaxml import delta_from_document, delta_to_document
 from repro.core.xid import XidAllocator
 from repro.storage.atomic import check_durability, sha256_bytes
 from repro.storage.backend import StorageBackend
 from repro.storage.filesystem import FilesystemBackend
-from repro.xmlkit.errors import RepositoryError, XmlParseError
+from repro.xmlkit.errors import ReproError, RepositoryError, XmlParseError
 from repro.xmlkit.model import Document
 from repro.xmlkit.parser import parse
 from repro.xmlkit.serializer import serialize_bytes
@@ -87,6 +90,11 @@ CURRENT_NAME = "current.xml"
 META_NAME = "meta.json"
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.json"
+
+
+def snapshot_name(version: int) -> str:
+    """Stored name of the checkpoint snapshot of ``version``."""
+    return f"snapshot-{version:04d}.xml"
 
 
 class CorruptStoreError(RepositoryError):
@@ -250,10 +258,10 @@ class Repository:
         return []
 
     # -- snapshot checkpoints -------------------------------------------------
-    # Reconstruction normally walks deltas backward from the current
-    # version; checkpoints bound that walk for long histories.  The base
-    # implementations make checkpointing optional for custom backends:
-    # nothing is stored and reconstruction falls back to the full walk.
+    # Checkpoints are extra starting points for materialize(), bounding
+    # the delta walk for long histories.  The base implementations make
+    # checkpointing optional for custom backends: nothing is stored and
+    # every walk starts from the current snapshot.
 
     def store_snapshot(self, doc_id: str, version: int, document: Document):
         """Keep a full copy of one historical version (optional)."""
@@ -265,6 +273,75 @@ class Repository:
     def snapshot_versions(self, doc_id: str) -> list[int]:
         """Versions with a stored snapshot (ascending, possibly empty)."""
         return []
+
+    # -- reconstruction ------------------------------------------------------
+
+    def materialize(
+        self, doc_id: str, version: int, damaged: Optional[str] = None
+    ) -> Document:
+        """Rebuild any stored version from the nearest stored state.
+
+        The stored states are the current snapshot and the checkpoints.
+        Nearness counts the deltas to apply; a tie goes to the higher
+        start, and the current snapshot wins over a checkpoint of the
+        same version.  From a start below ``version`` the deltas apply
+        forward, from one above they apply backward (completed deltas
+        invert for free).  A checkpoint that cannot be loaded is passed
+        over for the next-nearest start.
+
+        Every read goes through :meth:`current_version`,
+        :meth:`snapshot_versions`, :meth:`load_current`,
+        :meth:`load_snapshot` and :meth:`load_delta`, so subclasses that
+        route or instrument those see the whole walk.
+
+        ``damaged`` is for repair only: the name of a stored copy known
+        to be bad (``current.xml`` or ``snapshot-NNNN.xml``), which the
+        walk must not start from because it is what is being rebuilt.
+
+        Raises:
+            RepositoryError: ``version`` is out of range, or no intact
+                stored state is left to start from.
+        """
+        current = self.current_version(doc_id)
+        if not 1 <= version <= current:
+            raise RepositoryError(
+                f"{doc_id!r} has versions 1..{current}, not {version}"
+            )
+        # (start version, checkpoint version or None for current.xml)
+        starts = [
+            (checkpoint, checkpoint)
+            for checkpoint in self.snapshot_versions(doc_id)
+            if snapshot_name(checkpoint) != damaged
+        ]
+        if damaged != CURRENT_NAME:
+            starts.append((current, None))
+        starts.sort(
+            key=lambda s: (abs(s[0] - version), -s[0], s[1] is not None)
+        )
+        for start, checkpoint in starts:
+            if checkpoint is None:
+                document = self.load_current(doc_id)
+            else:
+                try:
+                    document = self.load_snapshot(doc_id, checkpoint)
+                except (ReproError, OSError):
+                    document = None
+                if document is None:
+                    continue
+            if start <= version:
+                replay, bases = apply_delta, range(start, version)
+            else:
+                replay = apply_backward
+                bases = range(start - 1, version - 1, -1)
+            for base in bases:
+                document = replay(
+                    self.load_delta(doc_id, base), document, in_place=True
+                )
+            return document
+        raise RepositoryError(
+            f"{doc_id!r}: no intact stored state to rebuild version "
+            f"{version} from"
+        )
 
     def close(self) -> None:
         """Release backing resources; idempotent."""
@@ -784,16 +861,16 @@ class BackendRepository(Repository):
                 f"to version {journal.get('base_version')}",
             )
         # current.xml is neither pre nor post: it was torn.  Re-derive
-        # the pre-commit content by replaying the delta chain from the
-        # nearest checkpoint — the recovery mechanism completed deltas
-        # make possible.
+        # the pre-commit content from the nearest checkpoint — the
+        # recovery mechanism completed deltas make possible.  The
+        # metadata still describes the pre-commit version.
         try:
-            meta = self._read_json(prefix + "/" + META_NAME, "metadata")
-            base_version = int(journal.get("base_version", 0))
-            replayed = _replay_from_snapshot(
-                backend, prefix, meta, base_version
+            replayed = self.materialize(
+                str(journal["doc_id"]),
+                int(journal.get("base_version", 0)),
+                damaged=CURRENT_NAME,
             )
-        except (CorruptStoreError, RepositoryError, OSError):
+        except (KeyError, ReproError, OSError):
             replayed = None
         if replayed is None:
             return RecoveryEvent(
@@ -1044,7 +1121,7 @@ class BackendRepository(Repository):
     # -- snapshot checkpoints ------------------------------------------------
 
     def _snapshot_key(self, doc_id: str, version: int) -> str:
-        return self._doc_key(doc_id) + f"/snapshot-{version:04d}.xml"
+        return self._doc_key(doc_id) + "/" + snapshot_name(version)
 
     def store_snapshot(self, doc_id, version, document):
         meta = self._load_meta(doc_id)
@@ -1055,9 +1132,7 @@ class BackendRepository(Repository):
                 label="snapshot",
             )
             manifest = self._load_manifest(doc_id)
-            manifest.setdefault("files", {})[
-                f"snapshot-{version:04d}.xml"
-            ] = digest
+            manifest.setdefault("files", {})[snapshot_name(version)] = digest
             self._store_manifest(doc_id, manifest)
             snapshots = meta.setdefault("snapshots", {})
             snapshots[str(version)] = _collect_xids(document)
@@ -1118,66 +1193,6 @@ def _digest_or_none(backend: StorageBackend, key: str) -> Optional[str]:
         return backend.digest(key)
     except FileNotFoundError:
         return None
-
-
-def _replay_from_snapshot(
-    backend: StorageBackend, prefix: str, meta: dict, target_version: int
-):
-    """Re-derive ``target_version`` from the nearest checkpoint at or below.
-
-    Returns the reconstructed :class:`Document` (with XIDs restored), or
-    ``None`` when no checkpoint bounds the walk.  Raises
-    :class:`CorruptStoreError` when a value needed for the replay is
-    itself unreadable.
-    """
-    from repro.core.apply import apply_delta
-
-    snapshots = meta.get("snapshots", {})
-    candidates = [
-        int(version)
-        for version in snapshots
-        if int(version) <= target_version
-    ]
-    if not candidates:
-        return None
-    start = max(candidates)
-    snapshot_key = prefix + f"/snapshot-{start:04d}.xml"
-    try:
-        document = parse(
-            backend.get(snapshot_key),
-            strip_whitespace=False,
-            origin=backend.location(snapshot_key),
-        )
-    except FileNotFoundError:
-        return None
-    except XmlParseError as exc:
-        location = backend.location(snapshot_key)
-        raise CorruptStoreError(
-            f"corrupt snapshot file {location}: {exc}", path=location
-        ) from exc
-    document.id_attributes = {
-        tuple(pair) for pair in meta.get("id_attributes", [])
-    }
-    _restore_xids(document, {"xid_labels": snapshots[str(start)]})
-    for base in range(start, target_version):
-        delta_key = prefix + f"/delta-{base:04d}-{base + 1:04d}.xml"
-        try:
-            delta = delta_from_document(
-                parse(
-                    backend.get(delta_key),
-                    strip_whitespace=False,
-                    origin=backend.location(delta_key),
-                )
-            )
-        except FileNotFoundError:
-            return None
-        except XmlParseError as exc:
-            location = backend.location(delta_key)
-            raise CorruptStoreError(
-                f"corrupt delta file {location}: {exc}", path=location
-            ) from exc
-        document = apply_delta(delta, document, in_place=True)
-    return document
 
 
 def _collect_xids(document: Document) -> list[int]:

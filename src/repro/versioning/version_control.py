@@ -5,7 +5,8 @@ version of a document arrives (from a crawler, a loader, an editor), the
 diff module compares it against the stored current version, the resulting
 delta is appended to the document's delta sequence, and the repository
 snapshot moves forward.  Old versions are not stored — they are
-reconstructed on demand by applying completed deltas backward, and
+reconstructed on demand from the nearest stored state, either
+direction, by applying completed deltas forward or backward, and
 "changes between versions i and j" come from delta aggregation.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-from repro.core.apply import aggregate, apply_backward, apply_delta
+from repro.core.apply import aggregate, apply_delta
 from repro.core.config import DiffConfig
 from repro.core.delta import Delta
 from repro.core.diff import DiffStats
@@ -22,7 +23,6 @@ from repro.core.xid import assign_initial_xids
 from repro.engine import AnnotationStore, DiffContext, DiffEngine, resolve_engine
 from repro.obs.context import current_request_id
 from repro.versioning.repository import MemoryRepository, Repository
-from repro.xmlkit.errors import RepositoryError
 from repro.xmlkit.model import Document, coalesce_text
 
 __all__ = ["VersionStore"]
@@ -251,34 +251,14 @@ class VersionStore:
     def get_version(self, doc_id: str, version: int) -> Document:
         """Reconstruct any stored version.
 
-        The walk starts from the nearest stored state at or above the
-        requested version — the current snapshot by default, or a
-        checkpoint when ``checkpoint_every`` stored one closer — and
-        applies deltas backward from there.
+        The walk starts from the nearest stored state, in either
+        direction: the current snapshot, or a checkpoint when
+        ``checkpoint_every`` stored one closer.  Deltas apply forward
+        from a state below the requested version and backward from one
+        above (see :meth:`~repro.versioning.repository.Repository
+        .materialize`).
         """
-        current = self.repository.current_version(doc_id)
-        if not 1 <= version <= current:
-            raise RepositoryError(
-                f"{doc_id!r} has versions 1..{current}, not {version}"
-            )
-        start = current
-        document = None
-        for checkpoint in self.repository.snapshot_versions(doc_id):
-            if version <= checkpoint < start:
-                start = checkpoint
-        if start == version and start != current:
-            loaded = self.repository.load_snapshot(doc_id, start)
-            if loaded is not None:
-                return loaded
-        if start != current:
-            document = self.repository.load_snapshot(doc_id, start)
-        if document is None:
-            start = current
-            document = self.repository.load_current(doc_id)
-        for base in range(start - 1, version - 1, -1):
-            delta = self.repository.load_delta(doc_id, base)
-            document = apply_backward(delta, document, in_place=True)
-        return document
+        return self.repository.materialize(doc_id, version)
 
     def delta(self, doc_id: str, base_version: int) -> Delta:
         """The stored single-step delta ``base_version -> base_version+1``."""
@@ -317,7 +297,7 @@ class VersionStore:
     def verify_integrity(self, doc_id: str) -> bool:
         """Replay the whole chain forward from version 1: the result must
         equal the stored current snapshot.  A store self-check."""
-        document = self.get_version(doc_id, 1)
+        document = self.repository.materialize(doc_id, 1)
         for base in range(1, self.repository.current_version(doc_id)):
             delta = self.repository.load_delta(doc_id, base)
             document = apply_delta(delta, document, in_place=True, verify=True)

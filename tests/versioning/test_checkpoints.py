@@ -4,6 +4,7 @@ import pytest
 
 from repro.versioning import DirectoryRepository, MemoryRepository, VersionStore
 from repro.xmlkit import parse
+from repro.xmlkit.errors import RepositoryError
 
 
 def versions(count):
@@ -117,3 +118,95 @@ class TestCheckpointing:
         store.repository.load_delta = original
         # nearest checkpoint above 9 is 10: only delta 9 should be replayed
         assert touched == [9]
+
+
+def committed_store(repository, count, checkpoint_every):
+    store = VersionStore(repository, checkpoint_every=checkpoint_every)
+    texts = versions(count)
+    store.create("d", parse(texts[0]))
+    for text in texts[1:]:
+        store.commit("d", parse(text))
+    return store, texts
+
+
+def walk(store, version):
+    """(document, delta bases loaded, stored states loaded) of one read."""
+    repository = store.repository
+    touched, starts = [], []
+    original_delta = repository.load_delta
+    original_current = repository.load_current
+    original_snapshot = repository.load_snapshot
+
+    def load_delta(doc_id, base):
+        touched.append(base)
+        return original_delta(doc_id, base)
+
+    def load_current(doc_id, readonly=False):
+        starts.append("current")
+        return original_current(doc_id, readonly=readonly)
+
+    def load_snapshot(doc_id, checkpoint):
+        starts.append(checkpoint)
+        return original_snapshot(doc_id, checkpoint)
+
+    repository.load_delta = load_delta
+    repository.load_current = load_current
+    repository.load_snapshot = load_snapshot
+    try:
+        document = store.get_version("d", version)
+    finally:
+        del repository.load_delta
+        del repository.load_current
+        del repository.load_snapshot
+    return document, touched, starts
+
+
+class TestMaterializeWalk:
+    """Which stored state a read starts from, and how far it walks."""
+
+    def test_version_above_checkpoint_replays_forward(self, repository):
+        store, texts = committed_store(repository, 12, checkpoint_every=5)
+        document, touched, starts = walk(store, 6)
+        # checkpoint 5 is one delta away: forward over delta 5->6 only
+        assert starts == [5]
+        assert touched == [5]
+        assert document.deep_equal(parse(texts[5]))
+
+    def test_tie_goes_to_the_higher_start(self, repository):
+        store, texts = committed_store(repository, 12, checkpoint_every=4)
+        # checkpoints 4 and 8 are both two deltas from version 6
+        document, touched, starts = walk(store, 6)
+        assert starts == [8]
+        assert touched == [7, 6]
+        assert document.deep_equal(parse(texts[5]))
+
+    def test_current_wins_over_checkpoint_of_same_version(self, repository):
+        store, texts = committed_store(repository, 10, checkpoint_every=5)
+        document, touched, starts = walk(store, 10)
+        assert starts == ["current"]
+        assert touched == []
+        assert document.deep_equal(parse(texts[9]))
+
+    def test_stored_checkpoint_returned_without_replay(self, repository):
+        store, texts = committed_store(repository, 12, checkpoint_every=5)
+        document, touched, starts = walk(store, 5)
+        assert starts == [5]
+        assert touched == []
+        assert document.deep_equal(parse(texts[4]))
+
+    def test_unloadable_checkpoint_falls_back_to_next_nearest(self, tmp_path):
+        store, texts = committed_store(
+            DirectoryRepository(tmp_path / "repo"), 12, checkpoint_every=5
+        )
+        (tmp_path / "repo" / "d" / "snapshot-0005.xml").unlink()
+        document, touched, starts = walk(store, 6)
+        # checkpoint 5 is gone: checkpoint 10 is next, four deltas back
+        assert starts == [5, 10]
+        assert touched == [9, 8, 7, 6]
+        assert document.deep_equal(parse(texts[5]))
+
+    def test_out_of_range_version_rejected(self, repository):
+        store, _ = committed_store(repository, 3, checkpoint_every=2)
+        for version in (0, 4):
+            with pytest.raises(RepositoryError, match="versions 1..3"):
+                store.get_version("d", version)

@@ -97,6 +97,45 @@ class TestSnapshotRepair:
         assert snapshot.read_bytes() == original
         assert fsck_store(store_path).exit_code() == 0
 
+    def test_damaged_checkpoint_rederived_from_nearer_checkpoint(
+        self, tmp_path
+    ):
+        """Checkpoint 2 is rebuilt backward from intact checkpoint 4, two
+        deltas away, not from current.xml seven deltas away."""
+        path = tmp_path / "store"
+        store = VersionStore(DirectoryRepository(path), checkpoint_every=2)
+        store.create("doc", parse(V1))
+        for step in range(8):
+            store.commit("doc", parse(V2 if step % 2 == 0 else V3))
+        snapshot = _doc_dir(path) / "snapshot-0002.xml"
+        original = snapshot.read_bytes()
+        snapshot.write_bytes(b"<doc>half a snapsh")
+
+        repo = DirectoryRepository(path)
+        touched, starts = [], []
+        load_delta, load_snapshot = repo.load_delta, repo.load_snapshot
+
+        def tracking_delta(doc_id, base):
+            touched.append(base)
+            return load_delta(doc_id, base)
+
+        def tracking_snapshot(doc_id, version):
+            starts.append(version)
+            return load_snapshot(doc_id, version)
+
+        def no_current(doc_id, readonly=False):
+            raise AssertionError("walk started from current.xml")
+
+        repo.load_delta = tracking_delta
+        repo.load_snapshot = tracking_snapshot
+        repo.load_current = no_current
+        report = fsck_store(repo, repair=True)
+        assert [f.kind for f in report.repaired] == ["checksum-mismatch"]
+        assert starts == [4]
+        assert touched == [3, 2]
+        assert snapshot.read_bytes() == original
+        assert fsck_store(path).exit_code() == 0
+
 
 class TestDeltaDamage:
     def test_damaged_delta_is_unrepairable(self, store_path):
