@@ -16,7 +16,8 @@ Quickstart::
     delta = diff(old, new)
     assert apply_delta(delta, old).deep_equal(new)
 
-The public surface is re-exported here; see the subpackages for the full API:
+The public surface is re-exported here, each name loading its submodule on
+first access (see :mod:`repro._lazy`); see the subpackages for the full API:
 
 - :mod:`repro.xmlkit` — XML document model, parser, serializer, DTD support.
 - :mod:`repro.core` — BULD matching, deltas, apply/invert/aggregate.
@@ -29,38 +30,7 @@ The public surface is re-exported here; see the subpackages for the full API:
   pipeline profiling hooks (see ``docs/observability.md``).
 """
 
-from repro.xmlkit import (
-    Comment,
-    Document,
-    Element,
-    ProcessingInstruction,
-    Text,
-    XmlParseError,
-    parse,
-    parse_file,
-    serialize,
-)
-from repro.core import (
-    Delta,
-    DiffConfig,
-    DiffStats,
-    apply_backward,
-    apply_delta,
-    aggregate,
-    diff,
-    diff_with_stats,
-    invert,
-)
-from repro.engine import (
-    AnnotationStore,
-    DiffContext,
-    DiffEngine,
-    available_engines,
-    get_engine,
-    register_engine,
-    register_matcher,
-)
-from repro.obs import MetricsRegistry, StageProfiler, Tracer
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
@@ -95,3 +65,26 @@ __all__ = [
     "serialize",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "xmlkit.errors": ("XmlParseError",),
+    "xmlkit.model": (
+        "Comment", "Document", "Element", "ProcessingInstruction", "Text",
+    ),
+    "xmlkit.parser": ("parse", "parse_file"),
+    "xmlkit.serializer": ("serialize",),
+    "core.apply": ("aggregate", "apply_backward", "apply_delta", "invert"),
+    "core.config": ("DiffConfig",),
+    "core.delta": ("Delta",),
+    "core.diff": ("DiffStats", "diff", "diff_with_stats"),
+    "engine.annotations": ("AnnotationStore",),
+    "engine.base": ("DiffEngine",),
+    "engine.context": ("DiffContext",),
+    "engine.registry": (
+        "available_engines", "get_engine", "register_engine",
+        "register_matcher",
+    ),
+    "obs.metrics": ("MetricsRegistry",),
+    "obs.profiler": ("StageProfiler",),
+    "obs.trace": ("Tracer",),
+})

@@ -8,11 +8,7 @@
 - :mod:`repro.baselines.zhang_shasha` — exact ordered tree edit distance.
 """
 
-from repro.baselines.diffmk import DiffMkResult, diffmk, flatten
-from repro.baselines.ladiff import LaDiffConfig, ladiff_diff, ladiff_match
-from repro.baselines.lu import LuResult, lu_diff, lu_match
-from repro.baselines.unixdiff import patch, unix_diff, unix_diff_size
-from repro.baselines.zhang_shasha import tree_edit_distance
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DiffMkResult",
@@ -29,3 +25,11 @@ __all__ = [
     "unix_diff",
     "unix_diff_size",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "diffmk": ("DiffMkResult", "diffmk", "flatten"),
+    "ladiff": ("LaDiffConfig", "ladiff_diff", "ladiff_match"),
+    "lu": ("LuResult", "lu_diff", "lu_match"),
+    "unixdiff": ("patch", "unix_diff", "unix_diff_size"),
+    "zhang_shasha": ("tree_edit_distance",),
+})

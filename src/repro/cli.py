@@ -57,24 +57,12 @@ from repro.core.deltaxml import (
     serialize_delta,
 )
 from repro.core.diff import diff, diff_with_stats
-from repro.engine import available_engines
-from repro.obs.log import LEVELS as _EVENT_LEVELS
-from repro.simulator.change_simulator import SimulatorConfig, simulate_changes
-from repro.simulator.generator import (
-    GeneratorConfig,
-    generate_catalog,
-    generate_document,
-)
-from repro.storage import DURABILITY_LEVELS
+from repro.engine.registry import available_engines
 from repro.xmlkit.errors import ReproError, XmlParseError
 from repro.xmlkit.parser import parse
 from repro.xmlkit.serializer import serialize
 
 __all__ = ["main"]
-
-_LOG_LEVEL_CHOICES = tuple(
-    sorted(_EVENT_LEVELS, key=_EVENT_LEVELS.get)
-)
 
 
 def _read(path: str) -> str:
@@ -198,7 +186,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    document = _load_document(args.document, True)
+    document = _load_document(args.document, args.keep_whitespace)
     _label_document(document, args.xidmap)
     delta = parse_delta(_read(args.delta))
     result = apply_delta(delta, document, verify=args.verify)
@@ -208,7 +196,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_revert(args) -> int:
-    document = _load_document(args.document, True)
+    document = _load_document(args.document, args.keep_whitespace)
     _label_document(document, args.xidmap)
     delta = parse_delta(_read(args.delta))
     result = apply_backward(delta, document, verify=args.verify)
@@ -841,6 +829,12 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from repro.simulator.generator import (
+        GeneratorConfig,
+        generate_catalog,
+        generate_document,
+    )
+
     if args.kind == "catalog":
         document = generate_catalog(
             products=args.nodes // 6 or 1, seed=args.seed, with_ids=args.with_ids
@@ -854,6 +848,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.simulator.change_simulator import (
+        SimulatorConfig,
+        simulate_changes,
+    )
+
     document = _load_document(args.document, args.keep_whitespace)
     config = SimulatorConfig(
         delete_probability=args.delete,
@@ -989,6 +988,10 @@ def _cmd_serve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.obs.log import LEVELS
+    from repro.storage.atomic import DURABILITY_LEVELS
+
+    log_levels = tuple(sorted(LEVELS, key=LEVELS.get))
     parser = argparse.ArgumentParser(
         prog="xydiff",
         description="XML change detection (XyDiff / BULD reproduction).",
@@ -1061,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: postorder labelling)")
     sub.add_argument("--xidmap-out", default=None,
                      help="write the result's XID-map here")
-    sub.add_argument("-o", "--output", default="-")
+    add_common(sub)
     sub.set_defaults(func=_cmd_apply)
 
     sub = subparsers.add_parser("revert", help="apply a delta backward")
@@ -1073,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "with 'diff --new-xidmap' or 'apply --xidmap-out'")
     sub.add_argument("--xidmap-out", default=None,
                      help="write the result's XID-map here")
-    sub.add_argument("-o", "--output", default="-")
+    add_common(sub)
     sub.set_defaults(func=_cmd_revert)
 
     sub = subparsers.add_parser("invert", help="invert a delta")
@@ -1426,7 +1429,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="append sampled span trees to DIR/traces.jsonl "
                           "(rotating; each line carries its request id — "
                           "filter with 'obs render --request-id')")
-    sub.add_argument("--log-level", choices=_LOG_LEVEL_CHOICES,
+    sub.add_argument("--log-level", choices=log_levels,
                      default="info",
                      help="threshold for structured events (default: info)")
     sub.add_argument("--log-out", default=None, metavar="FILE",

@@ -11,14 +11,7 @@ Public pieces:
 See ``docs/server.md`` ("Retry semantics") for the behaviour contract.
 """
 
-from repro.client.breaker import STATE_VALUES, CircuitBreaker
-from repro.client.core import (
-    ApiError,
-    CircuitOpen,
-    ClientError,
-    DiffClient,
-    ServerUnavailable,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ApiError",
@@ -29,3 +22,11 @@ __all__ = [
     "STATE_VALUES",
     "ServerUnavailable",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "breaker": ("STATE_VALUES", "CircuitBreaker"),
+    "core": (
+        "ApiError", "CircuitOpen", "ClientError", "DiffClient",
+        "ServerUnavailable",
+    ),
+})

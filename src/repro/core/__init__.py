@@ -15,53 +15,7 @@ Modules:
 - :mod:`repro.core.diff` — the public ``diff`` entry point with stats.
 """
 
-from repro.core.apply import (
-    aggregate,
-    apply_backward,
-    apply_delta,
-    delta_by_xid_join,
-    invert,
-)
-from repro.core.builder import build_delta
-from repro.core.buld import BuldMatcher, match_documents
-from repro.core.config import DiffConfig
-from repro.core.dataguide import DataGuide
-from repro.core.delta import (
-    AttributeDelete,
-    AttributeInsert,
-    AttributeUpdate,
-    Delete,
-    Delta,
-    Insert,
-    Move,
-    Operation,
-    Update,
-)
-from repro.core.deltaxml import (
-    delta_byte_size,
-    delta_from_document,
-    delta_to_document,
-    parse_delta,
-    serialize_delta,
-)
-from repro.core.diff import DiffStats, diff, diff_with_stats
-from repro.core.explain import explain_delta, explain_operation
-from repro.core.matching import Matching, MatchingError
-from repro.core.metrics import edit_cost, nodes_touched, operation_count
-from repro.core.signature import TreeAnnotations, annotate
-from repro.core.transform import moves_to_edits, strip_metadata
-from repro.core.validate import ValidationProblem, validate_delta
-from repro.core.xid import (
-    DOCUMENT_XID,
-    XidAllocator,
-    assign_initial_xids,
-    format_xid_map,
-    max_xid,
-    parse_xid_map,
-    subtree_xids,
-    xid_index,
-    xid_map_of,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AttributeDelete",
@@ -114,3 +68,34 @@ __all__ = [
     "xid_index",
     "xid_map_of",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "apply": (
+        "aggregate", "apply_backward", "apply_delta", "delta_by_xid_join",
+        "invert",
+    ),
+    "builder": ("build_delta",),
+    "buld": ("BuldMatcher", "match_documents"),
+    "config": ("DiffConfig",),
+    "dataguide": ("DataGuide",),
+    "delta": (
+        "AttributeDelete", "AttributeInsert", "AttributeUpdate", "Delete",
+        "Delta", "Insert", "Move", "Operation", "Update",
+    ),
+    "deltaxml": (
+        "delta_byte_size", "delta_from_document", "delta_to_document",
+        "parse_delta", "serialize_delta",
+    ),
+    "diff": ("DiffStats", "diff", "diff_with_stats"),
+    "explain": ("explain_delta", "explain_operation"),
+    "matching": ("Matching", "MatchingError"),
+    "metrics": ("edit_cost", "nodes_touched", "operation_count"),
+    "signature": ("TreeAnnotations", "annotate"),
+    "transform": ("moves_to_edits", "strip_metadata"),
+    "validate": ("ValidationProblem", "validate_delta"),
+    "xid": (
+        "DOCUMENT_XID", "XidAllocator", "assign_initial_xids",
+        "format_xid_map", "max_xid", "parse_xid_map", "subtree_xids",
+        "xid_index", "xid_map_of",
+    ),
+})

@@ -295,6 +295,8 @@ def _move_operations(
     operations: list[Operation] = []
     old_positions = _PositionCache()
     new_positions_cache = _PositionCache()
+    if weights is None:
+        weights = _subtree_sizes(new_document)
 
     # Inter-parent moves: matched nodes whose parents do not correspond.
     inter_moved_new: set[Node] = set()
@@ -333,12 +335,7 @@ def _move_operations(
         if len(stable) < 2:
             continue
         values = [entry[3] for entry in stable]
-        if weights is not None:
-            entry_weights = [
-                weights.get(entry[1], 1.0) for entry in stable
-            ]
-        else:
-            entry_weights = [entry[1].subtree_size() for entry in stable]
+        entry_weights = [weights.get(entry[1], 1.0) for entry in stable]
         if len(stable) <= exact_move_threshold:
             _, kept = heaviest_increasing_subsequence(values, entry_weights)
         else:
@@ -359,3 +356,14 @@ def _move_operations(
                 )
             )
     return operations
+
+
+def _subtree_sizes(document: Document) -> dict[Node, int]:
+    """Every node's subtree size, from one postorder pass."""
+    sizes: dict[Node, int] = {}
+    for node in postorder(document):
+        size = 1
+        for child in node.children:
+            size += sizes[child]
+        sizes[node] = size
+    return sizes

@@ -501,10 +501,7 @@ def match_documents(
 
         config = DiffConfig()
     matcher = BuldMatcher(old_document, new_document, config)
-    matcher.phase2_annotate()
-    matcher.phase1_id_attributes()
-    matcher.phase3_match_subtrees()
-    matcher.phase4_propagate()
+    matcher.run()
     return matcher
 
 

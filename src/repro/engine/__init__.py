@@ -26,23 +26,7 @@ Pieces:
 ``get_engine("buld")``.
 """
 
-from repro.engine.annotations import AnnotationStore
-from repro.engine.base import (
-    DiffEngine,
-    EngineError,
-    EngineRun,
-    Matcher,
-    MatcherEngine,
-    Stage,
-)
-from repro.engine.context import DiffContext, StageEvent, StageTiming
-from repro.engine.registry import (
-    available_engines,
-    get_engine,
-    register_engine,
-    register_matcher,
-    resolve_engine,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AnnotationStore",
@@ -61,3 +45,16 @@ __all__ = [
     "register_matcher",
     "resolve_engine",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "annotations": ("AnnotationStore",),
+    "base": (
+        "DiffEngine", "EngineError", "EngineRun", "Matcher", "MatcherEngine",
+        "Stage",
+    ),
+    "context": ("DiffContext", "StageEvent", "StageTiming"),
+    "registry": (
+        "available_engines", "get_engine", "register_engine",
+        "register_matcher", "resolve_engine",
+    ),
+})

@@ -19,8 +19,8 @@ comparison demonstrates.
 
 from __future__ import annotations
 
-from repro.baselines.ladiff import LaDiffConfig, ladiff_match
-from repro.baselines.lu import lu_match
+from typing import TYPE_CHECKING
+
 from repro.core.buld import BuldMatcher
 from repro.core.lcs import myers_opcodes
 from repro.core.matching import Matching
@@ -30,6 +30,9 @@ from repro.engine.context import DiffContext
 from repro.engine.registry import register_engine, register_matcher
 from repro.xmlkit.model import Document, Node
 from repro.xmlkit.serializer import escape_attribute, escape_text
+
+if TYPE_CHECKING:
+    from repro.baselines.ladiff import LaDiffConfig
 
 __all__ = [
     "BuldEngine",
@@ -132,6 +135,9 @@ class LuMatcher:
     def match(
         self, old: Document, new: Document, context: DiffContext
     ) -> Matching:
+        # The baselines load with the first baseline diff, not with BULD.
+        from repro.baselines.lu import lu_match
+
         return lu_match(old, new).matching
 
 
@@ -148,6 +154,8 @@ class LaDiffMatcher:
     def match(
         self, old: Document, new: Document, context: DiffContext
     ) -> Matching:
+        from repro.baselines.ladiff import ladiff_match
+
         return ladiff_match(old, new, self.config)
 
 

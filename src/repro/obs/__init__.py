@@ -45,42 +45,7 @@ Quick profile of a diff::
     print(metrics.to_prometheus())  # scrape-ready text format
 """
 
-from repro.obs.context import (
-    REQUEST_ID_HEADER,
-    RequestContext,
-    current_context,
-    current_request_id,
-    new_request_id,
-    use_context,
-)
-from repro.obs.log import EVENT_CATALOG, EventLogger
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.pyprof import SamplingProfiler, flamegraph_svg, parse_folded
-from repro.obs.profiler import StageProfiler
-from repro.obs.slo import SloReport, compute_slo, histogram_quantile
-from repro.obs.provenance import (
-    NULL_RECORDER,
-    MatchRecorder,
-    NullRecorder,
-    ProvenanceRecorder,
-    ProvenanceReport,
-    build_report,
-    publish_provenance_metrics,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    load_trace,
-    render_trace,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Counter",
@@ -114,5 +79,29 @@ __all__ = [
     "new_request_id",
     "parse_folded",
     "publish_provenance_metrics",
+    "render_trace",
     "use_context",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "context": (
+        "REQUEST_ID_HEADER", "RequestContext", "current_context",
+        "current_request_id", "new_request_id", "use_context",
+    ),
+    "log": ("EVENT_CATALOG", "EventLogger"),
+    "metrics": (
+        "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    ),
+    "profiler": ("StageProfiler",),
+    "provenance": (
+        "NULL_RECORDER", "MatchRecorder", "NullRecorder",
+        "ProvenanceRecorder", "ProvenanceReport", "build_report",
+        "publish_provenance_metrics",
+    ),
+    "pyprof": ("SamplingProfiler", "flamegraph_svg", "parse_folded"),
+    "slo": ("SloReport", "compute_slo", "histogram_quantile"),
+    "trace": (
+        "NULL_TRACER", "NullTracer", "Span", "Tracer", "load_trace",
+        "render_trace",
+    ),
+})

@@ -12,17 +12,7 @@ Public pieces:
 See ``docs/server.md`` for the wire-level reference.
 """
 
-from repro.server.app import (
-    DiffServer,
-    ServerConfig,
-    ServerHandle,
-    serve_in_thread,
-)
-from repro.server.deadline import Deadline, DeadlineExceeded
-from repro.server.http import API_HEADERS, status_reasons
-from repro.server.idempotency import IdempotencyCache
-from repro.server.pool import PoolSaturated, WorkerPool
-from repro.server.routes import ROUTES, match_route, route_table
+from repro._lazy import lazy_exports
 
 __all__ = [
     "API_HEADERS",
@@ -40,3 +30,12 @@ __all__ = [
     "serve_in_thread",
     "status_reasons",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "app": ("DiffServer", "ServerConfig", "ServerHandle", "serve_in_thread"),
+    "deadline": ("Deadline", "DeadlineExceeded"),
+    "http": ("API_HEADERS", "status_reasons"),
+    "idempotency": ("IdempotencyCache",),
+    "pool": ("PoolSaturated", "WorkerPool"),
+    "routes": ("ROUTES", "match_route", "route_table"),
+})

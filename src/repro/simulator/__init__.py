@@ -7,24 +7,7 @@
   (substitute for the paper's real crawled XML; see DESIGN.md).
 """
 
-from repro.simulator.change_simulator import (
-    SimulationResult,
-    SimulatorConfig,
-    simulate_changes,
-)
-from repro.simulator.generator import (
-    GeneratorConfig,
-    generate_catalog,
-    generate_document,
-)
-from repro.simulator.webcorpus import (
-    WebCorpus,
-    WebCorpusConfig,
-    evolve_site,
-    generate_site_snapshot,
-    weekly_change_profile,
-)
-from repro.simulator.words import WORDS, make_text
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GeneratorConfig",
@@ -41,3 +24,15 @@ __all__ = [
     "simulate_changes",
     "weekly_change_profile",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "change_simulator": (
+        "SimulationResult", "SimulatorConfig", "simulate_changes",
+    ),
+    "generator": ("GeneratorConfig", "generate_catalog", "generate_document"),
+    "webcorpus": (
+        "WebCorpus", "WebCorpusConfig", "evolve_site",
+        "generate_site_snapshot", "weekly_change_profile",
+    ),
+    "words": ("WORDS", "make_text"),
+})

@@ -21,23 +21,7 @@ deltas survive crashes.  Two layers provide that:
   :func:`open_backend`.
 """
 
-from repro.storage.atomic import (
-    DURABILITY_LEVELS,
-    atomic_write,
-    atomic_write_json,
-    check_durability,
-    sha256_bytes,
-    sha256_file,
-)
-from repro.storage.backend import (
-    STORE_SCHEMES,
-    StorageBackend,
-    open_backend,
-    parse_store_url,
-)
-from repro.storage.blobstore import BlobStoreBackend
-from repro.storage.filesystem import FilesystemBackend
-from repro.storage.sqlite_store import SQLiteBackend
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DURABILITY_LEVELS",
@@ -54,3 +38,26 @@ __all__ = [
     "sha256_bytes",
     "sha256_file",
 ]
+
+_getattr, __dir__ = lazy_exports(__name__, {
+    "atomic": (
+        "DURABILITY_LEVELS", "atomic_write", "atomic_write_json",
+        "check_durability", "sha256_bytes", "sha256_file",
+    ),
+    "backend": (
+        "STORE_SCHEMES", "StorageBackend", "open_backend", "parse_store_url",
+    ),
+    "blobstore": ("BlobStoreBackend",),
+    "filesystem": ("FilesystemBackend",),
+    "sqlite_store": ("SQLiteBackend",),
+})
+
+
+def __getattr__(name: str):
+    # The scheme registry fills as backend modules import; read through
+    # the package it lists the built-in three, as it always has.
+    if name == "STORE_SCHEMES":
+        from repro.storage.backend import load_backends
+
+        load_backends()
+    return _getattr(name)

@@ -162,7 +162,21 @@ class _NullBatch:
 
 #: scheme -> backend class; populated by the backend modules on import
 #: (``shard`` is routed by ``repro.versioning.sharded``, not a backend).
+#: :func:`load_backends` imports the built-in three.
 STORE_SCHEMES: dict[str, type] = {}
+
+
+def load_backends() -> dict[str, type]:
+    """:data:`STORE_SCHEMES` with the built-in backends registered.
+
+    Importing the three backend modules here, not at module level, keeps
+    callers that never open a store from paying for them.
+    """
+    import repro.storage.blobstore  # noqa: F401  (registers "blob")
+    import repro.storage.filesystem  # noqa: F401  (registers "file")
+    import repro.storage.sqlite_store  # noqa: F401  (registers "sqlite")
+
+    return STORE_SCHEMES
 
 
 def register_scheme(cls) -> type:
@@ -208,20 +222,13 @@ def sniff_scheme(path) -> str:
 
 
 def open_backend(url, *, durability: str = "none", faults=None) -> StorageBackend:
-    """Resolve a store URL (or bare path) to a backend instance.
-
-    Importing the three backend modules here keeps this factory cheap
-    for callers that never touch storage.
-    """
-    import repro.storage.blobstore  # noqa: F401  (registers "blob")
-    import repro.storage.filesystem  # noqa: F401  (registers "file")
-    import repro.storage.sqlite_store  # noqa: F401  (registers "sqlite")
-
+    """Resolve a store URL (or bare path) to a backend instance."""
+    schemes = load_backends()
     scheme, path, _ = parse_store_url(url)
     if scheme is None:
         scheme = sniff_scheme(path)
     try:
-        backend_class = STORE_SCHEMES[scheme]
+        backend_class = schemes[scheme]
     except KeyError:
         from repro.xmlkit.errors import RepositoryError
 

@@ -11,25 +11,7 @@
 - :mod:`repro.versioning.textindex` — delta-maintained full-text index.
 """
 
-from repro.versioning.alerter import Alert, Alerter, Subscription
-from repro.versioning.fsck import FsckReport, fsck_store
-from repro.versioning.loader import LoaderStats, WarehouseLoader
-from repro.versioning.merge import Conflict, MergeResult, merge
-from repro.versioning.sitediff import SiteDelta, SiteSnapshot, diff_sites
-from repro.versioning.statistics import ChangeStatistics
-from repro.versioning.repository import (
-    BackendRepository,
-    CorruptStoreError,
-    DirectoryRepository,
-    Finding,
-    MemoryRepository,
-    RecoveryEvent,
-    Repository,
-)
-from repro.versioning.sharded import ShardedRepository, open_repository
-from repro.versioning.temporal import NodeHistory, TemporalQueries, VersionEvent
-from repro.versioning.textindex import TextIndex
-from repro.versioning.version_control import VersionStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Alert",
@@ -61,3 +43,20 @@ __all__ = [
     "VersionEvent",
     "VersionStore",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "alerter": ("Alert", "Alerter", "Subscription"),
+    "fsck": ("FsckReport", "fsck_store"),
+    "loader": ("LoaderStats", "WarehouseLoader"),
+    "merge": ("Conflict", "MergeResult", "merge"),
+    "repository": (
+        "BackendRepository", "CorruptStoreError", "DirectoryRepository",
+        "Finding", "MemoryRepository", "RecoveryEvent", "Repository",
+    ),
+    "sharded": ("ShardedRepository", "open_repository"),
+    "sitediff": ("SiteDelta", "SiteSnapshot", "diff_sites"),
+    "statistics": ("ChangeStatistics",),
+    "temporal": ("NodeHistory", "TemporalQueries", "VersionEvent"),
+    "textindex": ("TextIndex",),
+    "version_control": ("VersionStore",),
+})

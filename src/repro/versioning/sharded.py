@@ -41,7 +41,7 @@ import threading
 from typing import Optional
 
 from repro.storage.backend import (
-    STORE_SCHEMES,
+    load_backends,
     open_backend,
     parse_store_url,
     sniff_scheme,
@@ -122,10 +122,11 @@ class ShardedRepository(Repository):
             if self.shards < 1:
                 raise RepositoryError("shard count must be >= 1")
             self.backend_scheme = backend_scheme or "file"
-            if self.backend_scheme not in STORE_SCHEMES:
+            schemes = load_backends()
+            if self.backend_scheme not in schemes:
                 raise RepositoryError(
                     f"unknown backend scheme {self.backend_scheme!r}; "
-                    f"expected one of {sorted(STORE_SCHEMES)}"
+                    f"expected one of {sorted(schemes)}"
                 )
             os.makedirs(self.root, exist_ok=True)
             with open(marker, "w", encoding="utf-8") as handle:

@@ -11,47 +11,7 @@ stdlib expat bindings.  See the individual modules for details:
 - :mod:`repro.xmlkit.path` — node paths and label patterns.
 """
 
-from repro.xmlkit.canonical import canonical_bytes, content_fingerprint
-from repro.xmlkit.dtd import AttributeDecl, Dtd, ElementDecl, format_dtd, parse_dtd
-from repro.xmlkit.htmlize import VOID_ELEMENTS, htmlize
-from repro.xmlkit.infer import infer_dtd, infer_id_attributes
-from repro.xmlkit.errors import (
-    ApplyError,
-    DeltaError,
-    DtdError,
-    PathError,
-    ReproError,
-    RepositoryError,
-    XmlParseError,
-    XmlSerializeError,
-)
-from repro.xmlkit.model import (
-    coalesce_text,
-    Comment,
-    Document,
-    Element,
-    Node,
-    ProcessingInstruction,
-    Text,
-    postorder,
-    preorder,
-)
-from repro.xmlkit.parser import parse, parse_file
-from repro.xmlkit.path import (
-    LabelPattern,
-    find_all,
-    label_path_of,
-    node_at_path,
-    path_of,
-)
-from repro.xmlkit.serializer import (
-    document_byte_size,
-    escape_attribute,
-    escape_text,
-    serialize,
-    serialize_bytes,
-    write_file,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ApplyError",
@@ -70,6 +30,7 @@ __all__ = [
     "ReproError",
     "RepositoryError",
     "Text",
+    "VOID_ELEMENTS",
     "XmlParseError",
     "XmlSerializeError",
     "canonical_bytes",
@@ -95,3 +56,27 @@ __all__ = [
     "serialize_bytes",
     "write_file",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "canonical": ("canonical_bytes", "content_fingerprint"),
+    "dtd": ("AttributeDecl", "Dtd", "ElementDecl", "format_dtd", "parse_dtd"),
+    "errors": (
+        "ApplyError", "DeltaError", "DtdError", "PathError", "ReproError",
+        "RepositoryError", "XmlParseError", "XmlSerializeError",
+    ),
+    "htmlize": ("VOID_ELEMENTS", "htmlize"),
+    "infer": ("infer_dtd", "infer_id_attributes"),
+    "model": (
+        "Comment", "Document", "Element", "Node", "ProcessingInstruction",
+        "Text", "coalesce_text", "postorder", "preorder",
+    ),
+    "parser": ("parse", "parse_file"),
+    "path": (
+        "LabelPattern", "find_all", "label_path_of", "node_at_path",
+        "path_of",
+    ),
+    "serializer": (
+        "document_byte_size", "escape_attribute", "escape_text", "serialize",
+        "serialize_bytes", "write_file",
+    ),
+})

@@ -98,6 +98,58 @@ class TestApplyRevert:
         ) == 0
         assert parse(reverted.read_text()).deep_equal(parse(old.read_text()))
 
+    def test_indented_round_trip(self, tmp_path):
+        # apply and revert parse with diff's whitespace policy, so the
+        # delta's positions and XIDs line up on pretty-printed input.
+        old = tmp_path / "old.xml"
+        new = tmp_path / "new.xml"
+        old.write_text("<doc>\n  <p>one</p>\n  <p>two</p>\n</doc>\n")
+        new.write_text("<doc>\n  <p>one</p>\n  <p>three</p>\n</doc>\n")
+        delta = tmp_path / "delta.xml"
+        xidmap = tmp_path / "new.xidmap"
+        applied = tmp_path / "applied.xml"
+        reverted = tmp_path / "reverted.xml"
+        assert main(
+            [
+                "diff", str(old), str(new),
+                "-o", str(delta), "--new-xidmap", str(xidmap),
+            ]
+        ) == 0
+        assert main(
+            ["apply", str(old), str(delta), "--verify", "-o", str(applied)]
+        ) == 0
+        assert parse(applied.read_text()).deep_equal(parse(new.read_text()))
+        assert main(
+            [
+                "revert", str(new), str(delta), "--verify",
+                "--xidmap", str(xidmap), "-o", str(reverted),
+            ]
+        ) == 0
+        assert parse(reverted.read_text()).deep_equal(parse(old.read_text()))
+
+    def test_indented_round_trip_keeping_whitespace(self, tmp_path):
+        old = tmp_path / "old.xml"
+        new = tmp_path / "new.xml"
+        old.write_text("<doc>\n  <p>one</p>\n</doc>\n")
+        new.write_text("<doc>\n  <p>one</p>\n  <p>two</p>\n</doc>\n")
+        delta = tmp_path / "delta.xml"
+        applied = tmp_path / "applied.xml"
+        assert main(
+            [
+                "diff", str(old), str(new), "-o", str(delta),
+                "--keep-whitespace",
+            ]
+        ) == 0
+        assert main(
+            [
+                "apply", str(old), str(delta), "--verify",
+                "--keep-whitespace", "-o", str(applied),
+            ]
+        ) == 0
+        assert parse(
+            applied.read_text(), strip_whitespace=False
+        ).deep_equal(parse(new.read_text(), strip_whitespace=False))
+
     def test_invert(self, files, capsys):
         tmp_path, old, new = files
         delta = tmp_path / "delta.xml"
