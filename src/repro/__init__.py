@@ -27,7 +27,7 @@ first access (see :mod:`repro._lazy`); see the subpackages for the full API:
 - :mod:`repro.versioning` — repository, version control, alerter, text index.
 - :mod:`repro.simulator` — document generators and the change simulator.
 - :mod:`repro.obs` — observability: tracing spans, metrics registry,
-  pipeline profiling hooks (see ``docs/observability.md``).
+  profilers (see ``docs/observability.md``).
 """
 
 from repro._lazy import lazy_exports
@@ -46,7 +46,6 @@ __all__ = [
     "Element",
     "MetricsRegistry",
     "ProcessingInstruction",
-    "StageProfiler",
     "Text",
     "Tracer",
     "XmlParseError",
@@ -76,15 +75,13 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "core.apply": ("aggregate", "apply_backward", "apply_delta", "invert"),
     "core.config": ("DiffConfig",),
     "core.delta": ("Delta",),
-    "core.diff": ("DiffStats", "diff", "diff_with_stats"),
     "engine.annotations": ("AnnotationStore",),
-    "engine.base": ("DiffEngine",),
+    "engine.base": ("DiffEngine", "DiffStats"),
     "engine.context": ("DiffContext",),
     "engine.registry": (
-        "available_engines", "get_engine", "register_engine",
-        "register_matcher",
+        "available_engines", "diff", "diff_with_stats", "get_engine",
+        "register_engine", "register_matcher",
     ),
     "obs.metrics": ("MetricsRegistry",),
-    "obs.profiler": ("StageProfiler",),
     "obs.trace": ("Tracer",),
 })

@@ -570,7 +570,7 @@ def _cmd_validate(args) -> int:
     delta = parse_delta(_read(args.delta))
     base = None
     if args.base is not None:
-        base = _load_document(args.base, True)
+        base = _load_document(args.base, args.keep_whitespace)
         if max_xid(base) == 0:
             assign_initial_xids(base)
     problems = validate_delta(delta, base)
@@ -710,7 +710,7 @@ def _cmd_aggregate(args) -> int:
     from repro.core.apply import aggregate
     from repro.core.xid import assign_initial_xids, max_xid
 
-    base = _load_document(args.base, True)
+    base = _load_document(args.base, args.keep_whitespace)
     if max_xid(base) == 0:
         assign_initial_xids(base)
     deltas = [parse_delta(_read(path)) for path in args.deltas]
@@ -998,13 +998,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub):
-        sub.add_argument("-o", "--output", default="-", help="output file")
+    def add_keep_whitespace(sub):
         sub.add_argument(
             "--keep-whitespace",
             action="store_true",
             help="preserve whitespace-only text nodes",
         )
+
+    def add_common(sub):
+        sub.add_argument("-o", "--output", default="-", help="output file")
+        add_keep_whitespace(sub)
 
     def add_engine(sub):
         sub.add_argument(
@@ -1225,8 +1228,7 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="MS",
                       help="send X-Repro-Deadline-Ms with --url "
                            "(default: server default)")
-    leaf.add_argument("--keep-whitespace", action="store_true",
-                      help="preserve whitespace-only text nodes")
+    add_keep_whitespace(leaf)
     add_obs(leaf)
     leaf.set_defaults(func=_cmd_store_commit)
 
@@ -1236,6 +1238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("delta")
     sub.add_argument("--base", default=None,
                      help="base document for external checks")
+    add_keep_whitespace(sub)
     sub.set_defaults(func=_cmd_validate)
 
     sub = subparsers.add_parser(
@@ -1313,6 +1316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("base", help="the version the first delta applies to")
     sub.add_argument("deltas", nargs="+")
     sub.add_argument("-o", "--output", default="-")
+    add_keep_whitespace(sub)
     sub.set_defaults(func=_cmd_aggregate)
 
     sub = subparsers.add_parser(

@@ -12,7 +12,8 @@ Modules:
 - :mod:`repro.core.delta` — operation and delta classes.
 - :mod:`repro.core.deltaxml` — deltas as XML documents.
 - :mod:`repro.core.apply` — apply / invert / aggregate.
-- :mod:`repro.core.diff` — the public ``diff`` entry point with stats.
+- :mod:`repro.core.diff` — re-exports the engine layer's ``diff`` entry
+  point (:mod:`repro.engine.registry`).
 """
 
 from repro._lazy import lazy_exports

@@ -1,206 +1,11 @@
-"""Public diff entry points (thin shims over :mod:`repro.engine`).
+"""Re-exports of the engine layer's diff entry point.
 
-:func:`diff` is the one-call API: run BULD on two documents, build the
-delta.  :func:`diff_with_stats` additionally returns per-stage wall-clock
-timings and matching statistics — the instrumentation behind the paper's
-Figure 4 (time per phase vs document size).  Both delegate to the engine
-registry (``get_engine("buld")`` by default); pass ``engine=`` to run any
-registered algorithm through the same interface.
-
-XID contract
-------------
-- If the old document carries no XIDs it is treated as a first version and
-  receives postorder XIDs 1..n **in place**.
-- The new document's nodes are labelled as a side effect: matched nodes
-  inherit their partner's XID, new nodes draw fresh ones from the
-  ``allocator`` (or ``max_xid(old)+1`` by default).  Handing the labelled
-  new document plus the returned delta to a version store is all it takes
-  to keep identifiers persistent across versions.
-
-Stage order vs phase numbers
-----------------------------
-``DiffStats.phase_seconds`` keeps the paper's phase numbering
-(``"phase1"`` .. ``"phase5"``) for figure comparability, but that
-numbering is **not** the execution order: BULD computes signatures and
-weights (phase 2) *before* the ID-attribute pass (phase 1), because the
-free-match propagation of phase 1 needs the weights.  The authoritative
-execution record is ``DiffStats.stage_seconds`` — an insertion-ordered
-mapping of stage name to seconds, e.g. ``annotate`` → ``id-attributes``
-→ ``match-subtrees`` → ``propagate`` → ``build-delta`` for BULD.
+:func:`diff`, :func:`diff_with_stats` and :class:`DiffStats` live in
+:mod:`repro.engine.registry` and :mod:`repro.engine.base`; this module
+keeps ``from repro.core.diff import diff`` working.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
-
-from repro.core.config import DiffConfig
-from repro.core.delta import Delta
-from repro.core.xid import XidAllocator
-from repro.xmlkit.model import Document
+from repro.engine.base import DiffStats
+from repro.engine.registry import diff, diff_with_stats
 
 __all__ = ["DiffStats", "diff", "diff_with_stats"]
-
-
-@dataclass
-class DiffStats:
-    """Instrumentation of one diff run.
-
-    Attributes:
-        engine: Name of the engine that produced the delta.
-        phase_seconds: Wall-clock seconds keyed by the paper's phase
-            numbers ``"phase1"`` .. ``"phase5"`` (phase 5 is delta
-            construction).  Present for stages that have a paper
-            counterpart; see ``stage_seconds`` for the execution order.
-        stage_seconds: Seconds per pipeline stage, *in execution order*
-            (dict insertion order); skipped stages record 0.0.
-        old_nodes / new_nodes: Node counts of the two documents.
-        matched_nodes: Size of the final matching (document pair excluded).
-        operation_counts: Delta operations per kind.
-        counters: Free-form counters from the run's
-            :class:`~repro.engine.context.DiffContext` (e.g. annotation
-            cache hits).
-    """
-
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-    old_nodes: int = 0
-    new_nodes: int = 0
-    matched_nodes: int = 0
-    operation_counts: dict[str, int] = field(default_factory=dict)
-    engine: str = "buld"
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    counters: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_seconds(self) -> float:
-        """Sum over stages (falls back to phase aliases if no stages)."""
-        if self.stage_seconds:
-            return sum(self.stage_seconds.values())
-        return sum(self.phase_seconds.values())
-
-    @property
-    def core_seconds(self) -> float:
-        """Phases 3+4 — what the paper calls "the core of the diff"."""
-        return self.phase_seconds.get("phase3", 0.0) + self.phase_seconds.get(
-            "phase4", 0.0
-        )
-
-    @property
-    def stage_order(self) -> list[str]:
-        """Stage names in execution order."""
-        return list(self.stage_seconds)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (the CLI's ``stats --json`` payload)."""
-        return {
-            "engine": self.engine,
-            "old_nodes": self.old_nodes,
-            "new_nodes": self.new_nodes,
-            "matched_nodes": self.matched_nodes,
-            "operation_counts": dict(self.operation_counts),
-            "stage_order": self.stage_order,
-            "stage_seconds": dict(self.stage_seconds),
-            "phase_seconds": dict(self.phase_seconds),
-            "counters": dict(self.counters),
-            "total_seconds": self.total_seconds,
-            "core_seconds": self.core_seconds,
-        }
-
-
-def diff(
-    old_document: Document,
-    new_document: Document,
-    config: Optional[DiffConfig] = None,
-    *,
-    allocator: Optional[XidAllocator] = None,
-    engine: str = "buld",
-) -> Delta:
-    """Compute the delta transforming ``old_document`` into ``new_document``.
-
-    Args:
-        old_document: Base version; receives initial XIDs if unlabelled.
-        new_document: Target version; receives XIDs as a side effect.
-        config: Tuning knobs (:class:`DiffConfig`); defaults are the
-            paper's settings.
-        allocator: XID source for inserted nodes (version stores pass the
-            document's persistent allocator).
-        engine: Registered engine name (default the paper's BULD).
-
-    Returns:
-        A completed :class:`~repro.core.delta.Delta`; applying it to
-        ``old_document`` yields ``new_document`` exactly.
-    """
-    delta, _ = diff_with_stats(
-        old_document, new_document, config, allocator=allocator, engine=engine
-    )
-    return delta
-
-
-def diff_with_stats(
-    old_document: Document,
-    new_document: Document,
-    config: Optional[DiffConfig] = None,
-    *,
-    allocator: Optional[XidAllocator] = None,
-    engine: str = "buld",
-    tracer=None,
-    metrics=None,
-    stage_buckets=None,
-    recorder=None,
-) -> tuple[Delta, DiffStats]:
-    """Like :func:`diff` but also returns per-stage statistics.
-
-    Args:
-        tracer: Optional :class:`repro.obs.trace.Tracer`; the engine
-            emits one ``engine:<name>`` span wrapping one
-            ``stage:<name>`` span per pipeline stage.  Stage spans carry
-            the engine's own timing measurement, so the trace and the
-            returned ``DiffStats.stage_seconds`` agree exactly.
-        metrics: Optional :class:`repro.obs.metrics.MetricsRegistry`; a
-            :class:`repro.obs.profiler.StageProfiler` observer feeds
-            ``repro_stage_seconds`` / ``repro_stages_total`` and
-            ``repro_diffs_total`` is incremented per run.
-        stage_buckets: Optional upper bounds for the
-            ``repro_stage_seconds`` histogram (default
-            :data:`repro.obs.profiler.STAGE_BUCKETS`, 10 µs–30 s) —
-            pass wider bounds for snapshot-scale documents whose stages
-            the defaults would clip.  Only meaningful with ``metrics``.
-        recorder: Optional
-            :class:`repro.obs.provenance.ProvenanceRecorder`; BULD
-            notifies it of every match/lock/rejection decision (feed it
-            to :func:`repro.obs.provenance.build_report` afterwards).
-            With ``metrics`` also given, the per-phase attribution
-            metrics (``repro_matches_total`` ...) are published after
-            the run.  A disabled recorder (``NullRecorder``) is treated
-            exactly like the default ``None``.
-    """
-    from repro.engine.context import DiffContext
-    from repro.engine.registry import resolve_engine
-
-    active_recorder = recorder
-    if active_recorder is not None and not getattr(
-        active_recorder, "enabled", True
-    ):
-        active_recorder = None
-    context = None
-    if tracer is not None or metrics is not None or active_recorder is not None:
-        context = DiffContext(tracer=tracer, recorder=active_recorder)
-        if metrics is not None:
-            from repro.obs.profiler import StageProfiler
-
-            StageProfiler(metrics=metrics, buckets=stage_buckets).install(
-                context
-            )
-    result = resolve_engine(engine).diff_with_stats(
-        old_document, new_document, config, allocator=allocator,
-        context=context,
-    )
-    if metrics is not None:
-        metrics.counter(
-            "repro_diffs_total", help="Diff runs completed."
-        ).inc(engine=result[1].engine)
-        if active_recorder is not None:
-            from repro.obs.provenance import publish_provenance_metrics
-
-            publish_provenance_metrics(metrics, active_recorder)
-    return result

@@ -10,10 +10,14 @@ interchangeable engine behind one entry point:
 
 Pieces:
 
+- :func:`diff` / :func:`diff_with_stats` — the library's one diff entry
+  point (:mod:`repro.engine.registry`), returning the delta and the
+  run's :class:`DiffStats`; ``repro.diff`` and ``repro.core.diff`` are
+  re-exports;
 - :class:`Matcher` / :class:`DiffEngine` / :class:`MatcherEngine` — the
   protocol and base classes (:mod:`repro.engine.base`);
-- :class:`DiffContext` — per-run config, allocator, phase-event hooks,
-  counters, stage skipping (:mod:`repro.engine.context`);
+- :class:`DiffContext` — per-run config, allocator, annotation store,
+  tracer, recorder and counters (:mod:`repro.engine.context`);
 - :class:`AnnotationStore` — cross-run signature/weight reuse keyed by
   document content (:mod:`repro.engine.annotations`);
 - the registry — :func:`register_engine`, :func:`register_matcher`,
@@ -21,9 +25,6 @@ Pieces:
   (:mod:`repro.engine.registry`);
 - the built-ins (:mod:`repro.engine.engines`), loaded lazily on first
   lookup.
-
-:func:`repro.diff` remains the one-call API; it is now a thin shim over
-``get_engine("buld")``.
 """
 
 from repro._lazy import lazy_exports
@@ -32,14 +33,15 @@ __all__ = [
     "AnnotationStore",
     "DiffContext",
     "DiffEngine",
+    "DiffStats",
     "EngineError",
     "EngineRun",
     "Matcher",
     "MatcherEngine",
     "Stage",
-    "StageEvent",
-    "StageTiming",
     "available_engines",
+    "diff",
+    "diff_with_stats",
     "get_engine",
     "register_engine",
     "register_matcher",
@@ -49,12 +51,12 @@ __all__ = [
 __getattr__, __dir__ = lazy_exports(__name__, {
     "annotations": ("AnnotationStore",),
     "base": (
-        "DiffEngine", "EngineError", "EngineRun", "Matcher", "MatcherEngine",
-        "Stage",
+        "DiffEngine", "DiffStats", "EngineError", "EngineRun", "Matcher",
+        "MatcherEngine", "Stage",
     ),
-    "context": ("DiffContext", "StageEvent", "StageTiming"),
+    "context": ("DiffContext",),
     "registry": (
-        "available_engines", "get_engine", "register_engine",
-        "register_matcher", "resolve_engine",
+        "available_engines", "diff", "diff_with_stats", "get_engine",
+        "register_engine", "register_matcher", "resolve_engine",
     ),
 })

@@ -8,17 +8,37 @@ shape:
   between two documents — the minimal protocol a new algorithm must
   implement;
 - a :class:`DiffEngine` runs a *pipeline of named stages* over a shared
-  :class:`EngineRun`, timing each stage, honouring the context's
-  ``skip_stages``, and emitting :class:`~repro.engine.context.StageEvent`
-  hooks — then hands the matching to the shared Phase-5 builder;
+  :class:`EngineRun`, timing each stage into the run's
+  :class:`DiffStats` — then hands the matching to the shared Phase-5
+  builder;
 - :class:`MatcherEngine` adapts any :class:`Matcher` into a two-stage
   (``match`` → ``build-delta``) engine, so registering a custom algorithm
   is one line (see :func:`repro.engine.registry.register_matcher`).
 
-Every engine produces a completed :class:`~repro.core.delta.Delta` through
-the same XID contract as :func:`repro.diff` (old labelled in place if
-unlabelled, new labelled as a side effect), so engines are interchangeable
-anywhere a delta is consumed — version stores, benchmarks, the CLI.
+XID contract
+------------
+Every engine produces a completed :class:`~repro.core.delta.Delta`
+through the same XID rules, so engines are interchangeable anywhere a
+delta is consumed — version stores, benchmarks, the CLI:
+
+- If the old document carries no XIDs it is treated as a first version
+  and receives postorder XIDs 1..n **in place**.
+- The new document's nodes are labelled as a side effect: matched nodes
+  inherit their partner's XID, new nodes draw fresh ones from the
+  context's allocator (or ``max_xid(old)+1`` by default).  Handing the
+  labelled new document plus the returned delta to a version store is
+  all it takes to keep identifiers persistent across versions.
+
+Stage order vs phase numbers
+----------------------------
+``DiffStats.phase_seconds`` keeps the paper's phase numbering
+(``"phase1"`` .. ``"phase5"``) for figure comparability, but that
+numbering is **not** the execution order: BULD computes signatures and
+weights (phase 2) *before* the ID-attribute pass (phase 1), because the
+free-match propagation of phase 1 needs the weights.  The authoritative
+execution record is ``DiffStats.stage_seconds`` — an insertion-ordered
+mapping of stage name to seconds, e.g. ``annotate`` → ``id-attributes``
+→ ``match-subtrees`` → ``propagate`` → ``build-delta`` for BULD.
 """
 
 from __future__ import annotations
@@ -30,15 +50,15 @@ from typing import Callable, Optional, Protocol, runtime_checkable
 from repro.core.builder import build_delta
 from repro.core.config import DiffConfig
 from repro.core.delta import Delta
-from repro.core.diff import DiffStats
 from repro.core.matching import Matching
 from repro.core.xid import XidAllocator, assign_initial_xids, max_xid
-from repro.engine.context import DiffContext, StageEvent, StageTiming
+from repro.engine.context import DiffContext
 from repro.xmlkit.errors import ReproError
 from repro.xmlkit.model import Document, Node
 
 __all__ = [
     "DiffEngine",
+    "DiffStats",
     "EngineError",
     "EngineRun",
     "Matcher",
@@ -49,6 +69,71 @@ __all__ = [
 
 class EngineError(ReproError):
     """Raised on engine misuse (unknown name, pipeline without a delta)."""
+
+
+@dataclass
+class DiffStats:
+    """Instrumentation of one diff run.
+
+    Attributes:
+        engine: Name of the engine that produced the delta.
+        phase_seconds: Wall-clock seconds keyed by the paper's phase
+            numbers ``"phase1"`` .. ``"phase5"`` (phase 5 is delta
+            construction).  Present for stages that have a paper
+            counterpart; see ``stage_seconds`` for the execution order.
+        stage_seconds: Seconds per pipeline stage, *in execution order*
+            (dict insertion order).
+        old_nodes / new_nodes: Node counts of the two documents.
+        matched_nodes: Size of the final matching (document pair excluded).
+        operation_counts: Delta operations per kind.
+        counters: Free-form counters from the run's
+            :class:`~repro.engine.context.DiffContext` (e.g. annotation
+            cache hits).
+    """
+
+    phase_seconds: dict[str, float] = field(default_factory=dict)
+    old_nodes: int = 0
+    new_nodes: int = 0
+    matched_nodes: int = 0
+    operation_counts: dict[str, int] = field(default_factory=dict)
+    engine: str = "buld"
+    stage_seconds: dict[str, float] = field(default_factory=dict)
+    counters: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def total_seconds(self) -> float:
+        """Sum over stages (falls back to phase aliases if no stages)."""
+        if self.stage_seconds:
+            return sum(self.stage_seconds.values())
+        return sum(self.phase_seconds.values())
+
+    @property
+    def core_seconds(self) -> float:
+        """Phases 3+4 — what the paper calls "the core of the diff"."""
+        return self.phase_seconds.get("phase3", 0.0) + self.phase_seconds.get(
+            "phase4", 0.0
+        )
+
+    @property
+    def stage_order(self) -> list[str]:
+        """Stage names in execution order."""
+        return list(self.stage_seconds)
+
+    def to_dict(self) -> dict:
+        """JSON-serializable form (the CLI's ``stats --json`` payload)."""
+        return {
+            "engine": self.engine,
+            "old_nodes": self.old_nodes,
+            "new_nodes": self.new_nodes,
+            "matched_nodes": self.matched_nodes,
+            "operation_counts": dict(self.operation_counts),
+            "stage_order": self.stage_order,
+            "stage_seconds": dict(self.stage_seconds),
+            "phase_seconds": dict(self.phase_seconds),
+            "counters": dict(self.counters),
+            "total_seconds": self.total_seconds,
+            "core_seconds": self.core_seconds,
+        }
 
 
 @runtime_checkable
@@ -71,18 +156,15 @@ class Stage:
     """One named step of an engine pipeline.
 
     Attributes:
-        name: Stable identifier (used by ``skip_stages`` and reporting).
+        name: Stable identifier (span names and ``stage_seconds`` keys).
         run: Callable receiving the shared :class:`EngineRun`.
         phase_key: Optional paper-phase alias recorded into
             ``DiffStats.phase_seconds`` (``"phase1"`` .. ``"phase5"``).
-        required: Required stages ignore ``skip_stages`` — skipping them
-            could never produce a delta (e.g. ``build-delta``).
     """
 
     name: str
     run: Callable[["EngineRun"], None]
     phase_key: Optional[str] = None
-    required: bool = False
 
 
 @dataclass
@@ -104,9 +186,8 @@ class DiffEngine:
     """Base class: a named, stage-pipelined diff algorithm.
 
     Subclasses implement :meth:`stages`; the base class owns the run
-    protocol — XID preparation, stage timing, skip handling, event hooks,
-    and statistics — so every engine behaves identically from the
-    outside.
+    protocol — XID preparation, stage timing and statistics — so every
+    engine behaves identically from the outside.
     """
 
     #: Registry name; set by subclasses / the registry.
@@ -152,7 +233,7 @@ class DiffEngine:
 
         ``config`` and ``allocator`` fill the corresponding context slots
         when those are ``None``; an explicit :class:`DiffContext` carries
-        everything else (annotation store, skip set, observers).
+        everything else (annotation store, tracer, recorder).
         """
         if context is None:
             context = DiffContext()
@@ -164,16 +245,14 @@ class DiffEngine:
 
         self._prepare_xids(old_document, context)
         run = EngineRun(old=old_document, new=new_document, context=context)
-        # The tracer is optional instrumentation; ``None`` keeps this
-        # loop on the seed's exact path (one perf_counter pair per
-        # stage).  With a tracer, each stage span is closed with that
-        # same measurement, so trace, timings and events can never
-        # disagree (the single-source-of-truth contract — see
-        # repro.obs.profiler).
+        stats = DiffStats(engine=self.name)
+        # One perf_counter pair per stage, written to the stats and, with
+        # a tracer, used verbatim as the stage span's duration: the trace
+        # and the stats can never disagree.
         tracer = context.tracer
         recorder = context.recorder
         if recorder is not None and not getattr(recorder, "enabled", True):
-            recorder = None
+            recorder = context.recorder = None
         engine_span = None
         if tracer is not None:
             engine_span = tracer.start_span(
@@ -181,16 +260,6 @@ class DiffEngine:
             )
         try:
             for order, stage in enumerate(self.stages(run)):
-                if stage.name in context.skip_stages and not stage.required:
-                    context.timings.append(
-                        StageTiming(
-                            stage.name, order, 0.0, stage.phase_key,
-                            skipped=True,
-                        )
-                    )
-                    context.emit(StageEvent(stage.name, order, "skipped"))
-                    continue
-                context.emit(StageEvent(stage.name, order, "start"))
                 stage_span = None
                 if tracer is not None:
                     stage_span = tracer.start_span(
@@ -213,10 +282,9 @@ class DiffEngine:
                                 recorder.match_count() - matches_before
                             )
                         tracer.end_span(stage_span, duration=elapsed)
-                context.timings.append(
-                    StageTiming(stage.name, order, elapsed, stage.phase_key)
-                )
-                context.emit(StageEvent(stage.name, order, "end", elapsed))
+                stats.stage_seconds[stage.name] = elapsed
+                if stage.phase_key is not None:
+                    stats.phase_seconds[stage.phase_key] = elapsed
         finally:
             if engine_span is not None:
                 engine_span.attrs["old_nodes"] = (
@@ -232,13 +300,13 @@ class DiffEngine:
             raise EngineError(
                 f"engine {self.name!r}: pipeline finished without a delta"
             )
-        return run.delta, self._finish_stats(run)
+        return run.delta, self._finish_stats(run, stats)
 
     # -- shared helpers ----------------------------------------------------
 
     @staticmethod
     def _prepare_xids(old_document: Document, context: DiffContext) -> None:
-        """The XID contract shared by every engine (see repro.core.diff)."""
+        """The XID contract shared by every engine (module docstring)."""
         if max_xid(old_document) == 0:
             assign_initial_xids(old_document)
         if context.allocator is None:
@@ -257,12 +325,8 @@ class DiffEngine:
             move_block_length=config.move_block_length,
         )
 
-    def _finish_stats(self, run: EngineRun) -> DiffStats:
-        stats = DiffStats(engine=self.name)
-        for timing in run.context.timings:
-            stats.stage_seconds[timing.name] = timing.seconds
-            if timing.phase_key is not None:
-                stats.phase_seconds[timing.phase_key] = timing.seconds
+    @staticmethod
+    def _finish_stats(run: EngineRun, stats: DiffStats) -> DiffStats:
         stats.old_nodes = run.old_nodes or run.old.subtree_size()
         stats.new_nodes = run.new_nodes or run.new.subtree_size()
         if run.matching is not None:
@@ -289,13 +353,8 @@ class MatcherEngine(DiffEngine):
 
     def stages(self, run: EngineRun) -> list[Stage]:
         return [
-            Stage("match", self._match, phase_key="phase3", required=True),
-            Stage(
-                "build-delta",
-                self._build_delta_stage,
-                phase_key="phase5",
-                required=True,
-            ),
+            Stage("match", self._match, phase_key="phase3"),
+            Stage("build-delta", self._build_delta_stage, phase_key="phase5"),
         ]
 
     def _match(self, run: EngineRun) -> None:

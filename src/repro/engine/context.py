@@ -1,71 +1,25 @@
-"""Per-run orchestration state: :class:`DiffContext` and stage records.
+"""Per-run orchestration state: :class:`DiffContext`.
 
 One :class:`DiffContext` accompanies one diff run through an engine's
 pipeline.  It carries the configuration and the XID allocator (the two
 inputs every engine needs), the optional :class:`~repro.engine.annotations.
-AnnotationStore` (cross-run signature/weight reuse), the set of stages the
-caller wants skipped (the declarative replacement for monkeypatching
-individual BULD phases in ablations), observers that receive a
-:class:`StageEvent` around every stage, and the counters/timings the run
-accumulates.
-
-Stage order vs the paper's phase numbers
-----------------------------------------
-The paper numbers the BULD phases 1-5 but *executes* phase 2 (signatures
-and weights) before phase 1 (ID attributes) — phase 1's free-match
-propagation needs the weights.  The seed's ``diff_with_stats`` silently
-inherited that inversion while keying its timings ``"phase1"`` ..
-``"phase5"`` as if the numbering were the execution order.  The pipeline
-makes the order explicit: ``DiffContext.timings`` records stages in
-execution order (also exposed as ``DiffStats.stage_seconds``, an
-insertion-ordered mapping), while each stage's optional ``phase_key``
-keeps the paper-numbered alias in ``DiffStats.phase_seconds`` for
-figure-by-figure comparability.
+AnnotationStore` (cross-run signature/weight reuse), the optional tracer
+and provenance recorder, and the counters the run accumulates.  Stage
+timings are not kept here: the engine writes them straight into the
+run's :class:`~repro.engine.base.DiffStats` (see :mod:`repro.engine.base`
+for stage order vs the paper's phase numbers).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.config import DiffConfig
 from repro.core.xid import XidAllocator
 from repro.engine.annotations import AnnotationStore
 
-__all__ = ["DiffContext", "StageEvent", "StageTiming"]
-
-logger = logging.getLogger("repro.engine")
-
-
-@dataclass(frozen=True)
-class StageTiming:
-    """One executed (or skipped) stage of a pipeline run.
-
-    Attributes:
-        name: Stage name (e.g. ``"annotate"``, ``"match-subtrees"``).
-        order: Zero-based execution position within the run.
-        seconds: Wall-clock duration (0.0 when skipped).
-        phase_key: The paper's phase alias (``"phase1"`` .. ``"phase5"``)
-            or ``None`` for stages without a paper counterpart.
-        skipped: True when the stage was disabled via ``skip_stages``.
-    """
-
-    name: str
-    order: int
-    seconds: float
-    phase_key: Optional[str] = None
-    skipped: bool = False
-
-
-@dataclass(frozen=True)
-class StageEvent:
-    """Emitted to context observers around every pipeline stage."""
-
-    stage: str
-    order: int
-    status: str  # "start" | "end" | "skipped"
-    seconds: float = 0.0
+__all__ = ["DiffContext"]
 
 
 @dataclass
@@ -88,31 +42,23 @@ class DiffContext:
             version store's ``(doc_id, version)``) sets these so cache
             lookups skip the content-hash walk; leave ``None`` to key by
             content.
-        skip_stages: Names of pipeline stages to skip.  Only stages the
-            engine marks non-required honour this (e.g. skipping
-            ``"build-delta"`` is refused); skipped stages are recorded
-            with ``seconds == 0.0``.
-        observers: Callables receiving a :class:`StageEvent` at stage
-            start/end/skip — the phase-event hook for progress reporting
-            and instrumentation.
         counters: Free-form numeric counters engines and stores increment
             (e.g. ``annotation_cache_hits``); copied onto the final
-            :class:`~repro.core.diff.DiffStats`.
-        timings: Stage records in execution order, filled by the engine.
+            :class:`~repro.engine.base.DiffStats`.
         tracer: Optional :class:`repro.obs.trace.Tracer`.  When set, the
             engine opens one ``engine:<name>`` span around the pipeline
             and one ``stage:<name>`` span per stage, each stage span's
             duration being the engine's *single* ``perf_counter``
-            measurement — the same float recorded in ``timings`` and on
-            the ``end`` :class:`StageEvent`.  ``None`` (the default)
-            costs one pointer comparison per stage.
+            measurement — the same float recorded in
+            ``DiffStats.stage_seconds``.  ``None`` (the default) costs
+            one pointer comparison per stage.
         recorder: Optional match-provenance recorder
             (:class:`repro.obs.provenance.ProvenanceRecorder`).  Engines
             that support it (BULD) notify it of every match/lock/
             rejection decision; with a tracer also present, each
-            ``stage:<name>`` span gains a ``matches`` attribute.  A
-            recorder whose ``enabled`` is false (``NullRecorder``) is
-            treated exactly like ``None``.
+            ``stage:<name>`` span gains a ``matches`` attribute.  The
+            engine replaces a recorder whose ``enabled`` is false
+            (``NullRecorder``) with ``None`` before the first stage.
     """
 
     config: Optional[DiffConfig] = None
@@ -120,36 +66,10 @@ class DiffContext:
     annotation_store: Optional[AnnotationStore] = None
     old_annotation_key: Optional[object] = None
     new_annotation_key: Optional[object] = None
-    skip_stages: frozenset = field(default_factory=frozenset)
-    observers: list[Callable[[StageEvent], None]] = field(default_factory=list)
     counters: dict[str, float] = field(default_factory=dict)
-    timings: list[StageTiming] = field(default_factory=list)
     tracer: Optional[object] = None
     recorder: Optional[object] = None
 
     def count(self, key: str, amount: float = 1) -> None:
         """Increment a named counter."""
         self.counters[key] = self.counters.get(key, 0) + amount
-
-    def emit(self, event: StageEvent) -> None:
-        """Deliver an event to every observer (in registration order).
-
-        Observers are instrumentation, not participants: one that raises
-        must not abort the diff (a broken progress bar should never cost
-        a commit).  Exceptions are logged with a traceback and swallowed;
-        the remaining observers still run.
-        """
-        for observer in self.observers:
-            try:
-                observer(event)
-            except Exception:
-                logger.exception(
-                    "observer %r failed on %s/%s; continuing",
-                    observer,
-                    event.stage,
-                    event.status,
-                )
-
-    def stage_names(self) -> list[str]:
-        """Names of the stages run so far, in execution order."""
-        return [timing.name for timing in self.timings]

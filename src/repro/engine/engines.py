@@ -54,9 +54,8 @@ class BuldEngine(DiffEngine):
     4. ``propagate``      (phase4) — bottom-up / top-down optimization;
     5. ``build-delta``    (phase5) — the shared delta builder.
 
-    ``annotate`` and ``build-delta`` are required; the middle stages can
-    be disabled through ``DiffContext.skip_stages`` (the ablation knob).
-    When the context carries an
+    Ablations switch phases off through :class:`~repro.core.config.
+    DiffConfig`, not by skipping stages.  When the context carries an
     :class:`~repro.engine.annotations.AnnotationStore`, the annotate
     stage reuses cached signatures/weights for content-identical
     documents (the version-store fast path).
@@ -73,11 +72,11 @@ class BuldEngine(DiffEngine):
         )
         run.extra["matcher"] = matcher
         return [
-            Stage("annotate", self._annotate, "phase2", required=True),
+            Stage("annotate", self._annotate, "phase2"),
             Stage("id-attributes", self._id_attributes, "phase1"),
             Stage("match-subtrees", self._match_subtrees, "phase3"),
             Stage("propagate", self._propagate, "phase4"),
-            Stage("build-delta", self._build, "phase5", required=True),
+            Stage("build-delta", self._build, "phase5"),
         ]
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""repro.obs — observability: tracing spans, metrics, profiling hooks.
+"""repro.obs — observability: tracing spans, metrics, profiling.
 
 Three small, stdlib-only pieces (see ``docs/observability.md`` for the
 full span/metric catalogue and how each maps onto the paper's figures):
@@ -10,11 +10,10 @@ full span/metric catalogue and how each maps onto the paper's figures):
   zero-overhead default.
 - :mod:`repro.obs.metrics` — :class:`MetricsRegistry` holds counters,
   gauges and fixed-bucket histograms, exported as JSON or Prometheus
-  text format.
-- :mod:`repro.obs.profiler` — :class:`StageProfiler` subscribes to the
-  engine pipeline's :class:`~repro.engine.context.StageEvent` stream and
-  converts stages into spans and histogram samples without re-timing
-  anything (the engine's one measurement is the single source of truth).
+  text format; :func:`observe_stage_seconds` turns a finished run's
+  ``DiffStats.stage_seconds`` into ``repro_stage_seconds`` samples
+  without re-timing anything (the engine's one measurement is the
+  single source of truth).
 - :mod:`repro.obs.provenance` — :class:`ProvenanceRecorder` captures
   BULD's per-decision record (which phase matched each pair, why
   candidates were rejected, why unmatched nodes stayed unmatched);
@@ -65,9 +64,9 @@ __all__ = [
     "REQUEST_ID_HEADER",
     "RequestContext",
     "SamplingProfiler",
+    "STAGE_BUCKETS",
     "SloReport",
     "Span",
-    "StageProfiler",
     "Tracer",
     "build_report",
     "compute_slo",
@@ -77,6 +76,7 @@ __all__ = [
     "histogram_quantile",
     "load_trace",
     "new_request_id",
+    "observe_stage_seconds",
     "parse_folded",
     "publish_provenance_metrics",
     "render_trace",
@@ -91,8 +91,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "log": ("EVENT_CATALOG", "EventLogger"),
     "metrics": (
         "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "STAGE_BUCKETS", "observe_stage_seconds",
     ),
-    "profiler": ("StageProfiler",),
     "provenance": (
         "NULL_RECORDER", "MatchRecorder", "NullRecorder",
         "ProvenanceRecorder", "ProvenanceReport", "build_report",

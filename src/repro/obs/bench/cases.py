@@ -49,14 +49,6 @@ EXPERIMENT_ORDER = (
     "SERVE", "CHAOS",
 )
 
-#: Wider stage-latency bounds for snapshot-scale workloads — the default
-#: 100 µs–30 s bounds clip a 14k-page SITE parse (see docs/benchmarks.md).
-SITE_STAGE_BUCKETS = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0,
-    30.0, 60.0, 120.0, 300.0,
-)
-
-
 @functools.lru_cache(maxsize=None)
 def _simulated_pair(nodes, doc_seed, sim_seed, rate=0.10):
     """(old, new, perfect_delta) masters; callers must clone before diffing."""
@@ -396,7 +388,6 @@ def _site_cases(fast: bool) -> list[BenchCase]:
             run=run,
             params={"pages": pages, "sections": 20},
             gated_quality=("delta_bytes",),
-            stage_buckets=SITE_STAGE_BUCKETS,
         )
     ]
 

@@ -61,15 +61,11 @@ class RepeatObs:
 
     tracer: Tracer
     metrics: MetricsRegistry
-    stage_buckets: Optional[tuple] = None
 
     @property
     def diff_kwargs(self) -> dict:
         """Keywords to splat into ``diff_with_stats``."""
-        kwargs = {"tracer": self.tracer, "metrics": self.metrics}
-        if self.stage_buckets is not None:
-            kwargs["stage_buckets"] = self.stage_buckets
-        return kwargs
+        return {"tracer": self.tracer, "metrics": self.metrics}
 
 
 @dataclass
@@ -96,10 +92,6 @@ class BenchCase:
             scenarios): their wall clock is an outcome of fault-timing
             races, not a performance signal, so only the quality
             invariants gate.
-        stage_buckets: Optional histogram bounds for this case's
-            ``repro_stage_seconds`` (forwarded as
-            ``diff_with_stats(stage_buckets=...)`` via ``obs``) — the
-            hook for workloads the default 100 µs–30 s bounds would clip.
     """
 
     name: str
@@ -109,7 +101,6 @@ class BenchCase:
     params: dict = field(default_factory=dict)
     gated_quality: tuple = ()
     gate_wall: bool = True
-    stage_buckets: Optional[tuple] = None
 
 
 @dataclass
@@ -272,7 +263,6 @@ class BenchRunner:
                 tracer=tracer,
                 # warmup must not pollute the exported histograms
                 metrics=metrics if timed else MetricsRegistry(),
-                stage_buckets=case.stage_buckets,
             )
             prepared = (
                 case.prepare(state) if case.prepare is not None else state

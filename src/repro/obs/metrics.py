@@ -33,6 +33,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "STAGE_BUCKETS",
+    "observe_stage_seconds",
 ]
 
 #: Default histogram upper bounds (seconds): 100 µs .. 30 s, log-spaced.
@@ -56,6 +58,30 @@ DEFAULT_BUCKETS = (
     5.0,
     10.0,
     30.0,
+)
+
+#: ``repro_stage_seconds`` upper bounds (seconds): 10 µs .. 300 s.  Stages
+#: are the sub-spans of a diff, so the range starts an order of magnitude
+#: below :data:`DEFAULT_BUCKETS`, and it reaches 300 s so a snapshot-scale
+#: stage (a 14k-page site) still lands in a finite bucket.
+STAGE_BUCKETS = (
+    0.00001,
+    0.0001,
+    0.0005,
+    0.001,
+    0.005,
+    0.01,
+    0.05,
+    0.1,
+    0.5,
+    1.0,
+    2.5,
+    5.0,
+    10.0,
+    30.0,
+    60.0,
+    120.0,
+    300.0,
 )
 
 _NAME_OK = frozenset(
@@ -397,3 +423,21 @@ class MetricsRegistry:
 
     def __repr__(self):
         return f"<MetricsRegistry instruments={len(self._instruments)}>"
+
+
+def observe_stage_seconds(metrics: MetricsRegistry, stats) -> None:
+    """Observe each of a finished run's stage timings on ``metrics``.
+
+    ``stats`` is the run's :class:`~repro.engine.base.DiffStats`; every
+    ``stage_seconds`` entry becomes one ``repro_stage_seconds{stage=...}``
+    sample, the very float the engine measured (and, with a tracer, the
+    stage span's ``duration``) — nothing is timed twice.
+    """
+    histogram = metrics.histogram(
+        "repro_stage_seconds",
+        help="Wall-clock seconds per pipeline stage.",
+        unit="seconds",
+        buckets=STAGE_BUCKETS,
+    )
+    for stage, seconds in stats.stage_seconds.items():
+        histogram.observe(seconds, stage=stage)

@@ -21,7 +21,7 @@ Three rules keep the subsystem honest:
   (``end_span(span, duration=...)``) so that a component that already
   timed an operation (the engine pipeline's single ``perf_counter``
   measurement per stage) publishes that same number instead of a second,
-  slightly different one.  See :mod:`repro.obs.profiler`.
+  slightly different one.  See :mod:`repro.engine.base`.
 
 Exported traces are JSON lines — one object per span, children before
 the root is written (postorder), each carrying ``span_id``/``parent_id``

@@ -18,9 +18,14 @@ from typing import Callable, Optional
 from repro.core.apply import aggregate, apply_delta
 from repro.core.config import DiffConfig
 from repro.core.delta import Delta
-from repro.core.diff import DiffStats
 from repro.core.xid import assign_initial_xids
-from repro.engine import AnnotationStore, DiffContext, DiffEngine, resolve_engine
+from repro.engine import (
+    AnnotationStore,
+    DiffContext,
+    DiffEngine,
+    DiffStats,
+    resolve_engine,
+)
 from repro.obs.context import current_request_id
 from repro.versioning.repository import MemoryRepository, Repository
 from repro.xmlkit.model import Document, coalesce_text
@@ -53,10 +58,10 @@ class VersionStore:
             becomes ``store.create``.  ``None`` (the default) keeps the
             commit path free of tracing work.
         metrics: Optional :class:`repro.obs.metrics.MetricsRegistry`.
-            The store counts commits (``repro_commits_total``), feeds
-            stage latencies through a
-            :class:`~repro.obs.profiler.StageProfiler`, and hands the
-            registry to its :class:`AnnotationStore` for hit/miss/
+            The store counts commits (``repro_commits_total``), observes
+            each commit's stage timings (``repro_stage_seconds``, see
+            :func:`repro.obs.metrics.observe_stage_seconds`), and hands
+            the registry to its :class:`AnnotationStore` for hit/miss/
             eviction counters.
         events: Optional :class:`repro.obs.log.EventLogger`.  Every
             successful :meth:`create`/:meth:`commit` logs a
@@ -92,12 +97,8 @@ class VersionStore:
         self.metrics = metrics
         self.events = events
         self.store_name = store_name
-        self._profiler = None
         self._commits_total = None
         if metrics is not None:
-            from repro.obs.profiler import StageProfiler
-
-            self._profiler = StageProfiler(metrics=metrics)
             self._commits_total = metrics.counter(
                 "repro_commits_total", help="Version-store commits."
             )
@@ -198,12 +199,14 @@ class VersionStore:
                 new_annotation_key=(doc_id, base_version + 1),
                 tracer=tracer,
             )
-            if self._profiler is not None:
-                self._profiler.install(context)
             delta, stats = self.engine.diff_with_stats(
                 current, working, context=context
             )
             self.last_stats = stats
+            if self.metrics is not None:
+                from repro.obs.metrics import observe_stage_seconds
+
+                observe_stage_seconds(self.metrics, stats)
             delta.base_version = base_version
             delta.target_version = delta.base_version + 1
             self.repository.append(

@@ -13,7 +13,6 @@ from repro.engine import (
     DiffContext,
     EngineError,
     MatcherEngine,
-    StageEvent,
     available_engines,
     get_engine,
     register_matcher,
@@ -119,40 +118,6 @@ class TestStagePipeline:
         assert stats.stage_order.index("annotate") < stats.stage_order.index(
             "id-attributes"
         )
-
-    def test_skip_stages_ablation_still_round_trips(self):
-        old, new = scenario(8, 48)
-        context = DiffContext(
-            skip_stages=frozenset({"id-attributes", "propagate"})
-        )
-        delta, stats = get_engine("buld").diff_with_stats(
-            old, new, context=context
-        )
-        assert apply_delta(delta, old, verify=True).deep_equal(new)
-        assert stats.stage_seconds["propagate"] == 0.0
-
-    def test_required_stages_ignore_skip(self):
-        old, new = scenario(9, 49)
-        context = DiffContext(
-            skip_stages=frozenset({"annotate", "build-delta"})
-        )
-        delta, _ = get_engine("buld").diff_with_stats(old, new, context=context)
-        assert apply_delta(delta, old, verify=True).deep_equal(new)
-
-    def test_observers_see_every_stage(self):
-        old, new = scenario(10, 50)
-        events: list[StageEvent] = []
-        context = DiffContext(
-            observers=[events.append],
-            skip_stages=frozenset({"propagate"}),
-        )
-        get_engine("buld").diff_with_stats(old, new, context=context)
-        by_stage = {}
-        for event in events:
-            by_stage.setdefault(event.stage, []).append(event.status)
-        assert by_stage["annotate"] == ["start", "end"]
-        assert by_stage["propagate"] == ["skipped"]
-        assert by_stage["build-delta"] == ["start", "end"]
 
     def test_stats_are_json_serializable(self):
         import json

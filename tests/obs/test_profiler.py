@@ -1,17 +1,18 @@
-"""StageProfiler + the single-source-of-truth timing contract.
+"""Stage profiling: the single-source-of-truth timing contract.
 
 The engine measures each pipeline stage exactly once; the trace spans,
-the ``end`` StageEvents, ``DiffStats.stage_seconds`` and the profiler's
-histogram samples must all carry that same float.  These tests pin the
-contract with exact (bitwise) float equality — any component that starts
+``DiffStats.stage_seconds`` and the ``repro_stage_seconds`` histogram
+samples must all carry that same float.  These tests pin the contract
+with exact (bitwise) float equality — any component that starts
 re-timing stages on its own will break them.
 """
 
 import pytest
 
-from repro import MetricsRegistry, StageProfiler, Tracer, diff_with_stats, parse
-from repro.engine import DiffContext, get_engine
-from repro.engine.context import StageEvent
+from repro import MetricsRegistry, Tracer, diff_with_stats, parse
+from repro.engine import MatcherEngine
+from repro.obs.metrics import STAGE_BUCKETS, observe_stage_seconds
+from repro.versioning import VersionStore
 
 OLD = (
     "<site><page><title>one</title><body>alpha beta</body></page>"
@@ -77,89 +78,65 @@ class TestProfilerMetrics:
         metrics = MetricsRegistry()
         _, stats = diff_with_stats(parse(OLD), parse(NEW), metrics=metrics)
         histogram = metrics.get("repro_stage_seconds")
-        counter = metrics.get("repro_stages_total")
         for stage in BULD_STAGES:
             assert histogram.sample_count(stage=stage) == 1
             assert histogram.sample_sum(stage=stage) == (
                 stats.stage_seconds[stage]  # same float, not re-timed
             )
-            assert counter.value(stage=stage, status="ok") == 1
         assert metrics.get("repro_diffs_total").value(engine="buld") == 1
-
-    def test_skipped_stage_counted_separately(self):
-        metrics = MetricsRegistry()
-        profiler = StageProfiler(metrics=metrics)
-        context = DiffContext(skip_stages=frozenset({"propagate"}))
-        profiler.install(context)
-        get_engine("buld").diff_with_stats(
-            parse(OLD), parse(NEW), context=context
-        )
-        counter = metrics.get("repro_stages_total")
-        assert counter.value(stage="propagate", status="skipped") == 1
-        assert counter.value(stage="propagate", status="ok") == 0
-        assert counter.value(stage="annotate", status="ok") == 1
 
     def test_profiler_reusable_across_runs(self):
         metrics = MetricsRegistry()
-        profiler = StageProfiler(metrics=metrics)
         for _ in range(3):
-            context = DiffContext()
-            profiler.install(context)
-            get_engine("buld").diff_with_stats(
-                parse(OLD), parse(NEW), context=context
-            )
+            diff_with_stats(parse(OLD), parse(NEW), metrics=metrics)
         assert metrics.get("repro_stage_seconds").sample_count(
             stage="annotate"
         ) == 3
 
-
-class TestProfilerSpans:
-    def test_profiler_tracer_derives_spans_from_events(self):
-        """A profiler-side tracer reports the event's seconds verbatim."""
-        tracer = Tracer()
-        profiler = StageProfiler(tracer=tracer)
-        context = DiffContext()
-        profiler.install(context)
-        _, stats = get_engine("buld").diff_with_stats(
-            parse(OLD), parse(NEW), context=context
+    def test_span_stats_and_histogram_agree_bitwise(self):
+        tracer, metrics = Tracer(), MetricsRegistry()
+        _, stats = diff_with_stats(
+            parse(OLD), parse(NEW), tracer=tracer, metrics=metrics
         )
-        spans = {span.attrs["stage"]: span for span in tracer.roots}
-        assert set(spans) == set(stats.stage_seconds)
-        for stage, seconds in stats.stage_seconds.items():
-            assert spans[stage].duration == seconds  # no re-timing
+        spans = _stage_spans(tracer)
+        histogram = metrics.get("repro_stage_seconds")
+        for stage in BULD_STAGES:
+            seconds = stats.stage_seconds[stage]
+            assert spans[stage].duration == seconds
+            assert histogram.sample_sum(stage=stage) == seconds
 
-    def test_synthetic_event_stream(self):
-        tracer = Tracer()
+    def test_version_store_commit_agrees_bitwise(self):
+        tracer, metrics = Tracer(), MetricsRegistry()
+        store = VersionStore(tracer=tracer, metrics=metrics)
+        store.create("doc", parse(OLD))
+        store.commit("doc", parse(NEW))
+        commit_span = tracer.roots[-1]
+        assert commit_span.name == "store.commit"
+        (engine_span,) = commit_span.children
+        spans = {span.attrs["stage"]: span for span in engine_span.children}
+        histogram = metrics.get("repro_stage_seconds")
+        for stage in BULD_STAGES:
+            seconds = store.last_stats.stage_seconds[stage]
+            assert spans[stage].duration == seconds
+            assert histogram.sample_sum(stage=stage) == seconds
+        assert metrics.get("repro_commits_total").value(engine="buld") == 1
+
+    def test_failed_run_records_no_stage_samples(self):
+        class Boom(Exception):
+            pass
+
+        class Exploding:
+            def match(self, old, new, context):
+                raise Boom
+
         metrics = MetricsRegistry()
-        profiler = StageProfiler(metrics=metrics, tracer=tracer)
-        profiler(StageEvent("match", 0, "start"))
-        profiler(StageEvent("match", 0, "end", 0.25))
-        profiler(StageEvent("build", 1, "skipped"))
-        (span,) = tracer.roots
-        assert span.name == "stage:match"
-        assert span.duration == 0.25
-        assert metrics.get("repro_stage_seconds").sample_sum(
-            stage="match"
-        ) == 0.25
-        assert metrics.get("repro_stages_total").value(
-            stage="build", status="skipped"
-        ) == 1
-
-    def test_dangling_start_tolerated(self):
-        """A stage that died emits no end; the next end must still work."""
-        tracer = Tracer()
-        profiler = StageProfiler(tracer=tracer)
-        profiler(StageEvent("outer", 0, "start"))
-        profiler(StageEvent("crashed", 1, "start"))
-        profiler(StageEvent("outer", 0, "end", 0.5))
-        names = {span.name for span in tracer.iter_spans()}
-        assert "stage:outer" in names
-
-    def test_metrics_only_profiler_opens_no_spans(self):
-        profiler = StageProfiler(metrics=MetricsRegistry())
-        profiler(StageEvent("match", 0, "start"))
-        profiler(StageEvent("match", 0, "end", 0.1))
-        assert profiler.tracer is None
+        with pytest.raises(Boom):
+            diff_with_stats(
+                parse(OLD), parse(NEW), metrics=metrics,
+                engine=MatcherEngine("exploding", Exploding()),
+            )
+        assert "repro_stage_seconds" not in metrics
+        assert "repro_diffs_total" not in metrics
 
 
 class TestDeltaUnaffected:
@@ -179,43 +156,30 @@ class TestDeltaUnaffected:
 
 
 class TestConfigurableBuckets:
-    """Bucket bounds are a construction choice (the defaults clip
-    snapshot-scale stages at 30 s)."""
+    """One set of bounds, 10 µs to 300 s, for every workload."""
 
-    WIDE = (1.0, 60.0, 300.0)
+    def test_two_minute_stage_lands_in_a_finite_bucket(self):
+        class Stats:
+            stage_seconds = {"match": 120.0}
 
-    def test_custom_buckets_reach_the_histogram(self):
         metrics = MetricsRegistry()
-        profiler = StageProfiler(metrics=metrics, buckets=self.WIDE)
-        assert profiler.buckets == self.WIDE
-        profiler(StageEvent("match", 0, "start"))
-        profiler(StageEvent("match", 0, "end", 120.0))
+        observe_stage_seconds(metrics, Stats())
         pairs = metrics.get("repro_stage_seconds").cumulative_buckets(
             stage="match"
         )
-        # 120 s lands inside 300 s instead of overflowing to +Inf
-        assert dict(pairs)[300.0] == 1
+        # 120 s lands inside 120 s instead of overflowing to +Inf
+        assert dict(pairs)[120.0] == 1
 
     def test_default_buckets_are_stage_buckets(self):
-        from repro.obs.profiler import STAGE_BUCKETS
-
-        profiler = StageProfiler(metrics=MetricsRegistry())
-        assert profiler.buckets == STAGE_BUCKETS
+        metrics = MetricsRegistry()
+        diff_with_stats(parse(OLD), parse(NEW), metrics=metrics)
+        histogram = metrics.get("repro_stage_seconds")
+        assert histogram.buckets == STAGE_BUCKETS
+        assert (STAGE_BUCKETS[0], STAGE_BUCKETS[-1]) == (0.00001, 300.0)
 
     def test_registry_rejects_conflicting_buckets(self):
         """One registry, one repro_stage_seconds: bounds must agree."""
         metrics = MetricsRegistry()
-        StageProfiler(metrics=metrics)
+        metrics.histogram("repro_stage_seconds", buckets=(1.0, 60.0))
         with pytest.raises(ValueError, match="buckets"):
-            StageProfiler(metrics=metrics, buckets=self.WIDE)
-
-    def test_diff_with_stats_threads_stage_buckets(self):
-        metrics = MetricsRegistry()
-        diff_with_stats(
-            parse(OLD), parse(NEW), metrics=metrics,
-            stage_buckets=self.WIDE,
-        )
-        histogram = metrics.get("repro_stage_seconds")
-        assert histogram.buckets == self.WIDE
-        # every (fast) stage falls inside the first wide bucket
-        assert histogram.sample_count(stage="annotate") == 1
+            diff_with_stats(parse(OLD), parse(NEW), metrics=metrics)

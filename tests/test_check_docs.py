@@ -89,7 +89,7 @@ class TestDriftDetection:
         check_docs.check_module_refs(
             ROOT / "README.md",
             "`repro.engine.base.DiffEngine` and "
-            "`repro.obs.profiler.STAGE_BUCKETS`",
+            "`repro.obs.metrics.STAGE_BUCKETS`",
             problems,
         )
         assert problems == []

@@ -99,8 +99,9 @@ class TestApplyRevert:
         assert parse(reverted.read_text()).deep_equal(parse(old.read_text()))
 
     def test_indented_round_trip(self, tmp_path):
-        # apply and revert parse with diff's whitespace policy, so the
-        # delta's positions and XIDs line up on pretty-printed input.
+        # apply, revert, validate and aggregate parse with diff's
+        # whitespace policy, so the delta's positions and XIDs line up
+        # on pretty-printed input.
         old = tmp_path / "old.xml"
         new = tmp_path / "new.xml"
         old.write_text("<doc>\n  <p>one</p>\n  <p>two</p>\n</doc>\n")
@@ -126,6 +127,15 @@ class TestApplyRevert:
             ]
         ) == 0
         assert parse(reverted.read_text()).deep_equal(parse(old.read_text()))
+        assert main(["validate", str(delta), "--base", str(old)]) == 0
+        aggregated = tmp_path / "aggregated.xml"
+        assert main(
+            ["aggregate", str(old), str(delta), "-o", str(aggregated)]
+        ) == 0
+        assert main(
+            ["apply", str(old), str(aggregated), "--verify", "-o", str(applied)]
+        ) == 0
+        assert parse(applied.read_text()).deep_equal(parse(new.read_text()))
 
     def test_indented_round_trip_keeping_whitespace(self, tmp_path):
         old = tmp_path / "old.xml"

@@ -89,6 +89,13 @@ class TestImportBudget:
         )
         assert loaded == []
 
+    def test_engine_base_does_not_load_core_diff(self):
+        # The engine layer owns DiffStats and the diff entry point;
+        # repro.core.diff only re-exports them, never the other way round.
+        assert loaded_after(
+            "import repro.engine.base", ["repro.core.diff"]
+        ) == []
+
     def test_bare_package_loads_no_submodule(self):
         code = (
             "import json, sys\n"
