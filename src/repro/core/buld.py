@@ -14,13 +14,18 @@ computes a subtree hash (signature) and a weight for every node
 (:mod:`repro.core.signature`), an index of old-document subtrees by
 signature, and the *secondary index* by ``(signature, parent)`` that lets
 the matcher find "the candidate under the right parent" in constant time.
+The secondary index only holds signatures that several old subtrees
+share: a lone candidate is found the same way by either lookup.
 
 **Phase 3 — heaviest-first matching.**  A priority queue hands out
 new-document subtrees from heaviest to lightest.  For each, the old
 document is probed for identical subtrees; among several candidates the one
 whose ancestors agree with already-made decisions wins (the permitted
 ancestor look-up depth shrinks with subtree weight, keeping the total cost
-``O(n log n)``).  An accepted match propagates: the whole identical
+``O(n log n)``).  Both indexes are consumed as they are read: a lookup
+drops the taken or locked old nodes it scans past, so no later lookup
+inspects them again and each bucket costs time linear in its length
+overall.  An accepted match propagates: the whole identical
 subtrees are matched node by node, and ancestors with equal labels are
 matched bottom-up, again weight-bounded.  If nothing matches, the node's
 children enter the queue — matching descends *lazily*.
@@ -46,7 +51,13 @@ from repro.core.matching import Matching
 from repro.core.signature import TreeAnnotations, annotate
 from repro.xmlkit.model import Document, Node, postorder, preorder
 
-__all__ = ["BuldMatcher", "match_documents"]
+__all__ = ["BuldMatcher", "CANDIDATE_PROBES", "match_documents"]
+
+#: ``DiffStats.counters`` key: old-index bucket entries that phase-3
+#: candidate lookups inspected (secondary-index and signature-index
+#: scans together).  Divided by the new document's node count it is the
+#: deterministic cost of phase 3's candidate search.
+CANDIDATE_PROBES = "buld_candidate_probes"
 
 
 class BuldMatcher:
@@ -80,8 +91,12 @@ class BuldMatcher:
 
         self.old_annotations: Optional[TreeAnnotations] = None
         self.new_annotations: Optional[TreeAnnotations] = None
+        # Buckets hold old nodes in document order, stored head-last so
+        # that dropping a scanned prefix is a truncation of the list.
         self._signature_index: dict[bytes, list[Node]] = {}
         self._parent_index: dict[tuple[bytes, int], list[Node]] = {}
+        #: Bucket entries inspected by phase-3 lookups (CANDIDATE_PROBES).
+        self.candidate_probes = 0
         self._positions: dict[Node, int] = {}
         self._log_n: float = 1.0
         self._total_weight: float = 1.0
@@ -178,15 +193,21 @@ class BuldMatcher:
             )
 
         signatures = self.old_annotations.signatures
+        signature_index = self._signature_index
         for node in preorder(self.old_document):
             if node is self.old_document:
                 continue
-            signature = signatures[node]
-            self._signature_index.setdefault(signature, []).append(node)
-            parent = node.parent
-            self._parent_index.setdefault((signature, id(parent)), []).append(
-                node
-            )
+            signature_index.setdefault(signatures[node], []).append(node)
+        parent_index = self._parent_index
+        for signature, bucket in signature_index.items():
+            if len(bucket) > 1:
+                for node in bucket:
+                    parent_index.setdefault(
+                        (signature, id(node.parent)), []
+                    ).append(node)
+        for index in (signature_index, parent_index):
+            for bucket in index.values():
+                bucket.reverse()
 
     # ------------------------------------------------------------------
     # Phase 3 — heaviest-first queue
@@ -242,12 +263,18 @@ class BuldMatcher:
         recorder = self.recorder
         signature = self.new_annotations.signatures[node]
         candidates = self._signature_index.get(signature)
-        if not candidates:
+        if candidates is None:
             if recorder is not None:
                 recorder.record_rejection("no-signature-match", new=node)
             return None
 
         matching = self.matching
+        has_old = matching.has_old
+        is_locked = matching.is_locked
+        # Taken stays taken: a matched or locked old node is never viable
+        # again, so each scan drops the ones it passes.  The buckets keep
+        # their order, so every lookup sees the same viable candidates,
+        # in the same order, as a scan of the whole bucket would.
 
         # Fast path — the paper's secondary index: a candidate whose parent
         # is already matched to this node's parent, found in O(1).
@@ -255,24 +282,32 @@ class BuldMatcher:
         matched_parent = matching.old_of(parent) if parent is not None else None
         if matched_parent is not None:
             bucket = self._parent_index.get((signature, id(matched_parent)))
-            if bucket:
-                for old_node in bucket:
-                    if not matching.has_old(old_node) and not matching.is_locked(
-                        old_node
-                    ):
-                        return old_node
+            while bucket:
+                self.candidate_probes += 1
+                old_node = bucket[-1]
+                if not has_old(old_node) and not is_locked(old_node):
+                    return old_node
+                bucket.pop()
 
         # General path — enumerate (a bounded number of) candidates and pick
         # the one whose ancestor chain agrees with existing matches.
         viable: list[Node] = []
-        for index, old_node in enumerate(candidates):
-            if matching.has_old(old_node) or matching.is_locked(old_node):
+        scanned = 0
+        max_candidates = self.config.max_candidates
+        for old_node in reversed(candidates):
+            scanned += 1
+            if has_old(old_node) or is_locked(old_node):
                 continue
             viable.append(old_node)
-            if len(viable) >= self.config.max_candidates:
-                if recorder is not None and index + 1 < len(candidates):
+            if len(viable) >= max_candidates:
+                if recorder is not None and scanned < len(candidates):
                     recorder.record_rejection("candidate-cap", new=node)
                 break
+        self.candidate_probes += scanned
+        if scanned > len(viable):
+            # Replace the scanned prefix by the viable nodes found in it.
+            del candidates[len(candidates) - scanned:]
+            candidates.extend(reversed(viable))
         if not viable:
             if recorder is not None:
                 recorder.record_rejection("candidates-taken", new=node)

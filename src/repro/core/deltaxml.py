@@ -26,10 +26,16 @@ non-element payload roots are wrapped in ``xy:text`` / ``xy:comment`` /
 
 Delta documents are always serialized **compactly**: inside payloads,
 whitespace is content, so pretty-printing would corrupt them.
+
+There is one writer, :func:`serialize_delta`, which walks the payloads
+in place; :func:`delta_to_document` parses its output.  The reader,
+:func:`delta_from_document`, moves the payload subtrees out of the
+parsed document instead of copying them.
 """
 
 from __future__ import annotations
 
+import io
 from typing import Optional
 
 from repro.core.delta import (
@@ -55,7 +61,7 @@ from repro.xmlkit.model import (
     postorder,
 )
 from repro.xmlkit.parser import parse
-from repro.xmlkit.serializer import serialize
+from repro.xmlkit.serializer import escape_attribute, escape_text, serialize
 
 __all__ = [
     "delta_byte_size",
@@ -69,96 +75,124 @@ _WRAP_TEXT = "xy:text"
 _WRAP_COMMENT = "xy:comment"
 _WRAP_PI = "xy:pi"
 
+#: Start-tag attributes of each operation element: (XML name, field).
+_PAYLOAD_ATTRIBUTES = (
+    ("xid", "xid"),
+    ("xidMap", "xid_map"),
+    ("parentXid", "parent_xid"),
+    ("pos", "position"),
+)
+_OPERATION_ATTRIBUTES = {
+    "delete": _PAYLOAD_ATTRIBUTES,
+    "insert": _PAYLOAD_ATTRIBUTES,
+    "move": (
+        ("xid", "xid"),
+        ("fromParent", "from_parent_xid"),
+        ("fromPos", "from_position"),
+        ("toParent", "to_parent_xid"),
+        ("toPos", "to_position"),
+    ),
+    "update": (("xid", "xid"),),
+    "attr-insert": (("xid", "xid"), ("name", "name"), ("value", "value")),
+    "attr-delete": (
+        ("xid", "xid"),
+        ("name", "name"),
+        ("oldValue", "old_value"),
+    ),
+    "attr-update": (("xid", "xid"), ("name", "name")),
+}
+
 
 # ---------------------------------------------------------------------------
 # Delta -> XML
 # ---------------------------------------------------------------------------
 
 
-def delta_to_document(delta: Delta) -> Document:
-    """Render a delta as an XML document."""
-    root = Element("delta")
-    if delta.base_version is not None:
-        root.attributes["baseVersion"] = str(delta.base_version)
-    if delta.target_version is not None:
-        root.attributes["targetVersion"] = str(delta.target_version)
-    if delta.next_xid_before is not None:
-        root.attributes["nextXidBefore"] = str(delta.next_xid_before)
-    if delta.next_xid_after is not None:
-        root.attributes["nextXidAfter"] = str(delta.next_xid_after)
+def serialize_delta(delta: Delta) -> str:
+    """Compact XML string of the delta (whitespace-safe).
+
+    The one delta writer.  It writes straight from the operations: each
+    payload is serialized in place, never copied, and the ``xy:*``
+    wrapping is decided as the payload is walked.
+    """
+    attributes = _attributes(
+        (name, value)
+        for name, value in (
+            ("baseVersion", delta.base_version),
+            ("targetVersion", delta.target_version),
+            ("nextXidBefore", delta.next_xid_before),
+            ("nextXidAfter", delta.next_xid_after),
+        )
+        if value is not None
+    )
+    if not delta.operations:
+        return f"<delta{attributes}/>"
+    out = io.StringIO()
+    write = out.write
+    write(f"<delta{attributes}>")
     for operation in delta.operations:
-        root.append(_operation_to_element(operation))
-    return Document(root)
+        _write_operation(write, operation)
+    write("</delta>")
+    return out.getvalue()
 
 
-def _operation_to_element(operation: Operation) -> Element:
+def delta_to_document(delta: Delta) -> Document:
+    """Render a delta as an XML document (the parsed delta XML)."""
+    return parse(serialize_delta(delta), strip_whitespace=False)
+
+
+def _attributes(items) -> str:
+    """The `` name="value"`` pairs of a start tag."""
+    return "".join(
+        f' {name}="{escape_attribute(str(value))}"' for name, value in items
+    )
+
+
+def _write_operation(write, operation: Operation) -> None:
     kind = operation.kind
+    fields = _OPERATION_ATTRIBUTES.get(kind)
+    if fields is None:
+        raise DeltaError(f"cannot serialize operation kind {kind!r}")
+    attributes = _attributes(
+        (name, getattr(operation, field)) for name, field in fields
+    )
     if kind in ("delete", "insert"):
-        element = Element(
-            kind,
-            {
-                "xid": str(operation.xid),
-                "xidMap": operation.xid_map,
-                "parentXid": str(operation.parent_xid),
-                "pos": str(operation.position),
-            },
-        )
-        element.append(_wrap_payload(operation.subtree))
-        return element
-    if kind == "move":
-        return Element(
-            "move",
-            {
-                "xid": str(operation.xid),
-                "fromParent": str(operation.from_parent_xid),
-                "fromPos": str(operation.from_position),
-                "toParent": str(operation.to_parent_xid),
-                "toPos": str(operation.to_position),
-            },
-        )
-    if kind == "update":
-        element = Element("update", {"xid": str(operation.xid)})
-        element.append(_value_element("oldval", operation.old_value))
-        element.append(_value_element("newval", operation.new_value))
-        return element
-    if kind == "attr-insert":
-        return Element(
-            "attr-insert",
-            {
-                "xid": str(operation.xid),
-                "name": operation.name,
-                "value": operation.value,
-            },
-        )
-    if kind == "attr-delete":
-        return Element(
-            "attr-delete",
-            {
-                "xid": str(operation.xid),
-                "name": operation.name,
-                "oldValue": operation.old_value,
-            },
-        )
-    if kind == "attr-update":
-        element = Element(
-            "attr-update",
-            {"xid": str(operation.xid), "name": operation.name},
-        )
-        element.append(_value_element("oldval", operation.old_value))
-        element.append(_value_element("newval", operation.new_value))
-        return element
-    raise DeltaError(f"cannot serialize operation kind {kind!r}")
+        write(f"<{kind}{attributes}>")
+        _write_payload(write, operation.subtree)
+        write(f"</{kind}>")
+    elif kind in ("update", "attr-update"):
+        write(f"<{kind}{attributes}>")
+        _write_values(write, operation.old_value, operation.new_value)
+        write(f"</{kind}>")
+    else:
+        write(f"<{kind}{attributes}/>")
 
 
-def _value_element(label: str, value: str) -> Element:
-    element = Element(label)
-    if value:
-        element.append(Text(value))
-    return element
+def _write_values(write, old_value: str, new_value: str) -> None:
+    for label, value in (("oldval", old_value), ("newval", new_value)):
+        if value:
+            write(f"<{label}>{escape_text(value)}</{label}>")
+        else:
+            write(f"<{label}/>")
 
 
-def _wrap_payload(subtree: Node) -> Node:
-    """Clone a payload subtree, wrapping nodes XML cannot carry verbatim.
+def _wrapped_leaf(leaf: Node) -> str:
+    """An ``xy:*`` marker element carrying a leaf's value as text."""
+    kind = leaf.kind
+    if kind == "text":
+        label, attributes = _WRAP_TEXT, ""
+    elif kind == "comment":
+        label, attributes = _WRAP_COMMENT, ""
+    else:
+        label = _WRAP_PI
+        attributes = f' target="{escape_attribute(leaf.target)}"'
+    if not leaf.value:
+        return f"<{label}{attributes}/>"
+    return f"<{label}{attributes}>{escape_text(leaf.value)}</{label}>"
+
+
+def _write_payload(write, subtree: Node) -> None:
+    """Write a payload subtree, wrapping nodes XML cannot carry verbatim.
 
     Non-element roots always need a marker element.  *Inside* the payload,
     two cases would not survive a serialize/parse round trip and are
@@ -167,48 +201,45 @@ def _wrap_payload(subtree: Node) -> Node:
     descendants — adjacent text merges on reparse).  Element names in the
     ``xy:`` prefix are reserved for these markers.
     """
-    clone = subtree.clone(keep_xids=True)
-    if clone.kind == "element":
-        _wrap_fragile_descendants(clone)
-        return clone
-    if clone.kind == "text":
-        return _wrap_leaf(clone)
-    if clone.kind in ("comment", "pi"):
-        return _wrap_leaf(clone)
-    raise DeltaError(f"cannot embed payload of kind {clone.kind!r}")
-
-
-def _wrap_leaf(leaf: Node) -> Element:
-    if leaf.kind == "text":
-        wrapper = Element(_WRAP_TEXT)
-    elif leaf.kind == "comment":
-        wrapper = Element(_WRAP_COMMENT)
-    else:
-        wrapper = Element(_WRAP_PI, {"target": leaf.target})
-    if leaf.value:
-        wrapper.append(Text(leaf.value))
-    return wrapper
-
-
-def _wrap_fragile_descendants(root: Element) -> None:
-    stack = [root]
+    if subtree.kind in ("text", "comment", "pi"):
+        write(_wrapped_leaf(subtree))
+        return
+    if subtree.kind != "element":
+        raise DeltaError(f"cannot embed payload of kind {subtree.kind!r}")
+    # Work stack of nodes plus finished markup strings (closing tags and
+    # wrapped text), written verbatim when popped.
+    stack: list = [subtree]
     while stack:
-        element = stack.pop()
-        previous_raw_text = False
-        children = element.children
-        for index, child in enumerate(list(children)):
-            if child.kind == "text":
-                if child.value == "" or previous_raw_text:
-                    wrapper = _wrap_leaf(child)
-                    wrapper.parent = element
-                    children[index] = wrapper
+        node = stack.pop()
+        if isinstance(node, str):
+            write(node)
+            continue
+        kind = node.kind
+        if kind == "element":
+            label = node.label
+            attributes = _attributes(node.attributes.items())
+            children = node.children
+            if not children:
+                write(f"<{label}{attributes}/>")
+                continue
+            write(f"<{label}{attributes}>")
+            stack.append(f"</{label}>")
+            items = []
+            previous_raw_text = False
+            for child in children:
+                if child.kind == "text" and (
+                    previous_raw_text or not child.value
+                ):
+                    items.append(_wrapped_leaf(child))
                     previous_raw_text = False
                 else:
-                    previous_raw_text = True
-            else:
-                previous_raw_text = False
-                if child.kind == "element":
-                    stack.append(child)
+                    items.append(child)
+                    previous_raw_text = child.kind == "text"
+            stack.extend(reversed(items))
+        elif kind == "text":
+            write(escape_text(node.value))
+        else:  # comments and PIs inside a payload are written verbatim
+            write(serialize(node))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +248,11 @@ def _wrap_fragile_descendants(root: Element) -> None:
 
 
 def delta_from_document(document: Document) -> Delta:
-    """Rebuild a delta from its XML form.
+    """Rebuild a delta from its XML form, consuming the document.
+
+    Payload subtrees are detached from ``document`` and become the
+    operations' subtrees, not copied: pass a document the caller owns
+    and no longer needs (:func:`parse_delta` parses a fresh one).
 
     Raises:
         DeltaError: when the document is not a well-formed delta.
@@ -295,12 +330,13 @@ def _unwrap_payload(op_element: Element) -> Node:
         raise DeltaError(
             f"<{op_element.label}> must contain exactly one payload subtree"
         )
-    payload = payload_nodes[0].clone(keep_xids=True)
+    payload = payload_nodes[0]
     if payload.kind != "element":
         raise DeltaError("payload root must be an element or a wrapper")
     unwrapped = _collapse_wrapper(payload)
     if unwrapped is not payload:
         return unwrapped
+    payload.detach()
     _collapse_wrapped_descendants(payload)
     return payload
 
@@ -389,11 +425,6 @@ def _required_attr(element: Element, name: str) -> str:
 # ---------------------------------------------------------------------------
 # convenience
 # ---------------------------------------------------------------------------
-
-
-def serialize_delta(delta: Delta) -> str:
-    """Compact XML string of the delta (whitespace-safe)."""
-    return serialize(delta_to_document(delta))
 
 
 def parse_delta(text) -> Delta:

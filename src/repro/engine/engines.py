@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.buld import BuldMatcher
+from repro.core.buld import CANDIDATE_PROBES, BuldMatcher
 from repro.core.lcs import myers_opcodes
 from repro.core.matching import Matching
 from repro.core.signature import annotate
@@ -112,19 +112,26 @@ class BuldEngine(DiffEngine):
 
     @staticmethod
     def _match_subtrees(run: EngineRun) -> None:
-        run.extra["matcher"].phase3_match_subtrees()
+        matcher: BuldMatcher = run.extra["matcher"]
+        matcher.phase3_match_subtrees()
+        run.context.count(CANDIDATE_PROBES, matcher.candidate_probes)
 
     @staticmethod
     def _propagate(run: EngineRun) -> None:
         run.extra["matcher"].phase4_propagate()
 
     def _build(self, run: EngineRun) -> None:
-        matcher: BuldMatcher = run.extra["matcher"]
+        # Release the matcher first: the delta builder needs only the
+        # matching and the new weights, and dropping the rest (old-side
+        # annotations, new signatures, both candidate indexes) before it
+        # runs lowers the diff's peak memory.
+        matcher: BuldMatcher = run.extra.pop("matcher")
         run.matching = matcher.matching
         if matcher.new_annotations is not None:
             run.weights = matcher.new_annotations.weights
             run.old_nodes = matcher.old_annotations.node_count
             run.new_nodes = matcher.new_annotations.node_count
+        del matcher
         self._build_delta_stage(run)
 
 

@@ -63,7 +63,7 @@ from typing import Optional
 
 from repro.core.apply import apply_backward, apply_delta
 from repro.core.delta import Delta
-from repro.core.deltaxml import delta_from_document, delta_to_document
+from repro.core.deltaxml import delta_from_document, serialize_delta
 from repro.core.xid import XidAllocator
 from repro.storage.atomic import check_durability, sha256_bytes
 from repro.storage.backend import StorageBackend
@@ -714,7 +714,7 @@ class BackendRepository(Repository):
             if span is not None:
                 span.attrs["base_version"] = version
             delta_name = self._delta_name(version)
-            delta_bytes = serialize_bytes(delta_to_document(delta))
+            delta_bytes = serialize_delta(delta).encode("utf-8")
             current_bytes = serialize_bytes(new_document)
             manifest = self._load_manifest(doc_id)
             new_meta = dict(meta)

@@ -22,22 +22,33 @@ __all__ = [
     "write_file",
 ]
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+# A parser normalizes a raw carriage return to a line feed everywhere,
+# and a raw tab or line feed inside an attribute value to a space, so
+# those characters are written as character references.
+_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+_ATTR_ESCAPES = {
+    "&": "&amp;",
+    "<": "&lt;",
+    ">": "&gt;",
+    '"': "&quot;",
+    "\t": "&#9;",
+    "\n": "&#10;",
+    "\r": "&#13;",
+}
 
 
 def escape_text(value: str) -> str:
     """Escape character data for element content."""
-    if "&" in value or "<" in value or ">" in value:
-        for raw, escaped in _TEXT_ESCAPES.items():
+    for raw, escaped in _TEXT_ESCAPES.items():
+        if raw in value:
             value = value.replace(raw, escaped)
     return value
 
 
 def escape_attribute(value: str) -> str:
     """Escape character data for a double-quoted attribute value."""
-    if "&" in value or "<" in value or ">" in value or '"' in value:
-        for raw, escaped in _ATTR_ESCAPES.items():
+    for raw, escaped in _ATTR_ESCAPES.items():
+        if raw in value:
             value = value.replace(raw, escaped)
     return value
 

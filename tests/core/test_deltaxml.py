@@ -69,6 +69,20 @@ class TestRoundTrip:
         assert apply_delta(again, old, verify=True).deep_equal(new)
         assert apply_backward(again, new, verify=True).deep_equal(old)
 
+    def test_line_ends_and_tabs_survive(self):
+        # A parser turns raw tabs and line feeds in attribute values into
+        # spaces and raw carriage returns into line feeds: the delta XML
+        # must carry them as character references.
+        old, new, delta = self.make(
+            '<a k="1"><b>x</b></a>',
+            '<a k="1&#10;2&#9;3"><b>x&#13;y</b>'
+            '<c v="&#13;&#10;">p&#13;q</c></a>',
+        )
+        assert {"attr-update", "update", "insert"} <= set(delta.summary())
+        again = roundtrip(delta)
+        assert again == delta
+        assert apply_delta(again, old, verify=True).deep_equal(new)
+
     def test_metadata_preserved(self):
         _, _, delta = self.make("<a>1</a>", "<a>2</a>")
         delta.base_version = 3
@@ -102,6 +116,21 @@ class TestDocumentShape:
         old = parse("<a>1</a>")
         new = parse("<a>2</a>")
         assert delta_byte_size(diff(old, new)) > 20
+
+
+class TestDocumentReader:
+    def test_payloads_are_moved_out_not_copied(self):
+        document = parse(
+            "<delta><delete xid='3' xidMap='(1-3)' parentXid='0' pos='0'>"
+            "<a><b/>t</a></delete></delta>",
+            strip_whitespace=False,
+        )
+        payload = document.root.children[0].children[0]
+        delta = delta_from_document(document)
+        subtree = delta.operations[0].subtree
+        assert subtree is payload
+        assert subtree.parent is None
+        assert [node.xid for node in (subtree.children[0], subtree)] == [1, 3]
 
 
 class TestMalformedInput:

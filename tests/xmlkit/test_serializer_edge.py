@@ -94,3 +94,27 @@ class TestSpecialContent:
 
     def test_empty_document_serializes_empty(self):
         assert serialize(Document()) == ""
+
+
+class TestLineEndAndTabReferences:
+    """Characters a parser normalizes must be written as references."""
+
+    def test_attribute_tab_newline_and_return_round_trip(self):
+        doc = parse('<a x="1&#10;2&#9;3&#13;4">t&#13;u</a>')
+        assert doc.root.attributes["x"] == "1\n2\t3\r4"
+        assert doc.root.children[0].value == "t\ru"
+        again = parse(serialize(doc))
+        assert again.root.attributes["x"] == "1\n2\t3\r4"
+        assert again.root.children[0].value == "t\ru"
+        assert again.deep_equal(doc)
+
+    def test_escaped_forms(self):
+        element = Element("a", {"v": "\t\n\r"})
+        element.append(Text("x\ry\nz\tw"))
+        assert serialize(element) == '<a v="&#9;&#10;&#13;">x&#13;y\nz\tw</a>'
+
+    def test_crlf_text_survives(self):
+        doc = Document(Element("a"))
+        doc.root.append(Text("line one\r\nline two\r"))
+        again = parse(serialize(doc), strip_whitespace=False)
+        assert again.root.children[0].value == "line one\r\nline two\r"
