@@ -25,9 +25,6 @@ Subcommands mirror the library's main capabilities:
   ``shard://PATH?shards=N&backend=SCHEME``) or a bare path.
 - ``store ...``         — inspect and update a version store by URL
   (``ls``, ``log``, ``cat``, ``commit``).
-- ``bench``             — run the registered benchmark experiments
-  (``BENCH_*.json``), or ``bench --compare`` two result files
-  (see ``docs/benchmarks.md``).
 - ``serve``             — run the HTTP diff service (``docs/server.md``):
   one-shot diff/explain/audit plus commit/read endpoints over named
   version stores, with bounded-queue load shedding.
@@ -870,71 +867,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import os
-
-    from repro.obs import bench
-
-    if args.compare:
-        if len(args.compare) > 2:
-            print("error: --compare takes OLD.json [NEW.json]",
-                  file=sys.stderr)
-            return 2
-        try:
-            old = bench.load_result(args.compare[0])
-            if len(args.compare) == 2:
-                new_path = args.compare[1]
-            else:
-                # One file: compare it against the current results in
-                # --out-dir (the just-benchmarked working tree).
-                new_path = os.path.join(
-                    args.out_dir, bench.bench_filename(old["experiment"])
-                )
-            new = bench.load_result(new_path)
-            report = bench.compare_payloads(
-                old, new, threshold=args.threshold / 100.0
-            )
-        except (ValueError, OSError) as error:
-            # Covers unreadable files, schema violations, experiment
-            # mismatches — input the gate cannot judge, distinct from a
-            # judged regression (exit 1).
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        _write(args.output, bench.render_comparison(report) + "\n")
-        return 0 if report.ok else 1
-
-    progress = None
-    if not args.quiet:
-        progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
-    runner = bench.BenchRunner(
-        repeat=args.repeat,
-        warmup=args.warmup,
-        trace_memory=args.trace_memory,
-        progress=progress,
-    )
-    requested = [name.upper() for name in args.experiments]
-    if not requested:
-        requested = bench.available_experiments()
-    wrote = []
-    for name in requested:
-        payload = runner.run_experiment(
-            name, fast=args.fast, case_filter=args.filter
-        )
-        if payload is None:
-            continue
-        path = bench.write_result(payload, out_dir=args.out_dir)
-        wrote.append(path)
-        print(f"wrote {path}")
-        if args.history:
-            history_path = bench.append_history(payload, args.history)
-            print(f"appended {history_path}")
-    if not wrote:
-        print(f"error: no cases match filter {args.filter!r}",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
 def _cmd_serve(args) -> int:
     import asyncio
 
@@ -1350,47 +1282,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SVG title (default: flamegraph)")
     flame.add_argument("-o", "--output", default="-")
     flame.set_defaults(func=_cmd_obs_flame)
-
-    sub = subparsers.add_parser(
-        "bench",
-        help="run the registered benchmark experiments (or compare results)",
-    )
-    sub.add_argument(
-        "experiments", nargs="*", metavar="EXPERIMENT",
-        help="experiment ids (FIG4 FIG5 FIG6 SITE COMP QUAL ABL STORE "
-             "SHARD SERVE CHAOS); default: all",
-    )
-    sub.add_argument("--fast", action="store_true",
-                     help="reduced workload sizes (the CI perf-smoke tier)")
-    sub.add_argument("--filter", default=None, metavar="PATTERN",
-                     help="only run cases matching PATTERN "
-                          "(glob against 'ID:case', or a substring)")
-    sub.add_argument("--repeat", type=int, default=3,
-                     help="timed repeats per case (default 3)")
-    sub.add_argument("--warmup", type=int, default=1,
-                     help="untimed warmup runs per case (default 1)")
-    sub.add_argument("--out-dir", default=".", metavar="DIR",
-                     help="directory for BENCH_*.json (default: repo root)")
-    sub.add_argument("--trace-memory", action="store_true",
-                     help="record the tracemalloc peak per repeat (slower)")
-    sub.add_argument("--history", default=None, metavar="DIR",
-                     help="append each run's per-case wall medians and "
-                          "gated-quality keys to DIR/history.jsonl "
-                          "(schema repro.benchhist/1; render with "
-                          "tools/bench_history.py)")
-    sub.add_argument("--quiet", action="store_true",
-                     help="suppress live progress lines on stderr")
-    sub.add_argument("--compare", nargs="+", default=None,
-                     metavar="RESULTS.json",
-                     help="compare OLD.json [NEW.json] instead of running; "
-                          "one file compares against --out-dir; exits 1 on "
-                          "regression, 2 on unusable input")
-    sub.add_argument("--threshold", type=float, default=25.0, metavar="PCT",
-                     help="regression gate: percent slowdown/quality drop "
-                          "tolerated (default 25)")
-    sub.add_argument("-o", "--output", default="-",
-                     help="comparison report destination (default stdout)")
-    sub.set_defaults(func=_cmd_bench)
 
     sub = subparsers.add_parser(
         "serve",

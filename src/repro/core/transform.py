@@ -13,8 +13,8 @@ trade-off can be measured instead of argued:
   XIDs, exactly the information loss the paper's move support avoids.
 - :func:`strip_metadata` — drop version bookkeeping for size comparisons.
 
-The ABL benchmark's ``moves-vs-edits`` case (``xydiff bench ABL``)
-compares the delta sizes of both representations.
+The ABL table's ``moves-vs-edits`` row (``python -m benchmarks.report
+ABL``) compares the delta sizes of both representations.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ numbers an operator actually alerts on:
   1.0 means the budget is exactly spent; > 1.0 means the objective is
   being missed.
 
-``GET /slo`` serves the report (schema ``repro.slo/1``) and the SERVE
-benchmark gates ``p95_ms`` / ``error_budget`` through
-``xydiff bench --compare``.
+``GET /slo`` serves the report (schema ``repro.slo/1``), and
+``tests/server/test_mixed_load.py`` holds the burn at zero under
+concurrent diffs and commits.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ Public pieces:
 - :data:`ROUTES` / :func:`route_table` — the declared API surface,
   which ``tools/check_docs.py`` diffs against ``docs/server.md``;
 - :func:`serve_in_thread` — run a server on a background thread for
-  tests and the SERVE benchmark.
+  tests and the chaos harness.
 
 See ``docs/server.md`` for the wire-level reference.
 """

@@ -386,8 +386,11 @@ class DiffServer:
         if self._server is not None:
             await self._server.wait_closed()
         with self._stores_guard:
-            for store, _ in self._stores.values():
-                store.repository.close()
+            for store, lock in self._stores.values():
+                # Cancelling the scrub task does not stop a verify already
+                # running on an executor thread under this lock.
+                with lock:
+                    store.repository.close()
             self._stores.clear()
         self.events.close()
 
@@ -701,15 +704,15 @@ class DiffServer:
 
 
 # ---------------------------------------------------------------------------
-# embedding helper: run a server on a background thread (tests, bench)
+# embedding helper: run a server on a background thread (tests, chaos harness)
 # ---------------------------------------------------------------------------
 
 
 class ServerHandle:
     """A running server on its own thread + event loop.
 
-    Produced by :func:`serve_in_thread`; gives tests and the SERVE
-    benchmark a real TCP endpoint without subprocess management.
+    Produced by :func:`serve_in_thread`; gives tests and the chaos
+    harness a real TCP endpoint without subprocess management.
     """
 
     def __init__(self, server: DiffServer, loop, thread, host, port):

@@ -29,8 +29,9 @@ The invariants — all of which must hold under every fault shape:
 
 Scenarios are seeded end to end (fault jitter, client backoff jitter),
 so a failure reproduces.  :func:`run_scenario` returns a
-:class:`ChaosReport`; the CHAOS benchmark commits the counters and CI
-gates them at zero.
+:class:`ChaosReport`; ``tests/integration/test_chaos.py`` runs every
+scenario of :func:`default_scenarios` and requires
+:attr:`ChaosReport.invariants_hold`.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ class ChaosReport:
 
 
 def default_scenarios(seed: int = 0) -> list[ChaosScenario]:
-    """The standing fault matrix (CI's ``chaos`` job runs all of it)."""
+    """The standing fault matrix (the tier-1 suite runs all of it)."""
     return [
         ChaosScenario(
             "slow-everything",

@@ -27,7 +27,7 @@ mid-:meth:`~ShardedRepository.rebalance` (after a manual shard-count
 change to ``shard.json``) stays fully readable.
 
 :func:`open_repository` is the one constructor every consumer (CLI,
-fsck, bench) goes through: it accepts any store URL — ``file://``,
+fsck, server) goes through: it accepts any store URL — ``file://``,
 ``sqlite://``, ``blob://``, ``shard://`` — or a bare path, sniffing the
 layout on disk.
 """

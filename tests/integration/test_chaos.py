@@ -2,11 +2,13 @@
 
 Each scenario boots a real server with an armed fault injector and
 drives it with concurrent retrying clients; see
-:mod:`repro.testing.chaos` for the invariant definitions.  CI's chaos
-job runs the same matrix through the CHAOS benchmark — this test keeps
-the harness honest inside the plain unit-test tier with the two
-highest-signal scenarios (a lost acknowledgement, a failing disk).
+:mod:`repro.testing.chaos` for the invariant definitions.  Every
+scenario of the standing matrix runs here: no lost, duplicated or
+unanswered commit, a breaker that recovers, and every acked commit
+attributable by request id (no orphan event, no unattributed commit).
 """
+
+import functools
 
 import pytest
 
@@ -15,22 +17,27 @@ from repro.testing.chaos import default_scenarios, run_scenario
 SCENARIOS = {
     scenario.name: scenario for scenario in default_scenarios(seed=11)
 }
+#: Scenarios whose faults fail operations; latency alone fires none.
+FAILING = {"storage-eio", "response-kill", "job-eio"}
 
 
-@pytest.mark.parametrize("name", ["response-kill", "storage-eio"])
+@functools.lru_cache(maxsize=None)
+def _report(name):
+    return run_scenario(SCENARIOS[name])
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_invariants_hold_under_sustained_faults(name):
-    report = run_scenario(SCENARIOS[name])
-    assert report.faults_fired > 0, "the scenario never actually failed"
+    report = _report(name)
+    if name in FAILING:
+        assert report.faults_fired > 0, "the scenario never actually failed"
     assert report.requests == report.acked + report.clean_failures
-    assert report.lost_commits == 0, report.to_dict()
-    assert report.duplicate_commits == 0, report.to_dict()
-    assert report.unanswered == 0, report.to_dict()
-    assert report.breaker_recovered, report.to_dict()
+    assert report.invariants_hold, report.to_dict()
 
 
 def test_response_kill_exercises_idempotent_replay():
     """The lost-acknowledgement scenario must actually produce replays —
     otherwise it is not testing what it claims to test."""
-    report = run_scenario(SCENARIOS["response-kill"])
+    report = _report("response-kill")
     assert report.replays > 0
     assert report.invariants_hold, report.to_dict()

@@ -1,8 +1,8 @@
 """The paper's Section 5–6 claims, checked at test size.
 
-``xydiff bench`` (``repro.obs.bench.cases``) measures each experiment at
-scale and records its quality keys; these tests hold the *shape* of
-each claim — who wins, which way a ratio points, a generous bound — on
+``benchmarks/report.py`` measures each experiment at scale, and
+``test_figure_keys.py`` pins its quality keys; these tests hold the
+*shape* of each claim — who wins, which way a ratio points, a generous bound — on
 inputs small enough for the tier-1 suite.  Timing claims compare two
 measurements of the same process (best of a few runs) against a bound
 several times looser than the measured ratio, so machine speed cancels

@@ -3,8 +3,7 @@
 With no recorder (or a :class:`NullRecorder`, which the engine
 normalizes to ``None``) the run may not differ observably from the
 seed: tracer and metrics outputs byte-identical, and no measurable
-wall-clock overhead beyond the 1 ms noise floor used by the bench
-harness.
+wall-clock overhead beyond a 1 ms noise floor.
 """
 
 import statistics
@@ -83,7 +82,7 @@ class TestByteIdenticalWhenDisabled:
 
 
 class TestNullRecorderOverhead:
-    NOISE_FLOOR = 0.001  # seconds — the bench harness's noise floor
+    NOISE_FLOOR = 0.001  # seconds
 
     def test_within_noise_floor(self):
         old, new = scenario(11, 12, nodes=200)

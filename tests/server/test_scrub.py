@@ -5,6 +5,7 @@ import asyncio
 import http.client
 import json
 import os
+import threading
 from types import SimpleNamespace
 
 import pytest
@@ -154,6 +155,47 @@ def test_eio_during_verify_becomes_finding_and_diff_is_unaffected(server):
     assert response.status == 200
     assert faulted["delta"] == clean["delta"]
     assert faulted["stats"]["operations"] == clean["stats"]["operations"]
+
+
+def test_shutdown_closes_a_store_only_after_its_running_verify(tmp_path):
+    # Cancelling the scrub task leaves a verify already on an executor
+    # thread running; closing the store under it crashed sqlite.
+    handle = serve_in_thread(
+        ServerConfig(
+            port=0,
+            stores={"main": f"sqlite://{tmp_path}/store.db"},
+            scrub_interval=0.05,
+            scrub_batch=1,
+        )
+    )
+    commit(handle, "doc-1", "<d><p>v1</p></d>")
+    repository = handle.server.store_entry("main")[0].repository
+    verify, close = repository.verify, repository.close
+    entered, release = threading.Event(), threading.Event()
+    order = []
+
+    def blocking_verify(doc_id=None):
+        entered.set()
+        release.wait(10)
+        try:
+            return verify(doc_id)
+        finally:
+            order.append("verify")
+
+    def recording_close():
+        order.append("close")
+        close()
+
+    repository.verify = blocking_verify
+    repository.close = recording_close
+    assert entered.wait(10), "the scrubber never started a verify"
+    closer = threading.Thread(target=handle.close)
+    closer.start()
+    closer.join(0.2)  # a shutdown that does not wait is done by now
+    release.set()
+    closer.join(30)
+    assert not closer.is_alive()
+    assert order == ["verify", "close"]
 
 
 def test_tick_pauses_when_queue_is_deep():

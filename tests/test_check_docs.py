@@ -114,6 +114,44 @@ class TestDriftDetection:
         check_docs.check_cli_docs(docs, problems)
         assert any("'stats' undocumented" in p for p in problems)
 
+    def test_phantom_cli_section_flagged(self, check_docs, tmp_path):
+        _, commands = check_docs.real_cli_surface()
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        headings = "\n".join(f"## {name}" for name in sorted(commands))
+        (docs / "cli.md").write_text(
+            f"## Shared option groups\n{headings}\n## bench\n"
+        )
+        problems = []
+        check_docs.check_cli_docs(docs, problems)
+        assert problems == ["docs/cli.md: section 'bench' names no subcommand"]
+
+    @pytest.mark.parametrize(
+        "mention",
+        ["run `xydiff bench --fast`", "python -m repro bench FIG4",
+         "see `xydiff store fsck`"],
+    )
+    def test_phantom_command_mention_flagged(self, check_docs, mention):
+        _, commands = check_docs.real_cli_surface()
+        problems = []
+        check_docs.check_command_mentions(
+            ROOT / "README.md", mention, commands, problems
+        )
+        assert len(problems) == 1
+        assert "names no subcommand" in problems[0]
+
+    def test_real_command_mentions_accepted(self, check_docs):
+        _, commands = check_docs.real_cli_surface()
+        problems = []
+        check_docs.check_command_mentions(
+            ROOT / "README.md",
+            "`xydiff diff a b`, `xydiff store ls URL`, `xydiff obs`, "
+            "PYTHONPATH=src python -m repro fsck STORE --repair",
+            commands,
+            problems,
+        )
+        assert problems == []
+
     def test_real_surface_contains_new_obs_flags(self, check_docs):
         flags, commands = check_docs.real_cli_surface()
         assert {"--trace", "--trace-memory", "--metrics-out",

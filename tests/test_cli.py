@@ -541,49 +541,6 @@ class TestObservabilityFlags:
         assert plain.read_text() == traced.read_text()
 
 
-class TestBenchCommand:
-    def test_filtered_fast_run_emits_schema_valid_json(self, tmp_path, capsys):
-        exit_code = main(
-            ["bench", "FIG5", "--fast", "--filter", "FIG5:nodes=300,rate=0.10",
-             "--repeat", "1", "--warmup", "0", "--quiet",
-             "--out-dir", str(tmp_path)]
-        )
-        assert exit_code == 0
-        assert "wrote" in capsys.readouterr().out
-        from repro.obs.bench import load_result
-
-        payload = load_result(str(tmp_path / "BENCH_FIG5.json"))
-        assert payload["experiment"] == "FIG5"
-        assert payload["fast"] is True
-        (case,) = payload["cases"]
-        assert case["name"] == "nodes=300,rate=0.10"
-        # per-stage timings present, sourced from the engine's stage spans
-        assert set(case["stage_seconds"]) >= {
-            "annotate", "match-subtrees", "propagate", "build-delta"
-        }
-        assert case["quality"]["ratio"] > 0
-
-    def test_progress_lines_go_to_stderr(self, tmp_path, capsys):
-        assert main(
-            ["bench", "FIG5", "--fast", "--filter", "FIG5:nodes=300,rate=0.10",
-             "--repeat", "1", "--warmup", "0", "--out-dir", str(tmp_path)]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "repeat 1/1" in captured.err
-        assert "repeat 1/1" not in captured.out
-
-    def test_unknown_experiment_exits_1(self, tmp_path, capsys):
-        assert main(["bench", "FIG9", "--out-dir", str(tmp_path)]) == 1
-        assert "unknown experiment" in capsys.readouterr().err
-
-    def test_unmatched_filter_exits_2(self, tmp_path, capsys):
-        assert main(
-            ["bench", "FIG5", "--fast", "--filter", "no-such-case",
-             "--out-dir", str(tmp_path)]
-        ) == 2
-        assert "no cases match" in capsys.readouterr().err
-
-
 class TestExplainProvenance:
     def test_explain_why_adds_because_lines(self, files, capsys):
         _, old, new = files

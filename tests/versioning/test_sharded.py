@@ -13,6 +13,12 @@ import threading
 
 import pytest
 
+from repro.simulator import (
+    GeneratorConfig,
+    SimulatorConfig,
+    generate_document,
+    simulate_changes,
+)
 from repro.storage import BlobStoreBackend, SQLiteBackend
 from repro.versioning import (
     BackendRepository,
@@ -30,6 +36,18 @@ DOC = "<doc><a>one one one</a><b>two two two</b></doc>"
 DOC2 = "<doc><a>one (edited)</a><b>two two two</b><c>three</c></doc>"
 
 
+#: A 400-document warehouse and its per-shard counts at 4 shards.
+WAREHOUSE_IDS = [f"doc-{i:06d}" for i in range(400)]
+WAREHOUSE_COUNTS = [105, 107, 87, 101]
+
+
+def _shard_counts(doc_ids, shards):
+    counts = [0] * shards
+    for doc_id in doc_ids:
+        counts[_shard_index(doc_id, shards)] += 1
+    return counts
+
+
 def _populate(repo, count=12):
     store = VersionStore(repo)
     for i in range(count):
@@ -39,12 +57,15 @@ def _populate(repo, count=12):
 
 class TestRouting:
     def test_routing_is_deterministic_and_pinned(self):
-        # sha256-based, so these values can never drift silently
-        # without breaking every existing sharded store.
-        assert _shard_index("doc-000", 4) == _shard_index("doc-000", 4)
+        # sha256-based: a change to these values strands every document
+        # of every existing sharded store on the wrong shard.
         assert [_shard_index(f"doc-{i:03d}", 4) for i in range(6)] == [
-            _shard_index(f"doc-{i:03d}", 4) for i in range(6)
+            3, 2, 3, 3, 2, 2
         ]
+        assert _shard_counts(WAREHOUSE_IDS, 4) == WAREHOUSE_COUNTS
+        # Fullest minus emptiest shard over the ideal share: 20% skew.
+        spread = max(WAREHOUSE_COUNTS) - min(WAREHOUSE_COUNTS)
+        assert 100.0 * spread / (len(WAREHOUSE_IDS) / 4) == 20.0
         assert 0 <= _shard_index("anything", 7) < 7
 
     def test_documents_land_on_their_home_shard(self, tmp_path):
@@ -150,6 +171,32 @@ class TestVerifyAndFsck:
         assert {f.shard for f in findings} == {index}
         assert {f.kind for f in findings} == {"missing-manifest"}
         assert {f.scheme for f in findings} == {"file"}
+        repo.close()
+
+    def test_warehouse_ingest_verifies_clean(self, tmp_path):
+        """400 small documents, every 16th revisited by a diff commit,
+        land where routing says and verify without a finding.  SQLite
+        only, to keep the suite fast: the file and blob backends verify
+        clean in ``test_full_cycle_on_every_backend``."""
+        masters = [
+            generate_document(GeneratorConfig(target_nodes=40, seed=91 + i))
+            for i in range(32)
+        ]
+        repo = ShardedRepository(
+            tmp_path / "warehouse", shards=4, backend_scheme="sqlite"
+        )
+        store = VersionStore(repo)
+        for i, doc_id in enumerate(WAREHOUSE_IDS):
+            store.create(doc_id, masters[i % 32])
+        for i in range(0, len(WAREHOUSE_IDS), 16):
+            update = simulate_changes(
+                masters[i % 32],
+                SimulatorConfig(0.05, 0.10, 0.05, 0.05, seed=191 + i % 32),
+            ).new_document
+            store.commit(WAREHOUSE_IDS[i], update)
+        counts = [repo.shard_repo(i).document_count() for i in range(4)]
+        assert counts == WAREHOUSE_COUNTS
+        assert repo.verify() == []
         repo.close()
 
     def test_fsck_routes_repairs_to_the_right_shard(self, tmp_path):

@@ -8,10 +8,16 @@ Three classes of drift, all fatal:
 2. **Phantom code references** — every dotted ``repro.*`` name in the
    docs and README must resolve: the longest module prefix must import,
    and any remaining parts must exist as attributes.
-3. **Phantom CLI flags** — every ``--flag`` mentioned in docs/*.md must
-   exist somewhere in the real argparse tree, and every subcommand of
-   the real parser — including nested ones such as ``obs render`` —
-   must have a section in docs/cli.md.
+3. **Phantom CLI flags and subcommands** — every ``--flag`` mentioned
+   in docs/*.md (except the benchmark scripts' page) must exist
+   somewhere in the real argparse tree.  docs/cli.md's sections must
+   equal the real subcommands in both directions: every subcommand —
+   including nested ones such as ``obs render`` — has a section, and
+   every section headed like a command (lower case; prose sections are
+   capitalised) names one.  Every ``xydiff WORD`` or ``python -m repro
+   WORD`` in README.md, EXPERIMENTS.md, DESIGN.md and docs/*.md must
+   name a real subcommand (``WORD SUB`` when WORD is a group such as
+   ``store``).
 4. **Phantom store schemes** — every ``scheme://`` store-URL example in
    the docs and README must use a scheme the storage layer actually
    registers (``file``, ``sqlite``, ``blob``, ``shard``); web schemes
@@ -48,6 +54,14 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+(?![\w/])")
 FLAG_RE = re.compile(r"--[A-Za-z][A-Za-z0-9-]*")
 HEADING_RE = re.compile(r"^##+\s+(.+?)\s*$", re.MULTILINE)
+#: A docs/cli.md heading spelled like a command; prose headings are
+#: capitalised.
+COMMAND_HEADING_RE = re.compile(r"[a-z][a-z0-9-]*(?: [a-z][a-z0-9-]*)*")
+#: A command mention and the word after it (a subcommand under a group).
+COMMAND_RE = re.compile(
+    r"(?:\bxydiff|\bpython -m repro)[ \t]+([a-z][a-z0-9-]*)"
+    r"(?:[ \t]+([a-z][a-z0-9-]*))?"
+)
 SCHEME_RE = re.compile(r"\b([a-z][a-z0-9+.-]*)://")
 #: A docs/server.md endpoint-table row: first cell is `METHOD /path`.
 ENDPOINT_ROW_RE = re.compile(
@@ -72,6 +86,9 @@ WEB_SCHEMES = {"http", "https", "mailto"}
 
 LINK_FILES = ["README.md", "EXPERIMENTS.md"]
 REFERENCE_FILES = ["README.md"]  # + docs/*.md, added in main()
+COMMAND_FILES = ["README.md", "EXPERIMENTS.md", "DESIGN.md"]  # + docs/*.md
+#: Pages about the benchmark scripts: their flags are not repro.cli's.
+SCRIPT_PAGES = {"benchmarks.md"}
 
 
 def _rel(path: pathlib.Path) -> str:
@@ -154,6 +171,8 @@ def real_cli_surface():
 def check_cli_docs(docs_dir: pathlib.Path, problems: list[str]) -> None:
     flags, commands = real_cli_surface()
     for path in sorted(docs_dir.glob("*.md")):
+        if path.name in SCRIPT_PAGES:
+            continue
         for flag in sorted(set(FLAG_RE.findall(path.read_text()))):
             if flag not in flags:
                 problems.append(
@@ -170,6 +189,25 @@ def check_cli_docs(docs_dir: pathlib.Path, problems: list[str]) -> None:
         ):
             continue
         problems.append(f"docs/cli.md: subcommand {command!r} undocumented")
+    for heading in sorted(documented):
+        if COMMAND_HEADING_RE.fullmatch(heading) and heading not in commands:
+            problems.append(
+                f"docs/cli.md: section {heading!r} names no subcommand"
+            )
+
+
+def check_command_mentions(
+    path: pathlib.Path, text: str, commands: set[str], problems: list[str]
+) -> None:
+    """Every ``xydiff WORD`` must name a subcommand of the real parser."""
+    for first, second in COMMAND_RE.findall(text):
+        command = first
+        if second and any(name.startswith(first + " ") for name in commands):
+            command = f"{first} {second}"
+        if command not in commands:
+            problems.append(
+                f"{_rel(path)}: 'xydiff {command}' names no subcommand"
+            )
 
 
 def check_store_schemes(path: pathlib.Path, text: str, problems: list[str]) -> None:
@@ -301,6 +339,12 @@ def main() -> int:
         text = path.read_text()
         check_module_refs(path, text, problems)
         check_store_schemes(path, text, problems)
+
+    _, commands = real_cli_surface()
+    for path in [ROOT / name for name in COMMAND_FILES] + sorted(
+        docs_dir.glob("*.md")
+    ):
+        check_command_mentions(path, path.read_text(), commands, problems)
 
     check_cli_docs(docs_dir, problems)
     check_server_docs(docs_dir, problems)
