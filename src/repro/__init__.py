@@ -21,8 +21,8 @@ first access (see :mod:`repro._lazy`); see the subpackages for the full API:
 
 - :mod:`repro.xmlkit` — XML document model, parser, serializer, DTD support.
 - :mod:`repro.core` — BULD matching, deltas, apply/invert/aggregate.
-- :mod:`repro.engine` — the pluggable engine pipeline (registry, context,
-  annotation reuse); every algorithm behind one ``diff`` interface.
+- :mod:`repro.engine` — the pluggable engine pipeline (registry,
+  context); every algorithm behind one ``diff`` interface.
 - :mod:`repro.baselines` — Lu/Selkow, LaDiff, Zhang–Shasha, DiffMK, Unix diff.
 - :mod:`repro.versioning` — repository, version control, alerter, text index.
 - :mod:`repro.simulator` — document generators and the change simulator.
@@ -35,7 +35,6 @@ from repro._lazy import lazy_exports
 __version__ = "1.2.0"
 
 __all__ = [
-    "AnnotationStore",
     "Comment",
     "Delta",
     "DiffConfig",
@@ -75,7 +74,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "core.apply": ("aggregate", "apply_backward", "apply_delta", "invert"),
     "core.config": ("DiffConfig",),
     "core.delta": ("Delta",),
-    "engine.annotations": ("AnnotationStore",),
     "engine.base": ("DiffEngine", "DiffStats"),
     "engine.context": ("DiffContext",),
     "engine.registry": (

@@ -159,29 +159,16 @@ class BuldMatcher:
     # Phase 2 — signatures, weights, indexes, priority queue
     # ------------------------------------------------------------------
 
-    def phase2_annotate(self, annotate_fn=None) -> None:
-        """Signatures + weights for both documents and old-side indexes.
-
-        Args:
-            annotate_fn: Optional replacement for
-                :func:`repro.core.signature.annotate` taking just the
-                document — the hook an
-                :class:`~repro.engine.annotations.AnnotationStore` uses
-                to serve cached annotations for content-identical
-                documents.  Must honour this config's weight/hash
-                settings.
-        """
-        if annotate_fn is None:
-            log_text = self.config.log_text_weight
-            fast = getattr(self.config, "fast_signatures", False)
-
-            def annotate_fn(document):
-                return annotate(
-                    document, log_text_weight=log_text, fast=fast
-                )
-
-        self.old_annotations = annotate_fn(self.old_document)
-        self.new_annotations = annotate_fn(self.new_document)
+    def phase2_annotate(self) -> None:
+        """Signatures + weights for both documents and old-side indexes."""
+        log_text = self.config.log_text_weight
+        fast = getattr(self.config, "fast_signatures", False)
+        self.old_annotations = annotate(
+            self.old_document, log_text_weight=log_text, fast=fast
+        )
+        self.new_annotations = annotate(
+            self.new_document, log_text_weight=log_text, fast=fast
+        )
         total_nodes = (
             self.old_annotations.node_count + self.new_annotations.node_count
         )

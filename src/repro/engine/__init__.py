@@ -16,10 +16,8 @@ Pieces:
   re-exports;
 - :class:`Matcher` / :class:`DiffEngine` / :class:`MatcherEngine` — the
   protocol and base classes (:mod:`repro.engine.base`);
-- :class:`DiffContext` — per-run config, allocator, annotation store,
-  tracer, recorder and counters (:mod:`repro.engine.context`);
-- :class:`AnnotationStore` — cross-run signature/weight reuse keyed by
-  document content (:mod:`repro.engine.annotations`);
+- :class:`DiffContext` — per-run config, allocator, tracer, recorder
+  and counters (:mod:`repro.engine.context`);
 - the registry — :func:`register_engine`, :func:`register_matcher`,
   :func:`get_engine`, :func:`available_engines`
   (:mod:`repro.engine.registry`);
@@ -30,7 +28,6 @@ Pieces:
 from repro._lazy import lazy_exports
 
 __all__ = [
-    "AnnotationStore",
     "DiffContext",
     "DiffEngine",
     "DiffStats",
@@ -49,7 +46,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "annotations": ("AnnotationStore",),
     "base": (
         "DiffEngine", "DiffStats", "EngineError", "EngineRun", "Matcher",
         "MatcherEngine", "Stage",

@@ -87,8 +87,8 @@ class DiffStats:
         matched_nodes: Size of the final matching (document pair excluded).
         operation_counts: Delta operations per kind.
         counters: Free-form counters from the run's
-            :class:`~repro.engine.context.DiffContext` (e.g. annotation
-            cache hits).
+            :class:`~repro.engine.context.DiffContext` (e.g. BULD's
+            candidate probes).
     """
 
     phase_seconds: dict[str, float] = field(default_factory=dict)
@@ -233,7 +233,7 @@ class DiffEngine:
 
         ``config`` and ``allocator`` fill the corresponding context slots
         when those are ``None``; an explicit :class:`DiffContext` carries
-        everything else (annotation store, tracer, recorder).
+        everything else (tracer, recorder, counters).
         """
         if context is None:
             context = DiffContext()

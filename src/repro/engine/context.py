@@ -2,12 +2,11 @@
 
 One :class:`DiffContext` accompanies one diff run through an engine's
 pipeline.  It carries the configuration and the XID allocator (the two
-inputs every engine needs), the optional :class:`~repro.engine.annotations.
-AnnotationStore` (cross-run signature/weight reuse), the optional tracer
-and provenance recorder, and the counters the run accumulates.  Stage
-timings are not kept here: the engine writes them straight into the
-run's :class:`~repro.engine.base.DiffStats` (see :mod:`repro.engine.base`
-for stage order vs the paper's phase numbers).
+inputs every engine needs), the optional tracer and provenance recorder,
+and the counters the run accumulates.  Stage timings are not kept here:
+the engine writes them straight into the run's
+:class:`~repro.engine.base.DiffStats` (see :mod:`repro.engine.base` for
+stage order vs the paper's phase numbers).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Optional
 
 from repro.core.config import DiffConfig
 from repro.core.xid import XidAllocator
-from repro.engine.annotations import AnnotationStore
 
 __all__ = ["DiffContext"]
 
@@ -32,18 +30,8 @@ class DiffContext:
         allocator: XID source for inserted nodes; defaulted by the engine
             to ``max_xid(old) + 1`` when left ``None`` (version stores
             pass the document's persistent allocator).
-        annotation_store: Optional cross-run cache of subtree
-            signatures/weights keyed by document content — lets a version
-            store reuse the previous version's Phase-2 work.
-        old_annotation_key / new_annotation_key: Optional identity hints
-            for the two sides, forwarded to
-            :meth:`AnnotationStore.annotate` as its ``key``.  A caller
-            that knows an immutable name for a document's content (the
-            version store's ``(doc_id, version)``) sets these so cache
-            lookups skip the content-hash walk; leave ``None`` to key by
-            content.
         counters: Free-form numeric counters engines and stores increment
-            (e.g. ``annotation_cache_hits``); copied onto the final
+            (e.g. ``buld_candidate_probes``); copied onto the final
             :class:`~repro.engine.base.DiffStats`.
         tracer: Optional :class:`repro.obs.trace.Tracer`.  When set, the
             engine opens one ``engine:<name>`` span around the pipeline
@@ -63,9 +51,6 @@ class DiffContext:
 
     config: Optional[DiffConfig] = None
     allocator: Optional[XidAllocator] = None
-    annotation_store: Optional[AnnotationStore] = None
-    old_annotation_key: Optional[object] = None
-    new_annotation_key: Optional[object] = None
     counters: dict[str, float] = field(default_factory=dict)
     tracer: Optional[object] = None
     recorder: Optional[object] = None

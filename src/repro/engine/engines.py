@@ -55,10 +55,7 @@ class BuldEngine(DiffEngine):
     5. ``build-delta``    (phase5) — the shared delta builder.
 
     Ablations switch phases off through :class:`~repro.core.config.
-    DiffConfig`, not by skipping stages.  When the context carries an
-    :class:`~repro.engine.annotations.AnnotationStore`, the annotate
-    stage reuses cached signatures/weights for content-identical
-    documents (the version-store fast path).
+    DiffConfig`, not by skipping stages.
     """
 
     name = "buld"
@@ -81,30 +78,7 @@ class BuldEngine(DiffEngine):
 
     @staticmethod
     def _annotate(run: EngineRun) -> None:
-        matcher: BuldMatcher = run.extra["matcher"]
-        store = run.context.annotation_store
-        if store is None:
-            matcher.phase2_annotate()
-        else:
-            context = run.context
-            config = context.config
-
-            def annotate_fn(document):
-                if document is run.old:
-                    hint = context.old_annotation_key
-                elif document is run.new:
-                    hint = context.new_annotation_key
-                else:
-                    hint = None
-                return store.annotate(
-                    document,
-                    log_text_weight=config.log_text_weight,
-                    fast=getattr(config, "fast_signatures", False),
-                    counters=context.counters,
-                    key=hint,
-                )
-
-            matcher.phase2_annotate(annotate_fn=annotate_fn)
+        run.extra["matcher"].phase2_annotate()
 
     @staticmethod
     def _id_attributes(run: EngineRun) -> None:

@@ -3,7 +3,7 @@
 Where :mod:`repro.obs.trace` answers "where did *this run's* time go",
 the :class:`MetricsRegistry` answers the fleet question a
 production-scale warehouse asks: how many diffs ran, how is stage
-latency distributed, what is the annotation-cache hit rate.  The design
+latency distributed, how many commits landed.  The design
 is deliberately the smallest thing Prometheus-shaped scraping needs:
 
 - three instrument kinds — :class:`Counter` (monotone), :class:`Gauge`

@@ -237,5 +237,4 @@ def _rederive(repo: BackendRepository, prefix: str, name: str) -> bool:
     if expected is not None and sha256_bytes(data) != expected:
         return False
     repo.backend.put(prefix + "/" + name, data)
-    repo._current_cache.pop(doc_id, None)
     return True

@@ -203,10 +203,11 @@ class Repository:
 
         By default the caller receives a private copy it may freely
         mutate.  With ``readonly=True`` the repository may return a
-        shared instance instead (skipping a full-tree clone — the
-        version store's diff-on-commit hot path reads the current
-        version and throws it away); the caller promises not to mutate
-        it.
+        shared instance instead (the in-memory repository skips a
+        full-tree clone — the version store's diff-on-commit hot path
+        reads the current version and throws it away); the caller
+        promises not to mutate it.  A backend repository parses a
+        fresh tree on every call either way.
         """
         raise NotImplementedError
 
@@ -452,19 +453,11 @@ class BackendRepository(Repository):
     under it are the same names the classic directory layout used, so
     the protocol is one level of indirection, not a new format.
 
-    ``load_current`` keeps a small per-document cache of the parsed
-    current snapshot, keyed by version number, so the commit loop
-    (load → diff → append) does not re-parse an unchanged ``current.xml``
-    on every revisit.  ``append`` and ``create`` *roll the cache
-    forward* (a private copy of the document they just wrote) rather
-    than dropping it — in the commit loop the next ``load_current`` is
-    always for the version just appended, so invalidation would
-    guarantee a miss on the very access the cache exists for.  The
-    backend stays the source of truth: ``meta.json`` is re-read on
-    every load and the cache entry only counts while the *entire*
-    metadata (version, XID labels, ID attributes) still matches it; an
-    out-of-band edit to ``current.xml`` under an unchanged metadata
-    record is the one change the cache cannot see.
+    The repository holds no document state between calls: the backend
+    is the only source of truth.  ``load_current`` parses
+    ``current.xml`` and restores its XIDs and ID attributes from
+    ``meta.json`` on every call, so each call returns a fresh tree and
+    memory does not grow with the number of documents committed.
 
     Opening the repository scans for leftover commit journals and
     recovers them (see the module docstring); what happened is recorded
@@ -473,8 +466,8 @@ class BackendRepository(Repository):
     Args:
         backend: The storage backend holding the bytes.
         tracer: Optional :class:`repro.obs.trace.Tracer`; the
-            storage-bound operations become ``repo.load-current`` (with
-            a ``cache_hit`` attribute) and ``repo.append`` spans,
+            storage-bound operations become ``repo.load-current`` and
+            ``repo.append`` spans,
             nesting under whatever span the caller has open (a version
             store's ``store.commit``).
     """
@@ -482,7 +475,6 @@ class BackendRepository(Repository):
     def __init__(self, backend: StorageBackend, tracer=None):
         self.backend = backend
         self.tracer = tracer
-        self._current_cache: dict[str, tuple[dict, Document]] = {}
         #: Torn commits handled while opening the store.
         self.recovery_events: list[RecoveryEvent] = []
         self.recover()
@@ -589,6 +581,21 @@ class BackendRepository(Repository):
             self._manifest_key(doc_id), manifest, label="manifest"
         )
 
+    def _load_tree(
+        self, key: str, meta: dict, labels: Optional[list]
+    ) -> Document:
+        """Parse a stored tree and reattach its XIDs and ID attributes."""
+        document = parse(
+            self.backend.get(key),
+            strip_whitespace=False,
+            origin=self.backend.location(key),
+        )
+        document.id_attributes = {
+            tuple(pair) for pair in meta.get("id_attributes", [])
+        }
+        _restore_xids(document, labels)
+        return document
+
     # -- Repository interface ------------------------------------------------
 
     def create(self, doc_id, document, allocator, commit_record=None):
@@ -624,7 +631,6 @@ class BackendRepository(Repository):
             # incomplete prefix that the next create() overwrites and
             # fsck flags.
             self._store_meta(doc_id, meta)
-        self._current_cache[doc_id] = (meta, document.clone())
 
     def exists(self, doc_id: str) -> bool:
         return self.backend.exists(self._meta_key(doc_id))
@@ -648,27 +654,12 @@ class BackendRepository(Repository):
         if self.tracer is not None:
             span = self.tracer.start_span("repo.load-current", doc_id=doc_id)
         try:
-            self._check_exists(doc_id)
+            # Every call parses a fresh tree, so ``readonly`` has no
+            # clone to skip here.
             meta = self._load_meta(doc_id)
-            cached = self._current_cache.get(doc_id)
-            if span is not None:
-                span.attrs["cache_hit"] = bool(
-                    cached is not None and cached[0] == meta
-                )
-            if cached is None or cached[0] != meta:
-                key = self._current_key(doc_id)
-                document = parse(
-                    self.backend.get(key),
-                    strip_whitespace=False,
-                    origin=self.backend.location(key),
-                )
-                document.id_attributes = {
-                    tuple(pair) for pair in meta.get("id_attributes", [])
-                }
-                _restore_xids(document, meta)
-                cached = (meta, document)
-                self._current_cache[doc_id] = cached
-            return cached[1] if readonly else cached[1].clone()
+            return self._load_tree(
+                self._current_key(doc_id), meta, meta.get("xid_labels")
+            )
         finally:
             if span is not None:
                 self.tracer.end_span(span)
@@ -684,20 +675,19 @@ class BackendRepository(Repository):
         return dict(self._load_meta(doc_id).get("attribution", {}))
 
     def load_delta(self, doc_id: str, base_version: int) -> Delta:
-        self._check_exists(doc_id)
         key = self._delta_key(doc_id, base_version)
-        if not self.backend.exists(key):
+        try:
+            data = self.backend.get(key)
+        except FileNotFoundError as exc:
+            # Probe only on the miss, to tell the two errors apart.
+            self._check_exists(doc_id)
             raise RepositoryError(
                 f"no delta {base_version}->{base_version + 1} for {doc_id!r}"
-            )
+            ) from exc
         location = self.backend.location(key)
         try:
             return delta_from_document(
-                parse(
-                    self.backend.get(key),
-                    strip_whitespace=False,
-                    origin=location,
-                )
+                parse(data, strip_whitespace=False, origin=location)
             )
         except XmlParseError as exc:
             raise CorruptStoreError(
@@ -786,7 +776,6 @@ class BackendRepository(Repository):
                 self.backend.delete(
                     self._journal_key(doc_id), label="journal-clear"
                 )
-            self._current_cache[doc_id] = (new_meta, new_document.clone())
         finally:
             if span is not None:
                 self.tracer.end_span(span)
@@ -1143,17 +1132,9 @@ class BackendRepository(Repository):
         labels = meta.get("snapshots", {}).get(str(version))
         if labels is None:
             return None
-        key = self._snapshot_key(doc_id, version)
-        document = parse(
-            self.backend.get(key),
-            strip_whitespace=False,
-            origin=self.backend.location(key),
+        return self._load_tree(
+            self._snapshot_key(doc_id, version), meta, labels
         )
-        document.id_attributes = {
-            tuple(pair) for pair in meta.get("id_attributes", [])
-        }
-        _restore_xids(document, {"xid_labels": labels})
-        return document
 
     def snapshot_versions(self, doc_id):
         meta = self._load_meta(doc_id)
@@ -1216,12 +1197,11 @@ def _collect_xids(document: Document) -> list[int]:
     return xids
 
 
-def _restore_xids(document: Document, meta: dict) -> None:
+def _restore_xids(document: Document, labels: Optional[list]) -> None:
     """Reattach the persisted postorder XID labels to a loaded snapshot."""
     from repro.core.xid import DOCUMENT_XID, assign_initial_xids
     from repro.xmlkit.model import postorder
 
-    labels = meta.get("xid_labels")
     if labels:
         nodes = [node for node in postorder(document) if node is not document]
         if len(labels) != len(nodes):

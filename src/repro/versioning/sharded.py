@@ -338,7 +338,6 @@ class ShardedRepository(Repository):
                 target.backend.put(key, source.backend.get(key))
         for key in keys:
             source.backend.delete(key)
-        source._current_cache.pop(doc_id, None)
 
 
 def open_repository(

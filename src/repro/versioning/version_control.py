@@ -19,13 +19,7 @@ from repro.core.apply import aggregate, apply_delta
 from repro.core.config import DiffConfig
 from repro.core.delta import Delta
 from repro.core.xid import assign_initial_xids
-from repro.engine import (
-    AnnotationStore,
-    DiffContext,
-    DiffEngine,
-    DiffStats,
-    resolve_engine,
-)
+from repro.engine import DiffContext, DiffEngine, DiffStats, resolve_engine
 from repro.obs.context import current_request_id
 from repro.versioning.repository import MemoryRepository, Repository
 from repro.xmlkit.model import Document, coalesce_text
@@ -46,12 +40,6 @@ class VersionStore:
         engine: Diff engine used by :meth:`commit` — a registered name
             (``"buld"``, ``"lu"``, ...) or a
             :class:`~repro.engine.base.DiffEngine` instance.
-        annotation_cache: When true (the default), the store keeps an
-            :class:`~repro.engine.annotations.AnnotationStore` so a
-            commit reuses the signatures/weights computed for the same
-            content in a previous commit — the common crawler case where
-            the stored current version is re-annotated on every revisit.
-            Only the BULD engine consults it.
         tracer: Optional :class:`repro.obs.trace.Tracer`.  Every commit
             becomes a ``store.commit`` span whose children are the
             engine's ``engine:<name>``/``stage:<name>`` spans; ``create``
@@ -60,9 +48,7 @@ class VersionStore:
         metrics: Optional :class:`repro.obs.metrics.MetricsRegistry`.
             The store counts commits (``repro_commits_total``), observes
             each commit's stage timings (``repro_stage_seconds``, see
-            :func:`repro.obs.metrics.observe_stage_seconds`), and hands
-            the registry to its :class:`AnnotationStore` for hit/miss/
-            eviction counters.
+            :func:`repro.obs.metrics.observe_stage_seconds`).
         events: Optional :class:`repro.obs.log.EventLogger`.  Every
             successful :meth:`create`/:meth:`commit` logs a
             ``repo.create``/``repo.commit`` event carrying the store
@@ -80,7 +66,6 @@ class VersionStore:
         on_commit: Optional[Callable[[str, Delta, Document], None]] = None,
         checkpoint_every: Optional[int] = None,
         engine: str | DiffEngine = "buld",
-        annotation_cache: bool = True,
         tracer=None,
         metrics=None,
         events=None,
@@ -102,9 +87,6 @@ class VersionStore:
             self._commits_total = metrics.counter(
                 "repro_commits_total", help="Version-store commits."
             )
-        self.annotation_store: Optional[AnnotationStore] = (
-            AnnotationStore(metrics=metrics) if annotation_cache else None
-        )
         #: Stats of the most recent :meth:`commit` (None before the first).
         self.last_stats: Optional[DiffStats] = None
 
@@ -178,8 +160,9 @@ class VersionStore:
             span = tracer.start_span("store.commit", **attrs)
         try:
             # readonly: the diff never mutates its old side (delta payloads
-            # are cloned out of it by the builder), so the repository can
-            # hand over its cached instance without a full-tree copy.
+            # are cloned out of it by the builder), so an in-memory
+            # repository can hand over its instance without a full-tree
+            # copy.
             current = self.repository.load_current(doc_id, readonly=True)
             allocator = self.repository.load_allocator(doc_id)
             base_version = self.repository.current_version(doc_id)
@@ -187,17 +170,8 @@ class VersionStore:
                 span.attrs["base_version"] = base_version
             working = new_document.clone(keep_xids=False)
             coalesce_text(working)
-            # (doc_id, version) names immutable repository content, so it
-            # can stand in for the content hash: the old side hits the
-            # record the previous commit stored for its new side without
-            # either of them paying the content-key walk.
             context = DiffContext(
-                config=self.config,
-                allocator=allocator,
-                annotation_store=self.annotation_store,
-                old_annotation_key=(doc_id, base_version),
-                new_annotation_key=(doc_id, base_version + 1),
-                tracer=tracer,
+                config=self.config, allocator=allocator, tracer=tracer
             )
             delta, stats = self.engine.diff_with_stats(
                 current, working, context=context

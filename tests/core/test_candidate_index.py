@@ -78,8 +78,8 @@ class TestIndexShape:
 class CountingMatcher(BuldMatcher):
     """Counts lookups and keeps an untouched copy of every bucket."""
 
-    def phase2_annotate(self, annotate_fn=None):
-        super().phase2_annotate(annotate_fn)
+    def phase2_annotate(self):
+        super().phase2_annotate()
         self.lookups = 0
         # Document order (buckets are stored head-last).
         self.full_buckets = [

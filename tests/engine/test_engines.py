@@ -183,7 +183,6 @@ class TestTopLevelExports:
         assert callable(repro.diff_with_stats)
         assert repro.DiffStats is not None
         for name in (
-            "AnnotationStore",
             "DiffContext",
             "DiffEngine",
             "available_engines",

@@ -102,16 +102,13 @@ def test_abl_delta_bytes_per_knob():
     assert rows["moves-vs-edits"]["as_edits_bytes"] == 61025
 
 
-@pytest.mark.parametrize("annotation_cache", [False, True])
-def test_store_delta_chain(tmp_path, annotation_cache):
+def test_store_delta_chain(tmp_path):
     """Five revisit commits of a 600-node page: the stored delta chain is
-    byte-identical with and without annotation reuse."""
+    pinned byte for byte."""
     from repro.versioning import DirectoryRepository, VersionStore
 
     base = generate_document(GeneratorConfig(target_nodes=600, seed=71))
-    store = VersionStore(
-        DirectoryRepository(str(tmp_path)), annotation_cache=annotation_cache
-    )
+    store = VersionStore(DirectoryRepository(str(tmp_path)))
     store.create("doc", base.clone(keep_xids=False))
     current = base
     for step in range(5):

@@ -85,6 +85,33 @@ class TestCorruption:
         with pytest.raises(RepositoryError):
             repo.load_delta("d1", 7)
 
+    def test_reads_probe_for_existence_only_after_a_miss(self, tmp_path):
+        from repro.core import diff
+
+        repo = make_repo(tmp_path)
+        old = repo.load_current("d1")
+        new = parse("<a><b>y</b></a>")
+        allocator = repo.load_allocator("d1")
+        repo.append("d1", diff(old, new, allocator=allocator), new, allocator)
+        probes = []
+        exists = repo.backend.exists
+
+        def counting_exists(key):
+            probes.append(key)
+            return exists(key)
+
+        repo.backend.exists = counting_exists
+        repo.load_current("d1")
+        repo.load_delta("d1", 1)
+        assert probes == []
+        with pytest.raises(RepositoryError, match="unknown document 'nope'"):
+            repo.load_current("nope")
+        with pytest.raises(RepositoryError, match="no delta 7->8 for 'd1'"):
+            repo.load_delta("d1", 7)
+        with pytest.raises(RepositoryError, match="unknown document 'nope'"):
+            repo.load_delta("nope", 1)
+        assert probes == ["d1/meta.json", "nope/meta.json"]
+
 
 class TestErrorsHierarchy:
     def test_all_errors_derive_from_repro_error(self):
