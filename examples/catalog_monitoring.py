@@ -4,13 +4,16 @@ Section 2's motivating use case — "detect changes of interest in XML
 documents, e.g., that a new product has been added to a catalog" — wired
 up the way Figure 1 shows: a version store runs the diff on every commit,
 and the Alerter matches the resulting deltas against standing
-subscriptions.  A delta-maintained full-text index rides along.
+subscriptions.  The script checks every alert against the delta that
+raised it: a ``new-products`` alert names a product the delta inserted,
+and a ``price-watch`` alert names a price text the delta updated.
 
 Run:  python examples/catalog_monitoring.py
 """
 
 from repro.simulator import SimulatorConfig, generate_catalog, simulate_changes
-from repro.versioning import Alerter, Subscription, TextIndex, VersionStore
+from repro.versioning import Alerter, Subscription, VersionStore
+from repro.xmlkit import preorder
 
 
 def main() -> None:
@@ -36,19 +39,19 @@ def main() -> None:
         )
     )
 
-    index = TextIndex()
-    alerts = []
+    # (delta, the alerts it raised) per commit, in commit order.
+    commits = []
 
     def on_commit(doc_id, delta, new_document):
-        alerts.extend(alerter.process(delta, new_document, doc_id=doc_id))
-        index.update_from_delta(doc_id, delta)
+        commits.append(
+            (delta, alerter.process(delta, new_document, doc_id=doc_id))
+        )
 
     store = VersionStore(on_commit=on_commit)
 
     # --- week 0: the catalog enters the warehouse -----------------------------
     catalog = generate_catalog(products=25, categories=4, seed=42)
     store.create("camera-shop", catalog)
-    index.index_document("camera-shop", store.get_current("camera-shop"))
     print(f"version 1 stored: {catalog.subtree_size() - 1} nodes")
 
     # --- weeks 1..3: the shop changes, the crawler brings new versions --------
@@ -72,25 +75,41 @@ def main() -> None:
         )
 
     # --- what did the subscriptions catch? -----------------------------------
-    print(f"\n{len(alerts)} alerts:")
+    print(f"\n{sum(len(raised) for _, raised in commits)} alerts:")
     by_subscription = {}
-    for alert in alerts:
-        by_subscription.setdefault(alert.subscription, []).append(alert)
+    for delta, raised in commits:
+        for alert in raised:
+            by_subscription.setdefault(alert.subscription, []).append(
+                (delta.target_version, alert)
+            )
     for name, group in sorted(by_subscription.items()):
         print(f"  {name}: {len(group)}")
-        for alert in group[:3]:
+        for version, alert in group[:3]:
             preview = alert.text[:50] + ("..." if len(alert.text) > 50 else "")
-            print(f"    v? {alert.kind:11s} {alert.label_path}  {preview!r}")
+            print(f"    v{version} {alert.kind:11s} {alert.label_path}  {preview!r}")
 
-    # --- the index stayed consistent, incrementally ---------------------------
-    fresh = TextIndex()
-    fresh.index_document("camera-shop", store.get_current("camera-shop"))
-    assert index._postings == fresh._postings
-    print(
-        f"\ntext index: {index.word_count()} words, "
-        f"{index.posting_count()} postings (incrementally maintained, "
-        "verified against a full reindex)"
-    )
+    # --- every alert is backed by its week's delta ----------------------------
+    for delta, raised in commits:
+        inserted = {
+            node.xid: node
+            for operation in delta.operations
+            if operation.kind == "insert"
+            for node in preorder(operation.subtree)
+        }
+        updated = {
+            operation.xid
+            for operation in delta.operations
+            if operation.kind == "update"
+        }
+        for alert in raised:
+            if alert.subscription == "new-products":
+                assert alert.kind == "insert"
+                assert inserted[alert.xid].label == "product"
+            elif alert.subscription == "price-watch":
+                assert alert.kind == "update"
+                assert alert.xid in updated
+    assert {"new-products", "price-watch"} <= set(by_subscription)
+    print("\nalert check: every alert names a change in its week's delta  OK")
 
     # --- and the whole history is still reachable ------------------------------
     assert store.verify_integrity("camera-shop")

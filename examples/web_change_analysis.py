@@ -6,17 +6,18 @@ on change frequency, patterns of changes in a document, in a web site".
 
 This example runs that study on the simulated crawl: a corpus of web
 documents, each followed over several weekly snapshots through a version
-store; the diff feeds change statistics, and the report shows exactly
-the kind of numbers the paper gathers — change frequency per document,
-delta-size distributions, the operation mix, and the most volatile label
-paths ("a price node is more likely to change than a description node").
+store, and the report shows the kind of numbers the paper gathers —
+change frequency per document, delta-size distributions, and the
+operation mix read off each delta's ``Delta.summary()``.
 
 Run:  python examples/web_change_analysis.py
 """
 
+from collections import Counter
+
 from repro.core import delta_byte_size
 from repro.simulator import WebCorpus, WebCorpusConfig
-from repro.versioning import ChangeStatistics, VersionStore
+from repro.versioning import VersionStore
 from repro.xmlkit import serialize_bytes
 
 WEEKS = 3
@@ -29,8 +30,8 @@ def main() -> None:
             documents=DOCUMENTS, min_bytes=2_000, max_bytes=60_000, seed=17
         )
     )
-    statistics = ChangeStatistics()
     store = VersionStore()
+    totals: Counter[str] = Counter()
 
     print(f"crawling {DOCUMENTS} documents over {WEEKS + 1} weekly snapshots ...\n")
     delta_sizes: dict[str, list[int]] = {}
@@ -38,14 +39,11 @@ def main() -> None:
         doc_id = f"doc-{index:02d}"
         versions = corpus.weekly_versions(index, weeks=WEEKS)
         store.create(doc_id, versions[0])
-        previous = store.get_current(doc_id)
         sizes = []
         for version in versions[1:]:
             delta = store.commit(doc_id, version)
-            current = store.get_current(doc_id)
-            statistics.observe(delta, previous, current)
+            totals.update(delta.summary())
             sizes.append(delta_byte_size(delta))
-            previous = current
         delta_sizes[doc_id] = sizes
 
     # --- per-document change frequency ---------------------------------------
@@ -63,18 +61,10 @@ def main() -> None:
         )
 
     # --- operation mix across the corpus --------------------------------------
-    totals = statistics.kind_totals()
     grand_total = sum(totals.values()) or 1
     print("\noperation mix across the corpus:")
-    for kind, count in sorted(totals.items(), key=lambda kv: -kv[1]):
+    for kind, count in totals.most_common():
         print(f"  {kind:<8} {count:>6}  ({count / grand_total:.0%})")
-
-    # --- the learning result: which paths are volatile? -------------------------
-    print("\nmost volatile label paths (updates per occurrence):")
-    for path, rate in statistics.most_volatile(
-        "update", top=8, minimum_occurrences=5
-    ):
-        print(f"  {rate:6.3f}  {path}")
 
     # --- site-level view: the whole crawl as one diff --------------------------
     from repro.versioning import SiteSnapshot, diff_sites
@@ -92,20 +82,6 @@ def main() -> None:
         f"{site_delta.change_ratio():.0%} of documents changed, "
         f"change stream {site_delta.delta_bytes() / 1e3:.1f} KB "
         f"({site_delta.operation_totals()})"
-    )
-
-    # --- calibration loop: a simulator profile matching the observations ------
-    profile = statistics.suggested_profile()
-    print(
-        "\nsimulator profile mirroring the observed web mix: "
-        f"delete={profile.delete_probability:.4f} "
-        f"update={profile.update_probability:.4f} "
-        f"insert={profile.insert_probability:.4f} "
-        f"move={profile.move_probability:.4f}"
-    )
-    print(
-        "(the paper: 'based on statistical knowledge of changes that "
-        "occurs in the real web we will be able to improve its quality')"
     )
 
 

@@ -3,9 +3,9 @@
 This package implements the XyDiff system described by Cobéna, Abiteboul and
 Marian (ICDE 2002): the BULD diff algorithm for XML trees, the completed
 delta model over persistent identifiers (XIDs), and the surrounding
-Xyleme-style change-control machinery (version repository, temporal queries,
-subscriptions, incremental text index), together with the baselines and the
-workload generators used by the paper's evaluation.
+Xyleme-style change-control machinery (version repository and
+subscriptions), together with the baselines and the workload generators
+used by the paper's evaluation.
 
 Quickstart::
 
@@ -24,7 +24,7 @@ first access (see :mod:`repro._lazy`); see the subpackages for the full API:
 - :mod:`repro.engine` — the pluggable engine pipeline (registry,
   context); every algorithm behind one ``diff`` interface.
 - :mod:`repro.baselines` — Lu/Selkow, LaDiff, Zhang–Shasha, DiffMK, Unix diff.
-- :mod:`repro.versioning` — repository, version control, alerter, text index.
+- :mod:`repro.versioning` — repository, version control, alerter.
 - :mod:`repro.simulator` — document generators and the change simulator.
 - :mod:`repro.obs` — observability: tracing spans, metrics registry,
   profilers (see ``docs/observability.md``).

@@ -24,7 +24,6 @@ __all__ = [
     "AttributeUpdate",
     "BuldMatcher",
     "DOCUMENT_XID",
-    "DataGuide",
     "Delete",
     "Delta",
     "DiffConfig",
@@ -78,7 +77,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "builder": ("build_delta",),
     "buld": ("BuldMatcher", "match_documents"),
     "config": ("DiffConfig",),
-    "dataguide": ("DataGuide",),
     "delta": (
         "AttributeDelete", "AttributeInsert", "AttributeUpdate", "Delete",
         "Delta", "Insert", "Move", "Operation", "Update",

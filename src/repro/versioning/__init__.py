@@ -4,11 +4,11 @@
   (in memory, or through any :class:`repro.storage.StorageBackend`).
 - :mod:`repro.versioning.sharded` — the ``hash(doc_id) → shard``
   router and :func:`open_repository`, the store-URL front door.
-- :mod:`repro.versioning.version_control` — commit pipeline, version
-  reconstruction, cross-version aggregation.
-- :mod:`repro.versioning.temporal` — querying the past via XIDs.
-- :mod:`repro.versioning.alerter` — the subscription system.
-- :mod:`repro.versioning.textindex` — delta-maintained full-text index.
+- :mod:`repro.versioning.version_control` — the one commit path
+  (:class:`VersionStore`), version reconstruction, cross-version
+  aggregation.
+- :mod:`repro.versioning.alerter` — the subscription system, driven
+  through ``VersionStore(on_commit=...)``.
 """
 
 from repro._lazy import lazy_exports
@@ -17,19 +17,15 @@ __all__ = [
     "Alert",
     "Alerter",
     "BackendRepository",
-    "ChangeStatistics",
     "Conflict",
     "CorruptStoreError",
     "DirectoryRepository",
     "Finding",
     "FsckReport",
-    "LoaderStats",
     "MergeResult",
-    "WarehouseLoader",
     "fsck_store",
     "merge",
     "MemoryRepository",
-    "NodeHistory",
     "RecoveryEvent",
     "Repository",
     "ShardedRepository",
@@ -38,16 +34,12 @@ __all__ = [
     "Subscription",
     "diff_sites",
     "open_repository",
-    "TemporalQueries",
-    "TextIndex",
-    "VersionEvent",
     "VersionStore",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "alerter": ("Alert", "Alerter", "Subscription"),
     "fsck": ("FsckReport", "fsck_store"),
-    "loader": ("LoaderStats", "WarehouseLoader"),
     "merge": ("Conflict", "MergeResult", "merge"),
     "repository": (
         "BackendRepository", "CorruptStoreError", "DirectoryRepository",
@@ -55,8 +47,5 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "sharded": ("ShardedRepository", "open_repository"),
     "sitediff": ("SiteDelta", "SiteSnapshot", "diff_sites"),
-    "statistics": ("ChangeStatistics",),
-    "temporal": ("NodeHistory", "TemporalQueries", "VersionEvent"),
-    "textindex": ("TextIndex",),
     "version_control": ("VersionStore",),
 })

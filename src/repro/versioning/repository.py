@@ -1182,18 +1182,38 @@ def _collect_xids(document: Document) -> list[int]:
     XIDs are the glue between the snapshot and its delta chain, but they
     are *not* serialized inside the XML content (that would pollute the
     document).  They are stored as a postorder list alongside it instead.
+
+    The list fits only if the XML parses back to the same nodes, so a
+    tree holding an empty text node or adjacent text siblings (see
+    :func:`~repro.xmlkit.model.coalesce_text`) is refused here, before
+    anything is written.  A leaf's previous sibling, if it has one, is
+    the node postorder yields just before it.
     """
     from repro.xmlkit.model import postorder
 
     xids = []
+    previous = None
     for node in postorder(document):
         if node is document:
             continue
+        if node.kind == "text" and (
+            not node.value
+            or (
+                previous is not None
+                and previous.kind == "text"
+                and previous.parent is node.parent
+            )
+        ):
+            raise RepositoryError(
+                "cannot store a snapshot with empty or adjacent text "
+                "nodes: it would not read back"
+            )
         if node.xid is None:
             raise RepositoryError(
                 "cannot store a snapshot whose nodes lack XIDs"
             )
         xids.append(node.xid)
+        previous = node
     return xids
 
 

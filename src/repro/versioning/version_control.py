@@ -1,7 +1,7 @@
 """High-level change control: the paper's Figure 1 pipeline.
 
 :class:`VersionStore` wires the pieces together the way Xyleme does: a new
-version of a document arrives (from a crawler, a loader, an editor), the
+version of a document arrives (from a crawler or an editor), the
 diff module compares it against the stored current version, the resulting
 delta is appended to the document's delta sequence, and the repository
 snapshot moves forward.  Old versions are not stored — they are
@@ -35,8 +35,7 @@ class VersionStore:
         config: Diff configuration used by :meth:`commit`.
         on_commit: Optional callback ``f(doc_id, delta, new_document)``
             invoked after every successful commit — this is where the
-            paper's *Alerter* (subscription system) and the incremental
-            indexer hook in.
+            paper's *Alerter* (subscription system) hooks in.
         engine: Diff engine used by :meth:`commit` — a registered name
             (``"buld"``, ``"lu"``, ...) or a
             :class:`~repro.engine.base.DiffEngine` instance.
@@ -102,8 +101,9 @@ class VersionStore:
         """Store ``document`` as version 1 of a new document; returns 1.
 
         Stored content is normalized to its XML-serializable form
-        (adjacent text siblings coalesce — they could not survive the
-        repository's serialization round trip anyway).
+        (adjacent text siblings coalesce and empty text nodes drop —
+        neither could survive the repository's serialization round trip
+        anyway).
 
         ``commit_record`` is an optional idempotency marker persisted
         with the commit; see :class:`~repro.versioning.repository

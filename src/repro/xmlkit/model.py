@@ -416,33 +416,34 @@ class Document(Node):
 
 
 def coalesce_text(root: Node) -> int:
-    """Merge adjacent text siblings throughout a subtree.
+    """Merge adjacent text siblings and drop empty text nodes in a subtree.
 
-    Adjacent text nodes are legal in the tree model but cannot survive an
-    XML serialization round trip (they parse back as one node).  Anything
-    that persists documents (the version store) or must produce
-    serializable output (the merger) normalizes with this first.  Values
-    concatenate onto the first node of each run, which keeps its XID.
+    Both are legal in the tree model but cannot survive an XML
+    serialization round trip: adjacent text nodes parse back as one
+    node, and an empty one as none.  Anything that persists documents
+    (the version store) or must produce serializable output (the merger)
+    normalizes with this first.  Values concatenate onto the first node
+    of each run, which keeps its XID.
 
     Returns:
-        The number of text nodes removed by coalescing.
+        The number of text nodes removed.
     """
     removed = 0
     for node in preorder(root):
         children = node.children
-        if len(children) < 2:
-            continue
-        index = 1
+        index = 0
         while index < len(children):
-            previous = children[index - 1]
             current = children[index]
-            if previous.kind == "text" and current.kind == "text":
-                previous.value += current.value
-                current.parent = None
-                del children[index]
-                removed += 1
-            else:
+            if current.kind != "text" or (
+                current.value and (index == 0 or children[index - 1].kind != "text")
+            ):
                 index += 1
+                continue
+            if current.value:
+                children[index - 1].value += current.value
+            current.parent = None
+            del children[index]
+            removed += 1
     return removed
 
 

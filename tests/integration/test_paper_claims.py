@@ -32,8 +32,6 @@ from repro.simulator import (
     generate_site_snapshot,
     simulate_changes,
 )
-from repro.versioning import TextIndex
-from repro.versioning.loader import WarehouseLoader
 from repro.xmlkit import parse, serialize, serialize_bytes
 
 
@@ -130,26 +128,6 @@ class TestPerformance:
             best_core = min(best_core, stats.core_seconds)
         assert best_core < best_total * 0.5
         assert delta_size < len(old_text.encode())
-
-    def test_diff_keeps_pace_with_the_indexer(self):
-        corpus = WebCorpus(
-            WebCorpusConfig(documents=8, min_bytes=2_000, max_bytes=30_000,
-                            seed=13)
-        )
-        stream = [corpus.weekly_versions(index, weeks=1) for index in range(8)]
-        # Each stage takes milliseconds, so one collector pause can
-        # swamp a single round: compare the best of three rounds.
-        diff_seconds = index_seconds = float("inf")
-        for _ in range(3):
-            loader = WarehouseLoader(index=TextIndex())
-            for index, (first, second) in enumerate(stream):
-                loader.load(f"doc-{index}", first)
-                loader.load(f"doc-{index}", second)
-            assert loader.stats.versions == 16
-            diff_seconds = min(diff_seconds, loader.stats.diff_seconds)
-            index_seconds = min(index_seconds, loader.stats.index_seconds)
-        ratio = diff_seconds / index_seconds
-        assert ratio < 20, f"diff {ratio:.1f}x slower than the indexer"
 
 
 class TestQualityVsPerfect:

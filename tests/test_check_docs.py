@@ -232,3 +232,19 @@ class TestDriftDetection:
                    in p for p in problems)
         assert any("999" in p and "does not declare" in p
                    for p in problems)
+
+    def test_phantom_design_inventory_entry_flagged(self, check_docs):
+        problems = []
+        check_docs.check_design_inventory(
+            ROOT / "DESIGN.md",
+            "### 3.4 `repro.versioning` — change control\n"
+            "- `repository.py` — the store.\n"
+            "- `loader.py` — a second commit path.\n"
+            "### 3.5 Not a package section\n"
+            "- `elsewhere.py` — out of scope.\n",
+            problems,
+        )
+        assert problems == [
+            "DESIGN.md: `loader.py` is listed under repro.versioning but "
+            "src/repro/versioning/loader.py does not exist"
+        ]

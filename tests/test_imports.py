@@ -42,12 +42,8 @@ NOT_LOADED = [
     "repro.obs.provenance",
     "repro.obs.slo",
     "repro.versioning.alerter",
-    "repro.versioning.temporal",
-    "repro.versioning.textindex",
-    "repro.versioning.loader",
     "repro.versioning.merge",
     "repro.versioning.sitediff",
-    "repro.versioning.statistics",
 ]
 
 

@@ -63,6 +63,26 @@ class TestCoalesceText:
         assert coalesce_text(Element("empty")) == 0
         assert coalesce_text(Text("t")) == 0
 
+    def test_empty_text_dropped(self):
+        parent = Element("p")
+        parent.append(Text(""))
+        parent.append(Element("x"))
+        parent.append(Text(""))
+        assert coalesce_text(parent) == 2
+        assert [child.kind for child in parent.children] == ["element"]
+        text = serialize(parent)
+        assert parse(text, strip_whitespace=False).root.deep_equal(parent)
+
+    def test_empty_text_between_runs(self):
+        parent = Element("p")
+        for value in ("", "a", "", "b"):
+            parent.append(Text(value))
+        second = parent.children[1]
+        assert coalesce_text(parent) == 3
+        assert len(parent.children) == 1
+        assert parent.children[0] is second
+        assert second.value == "ab"
+
 
 class TestHtmlNameSanitization:
     def test_invalid_attribute_characters(self):

@@ -34,6 +34,9 @@ Three classes of drift, all fatal:
    docs/observability.md must list exactly the event names in
    ``repro.obs.log.EVENT_CATALOG``, in both directions: no documented
    event the logger would reject, no emittable event the docs omit.
+8. **Phantom inventory entries** — every ``- `name.py` `` bullet under a
+   DESIGN.md ``### 3.x `repro.pkg` `` heading must name an existing
+   file ``src/repro/pkg/name.py``.
 
 Usage: ``python tools/check_docs.py`` (from anywhere; exits 1 on drift).
 """
@@ -81,6 +84,13 @@ STATUS_ROW_RE = re.compile(r"^\|\s*((?:`\d{3}`(?:\s*/\s*)?)+)\s*\|",
 EVENT_ROW_RE = re.compile(
     r"^\|\s*`([a-z]+(?:\.[a-z][a-z-]*)+)`\s*\|", re.MULTILINE
 )
+#: A DESIGN.md inventory heading: ``### 3.x `repro.pkg` — ...``.
+INVENTORY_HEADING_RE = re.compile(
+    r"^###\s+3\.\d+\s+`repro\.([a-z_]+(?:\.[a-z_]+)*)`", re.MULTILINE
+)
+#: An inventory entry: a bullet that opens with a backticked file name.
+INVENTORY_ENTRY_RE = re.compile(r"^- `([A-Za-z_][A-Za-z0-9_]*\.py)`",
+                                re.MULTILINE)
 #: URL schemes that are links, not store addresses.
 WEB_SCHEMES = {"http", "https", "mailto"}
 
@@ -321,6 +331,25 @@ def check_event_catalog(docs_dir: pathlib.Path, problems: list[str]) -> None:
         )
 
 
+def check_design_inventory(
+    path: pathlib.Path, text: str, problems: list[str]
+) -> None:
+    """Every file a DESIGN.md §3 package section lists must exist."""
+    for heading in INVENTORY_HEADING_RE.finditer(text):
+        section = text[heading.end():]
+        following = re.search(r"^#", section, re.MULTILINE)
+        if following is not None:
+            section = section[: following.start()]
+        package = ROOT / "src" / "repro" / heading.group(1).replace(".", "/")
+        for name in INVENTORY_ENTRY_RE.findall(section):
+            if not (package / name).is_file():
+                problems.append(
+                    f"{_rel(path)}: `{name}` is listed under "
+                    f"repro.{heading.group(1)} but "
+                    f"{_rel(package / name)} does not exist"
+                )
+
+
 def main() -> int:
     problems: list[str] = []
     docs_dir = ROOT / "docs"
@@ -349,6 +378,8 @@ def main() -> int:
     check_cli_docs(docs_dir, problems)
     check_server_docs(docs_dir, problems)
     check_event_catalog(docs_dir, problems)
+    design = ROOT / "DESIGN.md"
+    check_design_inventory(design, design.read_text(), problems)
 
     if problems:
         for problem in problems:
