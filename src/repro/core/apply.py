@@ -145,17 +145,20 @@ def apply_delta(
                 f"attach target {parent_xid} is a {parent.kind} node"
             )
         batch.sort(key=lambda item: item[0])
-        children = parent.children
         for position, node in batch:
-            if not 0 <= position <= len(children):
+            size = len(parent.children)
+            if not 0 <= position <= size:
                 if not lenient:
                     raise ApplyError(
                         f"attach position {position} out of range for parent "
-                        f"{parent_xid} (currently {len(children)} children)"
+                        f"{parent_xid} (currently {size} children)"
                     )
-                position = max(0, min(position, len(children)))
-            children.insert(position, node)
-            node.parent = parent
+                position = max(0, min(position, size))
+            if parent.kind == "element":
+                parent.insert(position, node)
+            else:
+                parent.children.insert(position, node)
+                node.parent = parent
 
     return target
 
@@ -198,7 +201,7 @@ def _apply_value_operations(delta, index, verify, forward):
                 raise ApplyError(
                     f"attr-insert {operation.xid}: {operation.name!r} exists"
                 )
-            element.attributes[operation.name] = operation.value
+            element.set_attribute(operation.name, operation.value)
         elif kind == "attr-delete":
             element = _element(index, operation.xid, kind)
             if operation.name not in element.attributes:
@@ -220,7 +223,7 @@ def _apply_value_operations(delta, index, verify, forward):
                 raise ApplyError(
                     f"attr-update {operation.xid}: old value mismatch"
                 )
-            element.attributes[operation.name] = operation.new_value
+            element.set_attribute(operation.name, operation.new_value)
 
 
 def _lookup(index: dict[int, Node], xid: int, context: str) -> Node:

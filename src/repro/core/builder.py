@@ -217,9 +217,7 @@ def _clone_excluding_matched(root: Node, is_matched) -> Node:
         for child in original.children:
             if is_matched(child):
                 continue
-            child_clone = child._shallow_clone(True)
-            child_clone.parent = clone
-            clone.children.append(child_clone)
+            child_clone = clone.append(child._shallow_clone(True))
             stack.append((child, child_clone))
     return clone_root
 

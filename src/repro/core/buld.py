@@ -15,7 +15,11 @@ computes a subtree hash (signature) and a weight for every node
 signature, and the *secondary index* by ``(signature, parent)`` that lets
 the matcher find "the candidate under the right parent" in constant time.
 The secondary index only holds signatures that several old subtrees
-share: a lone candidate is found the same way by either lookup.
+share: a lone candidate is found the same way by either lookup.  Both
+indexes store a key's lone old node directly and use a list only for
+keys that several old nodes share.  Phase 3 reads no old-side weight,
+so the old weight map is dropped once its total is read (a provenance
+recorder, which reports both sides, keeps it).
 
 **Phase 3 — heaviest-first matching.**  A priority queue hands out
 new-document subtrees from heaviest to lightest.  For each, the old
@@ -45,13 +49,17 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Optional
+from typing import Optional, Union
 
 from repro.core.matching import Matching
 from repro.core.signature import TreeAnnotations, annotate
 from repro.xmlkit.model import Document, Node, postorder, preorder
 
 __all__ = ["BuldMatcher", "CANDIDATE_PROBES", "match_documents"]
+
+#: An index entry: the old node that holds the key alone, a list when
+#: several share it, or ``()`` once a lone node is taken.
+Bucket = Union[Node, list[Node], tuple[()]]
 
 #: ``DiffStats.counters`` key: old-index bucket entries that phase-3
 #: candidate lookups inspected (secondary-index and signature-index
@@ -91,10 +99,10 @@ class BuldMatcher:
 
         self.old_annotations: Optional[TreeAnnotations] = None
         self.new_annotations: Optional[TreeAnnotations] = None
-        # Buckets hold old nodes in document order, stored head-last so
-        # that dropping a scanned prefix is a truncation of the list.
-        self._signature_index: dict[bytes, list[Node]] = {}
-        self._parent_index: dict[tuple[bytes, int], list[Node]] = {}
+        # A list bucket holds old nodes in document order, stored
+        # head-last so that dropping a scanned prefix is a truncation.
+        self._signature_index: dict[bytes, Bucket] = {}
+        self._parent_index: dict[tuple[bytes, int], Bucket] = {}
         #: Bucket entries inspected by phase-3 lookups (CANDIDATE_PROBES).
         self.candidate_probes = 0
         self._positions: dict[Node, int] = {}
@@ -160,41 +168,50 @@ class BuldMatcher:
     # ------------------------------------------------------------------
 
     def phase2_annotate(self) -> None:
-        """Signatures + weights for both documents and old-side indexes."""
+        """Signatures + weights for both documents and old-side indexes.
+
+        The steps are ordered so that the fewest maps are alive at once:
+        the old tree is annotated, its weights are dropped once the total
+        is read, the indexes are built, and the new tree comes last.
+        """
         log_text = self.config.log_text_weight
         fast = getattr(self.config, "fast_signatures", False)
-        self.old_annotations = annotate(
+        recorder = self.recorder
+        old_annotations = annotate(
             self.old_document, log_text_weight=log_text, fast=fast
         )
+        self.old_annotations = old_annotations
+        self._total_weight = max(old_annotations.total_weight, 1.0)
+        if recorder is None:
+            # Later phases read new-side weights only.
+            old_annotations.weights = None
+
+        signatures = old_annotations.signatures
+        signature_index = self._signature_index
+        for node in preorder(self.old_document):
+            if node is not self.old_document:
+                _index_add(signature_index, signatures[node], node)
+        parent_index = self._parent_index
+        for signature, bucket in signature_index.items():
+            if isinstance(bucket, list):
+                for node in bucket:
+                    _index_add(
+                        parent_index, (signature, id(node.parent)), node
+                    )
+        for index in (signature_index, parent_index):
+            for bucket in index.values():
+                if isinstance(bucket, list):
+                    bucket.reverse()
+
         self.new_annotations = annotate(
             self.new_document, log_text_weight=log_text, fast=fast
         )
         total_nodes = (
-            self.old_annotations.node_count + self.new_annotations.node_count
+            old_annotations.node_count + self.new_annotations.node_count
         )
         self._log_n = math.log2(total_nodes + 1)
-        self._total_weight = max(self.old_annotations.total_weight, 1.0)
-        if self.recorder is not None:
-            self.recorder.set_weights(
-                self.old_annotations, self.new_annotations
-            )
-
-        signatures = self.old_annotations.signatures
-        signature_index = self._signature_index
-        for node in preorder(self.old_document):
-            if node is self.old_document:
-                continue
-            signature_index.setdefault(signatures[node], []).append(node)
-        parent_index = self._parent_index
-        for signature, bucket in signature_index.items():
-            if len(bucket) > 1:
-                for node in bucket:
-                    parent_index.setdefault(
-                        (signature, id(node.parent)), []
-                    ).append(node)
-        for index in (signature_index, parent_index):
-            for bucket in index.values():
-                bucket.reverse()
+        if recorder is not None:
+            recorder.set_weights(old_annotations, self.new_annotations)
 
     # ------------------------------------------------------------------
     # Phase 3 — heaviest-first queue
@@ -268,13 +285,31 @@ class BuldMatcher:
         parent = node.parent
         matched_parent = matching.old_of(parent) if parent is not None else None
         if matched_parent is not None:
-            bucket = self._parent_index.get((signature, id(matched_parent)))
-            while bucket:
+            key = (signature, id(matched_parent))
+            bucket = self._parent_index.get(key)
+            if isinstance(bucket, Node):
                 self.candidate_probes += 1
-                old_node = bucket[-1]
-                if not has_old(old_node) and not is_locked(old_node):
-                    return old_node
-                bucket.pop()
+                if not has_old(bucket) and not is_locked(bucket):
+                    return bucket
+                self._parent_index[key] = ()
+            else:
+                while bucket:
+                    self.candidate_probes += 1
+                    old_node = bucket[-1]
+                    if not has_old(old_node) and not is_locked(old_node):
+                        return old_node
+                    bucket.pop()
+
+        if isinstance(candidates, Node):
+            # A lone old node: one probe, and once taken an empty bucket
+            # that later lookups scan for free.
+            self.candidate_probes += 1
+            if not has_old(candidates) and not is_locked(candidates):
+                return candidates
+            self._signature_index[signature] = ()
+            if recorder is not None:
+                recorder.record_rejection("candidates-taken", new=node)
+            return None
 
         # General path — enumerate (a bounded number of) candidates and pick
         # the one whose ancestor chain agrees with existing matches.
@@ -530,6 +565,17 @@ def match_documents(
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+
+def _index_add(index: dict, key, node: Node) -> None:
+    """Add ``node`` to ``key``'s bucket: the node alone, or a list."""
+    bucket = index.get(key)
+    if bucket is None:
+        index[key] = node
+    elif isinstance(bucket, list):
+        bucket.append(node)
+    else:
+        index[key] = [bucket, node]
 
 
 def _id_key_map(

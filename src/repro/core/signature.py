@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+from typing import Optional
+
 from repro.xmlkit.model import Document, Node, postorder
 
 __all__ = ["TreeAnnotations", "annotate"]
@@ -39,7 +41,8 @@ class TreeAnnotations:
     Attributes:
         signatures: node -> subtree-content signature (a 16-byte blake2b
             digest, or a salted 64-bit int in ``fast`` mode).
-        weights: node -> weight (float, >= 1 for every node).
+        weights: node -> weight (float, >= 1 for every node), or ``None``
+            once dropped (BULD drops the old side's after phase 2).
         total_weight: weight of the whole document (the paper's ``W0``).
         node_count: number of nodes annotated (the paper's ``n`` ingredient).
     """
@@ -48,7 +51,7 @@ class TreeAnnotations:
 
     def __init__(self):
         self.signatures: dict[Node, bytes] = {}
-        self.weights: dict[Node, float] = {}
+        self.weights: Optional[dict[Node, float]] = {}
         self.total_weight: float = 0.0
         self.node_count: int = 0
 

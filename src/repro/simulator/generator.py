@@ -108,7 +108,7 @@ def generate_document(config: GeneratorConfig) -> Document:
                     for name in rng.sample(
                         _ATTRIBUTE_NAMES, rng.randint(1, 2)
                     ):
-                        child.attributes[name] = rng.choice(WORDS)
+                        child.set_attribute(name, rng.choice(WORDS))
                 parent.append(child)
                 node_count += 1
                 if depth < config.max_depth:
@@ -169,9 +169,9 @@ def generate_catalog(
     for index in range(products):
         category = rng.choice(category_elements)
         product = Element("product")
-        product.attributes["sku"] = f"sku-{seed}-{index:05d}"
+        product.set_attribute("sku", f"sku-{seed}-{index:05d}")
         if rng.random() < 0.3:
-            product.attributes["status"] = rng.choice(("new", "sale", "old"))
+            product.set_attribute("status", rng.choice(("new", "sale", "old")))
         name = Element("name")
         name.append(Text(make_text(rng, 1, 3, index)))
         price = Element("price")

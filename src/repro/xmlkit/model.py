@@ -8,7 +8,9 @@ a persistent identifier (XID) per node.
 
 The model is deliberately small and explicit:
 
-- :class:`Element` — label, attribute map, ordered list of children.
+- :class:`Element` — label, attribute map, ordered list of children;
+  most elements have no attributes or no children, so both containers
+  are allocated on the first write.
 - :class:`Text` — character data leaf.
 - :class:`Comment` / :class:`ProcessingInstruction` — carried through
   faithfully but treated like opaque leaves by the diff.
@@ -23,7 +25,8 @@ iterative so arbitrarily deep trees never hit Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 __all__ = [
     "Comment",
@@ -71,8 +74,8 @@ class Node:
         return True
 
     @property
-    def children(self) -> list["Node"]:
-        """Child list; empty (and immutable in effect) for leaf nodes."""
+    def children(self) -> Sequence["Node"]:
+        """Child sequence; the shared immutable empty tuple for leaves."""
         return _NO_CHILDREN
 
     def position(self) -> int:
@@ -154,11 +157,15 @@ class Node:
         stack = [(self, copy_root)]
         while stack:
             original, copy = stack.pop()
-            for child in original.children:
-                child_copy = child._shallow_clone(keep_xids)
+            children = original.children
+            if not children:
+                continue
+            # One exact-size list per parent instead of repeated appends.
+            copies = [child._shallow_clone(keep_xids) for child in children]
+            for child_copy in copies:
                 child_copy.parent = copy
-                copy.children.append(child_copy)
-                stack.append((child, child_copy))
+            copy._children = copies
+            stack.extend(zip(children, copies))
         return copy_root
 
     def _shallow_clone(self, keep_xids: bool) -> "Node":
@@ -173,30 +180,39 @@ class Node:
         return "".join(parts)
 
 
-# A single shared empty list gives leaf nodes a children attribute without
-# per-instance storage.  Leaves never mutate it.
-_NO_CHILDREN: list = []
+# Shared by every node that has none: an immutable empty child sequence
+# and a read-only empty attribute mapping.  A write through either raises
+# instead of changing every other node that shares it.
+_NO_CHILDREN: tuple = ()
+_NO_ATTRIBUTES: Mapping[str, str] = MappingProxyType({})
 
 
 class Element(Node):
-    """An element node: a label, an attribute map, and ordered children."""
+    """An element node: a label, an attribute map, and ordered children.
+
+    ``attributes`` and ``children`` are read-only while empty: write
+    through :meth:`set_attribute`, :meth:`append` and :meth:`insert`,
+    which allocate the element's own ``dict`` or ``list`` on first use.
+    """
 
     __slots__ = ("label", "attributes", "_children")
 
     kind = "element"
 
-    def __init__(self, label: str, attributes: Optional[dict] = None):
+    def __init__(self, label: str, attributes: Optional[Mapping] = None):
         super().__init__()
         self.label = label
-        self.attributes: dict = dict(attributes) if attributes else {}
-        self._children: list[Node] = []
+        self.attributes: Mapping[str, str] = (
+            dict(attributes) if attributes else _NO_ATTRIBUTES
+        )
+        self._children: Sequence[Node] = _NO_CHILDREN
 
     @property
     def is_leaf(self) -> bool:
         return not self._children
 
     @property
-    def children(self) -> list[Node]:
+    def children(self) -> Sequence[Node]:
         return self._children
 
     # -- mutation ----------------------------------------------------------
@@ -209,13 +225,23 @@ class Element(Node):
         """Attach ``child`` at position ``index`` (supports ``len(children)``)."""
         if child.parent is not None:
             child.detach()
-        if not 0 <= index <= len(self._children):
+        children = self._children
+        if not 0 <= index <= len(children):
             raise IndexError(
-                f"insert position {index} out of range 0..{len(self._children)}"
+                f"insert position {index} out of range 0..{len(children)}"
             )
-        self._children.insert(index, child)
+        if children is _NO_CHILDREN:
+            children = self._children = []
+        children.insert(index, child)
         child.parent = self
         return child
+
+    def set_attribute(self, name: str, value: str) -> None:
+        """Set one attribute, allocating the element's own map on first use."""
+        if self.attributes is _NO_ATTRIBUTES:
+            self.attributes = {name: value}
+        else:
+            self.attributes[name] = value
 
     def remove(self, child: Node) -> Node:
         """Detach a direct child (identity match)."""

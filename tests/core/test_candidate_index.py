@@ -21,6 +21,7 @@ from repro.simulator import (
     simulate_changes,
 )
 from repro.xmlkit import parse
+from repro.xmlkit.model import Node
 
 #: Probes per new node may grow by at most this factor from 4k to 36k
 #: nodes (×9 the nodes).  A scan that revisits taken nodes grows ×3.2.
@@ -55,6 +56,17 @@ def test_counter_reported_for_buld_only():
     assert CANDIDATE_PROBES not in stats.counters
 
 
+def entries(bucket):
+    """A stored bucket's nodes in document order.
+
+    The index stores a lone old node without a list; it reads as a
+    one-entry bucket.  Buckets that are lists are stored head-last.
+    """
+    if isinstance(bucket, Node):
+        return [bucket]
+    return list(reversed(bucket))
+
+
 class TestIndexShape:
     def test_secondary_index_only_for_shared_signatures(self):
         matcher = BuldMatcher(
@@ -67,12 +79,14 @@ class TestIndexShape:
         shared = {
             signature
             for signature, bucket in matcher._signature_index.items()
-            if len(bucket) > 1
+            if len(entries(bucket)) > 1
         }
         assert shared  # the two <x>1</x> subtrees (and their texts)
         assert {key[0] for key in matcher._parent_index} == shared
-        lone = old_signatures[matcher.old_document.root.find("q")]
+        q = matcher.old_document.root.find("q")
+        lone = old_signatures[q]
         assert lone not in shared
+        assert matcher._signature_index[lone] is q
 
 
 class CountingMatcher(BuldMatcher):
@@ -81,11 +95,12 @@ class CountingMatcher(BuldMatcher):
     def phase2_annotate(self):
         super().phase2_annotate()
         self.lookups = 0
-        # Document order (buckets are stored head-last).
+        # (index, key, entries in document order); a lookup replaces a
+        # taken lone node's entry, so the check reads it by key.
         self.full_buckets = [
-            (bucket, list(reversed(bucket)))
+            (index, key, entries(bucket))
             for index in (self._signature_index, self._parent_index)
-            for bucket in index.values()
+            for key, bucket in index.items()
         ]
 
     def _find_best_candidate(self, node, weight):
@@ -106,8 +121,8 @@ class CheckedMatcher(CountingMatcher):
                 if not matching.has_old(each) and not matching.is_locked(each)
             ]
 
-        for bucket, full in self.full_buckets:
-            assert viable(reversed(bucket)) == viable(full)
+        for index, key, full in self.full_buckets:
+            assert viable(entries(index[key])) == viable(full)
         return super()._find_best_candidate(node, weight)
 
 
@@ -141,6 +156,6 @@ class TestCompaction:
             old, new, DiffConfig(max_candidates=max_candidates)
         )
         matcher.run()
-        entries = sum(len(full) for _, full in matcher.full_buckets)
-        bound = matcher.lookups * (max_candidates + 1) + entries
+        stored = sum(len(full) for _, _, full in matcher.full_buckets)
+        bound = matcher.lookups * (max_candidates + 1) + stored
         assert matcher.candidate_probes <= bound

@@ -146,7 +146,7 @@ class TestGoldenScenarios:
         assert kinds.get("insert") == 1
         assert kinds.get("move") == 2
         # the delete payload is just the shell (holes where children were)
-        assert delta.by_kind("delete")[0].subtree.children == []
+        assert len(delta.by_kind("delete")[0].subtree.children) == 0
 
     def test_duplicate_products_tell_apart_by_neighbours(self):
         # two textually identical entries; one gains a sibling — the
