@@ -359,14 +359,13 @@ def _collapse_wrapped_descendants(root: Element) -> None:
     stack = [root]
     while stack:
         element = stack.pop()
-        children = element.children
-        for index, child in enumerate(list(children)):
+        for index, child in enumerate(tuple(element.children)):
             if child.kind != "element":
                 continue
             collapsed = _collapse_wrapper(child)
             if collapsed is not child:
                 collapsed.parent = element
-                children[index] = collapsed
+                element._own_children()[index] = collapsed
             else:
                 stack.append(child)
 

@@ -148,28 +148,31 @@ def simulate_changes(
 
 
 def _phase_delete(working, config, rng, counts) -> list[Node]:
-    """Delete random subtrees; return them as the pool for later moves."""
+    """Delete random subtrees; return them as the pool for later moves.
+
+    One pre-order walk that does not enter a deleted subtree: every other
+    node below the root element draws once, in document order.
+    """
     pool: list[Node] = []
     if config.delete_probability <= 0:
         return pool
-    candidates = [
-        node
-        for node in preorder(working)
-        if node is not working and node is not working.root
-    ]
-    for node in candidates:
-        if node.parent is None or _is_detached(node, working):
-            continue  # inside an already deleted subtree
-        if rng.random() < config.delete_probability:
-            if _deletion_leaves_adjacent_text(node):
-                # removing this node would leave two text siblings
-                # touching — not XML-representable; the paper's simulator
-                # avoids merged-on-reparse data, so we skip this pick.
+    root = working.root
+    stack = list(reversed(working.children))
+    while stack:
+        node = stack.pop()
+        if node is not root and rng.random() < config.delete_probability:
+            if not _deletion_leaves_adjacent_text(node):
+                counts["deleted_subtrees"] += 1
+                counts["deleted_nodes"] += node.subtree_size()
+                node.detach()
+                pool.append(node)
                 continue
-            counts["deleted_subtrees"] += 1
-            counts["deleted_nodes"] += node.subtree_size()
-            node.detach()
-            pool.append(node)
+            # removing this node would leave two text siblings touching —
+            # not XML-representable; the paper's simulator avoids
+            # merged-on-reparse data, so we skip this pick.
+        children = node.children
+        if children:
+            stack.extend(reversed(children))
     return pool
 
 
@@ -186,13 +189,6 @@ def _deletion_leaves_adjacent_text(node: Node) -> bool:
         and before.kind == "text"
         and after.kind == "text"
     )
-
-
-def _is_detached(node: Node, working: Document) -> bool:
-    current = node
-    while current.parent is not None:
-        current = current.parent
-    return current is not working
 
 
 def _phase_update(working, config, rng, counts, compensation) -> int:

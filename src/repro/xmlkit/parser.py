@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import os
 from typing import Optional, Union
+from weakref import ref
 from xml.parsers import expat
 
 from repro.xmlkit.dtd import Dtd
@@ -35,14 +36,26 @@ __all__ = ["parse", "parse_file"]
 
 
 class _TreeBuilder:
-    """Collects expat events into a :class:`Document`."""
+    """Collects expat events into a :class:`Document`.
+
+    Each open element gathers its children in a plain list; when it
+    closes, they become one exact-size tuple and share one weak
+    back-link to it (see :mod:`repro.xmlkit.model`).
+    """
 
     def __init__(self, strip_whitespace: bool):
         self.document = Document()
         self._strip_whitespace = strip_whitespace
-        self._stack: list = [self.document]
+        # Open nodes, outermost first, each with the children seen so far.
+        self._open: list[tuple] = [(self.document, [])]
         self._text_parts: list[str] = []
-        self._in_cdata = False
+
+    def finish(self) -> Document:
+        """Attach the top-level nodes to the document and return it."""
+        document, children = self._open[0]
+        for child in children:
+            document.append(child)
+        return document
 
     # -- text buffering ------------------------------------------------------
 
@@ -51,36 +64,40 @@ class _TreeBuilder:
             return
         value = "".join(self._text_parts)
         self._text_parts.clear()
-        parent = self._stack[-1]
-        if parent.kind == "document":
+        if len(self._open) == 1:
             # Only whitespace is legal between top-level constructs.
             return
         if self._strip_whitespace and not value.strip():
             return
-        parent.append(Text(value))
+        self._open[-1][1].append(Text(value))
 
     # -- expat handlers --------------------------------------------------------
 
     def start_element(self, name: str, attributes: dict) -> None:
         self._flush_text()
         element = Element(name, attributes)
-        self._stack[-1].append(element)
-        self._stack.append(element)
+        self._open[-1][1].append(element)
+        self._open.append((element, []))
 
     def end_element(self, name: str) -> None:
         self._flush_text()
-        self._stack.pop()
+        element, children = self._open.pop()
+        if children:
+            up = ref(element)
+            for child in children:
+                child._up = up
+            element._children = tuple(children)
 
     def character_data(self, data: str) -> None:
         self._text_parts.append(data)
 
     def comment(self, data: str) -> None:
         self._flush_text()
-        self._stack[-1].append(Comment(data))
+        self._open[-1][1].append(Comment(data))
 
     def processing_instruction(self, target: str, data: str) -> None:
         self._flush_text()
-        self._stack[-1].append(ProcessingInstruction(target, data))
+        self._open[-1][1].append(ProcessingInstruction(target, data))
 
     def start_doctype(self, name, system_id, public_id, has_internal_subset):
         self.document.doctype_name = name
@@ -150,7 +167,7 @@ def parse(
             source=origin,
         ) from exc
 
-    document = builder.document
+    document = builder.finish()
     if document.root is None:
         raise XmlParseError("document has no root element", source=origin)
     if dtd is not None:
