@@ -31,6 +31,22 @@ __all__ = [
 _STEP_RE = re.compile(r"^([^\[\]/]+)(?:\[(\d+)\])?$")
 
 
+def _parent(node: Node):
+    """``node.parent``, raising when the tree above ``node`` was dropped.
+
+    A node only reaches its parent through a weak link (see
+    :mod:`repro.xmlkit.model`); a path read after its document is gone
+    would silently start below the lost ancestors.
+    """
+    parent = node.parent
+    if parent is None and node.orphaned:
+        raise PathError(
+            "the tree above this node was dropped; keep its document "
+            "while reading its path"
+        )
+    return parent
+
+
 def path_of(node: Node) -> str:
     """Absolute path of a node inside its document.
 
@@ -41,7 +57,7 @@ def path_of(node: Node) -> str:
     steps: list[str] = []
     current = node
     while current is not None and current.kind != "document":
-        parent = current.parent
+        parent = _parent(current)
         if parent is None:
             raise PathError("node is detached; no absolute path")
         if current.kind == "element":
@@ -109,6 +125,10 @@ def label_path_of(node: Node) -> str:
 
     Text and other non-element nodes contribute their parent's path plus a
     ``#text`` / ``#comment`` / ``#pi`` tail, so patterns can target them.
+    A detached subtree reads from its own root.
+
+    Raises:
+        PathError: if the tree above the node was dropped.
     """
     if node.kind == "document":
         return "/"
@@ -116,10 +136,10 @@ def label_path_of(node: Node) -> str:
     current = node
     if current.kind != "element":
         tail.append("#" + ("text" if current.kind == "text" else current.kind))
-        current = current.parent
+        current = _parent(current)
     while current is not None and current.kind == "element":
         tail.append(current.label)
-        current = current.parent
+        current = _parent(current)
     return "/" + "/".join(reversed(tail))
 
 
@@ -169,7 +189,13 @@ class LabelPattern:
 
 
 def find_all(scope: Node, pattern: str) -> list[Node]:
-    """All descendant nodes of ``scope`` whose label path matches ``pattern``."""
+    """All descendant nodes of ``scope`` whose label path matches ``pattern``.
+
+    The nodes reach their ancestors only while the caller keeps the tree
+    alive: keep ``scope``'s document to read their paths afterwards
+    (``find_all(parse(text), ...)`` drops it, and :func:`label_path_of`
+    on a result then raises :class:`PathError`).
+    """
     from repro.xmlkit.model import preorder  # local import to avoid cycle noise
 
     compiled = LabelPattern(pattern)
