@@ -27,7 +27,7 @@ first access (see :mod:`repro._lazy`); see the subpackages for the full API:
 - :mod:`repro.versioning` — repository, version control, alerter.
 - :mod:`repro.simulator` — document generators and the change simulator.
 - :mod:`repro.obs` — observability: tracing spans, metrics registry,
-  profilers (see ``docs/observability.md``).
+  match provenance (see ``docs/observability.md``).
 """
 
 from repro._lazy import lazy_exports

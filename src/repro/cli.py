@@ -17,12 +17,8 @@ Subcommands mirror the library's main capabilities:
   and/or the perfect delta.
 - ``obs render TRACE``  — pretty-print a saved JSON-lines trace
   (``--request-id`` filters the server's multi-request ``traces.jsonl``).
-- ``obs flame FOLDED``  — render folded stacks as a flamegraph SVG.
-- ``profile OLD NEW``   — sample the diff with the built-in sampling
-  profiler, emit folded stacks (``--svg`` renders them directly).
 - ``fsck STORE``        — check (and repair) a version store; STORE is a
-  store URL (``file://``, ``sqlite://``, ``blob://``,
-  ``shard://PATH?shards=N&backend=SCHEME``) or a bare path.
+  store URL (``file://``, ``sqlite://``, ``blob://``) or a bare path.
 - ``store ...``         — inspect and update a version store by URL
   (``ls``, ``log``, ``cat``, ``commit``).
 - ``serve``             — run the HTTP diff service (``docs/server.md``):
@@ -298,7 +294,7 @@ def _cmd_sitediff(args) -> int:
         record_site_error(site_delta, key, parse_failures[key], metrics)
     committed = None
     if args.store:
-        from repro.versioning.sharded import open_repository
+        from repro.versioning.repository import open_repository
         from repro.versioning.version_control import VersionStore
 
         repository = open_repository(args.store)
@@ -367,8 +363,6 @@ def _cmd_fsck(args) -> int:
     for finding in report.findings:
         status = "repaired" if id(finding) in repaired_ids else "found"
         origin = finding.scheme or "?"
-        if finding.shard is not None:
-            origin += f"/shard-{finding.shard:03d}"
         lines.append(
             f"{status:<9} {finding.kind:<18} [{origin}] {finding.path}  "
             f"({finding.message})"
@@ -386,7 +380,7 @@ def _cmd_fsck(args) -> int:
 
 
 def _open_version_store(args, *, must_exist=True, tracer=None, metrics=None):
-    from repro.versioning.sharded import open_repository
+    from repro.versioning.repository import open_repository
     from repro.versioning.version_control import VersionStore
 
     repository = open_repository(args.store, must_exist=must_exist)
@@ -434,7 +428,7 @@ def _cmd_store_stats(args) -> int:
     import json as _json
 
     from repro.obs.storewatch import collect_store_stats, render_store_stats
-    from repro.versioning.sharded import open_repository
+    from repro.versioning.repository import open_repository
 
     repository = open_repository(args.store, must_exist=True)
     try:
@@ -776,55 +770,6 @@ def _cmd_obs_render(args) -> int:
     return 0
 
 
-def _cmd_obs_flame(args) -> int:
-    from repro.obs import flamegraph_svg, parse_folded
-
-    try:
-        counts = parse_folded(_read(args.folded_file))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if not counts:
-        print("error: no samples in folded input", file=sys.stderr)
-        return 1
-    _write(args.output, flamegraph_svg(counts, title=args.title))
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    import time
-
-    from repro.obs import SamplingProfiler, flamegraph_svg
-
-    old = _load_document(args.old, args.keep_whitespace)
-    new = _load_document(args.new, args.keep_whitespace)
-    config = DiffConfig().validate()
-    profiler = SamplingProfiler(interval=args.interval)
-    iterations = 0
-    # Loop the diff until the time floor so the sampler accumulates a
-    # meaningful profile even on pairs that diff in microseconds.
-    with profiler.profile():
-        deadline = time.perf_counter() + args.min_seconds
-        while True:
-            delta = diff(old, new, config, engine=args.engine)
-            iterations += 1
-            if time.perf_counter() >= deadline:
-                break
-    folded = profiler.folded()
-    _write(args.output, folded + ("\n" if folded else ""))
-    if args.svg:
-        _write(args.svg, flamegraph_svg(folded, title=f"xydiff profile: "
-                                                      f"{args.old} vs "
-                                                      f"{args.new}"))
-    print(
-        f"profiled {iterations} diff iteration(s), "
-        f"{profiler.sample_count} stack sample(s), "
-        f"{len(delta.operations)} delta op(s)",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _cmd_generate(args) -> int:
     from repro.simulator.generator import (
         GeneratorConfig,
@@ -1043,8 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--store", default=None, metavar="URL",
                      help="also commit added/changed documents into this "
                           "version store (file://, sqlite://, blob://, "
-                          "shard://PATH?shards=N&backend=SCHEME, or a "
-                          "bare path)")
+                          "or a bare path)")
     sub.add_argument("-o", "--output", default="-")
     add_obs(sub)
     sub.set_defaults(func=_cmd_sitediff)
@@ -1054,8 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("store",
                      help="store URL or path (file://, sqlite://, blob://, "
-                          "shard://, or a bare path — the layout is "
-                          "sniffed)")
+                          "or a bare path — the layout is sniffed)")
     sub.add_argument("--repair", action="store_true",
                      help="apply the deterministic repairs "
                           "(replay deltas, rebuild manifests, drop orphans)")
@@ -1079,7 +1022,7 @@ def build_parser() -> argparse.ArgumentParser:
         leaf.add_argument(
             "--store", required=True, metavar="URL",
             help="store URL or path (file://, sqlite://, blob://, "
-                 "shard://PATH?shards=N&backend=SCHEME, or a bare path)",
+                 "or a bare path)",
         )
 
     leaf = store_sub.add_parser(
@@ -1094,8 +1037,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     leaf = store_sub.add_parser(
         "stats", help="store-health report: chain-length histogram, "
-                      "checkpoint coverage/staleness, bytes by kind, "
-                      "shard balance (schema repro.storewatch/1)"
+                      "checkpoint coverage/staleness, bytes by kind "
+                      "(schema repro.storewatch/2)"
     )
     add_store_url(leaf)
     leaf.add_argument("--json", action="store_true",
@@ -1134,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf.add_argument(
         "--store", default=None, metavar="URL",
         help="store URL or path (file://, sqlite://, blob://, "
-             "shard://PATH?shards=N&backend=SCHEME, or a bare path); "
+             "or a bare path); "
              "exactly one of --store / --url is required",
     )
     leaf.add_argument(
@@ -1252,7 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_aggregate)
 
     sub = subparsers.add_parser(
-        "obs", help="observability utilities (traces, flamegraphs)"
+        "obs", help="observability utilities (traces)"
     )
     obs_sub = sub.add_subparsers(dest="obs_command", required=True)
     render = obs_sub.add_parser(
@@ -1270,18 +1213,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="hide span attributes")
     render.add_argument("-o", "--output", default="-")
     render.set_defaults(func=_cmd_obs_render)
-
-    flame = obs_sub.add_parser(
-        "flame",
-        help="render folded stacks (from 'profile') as a flamegraph SVG",
-    )
-    flame.add_argument("folded_file",
-                       help="folded-stack file written by 'profile' "
-                            "('-' reads stdin)")
-    flame.add_argument("--title", default="flamegraph",
-                       help="SVG title (default: flamegraph)")
-    flame.add_argument("-o", "--output", default="-")
-    flame.set_defaults(func=_cmd_obs_flame)
 
     sub = subparsers.add_parser(
         "serve",
@@ -1344,25 +1275,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default 16)")
     add_engine(sub)
     sub.set_defaults(func=_cmd_serve)
-
-    sub = subparsers.add_parser(
-        "profile",
-        help="sample the diff of two documents into folded stacks",
-    )
-    sub.add_argument("old")
-    sub.add_argument("new")
-    sub.add_argument("--interval", type=float, default=0.002,
-                     metavar="SECONDS",
-                     help="sampling interval (default 0.002)")
-    sub.add_argument("--min-seconds", type=float, default=0.5,
-                     metavar="SECONDS",
-                     help="keep re-running the diff until this much time "
-                          "has elapsed (default 0.5)")
-    sub.add_argument("--svg", default=None, metavar="FILE",
-                     help="also render the profile as a flamegraph SVG")
-    add_common(sub)
-    add_engine(sub)
-    sub.set_defaults(func=_cmd_profile)
 
     sub = subparsers.add_parser("generate", help="generate a synthetic doc")
     sub.add_argument("--kind", choices=("generic", "catalog"),

@@ -1,4 +1,4 @@
-"""repro.obs — observability: tracing spans, metrics, profiling.
+"""repro.obs — observability: tracing spans, metrics, provenance.
 
 Three small, stdlib-only pieces (see ``docs/observability.md`` for the
 full span/metric catalogue and how each maps onto the paper's figures):
@@ -27,9 +27,6 @@ full span/metric catalogue and how each maps onto the paper's figures):
 - :mod:`repro.obs.log` — :class:`EventLogger`, the ring-buffered
   structured event log (schema ``repro.log/1``) behind
   ``GET /logz`` and ``xydiff serve --log-out``.
-- :mod:`repro.obs.pyprof` — :class:`SamplingProfiler`, a periodic
-  stack sampler emitting folded stacks, and :func:`flamegraph_svg`
-  (``xydiff profile`` / ``xydiff obs flame``).
 - :mod:`repro.obs.slo` — :func:`compute_slo`, latency percentiles and
   error-budget burn from the metrics registry (``GET /slo``).
 
@@ -63,7 +60,6 @@ __all__ = [
     "ProvenanceReport",
     "REQUEST_ID_HEADER",
     "RequestContext",
-    "SamplingProfiler",
     "STAGE_BUCKETS",
     "SloReport",
     "Span",
@@ -72,12 +68,10 @@ __all__ = [
     "compute_slo",
     "current_context",
     "current_request_id",
-    "flamegraph_svg",
     "histogram_quantile",
     "load_trace",
     "new_request_id",
     "observe_stage_seconds",
-    "parse_folded",
     "publish_provenance_metrics",
     "render_trace",
     "use_context",
@@ -98,7 +92,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "ProvenanceRecorder", "ProvenanceReport", "build_report",
         "publish_provenance_metrics",
     ),
-    "pyprof": ("SamplingProfiler", "flamegraph_svg", "parse_folded"),
     "slo": ("SloReport", "compute_slo", "histogram_quantile"),
     "trace": (
         "NULL_TRACER", "NullTracer", "Span", "Tracer", "load_trace",

@@ -1,11 +1,11 @@
-"""Store-health analytics: the ``repro.storewatch/1`` report.
+"""Store-health analytics: the ``repro.storewatch/2`` report.
 
 The paper's setting is a warehouse continuously diffing and versioning
 crawled documents; storage health (checksum rot, torn commits) and
 delta-chain growth (reconstruction cost) are the operational risks.
 :func:`collect_store_stats` walks any :class:`~repro.storage.backend.
-StorageBackend`-backed repository — filesystem, SQLite or blob, sharded
-or not — and produces one schema-versioned report:
+StorageBackend`-backed repository — filesystem, SQLite or blob — and
+produces one schema-versioned report:
 
 - document / version counts (plus documents whose metadata is
   unreadable — the corruption fsck would flag);
@@ -15,8 +15,7 @@ or not — and produces one schema-versioned report:
   item 3's checkpoint/compaction policies need as input;
 - checkpoint coverage and staleness (versions accumulated since the
   newest checkpoint — the backward-replay bound);
-- the blob backend's dedup ratio (logical vs physical bytes);
-- per-shard document balance for sharded stores.
+- the blob backend's dedup ratio (logical vs physical bytes).
 
 The same report is served by ``GET /statz`` (never queued, like
 ``/metrics``), exported as gauges by :func:`publish_store_metrics`
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 #: Schema identifier stamped on every report.
-SCHEMA = "repro.storewatch/1"
+SCHEMA = "repro.storewatch/2"
 
 #: Byte-accounting kinds, in render order.
 BYTE_KINDS = ("snapshot", "delta", "meta", "journal", "other")
@@ -95,17 +94,16 @@ def _size_of(backend, key: str) -> int:
 def collect_store_stats(
     repository, *, label: Optional[str] = None, per_document: bool = False
 ) -> dict:
-    """One ``repro.storewatch/1`` report for a storage-backed repository.
+    """One ``repro.storewatch/2`` report for a storage-backed repository.
 
     Args:
         repository: A :class:`~repro.versioning.repository.
-            BackendRepository` or :class:`~repro.versioning.sharded.
-            ShardedRepository` (anything :func:`~repro.versioning.
-            sharded.open_repository` returns for a store URL).
+            BackendRepository` (what :func:`~repro.versioning.
+            repository.open_repository` returns for a store URL).
         label: Store name/URL recorded in the report (defaults to the
-            backend's URL / the sharded root).
+            backend's URL).
         per_document: Also include a ``documents_detail`` list (doc id,
-            shard, versions, checkpoints, bytes, staleness) — what
+            versions, checkpoints, bytes, staleness) — what
             ``xydiff store ls --sizes`` renders.  Off by default: the
             list is O(documents).
 
@@ -118,24 +116,14 @@ def collect_store_stats(
         BackendRepository,
         CorruptStoreError,
     )
-    from repro.versioning.sharded import ShardedRepository
     from repro.xmlkit.errors import ReproError
 
-    if isinstance(repository, ShardedRepository):
-        shards = list(enumerate(repository._repos))
-        sharded = True
-        store_label = label if label is not None else repository.root
-        backend_scheme = repository.backend_scheme
-    elif isinstance(repository, BackendRepository):
-        shards = [(None, repository)]
-        sharded = False
-        store_label = label if label is not None else repository.backend.url
-        backend_scheme = repository.backend.scheme
-    else:
+    if not isinstance(repository, BackendRepository):
         raise ReproError(
             "store stats needs a storage-backed repository; "
             f"{type(repository).__name__} has no backend to walk"
         )
+    backend = repository.backend
 
     documents = 0
     unreadable = 0
@@ -148,95 +136,62 @@ def collect_store_stats(
     documents_with_checkpoint = 0
     staleness_max = 0
     staleness_sum = 0
-    shard_documents = [0] * len(shards)
-    dedup_parts: list[dict] = []
     detail: list[dict] = []
 
-    for position, (shard_index, repo) in enumerate(shards):
-        backend = repo.backend
-        dedup_stats = getattr(backend, "dedup_stats", None)
-        if dedup_stats is not None:
-            dedup_parts.append(dedup_stats())
-        for prefix in repo._doc_prefixes():
-            documents += 1
-            shard_documents[position] += 1
-            doc_bytes = 0
-            for key in backend.list_keys(prefix + "/"):
-                name = key[len(prefix) + 1:]
-                kind = "other" if "/" in name else _classify(name)
-                size = _size_of(backend, key)
-                bytes_by_kind[kind] += size
-                doc_bytes += size
-            doc_id = prefix
-            versions: Optional[int] = None
-            checkpoints: list[int] = []
-            staleness = 0
-            try:
-                meta = repo._read_json(prefix + "/" + META_NAME, "metadata")
-                doc_id = str(meta.get("doc_id", prefix))
-                versions = int(meta.get("current_version", 1))
-                checkpoints = sorted(
-                    int(v) for v in meta.get("snapshots", {})
-                )
-            except (FileNotFoundError, CorruptStoreError, ValueError):
-                unreadable += 1
-            if versions is not None:
-                versions_total += versions
-                chain = versions - 1
-                bucket = chain_bucket(chain)
-                chain_histogram[bucket] = chain_histogram.get(bucket, 0) + 1
-                chain_max = max(chain_max, chain)
-                chain_sum += chain
-                checkpoints_total += len(checkpoints)
-                if checkpoints:
-                    documents_with_checkpoint += 1
-                newest = max(checkpoints) if checkpoints else 1
-                staleness = max(0, versions - newest)
-                staleness_max = max(staleness_max, staleness)
-                staleness_sum += staleness
-            if per_document:
-                detail.append(
-                    {
-                        "doc_id": doc_id,
-                        "shard": shard_index,
-                        "versions": versions,
-                        "checkpoints": len(checkpoints),
-                        "staleness": staleness if versions is not None else None,
-                        "bytes": doc_bytes,
-                    }
-                )
+    for prefix in repository._doc_prefixes():
+        documents += 1
+        doc_bytes = 0
+        for key in backend.list_keys(prefix + "/"):
+            name = key[len(prefix) + 1:]
+            kind = "other" if "/" in name else _classify(name)
+            size = _size_of(backend, key)
+            bytes_by_kind[kind] += size
+            doc_bytes += size
+        doc_id = prefix
+        versions: Optional[int] = None
+        checkpoints: list[int] = []
+        staleness = 0
+        try:
+            meta = repository._read_json(prefix + "/" + META_NAME, "metadata")
+            doc_id = str(meta.get("doc_id", prefix))
+            versions = int(meta.get("current_version", 1))
+            checkpoints = sorted(
+                int(v) for v in meta.get("snapshots", {})
+            )
+        except (FileNotFoundError, CorruptStoreError, ValueError):
+            unreadable += 1
+        if versions is not None:
+            versions_total += versions
+            chain = versions - 1
+            bucket = chain_bucket(chain)
+            chain_histogram[bucket] = chain_histogram.get(bucket, 0) + 1
+            chain_max = max(chain_max, chain)
+            chain_sum += chain
+            checkpoints_total += len(checkpoints)
+            if checkpoints:
+                documents_with_checkpoint += 1
+            newest = max(checkpoints) if checkpoints else 1
+            staleness = max(0, versions - newest)
+            staleness_max = max(staleness_max, staleness)
+            staleness_sum += staleness
+        if per_document:
+            detail.append(
+                {
+                    "doc_id": doc_id,
+                    "versions": versions,
+                    "checkpoints": len(checkpoints),
+                    "staleness": staleness if versions is not None else None,
+                    "bytes": doc_bytes,
+                }
+            )
 
     readable = documents - unreadable
-    dedup = None
-    if dedup_parts:
-        logical = sum(part["logical_bytes"] for part in dedup_parts)
-        physical = sum(part["physical_bytes"] for part in dedup_parts)
-        dedup = {
-            "refs": sum(part["refs"] for part in dedup_parts),
-            "objects": sum(part["objects"] for part in dedup_parts),
-            "logical_bytes": logical,
-            "physical_bytes": physical,
-            "ratio": round(logical / physical, 6) if physical else 1.0,
-        }
-    shard_balance = None
-    if sharded:
-        mean = documents / len(shards) if shards else 0.0
-        spread = (
-            (max(shard_documents) - min(shard_documents)) / mean * 100.0
-            if mean
-            else 0.0
-        )
-        shard_balance = {
-            "documents_per_shard": shard_documents,
-            "imbalance_pct": round(spread, 3),
-        }
+    dedup_stats = getattr(backend, "dedup_stats", None)
 
     report = {
         "schema": SCHEMA,
-        "store": str(store_label),
-        "backend": backend_scheme,
-        "sharded": sharded,
-        "shards": len(shards),
+        "store": str(label if label is not None else backend.url),
+        "backend": backend.scheme,
         "documents": documents,
         "unreadable_documents": unreadable,
         "versions": versions_total,
@@ -264,8 +219,7 @@ def collect_store_stats(
                 round(staleness_sum / readable, 6) if readable else 0.0
             ),
         },
-        "dedup": dedup,
-        "shard_balance": shard_balance,
+        "dedup": dedup_stats() if dedup_stats is not None else None,
     }
     if per_document:
         report["documents_detail"] = sorted(
@@ -320,23 +274,12 @@ def publish_store_metrics(report: dict, metrics) -> None:
             help="Blob store logical/physical byte ratio (1.0 = no "
                  "sharing).",
         ).set(report["dedup"]["ratio"], store=store)
-    if report["shard_balance"] is not None:
-        shard_gauge = metrics.gauge(
-            "repro_store_shard_documents",
-            help="Documents per shard of a sharded store.",
-        )
-        per_shard = report["shard_balance"]["documents_per_shard"]
-        for index, count in enumerate(per_shard):
-            shard_gauge.set(count, store=store, shard=f"{index:03d}")
 
 
 def render_store_stats(report: dict) -> str:
     """Human-readable rendering of one report (``xydiff store stats``)."""
-    layout = report["backend"]
-    if report["sharded"]:
-        layout += f", {report['shards']} shards"
     lines = [
-        f"store: {report['store']} ({layout})",
+        f"store: {report['store']} ({report['backend']})",
         f"documents: {report['documents']}"
         + (
             f" ({report['unreadable_documents']} unreadable)"
@@ -366,14 +309,5 @@ def render_store_stats(report: dict) -> str:
         lines.append(
             f"dedup: refs={dedup['refs']} objects={dedup['objects']} "
             f"ratio={dedup['ratio']:.2f}x"
-        )
-    if report["shard_balance"] is not None:
-        balance = report["shard_balance"]
-        counts = " ".join(
-            f"{index:03d}={count}"
-            for index, count in enumerate(balance["documents_per_shard"])
-        )
-        lines.append(
-            f"shards: {counts} (imbalance {balance['imbalance_pct']:.1f}%)"
         )
     return "\n".join(lines)

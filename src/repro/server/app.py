@@ -13,8 +13,8 @@ reference and the capacity model.
 The server composes only existing layers:
 
 - version stores are addressed by the same store URLs as the CLI
-  (``file://``, ``sqlite://``, ``blob://``, ``shard://``) through
-  :func:`repro.versioning.sharded.open_repository` — a store name in
+  (``file://``, ``sqlite://``, ``blob://``) through
+  :func:`repro.versioning.repository.open_repository` — a store name in
   the request path (``/repos/{store}/...``) maps to a configured URL;
 - ``/metrics`` serves the existing Prometheus exporter
   (:class:`~repro.obs.metrics.MetricsRegistry`);
@@ -274,7 +274,7 @@ class DiffServer:
         with self._stores_guard:
             entry = self._stores.get(name)
             if entry is None:
-                from repro.versioning.sharded import open_repository
+                from repro.versioning.repository import open_repository
                 from repro.versioning.version_control import VersionStore
 
                 repository = open_repository(
@@ -303,7 +303,7 @@ class DiffServer:
         return entry
 
     def store_stats(self, name: Optional[str] = None) -> dict:
-        """The ``/statz`` body: one ``repro.storewatch/1`` report per
+        """The ``/statz`` body: one ``repro.storewatch/2`` report per
         store (or a single report when ``name`` is given).
 
         Collection holds each store's commit lock — the same lock the

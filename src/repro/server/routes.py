@@ -149,21 +149,22 @@ async def handle_diff(server, request: Request, params, obs) -> Response:
         )
 
     def job():
-        from repro.core.deltaxml import delta_byte_size, serialize_delta
+        from repro.core.deltaxml import serialize_delta
         from repro.core.diff import diff_with_stats
 
         old, new = _parse_pair(payload)
         delta, stats = diff_with_stats(
             old, new, engine=engine, tracer=obs.tracer
         )
+        text = serialize_delta(delta)
         body = {
-            "delta": serialize_delta(delta),
+            "delta": text,
             "stats": {
                 "engine": stats.engine,
                 "old_nodes": stats.old_nodes,
                 "new_nodes": stats.new_nodes,
                 "matched_nodes": stats.matched_nodes,
-                "delta_bytes": delta_byte_size(delta),
+                "delta_bytes": len(text.encode("utf-8")),
                 "operations": dict(sorted(stats.operation_counts.items())),
                 "total_seconds": stats.total_seconds,
             },
@@ -295,8 +296,7 @@ async def handle_commit(server, request: Request, params, obs) -> Response:
     def job():
         from repro.xmlkit.parser import parse
 
-        # One writer per store: commits serialize at the store door the
-        # way ShardedRepository serializes per shard.
+        # One writer per store: commits serialize at the store door.
         with lock:
             if key is not None and store.repository.exists(doc_id):
                 # Cache was cold but the store remembers: the journaled
@@ -572,7 +572,7 @@ async def handle_slo(server, request: Request, params, obs) -> Response:
 
 
 async def handle_statz(server, request: Request, params, obs) -> Response:
-    """GET /statz — one ``repro.storewatch/1`` store-health report per
+    """GET /statz — one ``repro.storewatch/2`` store-health report per
     configured store (chain lengths, checkpoint staleness, bytes by
     kind).  Served inline like ``/metrics`` — never queued — but the
     store walk itself runs on the default executor so the event loop

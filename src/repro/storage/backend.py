@@ -26,8 +26,7 @@ byte-identical with the pre-protocol store), ``sqlite://PATH`` (one
 database file) and ``blob://PATH`` (content-addressed object store).
 :func:`open_backend` resolves a URL — or a bare filesystem path, whose
 backend is sniffed from the on-disk markers — to a backend instance.
-``shard://PATH?shards=N&backend=SCHEME`` is resolved one level up, by
-:func:`repro.versioning.sharded.open_repository`.
+A store URL takes no query parameters.
 """
 
 from __future__ import annotations
@@ -160,8 +159,7 @@ class _NullBatch:
 # store URLs
 # ---------------------------------------------------------------------------
 
-#: scheme -> backend class; populated by the backend modules on import
-#: (``shard`` is routed by ``repro.versioning.sharded``, not a backend).
+#: scheme -> backend class; populated by the backend modules on import.
 #: :func:`load_backends` imports the built-in three.
 STORE_SCHEMES: dict[str, type] = {}
 
@@ -184,26 +182,24 @@ def register_scheme(cls) -> type:
     return cls
 
 
-def parse_store_url(url) -> tuple[Optional[str], str, dict[str, str]]:
-    """``"scheme://path?k=v"`` -> ``(scheme, path, params)``.
+def parse_store_url(url) -> tuple[Optional[str], str]:
+    """``"scheme://path"`` -> ``(scheme, path)``.
 
-    A bare filesystem path parses as ``(None, path, {})`` — the caller
+    A bare filesystem path parses as ``(None, path)`` — the caller
     sniffs the backend from the on-disk markers.
+
+    Raises:
+        ValueError: the URL has an empty path or a query string.
     """
     url = os.fspath(url)
     if "://" not in url:
-        return None, url, {}
-    scheme, _, rest = url.partition("://")
-    path, _, query = rest.partition("?")
-    params: dict[str, str] = {}
-    for item in query.split("&"):
-        if not item:
-            continue
-        name, _, value = item.partition("=")
-        params[name] = value
+        return None, url
+    scheme, _, path = url.partition("://")
+    if "?" in path:
+        raise ValueError(f"store URL {url!r} takes no query parameters")
     if not path:
         raise ValueError(f"store URL {url!r} has an empty path")
-    return scheme, path, params
+    return scheme, path
 
 
 def sniff_scheme(path) -> str:
@@ -224,7 +220,7 @@ def sniff_scheme(path) -> str:
 def open_backend(url, *, durability: str = "none", faults=None) -> StorageBackend:
     """Resolve a store URL (or bare path) to a backend instance."""
     schemes = load_backends()
-    scheme, path, _ = parse_store_url(url)
+    scheme, path = parse_store_url(url)
     if scheme is None:
         scheme = sniff_scheme(path)
     try:
@@ -234,6 +230,6 @@ def open_backend(url, *, durability: str = "none", faults=None) -> StorageBacken
 
         raise RepositoryError(
             f"unknown store scheme {scheme!r}; "
-            f"expected one of {sorted(STORE_SCHEMES)} or shard"
+            f"expected one of {sorted(STORE_SCHEMES)}"
         ) from None
     return backend_class(path, durability=durability, faults=faults)

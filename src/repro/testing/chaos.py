@@ -334,7 +334,7 @@ def run_scenario(
         # The store survives the server: reopen it and check every
         # acked commit's id made it into the journaled per-version
         # attribution metadata as well as both logs.
-        from repro.versioning.sharded import open_repository
+        from repro.versioning.repository import open_repository
 
         repository = open_repository(url)
         unattributed = 0

@@ -1,9 +1,8 @@
 """Xyleme-style change control built on the diff (the paper's Figure 1).
 
 - :mod:`repro.versioning.repository` — snapshot + delta-chain storage
-  (in memory, or through any :class:`repro.storage.StorageBackend`).
-- :mod:`repro.versioning.sharded` — the ``hash(doc_id) → shard``
-  router and :func:`open_repository`, the store-URL front door.
+  (in memory, or through any :class:`repro.storage.StorageBackend`),
+  and :func:`open_repository`, the store-URL front door.
 - :mod:`repro.versioning.version_control` — the one commit path
   (:class:`VersionStore`), version reconstruction, cross-version
   aggregation.
@@ -28,7 +27,6 @@ __all__ = [
     "MemoryRepository",
     "RecoveryEvent",
     "Repository",
-    "ShardedRepository",
     "SiteDelta",
     "SiteSnapshot",
     "Subscription",
@@ -44,8 +42,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repository": (
         "BackendRepository", "CorruptStoreError", "DirectoryRepository",
         "Finding", "MemoryRepository", "RecoveryEvent", "Repository",
+        "open_repository",
     ),
-    "sharded": ("ShardedRepository", "open_repository"),
     "sitediff": ("SiteDelta", "SiteSnapshot", "diff_sites"),
     "version_control": ("VersionStore",),
 })

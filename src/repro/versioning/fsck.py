@@ -1,8 +1,8 @@
 """Store checking and repair (the ``xydiff fsck`` subcommand).
 
 ``fsck_store`` audits any repository reachable through a store URL
-(``file://``, ``sqlite://``, ``blob://``, ``shard://`` — see
-:func:`repro.versioning.sharded.open_repository`) — opening it first
+(``file://``, ``sqlite://``, ``blob://`` — see
+:func:`repro.versioning.repository.open_repository`) — opening it first
 runs journal recovery for torn commits — then verifies checksums
 against each document's ``manifest.json`` record and, with
 ``repair=True``, applies the deterministic fixes:
@@ -27,9 +27,7 @@ the manifest's recorded SHA-256 — a repair can never silently
 substitute different content.  Damaged delta files and metadata are
 reported but not repaired: their content exists nowhere else.
 
-Every finding carries the backend scheme it came from and, for sharded
-stores, the shard index; repairs are routed back to that shard's
-backend.
+Every finding carries the backend scheme it came from.
 
 Metrics (``metrics=``): ``repro_fsck_documents_total``,
 ``repro_fsck_findings_total{kind=...}``,
@@ -50,8 +48,8 @@ from repro.versioning.repository import (
     RecoveryEvent,
     _DELTA_FILE_RE,
     _SNAPSHOT_FILE_RE,
+    open_repository,
 )
-from repro.versioning.sharded import ShardedRepository, open_repository
 from repro.xmlkit.errors import ReproError
 from repro.xmlkit.serializer import serialize_bytes
 
@@ -63,7 +61,7 @@ class FsckReport:
     """Outcome of one ``fsck`` run.
 
     Attributes:
-        documents: Number of document slots checked (across all shards).
+        documents: Number of document slots checked.
         recovery_events: Torn commits resolved while opening the store.
         findings: Problems found by verification (pre-repair).
         repaired: The subset of ``findings`` that was fixed.
@@ -145,18 +143,10 @@ def fsck_store(
     return report
 
 
-def _target_repo(repo, finding: Finding) -> BackendRepository:
-    """The single-backend repository a repair must run against."""
-    if isinstance(repo, ShardedRepository):
-        return repo.shard_repo(finding.shard)
-    return repo
-
-
-def _repair(repo, finding: Finding) -> bool:
+def _repair(repo: BackendRepository, finding: Finding) -> bool:
     """Apply the fix for one finding; True on success."""
     try:
-        target = _target_repo(repo, finding)
-        backend = target.backend
+        backend = repo.backend
         if finding.kind == "orphan-temp":
             return backend.sweep_orphan(finding.key)
         if finding.kind == "unexpected-file":
@@ -168,13 +158,13 @@ def _repair(repo, finding: Finding) -> bool:
             return True
         prefix = finding.key.split("/", 1)[0]
         if finding.kind == "missing-manifest":
-            return _rebuild_manifest(target, prefix)
+            return _rebuild_manifest(repo, prefix)
         if finding.kind == "missing-checksum":
-            return _record_checksum(target, finding.key)
+            return _record_checksum(repo, finding.key)
         if finding.kind in ("checksum-mismatch", "missing-file"):
             name = finding.key.rsplit("/", 1)[-1]
             if name == CURRENT_NAME or _SNAPSHOT_FILE_RE.match(name):
-                return _rederive(target, prefix, name)
+                return _rederive(repo, prefix, name)
         return False
     except (ReproError, OSError):
         return False

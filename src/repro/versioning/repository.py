@@ -24,8 +24,8 @@ Three implementations share the interface:
   the classic one-directory-per-document filesystem layout
   (byte-identical with stores written before the protocol existed).
 
-A fourth, :class:`repro.versioning.sharded.ShardedRepository`, routes
-documents across many backend repositories by hash.
+A store URL (``file://``, ``sqlite://``, ``blob://``) or a bare path
+opens as one of the last two through :func:`open_repository`.
 
 Durability
 ----------
@@ -66,7 +66,12 @@ from repro.core.delta import Delta
 from repro.core.deltaxml import delta_from_document, serialize_delta
 from repro.core.xid import XidAllocator
 from repro.storage.atomic import check_durability, sha256_bytes
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import (
+    StorageBackend,
+    open_backend,
+    parse_store_url,
+    sniff_scheme,
+)
 from repro.storage.filesystem import FilesystemBackend
 from repro.xmlkit.errors import ReproError, RepositoryError, XmlParseError
 from repro.xmlkit.model import Document
@@ -81,6 +86,7 @@ __all__ = [
     "MemoryRepository",
     "RecoveryEvent",
     "Repository",
+    "open_repository",
 ]
 
 _DELTA_FILE_RE = re.compile(r"^delta-(\d+)-(\d+)\.xml$")
@@ -127,8 +133,6 @@ class Finding:
         repairable: Whether ``fsck --repair`` has a deterministic fix.
         scheme: Backend scheme the finding came from (``file``,
             ``sqlite``, ``blob``).
-        shard: Shard index when the store is a
-            :class:`~repro.versioning.sharded.ShardedRepository`.
         key: Backend key (or orphan reference) the repair acts on.
     """
 
@@ -138,7 +142,6 @@ class Finding:
     message: str
     repairable: bool = False
     scheme: str = ""
-    shard: Optional[int] = None
     key: str = ""
 
 
@@ -184,15 +187,6 @@ class Repository:
 
     def document_ids(self) -> list[str]:
         raise NotImplementedError
-
-    def document_count(self) -> int:
-        """Number of document slots in the store.
-
-        Unlike ``len(document_ids())`` this also counts half-created
-        documents (a prefix without readable metadata), which is what
-        ``fsck`` reports.
-        """
-        return len(self.document_ids())
 
     def current_version(self, doc_id: str) -> int:
         """Highest stored version number (versions start at 1)."""
@@ -293,7 +287,7 @@ class Repository:
         Every read goes through :meth:`current_version`,
         :meth:`snapshot_versions`, :meth:`load_current`,
         :meth:`load_snapshot` and :meth:`load_delta`, so subclasses that
-        route or instrument those see the whole walk.
+        instrument those see the whole walk.
 
         ``damaged`` is for repair only: the name of a stored copy known
         to be bad (``current.xml`` or ``snapshot-NNNN.xml``), which the
@@ -644,6 +638,12 @@ class BackendRepository(Repository):
         return sorted(ids)
 
     def document_count(self) -> int:
+        """Number of document slots in the store.
+
+        Unlike ``len(document_ids())`` this also counts half-created
+        documents (a prefix without readable metadata), which is what
+        ``fsck`` reports.
+        """
         return len(self._doc_prefixes())
 
     def current_version(self, doc_id: str) -> int:
@@ -1167,6 +1167,66 @@ class DirectoryRepository(BackendRepository):
 
     def _doc_dir(self, doc_id: str) -> str:
         return os.path.join(self.base_path, self._doc_key(doc_id))
+
+
+def open_repository(
+    store,
+    *,
+    tracer=None,
+    durability: str = "none",
+    faults=None,
+    must_exist: bool = False,
+) -> Repository:
+    """Open (or create) a repository from a store URL or bare path.
+
+    Accepted forms:
+
+    - ``file://PATH`` (or a bare directory path) — classic
+      one-directory-per-document layout;
+    - ``sqlite://PATH`` — one WAL database file;
+    - ``blob://PATH`` — content-addressed object store.
+
+    A bare path is sniffed (:func:`~repro.storage.backend.sniff_scheme`):
+    a ``blob.json`` marker means blob, an SQLite file (or ``.sqlite`` /
+    ``.db`` suffix) means SQLite, anything else is the directory layout.
+    A store written by the removed shard router is refused before
+    anything is read or created.
+
+    Args:
+        store: Store URL, bare path, or an already-open
+            :class:`Repository` (returned unchanged — callers like
+            ``fsck`` can be handed either).
+        must_exist: Raise instead of creating a store that is not
+            already on disk (``fsck`` never creates stores).
+    """
+    if isinstance(store, Repository):
+        return store
+    url = os.fspath(store)
+    sharded = url.startswith("shard://")
+    if not sharded:
+        scheme, path = parse_store_url(url)
+        sharded = os.path.exists(os.path.join(path, "shard.json"))
+    if sharded:
+        raise RepositoryError(
+            f"store {url!r} is a sharded store, and the shard router was "
+            "removed; open each shard-NNN store under it by its own URL"
+        )
+    if must_exist and not os.path.exists(path):
+        raise RepositoryError(f"store {url!r} does not exist")
+    if scheme is None:
+        scheme = sniff_scheme(path)
+    if scheme == "file":
+        if must_exist and not os.path.isdir(path):
+            raise RepositoryError(
+                f"store directory {path!r} does not exist"
+            )
+        return DirectoryRepository(
+            path, tracer, durability=durability, faults=faults
+        )
+    backend = open_backend(
+        f"{scheme}://{path}", durability=durability, faults=faults
+    )
+    return BackendRepository(backend, tracer=tracer)
 
 
 def _digest_or_none(backend: StorageBackend, key: str) -> Optional[str]:

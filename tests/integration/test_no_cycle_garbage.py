@@ -23,7 +23,7 @@ from repro.core import (
     serialize_delta,
 )
 from repro.versioning import VersionStore
-from repro.versioning.sharded import open_repository
+from repro.versioning.repository import open_repository
 from repro.xmlkit import parse
 
 from tests.integration.cycle_garbage import cycle_garbage_nodes, fig4_texts

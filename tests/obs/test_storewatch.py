@@ -12,8 +12,7 @@ from repro.obs.storewatch import (
     publish_store_metrics,
     render_store_stats,
 )
-from repro.versioning.repository import MemoryRepository
-from repro.versioning.sharded import open_repository
+from repro.versioning.repository import MemoryRepository, open_repository
 from repro.versioning.version_control import VersionStore
 from repro.xmlkit.errors import ReproError
 from repro.xmlkit.parser import parse
@@ -47,7 +46,7 @@ def test_collect_counts_versions_and_chains(file_repo):
     report = collect_store_stats(file_repo)
     assert report["schema"] == SCHEMA
     assert report["backend"] == "file"
-    assert report["sharded"] is False
+    assert not {"sharded", "shards", "shard_balance"} & report.keys()
     assert report["documents"] == 4
     assert report["unreadable_documents"] == 0
     assert report["versions"] == 1 + 2 + 3 + 5
@@ -110,25 +109,6 @@ def test_per_document_detail(file_repo):
     by_id = {entry["doc_id"]: entry for entry in detail}
     assert by_id["doc-3"]["versions"] == 5
     assert sum(entry["bytes"] for entry in detail) == report["bytes_total"]
-
-
-def test_sharded_store_balance(tmp_path):
-    repository = open_repository(
-        f"shard://{tmp_path}/sh?shards=4&backend=sqlite"
-    )
-    store = VersionStore(repository=repository)
-    for index in range(16):
-        _grow(store, f"doc-{index}", 2)
-    report = collect_store_stats(repository)
-    repository.close()
-    assert report["sharded"] is True
-    assert report["shards"] == 4
-    balance = report["shard_balance"]
-    assert sum(balance["documents_per_shard"]) == 16
-    assert len(balance["documents_per_shard"]) == 4
-    assert balance["imbalance_pct"] >= 0.0
-    assert report["documents"] == 16
-    assert report["versions"] == 32
 
 
 def test_blob_dedup_ratio(tmp_path):

@@ -81,17 +81,12 @@ BACKENDS = [
     for name in os.environ.get("XYDIFF_BACKENDS", "file,sqlite,blob").split(",")
     if name.strip()
 ]
-STORES = ["memory"] + BACKENDS + [f"shard+{scheme}" for scheme in BACKENDS]
+STORES = ["memory"] + BACKENDS
 
 
 def _open_store(kind, root):
     if kind == "memory":
         return MemoryRepository()
-    if kind.startswith("shard+"):
-        scheme = kind.split("+", 1)[1]
-        return open_repository(
-            f"shard://{root}/store?shards=2&backend={scheme}"
-        )
     suffix = ".sqlite" if kind == "sqlite" else ""
     return open_repository(f"{kind}://{root}/store{suffix}")
 

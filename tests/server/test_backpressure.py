@@ -18,7 +18,7 @@ import time
 
 from repro.server import ServerConfig, serve_in_thread
 from repro.testing import FaultInjector
-from repro.versioning.sharded import open_repository
+from repro.versioning.repository import open_repository
 from repro.versioning.version_control import VersionStore
 
 V1 = "<doc><a>one one one</a><b>two two two</b></doc>"

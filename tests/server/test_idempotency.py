@@ -20,7 +20,7 @@ from repro.server.idempotency import (
     body_digest,
 )
 from repro.versioning import VersionStore
-from repro.versioning.sharded import open_repository
+from repro.versioning.repository import open_repository
 from repro.xmlkit import parse
 
 V1 = "<doc><a>one</a></doc>"

@@ -17,7 +17,7 @@ from repro.obs.log import EventLogger
 from repro.client import DiffClient
 from repro.server import ServerConfig, serve_in_thread
 from repro.testing.faults import FaultInjector
-from repro.versioning.sharded import open_repository
+from repro.versioning.repository import open_repository
 
 V1 = "<doc><a>one</a></doc>"
 V2 = "<doc><a>one!</a><b>two</b></doc>"

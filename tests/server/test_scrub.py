@@ -230,13 +230,11 @@ def test_scrub_config_validation():
         ServerConfig(scrub_batch=0)
 
 
-def test_statz_over_sharded_sqlite_store(tmp_path):
+def test_statz_over_sqlite_store(tmp_path):
     handle = serve_in_thread(
         ServerConfig(
             port=0,
-            stores={
-                "main": f"shard://{tmp_path}/sh?shards=4&backend=sqlite"
-            },
+            stores={"main": f"sqlite://{tmp_path}/store.db"},
             workers=2,
         )
     )
@@ -260,13 +258,10 @@ def test_statz_over_sharded_sqlite_store(tmp_path):
         )
         response, body = call(handle, "GET", "/statz")
         assert response.status == 200
-        assert body["schema"] == "repro.storewatch/1"
+        assert body["schema"] == "repro.storewatch/2"
         report = body["stores"]["main"]
-        assert report["sharded"] is True
         assert report["backend"] == "sqlite"
-        assert sum(
-            report["shard_balance"]["documents_per_shard"]
-        ) == 12
+        assert report["documents"] == 12
         assert report["chain"]["histogram"] == {"0": 11, "1": 1}
 
         response, single = call(handle, "GET", "/repos/main/statz")
@@ -286,13 +281,11 @@ def test_statz_over_sharded_sqlite_store(tmp_path):
         handle.close()
 
 
-def test_scrubber_walks_sharded_store(tmp_path):
+def test_scrubber_walks_sqlite_store(tmp_path):
     handle = serve_in_thread(
         ServerConfig(
             port=0,
-            stores={
-                "main": f"shard://{tmp_path}/sh?shards=2&backend=sqlite"
-            },
+            stores={"main": f"sqlite://{tmp_path}/store.db"},
             scrub_interval=3600.0,
             scrub_batch=64,
         )

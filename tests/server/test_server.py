@@ -68,6 +68,23 @@ def test_diff_returns_delta_and_stats(server):
     assert set(body["stats"]["operations"])
 
 
+def test_diff_serializes_the_delta_once(server, monkeypatch):
+    import repro.core.deltaxml as deltaxml
+
+    calls = []
+    serialize = deltaxml.serialize_delta
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return serialize(*args, **kwargs)
+
+    monkeypatch.setattr(deltaxml, "serialize_delta", counting)
+    response, body = call(server, "POST", "/diff", {"old": OLD, "new": NEW})
+    assert response.status == 200
+    assert len(calls) == 1
+    assert body["stats"]["delta_bytes"] == len(body["delta"].encode())
+
+
 def test_sampled_request_echoes_span_id(server):
     response, _ = call(server, "POST", "/diff", {"old": OLD, "new": NEW})
     assert response.getheader("X-Repro-Span-Id")  # trace_sample=1

@@ -673,12 +673,10 @@ class TestStoreCommands:
         assert main(["store", "commit", "doc-1", str(doc),
                      "--store", url]) == 0
 
-    @pytest.mark.parametrize("scheme", ["file", "sqlite", "blob", "shard"])
+    @pytest.mark.parametrize("scheme", ["file", "sqlite", "blob"])
     def test_commit_ls_log_cat_round_trip(self, tmp_path, capsys, scheme):
         path = tmp_path / ("s.sqlite" if scheme == "sqlite" else "s")
         url = f"{scheme}://{path}"
-        if scheme == "shard":
-            url += "?shards=2"
         self._seed(tmp_path, url)
         out = capsys.readouterr().out
         assert "created doc-1 version 1" in out
@@ -714,12 +712,10 @@ class TestStoreCommands:
         assert "doc-1  version=2 checkpoints=0 bytes=" in out
         assert "summary: documents=1 bytes=" in out
 
-    @pytest.mark.parametrize("scheme", ["file", "sqlite", "blob", "shard"])
+    @pytest.mark.parametrize("scheme", ["file", "sqlite", "blob"])
     def test_stats_text_and_json(self, tmp_path, capsys, scheme):
         path = tmp_path / ("s.sqlite" if scheme == "sqlite" else "s")
         url = f"{scheme}://{path}"
-        if scheme == "shard":
-            url += "?shards=2"
         self._seed(tmp_path, url)
         capsys.readouterr()
 
@@ -731,12 +727,9 @@ class TestStoreCommands:
 
         assert main(["store", "stats", "--store", url, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro.storewatch/1"
+        assert report["schema"] == "repro.storewatch/2"
         assert report["documents"] == 1
         assert report["chain"]["histogram"] == {"1": 1}
-        if scheme == "shard":
-            assert report["sharded"] is True
-            assert len(report["shard_balance"]["documents_per_shard"]) == 2
         if scheme == "blob":
             assert report["dedup"] is not None
 
@@ -753,7 +746,7 @@ class TestStoreCommands:
         (old_dir / "a.xml").write_text("<a><b>x</b></a>")
         (new_dir / "a.xml").write_text("<a><b>y</b></a>")
         (new_dir / "b.xml").write_text("<a>fresh</a>")
-        url = f"shard://{tmp_path / 'site-store'}?shards=2"
+        url = f"file://{tmp_path / 'site-store'}"
         # the store already tracks the old crawl of a.xml, so the
         # changed document appends version 2 while the new one creates.
         assert main(["store", "commit", "a.xml", str(old_dir / "a.xml"),
@@ -770,21 +763,19 @@ class TestStoreCommands:
         assert "a.xml  version=2" in out
         assert "b.xml  version=1" in out
 
-    def test_fsck_reports_scheme_and_shard(self, tmp_path, capsys):
-        from repro.versioning import ShardedRepository, VersionStore
+    def test_fsck_reports_scheme(self, tmp_path, capsys):
+        from repro.versioning import DirectoryRepository, VersionStore
         from repro.xmlkit import parse
 
         root = tmp_path / "warehouse"
-        repo = ShardedRepository(root, shards=2)
+        repo = DirectoryRepository(root)
         store = VersionStore(repo)
         store.create("doc-1", parse("<a><b>x</b></a>"))
-        index = repo.shard_of("doc-1")
-        shard = repo.shard_repo(index)
-        shard.backend.delete("doc-1/manifest.json")
+        repo.backend.delete("doc-1/manifest.json")
         repo.close()
 
-        assert main(["fsck", f"shard://{root}", "--repair"]) == 1
+        assert main(["fsck", f"file://{root}", "--repair"]) == 1
         out = capsys.readouterr().out
-        assert f"[file/shard-{index:03d}]" in out
+        assert "[file]" in out
         assert "missing-manifest" in out
         assert main(["fsck", str(root)]) == 0

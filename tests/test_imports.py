@@ -38,7 +38,6 @@ NOT_LOADED = [
     "html.parser",
     "tracemalloc",
     "repro.server.app",
-    "repro.obs.pyprof",
     "repro.obs.provenance",
     "repro.obs.slo",
     "repro.versioning.alerter",
@@ -180,13 +179,12 @@ class TestSchemeRegistry:
         )
         assert run_fresh(code) == ["blob", "file", "sqlite"]
 
-    def test_sharded_store_accepts_any_builtin_backend(self, tmp_path):
+    def test_store_url_opens_any_builtin_backend(self, tmp_path):
         code = (
             "import json\n"
-            "from repro.versioning.sharded import ShardedRepository\n"
-            f"store = ShardedRepository({str(tmp_path / 'shards')!r}, "
-            "shards=2, backend_scheme='sqlite')\n"
-            "print(json.dumps(store.backend_scheme))\n"
+            "from repro.versioning.repository import open_repository\n"
+            f"store = open_repository('sqlite://' + {str(tmp_path / 's.db')!r})\n"
+            "print(json.dumps(store.backend.scheme))\n"
             "store.close()\n"
         )
         assert run_fresh(code) == "sqlite"

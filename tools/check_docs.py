@@ -20,7 +20,7 @@ Three classes of drift, all fatal:
    ``store``).
 4. **Phantom store schemes** — every ``scheme://`` store-URL example in
    the docs and README must use a scheme the storage layer actually
-   registers (``file``, ``sqlite``, ``blob``, ``shard``); web schemes
+   registers (``file``, ``sqlite``, ``blob``); web schemes
    (``http(s)``, ``mailto``) are exempt.
 5. **Endpoint-table drift** — the endpoint reference table in
    docs/server.md must list exactly the routes ``repro.server``
@@ -224,9 +224,8 @@ def check_store_schemes(path: pathlib.Path, text: str, problems: list[str]) -> N
     """Every ``scheme://`` example must name a registered store scheme."""
     from repro.storage import STORE_SCHEMES
 
-    known = set(STORE_SCHEMES) | {"shard"}
     for scheme in sorted(set(SCHEME_RE.findall(text))):
-        if scheme in WEB_SCHEMES or scheme in known:
+        if scheme in WEB_SCHEMES or scheme in STORE_SCHEMES:
             continue
         problems.append(
             f"{_rel(path)}: store URL scheme {scheme!r} is not "
