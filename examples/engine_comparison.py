@@ -3,8 +3,8 @@
 The paper's evaluation (Figures 5/6) lines XyDiff up against simpler
 tools — Unix diff over serialized text, DiffMK's flattened-list diff,
 Lu's order-preserving matching, LaDiff's similarity matching.  The
-``repro.engine`` registry gives each of them the same entry point, so
-comparing them is a loop:
+``repro.engine`` table of five engines gives each of them the same entry
+point, so comparing them is a loop:
 
 - every engine produces a *correct* delta (applying it reproduces the
   new version exactly — asserted below);

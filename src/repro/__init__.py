@@ -21,8 +21,8 @@ first access (see :mod:`repro._lazy`); see the subpackages for the full API:
 
 - :mod:`repro.xmlkit` — XML document model, parser, serializer, DTD support.
 - :mod:`repro.core` — BULD matching, deltas, apply/invert/aggregate.
-- :mod:`repro.engine` — the pluggable engine pipeline (registry,
-  context); every algorithm behind one ``diff`` interface.
+- :mod:`repro.engine` — BULD and the four baselines as a fixed table
+  of engines; every algorithm behind one ``diff`` interface.
 - :mod:`repro.baselines` — Lu/Selkow, LaDiff, Zhang–Shasha, DiffMK, Unix diff.
 - :mod:`repro.versioning` — repository, version control, alerter.
 - :mod:`repro.simulator` — document generators and the change simulator.
@@ -58,8 +58,6 @@ __all__ = [
     "invert",
     "parse",
     "parse_file",
-    "register_engine",
-    "register_matcher",
     "serialize",
     "__version__",
 ]
@@ -74,11 +72,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "core.apply": ("aggregate", "apply_backward", "apply_delta", "invert"),
     "core.config": ("DiffConfig",),
     "core.delta": ("Delta",),
-    "engine.base": ("DiffEngine", "DiffStats"),
-    "engine.context": ("DiffContext",),
-    "engine.registry": (
+    "engine.base": ("DiffContext", "DiffEngine", "DiffStats"),
+    "engine.engines": (
         "available_engines", "diff", "diff_with_stats", "get_engine",
-        "register_engine", "register_matcher",
     ),
     "obs.metrics": ("MetricsRegistry",),
     "obs.trace": ("Tracer",),

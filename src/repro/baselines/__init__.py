@@ -16,10 +16,9 @@ __all__ = [
     "LuResult",
     "diffmk",
     "flatten",
-    "ladiff_diff",
     "ladiff_match",
-    "lu_diff",
     "lu_match",
+    "node_tokens",
     "patch",
     "tree_edit_distance",
     "unix_diff",
@@ -27,9 +26,9 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "diffmk": ("DiffMkResult", "diffmk", "flatten"),
-    "ladiff": ("LaDiffConfig", "ladiff_diff", "ladiff_match"),
-    "lu": ("LuResult", "lu_diff", "lu_match"),
+    "diffmk": ("DiffMkResult", "diffmk", "flatten", "node_tokens"),
+    "ladiff": ("LaDiffConfig", "ladiff_match"),
+    "lu": ("LuResult", "lu_match"),
     "unixdiff": ("patch", "unix_diff", "unix_diff_size"),
     "zhang_shasha": ("tree_edit_distance",),
 })

@@ -19,22 +19,27 @@ move-aware diff addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 from repro.core.lcs import myers_opcodes
-from repro.xmlkit.model import Document
+from repro.xmlkit.model import Document, Node
 from repro.xmlkit.serializer import escape_attribute, escape_text
 
-__all__ = ["DiffMkResult", "diffmk", "flatten"]
+__all__ = ["DiffMkResult", "diffmk", "flatten", "node_tokens"]
 
 
-def flatten(document: Document) -> list[str]:
-    """Token-list representation of a document (DiffMK's list view)."""
-    tokens: list[str] = []
+def node_tokens(document: Document) -> Iterator[tuple[str, Optional[Node]]]:
+    """DiffMK's token list, each token with the node that owns it.
+
+    One token per tag-open (with attributes), tag-close and leaf value,
+    in document order.  Open and leaf tokens carry their node; close
+    tags carry ``None``.
+    """
     stack: list = [document]
     while stack:
         node = stack.pop()
         if isinstance(node, str):
-            tokens.append(node)
+            yield node, None
             continue
         kind = node.kind
         if kind == "document":
@@ -44,16 +49,20 @@ def flatten(document: Document) -> list[str]:
                 f' {name}="{escape_attribute(str(value))}"'
                 for name, value in sorted(node.attributes.items())
             )
-            tokens.append(f"<{node.label}{attributes}>")
+            yield f"<{node.label}{attributes}>", node
             stack.append(f"</{node.label}>")
             stack.extend(reversed(node.children))
         elif kind == "text":
-            tokens.append(escape_text(node.value))
+            yield escape_text(node.value), node
         elif kind == "comment":
-            tokens.append(f"<!--{node.value}-->")
+            yield f"<!--{node.value}-->", node
         else:  # pi
-            tokens.append(f"<?{node.target} {node.value}?>")
-    return tokens
+            yield f"<?{node.target} {node.value}?>", node
+
+
+def flatten(document: Document) -> list[str]:
+    """Token-list representation of a document (DiffMK's list view)."""
+    return [token for token, _ in node_tokens(document)]
 
 
 @dataclass

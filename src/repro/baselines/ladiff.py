@@ -16,21 +16,20 @@ This implementation follows that structure:
 2. **Internal matching** — bottom-up per label chain: nodes match when
    their common-matched-descendant ratio clears a threshold, again LCS
    first and greedy second.
-3. **Edit script** — the shared Phase-5 builder turns the matching into a
-   delta (so sizes and moves are directly comparable with BULD's output).
+3. **Edit script** — the ``"ladiff"`` engine hands the matching to the
+   shared Phase-5 builder (so sizes and moves are directly comparable
+   with BULD's output).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.builder import build_delta
-from repro.core.delta import Delta
 from repro.core.lcs import lcs_pairs
 from repro.core.matching import Matching
 from repro.xmlkit.model import Document, Node, postorder
 
-__all__ = ["LaDiffConfig", "ladiff_diff", "ladiff_match"]
+__all__ = ["LaDiffConfig", "ladiff_match"]
 
 
 @dataclass
@@ -231,13 +230,3 @@ def ladiff_match(
     if config is None:
         config = LaDiffConfig()
     return _LaDiffMatcher(old_document, new_document, config).run()
-
-
-def ladiff_diff(
-    old_document: Document,
-    new_document: Document,
-    config: LaDiffConfig | None = None,
-) -> Delta:
-    """LaDiff matching rendered as a delta via the shared Phase-5 builder."""
-    matching = ladiff_match(old_document, new_document, config)
-    return build_delta(old_document, new_document, matching)

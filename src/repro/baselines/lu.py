@@ -22,12 +22,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-from repro.core.builder import build_delta
-from repro.core.delta import Delta
 from repro.core.matching import Matching
 from repro.xmlkit.model import Document, Node, postorder
 
-__all__ = ["LuResult", "lu_diff", "lu_match"]
+__all__ = ["LuResult", "lu_match"]
 
 _INFINITY = math.inf
 
@@ -174,12 +172,6 @@ def lu_match(old_document: Document, new_document: Document) -> LuResult:
     cost = solver._children_alignment_cost(old_document, new_document)
     solver.extract(old_document, new_document, matching)
     return LuResult(matching=matching, cost=cost)
-
-
-def lu_diff(old_document: Document, new_document: Document) -> Delta:
-    """Delta produced from the Lu/Selkow matching (no move operations)."""
-    result = lu_match(old_document, new_document)
-    return build_delta(old_document, new_document, result.matching)
 
 
 def _tree_depth(document: Document) -> int:

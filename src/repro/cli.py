@@ -50,7 +50,7 @@ from repro.core.deltaxml import (
     serialize_delta,
 )
 from repro.core.diff import diff, diff_with_stats
-from repro.engine.registry import available_engines
+from repro.engine.engines import available_engines
 from repro.xmlkit.errors import ReproError, XmlParseError
 from repro.xmlkit.parser import parse
 from repro.xmlkit.serializer import serialize
@@ -237,10 +237,9 @@ def _cmd_stats(args) -> int:
             or "none"
         ),
     ]
+    phases = stats.phase_seconds
     for phase in ("phase1", "phase2", "phase3", "phase4", "phase5"):
-        lines.append(
-            f"{phase} seconds: {stats.phase_seconds.get(phase, 0.0):.6f}"
-        )
+        lines.append(f"{phase} seconds: {phases.get(phase, 0.0):.6f}")
     lines.append("stage order:    " + " -> ".join(stats.stage_order))
     lines.append(f"total seconds:  {stats.total_seconds:.6f}")
     _write(args.output, "\n".join(lines) + "\n")

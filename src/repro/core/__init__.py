@@ -13,7 +13,7 @@ Modules:
 - :mod:`repro.core.deltaxml` — deltas as XML documents.
 - :mod:`repro.core.apply` — apply / invert / aggregate.
 - :mod:`repro.core.diff` — re-exports the engine layer's ``diff`` entry
-  point (:mod:`repro.engine.registry`).
+  point (:mod:`repro.engine.engines`).
 """
 
 from repro._lazy import lazy_exports

@@ -1,28 +1,22 @@
-"""repro.engine — the pluggable diff-engine pipeline.
+"""repro.engine — every diff algorithm behind one entry point.
 
-This layer turns every diff algorithm in the repository into an
-interchangeable engine behind one entry point:
+    from repro.engine import diff_with_stats
 
-    from repro.engine import get_engine
+    delta, stats = diff_with_stats(old, new, engine="buld")
+    # or "lu", "ladiff", "diffmk", "flat" — or an engine instance
 
-    engine = get_engine("buld")           # or "lu", "ladiff", "diffmk", "flat"
-    delta, stats = engine.diff_with_stats(old, new)
+Two modules:
 
-Pieces:
-
-- :func:`diff` / :func:`diff_with_stats` — the library's one diff entry
-  point (:mod:`repro.engine.registry`), returning the delta and the
-  run's :class:`DiffStats`; ``repro.diff`` and ``repro.core.diff`` are
-  re-exports;
-- :class:`Matcher` / :class:`DiffEngine` / :class:`MatcherEngine` — the
-  protocol and base classes (:mod:`repro.engine.base`);
-- :class:`DiffContext` — per-run config, allocator, tracer, recorder
-  and counters (:mod:`repro.engine.context`);
-- the registry — :func:`register_engine`, :func:`register_matcher`,
-  :func:`get_engine`, :func:`available_engines`
-  (:mod:`repro.engine.registry`);
-- the built-ins (:mod:`repro.engine.engines`), loaded lazily on first
-  lookup.
+- :mod:`repro.engine.base` — :class:`DiffEngine` (the run protocol: XID
+  preparation, stage timing, tracing, the shared ``build-delta`` stage),
+  :class:`MatcherEngine` (wraps any object with a ``match`` method),
+  :class:`DiffContext` (per-run config, allocator, tracer, recorder and
+  counters) and :class:`DiffStats`;
+- :mod:`repro.engine.engines` — the five engines in the fixed
+  ``ENGINES`` table, :func:`get_engine`, :func:`available_engines`, and
+  the library's one diff entry point, :func:`diff` /
+  :func:`diff_with_stats` (``repro.diff`` and ``repro.core.diff`` are
+  re-exports).
 """
 
 from repro._lazy import lazy_exports
@@ -32,27 +26,17 @@ __all__ = [
     "DiffEngine",
     "DiffStats",
     "EngineError",
-    "EngineRun",
-    "Matcher",
     "MatcherEngine",
-    "Stage",
     "available_engines",
     "diff",
     "diff_with_stats",
     "get_engine",
-    "register_engine",
-    "register_matcher",
-    "resolve_engine",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "base": (
-        "DiffEngine", "DiffStats", "EngineError", "EngineRun", "Matcher",
-        "MatcherEngine", "Stage",
+        "DiffContext", "DiffEngine", "DiffStats", "EngineError",
+        "MatcherEngine",
     ),
-    "context": ("DiffContext",),
-    "registry": (
-        "available_engines", "diff", "diff_with_stats", "get_engine",
-        "register_engine", "register_matcher", "resolve_engine",
-    ),
+    "engines": ("available_engines", "diff", "diff_with_stats", "get_engine"),
 })

@@ -4,16 +4,17 @@ The paper's evaluation treats XyDiff as *one engine among several* (Unix
 diff, DiffMK, Lu, LaDiff ...).  This module gives all of them a common
 shape:
 
-- a :class:`Matcher` produces a :class:`~repro.core.matching.Matching`
-  between two documents — the minimal protocol a new algorithm must
-  implement;
-- a :class:`DiffEngine` runs a *pipeline of named stages* over a shared
-  :class:`EngineRun`, timing each stage into the run's
-  :class:`DiffStats` — then hands the matching to the shared Phase-5
-  builder;
-- :class:`MatcherEngine` adapts any :class:`Matcher` into a two-stage
-  (``match`` → ``build-delta``) engine, so registering a custom algorithm
-  is one line (see :func:`repro.engine.registry.register_matcher`).
+- a :class:`DiffEngine` implements :meth:`~DiffEngine.match`, which
+  returns a :class:`~repro.core.matching.Matching` and times each of its
+  steps as a named stage; the base class owns the rest of the run — XID
+  preparation, tracing, statistics and the shared Phase-5
+  ``build-delta`` stage;
+- :class:`MatcherEngine` wraps any object with a
+  ``match(old, new, context)`` method into a one-stage engine, so a
+  custom algorithm needs no subclass: pass
+  ``MatcherEngine("mine", matcher)`` wherever an engine name is taken;
+- :class:`DiffContext` carries one run's configuration, allocator,
+  tracer, provenance recorder and counters.
 
 XID contract
 ------------
@@ -29,8 +30,8 @@ delta is consumed — version stores, benchmarks, the CLI:
   labelled new document plus the returned delta to a version store is
   all it takes to keep identifiers persistent across versions.
 
-Stage order vs phase numbers
-----------------------------
+Execution order vs phase numbers
+--------------------------------
 ``DiffStats.phase_seconds`` keeps the paper's phase numbering
 (``"phase1"`` .. ``"phase5"``) for figure comparability, but that
 numbering is **not** the execution order: BULD computes signatures and
@@ -38,37 +39,88 @@ weights (phase 2) *before* the ID-attribute pass (phase 1), because the
 free-match propagation of phase 1 needs the weights.  The authoritative
 execution record is ``DiffStats.stage_seconds`` — an insertion-ordered
 mapping of stage name to seconds, e.g. ``annotate`` → ``id-attributes``
-→ ``match-subtrees`` → ``propagate`` → ``build-delta`` for BULD.
+→ ``match-subtrees`` → ``propagate`` → ``build-delta`` for BULD;
+``phase_seconds`` is derived from it through :data:`STAGE_PHASES`.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, ContextManager, Optional
 
 from repro.core.builder import build_delta
 from repro.core.config import DiffConfig
 from repro.core.delta import Delta
 from repro.core.matching import Matching
 from repro.core.xid import XidAllocator, assign_initial_xids, max_xid
-from repro.engine.context import DiffContext
 from repro.xmlkit.errors import ReproError
 from repro.xmlkit.model import Document, Node
 
 __all__ = [
+    "DiffContext",
     "DiffEngine",
     "DiffStats",
     "EngineError",
-    "EngineRun",
-    "Matcher",
     "MatcherEngine",
-    "Stage",
+    "STAGE_PHASES",
 ]
 
+#: The paper's phase number of every stage that has one (BULD's five
+#: stages, and the ``match`` stage of a :class:`MatcherEngine`, the
+#: counterpart of BULD's matching core).
+STAGE_PHASES = {
+    "annotate": "phase2",
+    "id-attributes": "phase1",
+    "match-subtrees": "phase3",
+    "match": "phase3",
+    "propagate": "phase4",
+    "build-delta": "phase5",
+}
 
 class EngineError(ReproError):
-    """Raised on engine misuse (unknown name, pipeline without a delta)."""
+    """Raised on engine misuse (an unknown engine name)."""
+
+
+@dataclass
+class DiffContext:
+    """Everything one diff run needs beyond the two documents.
+
+    Attributes:
+        config: Tuning knobs; filled with defaults by the engine when left
+            ``None``.
+        allocator: XID source for inserted nodes; defaulted by the engine
+            to ``max_xid(old) + 1`` when left ``None`` (version stores
+            pass the document's persistent allocator).
+        counters: Free-form numeric counters engines and stores increment
+            (e.g. ``buld_candidate_probes``); copied onto the final
+            :class:`DiffStats`.
+        tracer: Optional :class:`repro.obs.trace.Tracer`.  When set, the
+            engine opens one ``engine:<name>`` span around the run and
+            one ``stage:<name>`` span per stage, each stage span's
+            duration being the engine's *single* ``perf_counter``
+            measurement — the same float recorded in
+            ``DiffStats.stage_seconds``.  ``None`` (the default) costs
+            one pointer comparison per stage.
+        recorder: Optional match-provenance recorder
+            (:class:`repro.obs.provenance.ProvenanceRecorder`).  Engines
+            that support it (BULD) notify it of every match/lock/
+            rejection decision; with a tracer also present, each
+            ``stage:<name>`` span gains a ``matches`` attribute.  The
+            engine replaces a recorder whose ``enabled`` is false
+            (``NullRecorder``) with ``None`` before the first stage.
+    """
+
+    config: Optional[DiffConfig] = None
+    allocator: Optional[XidAllocator] = None
+    counters: dict[str, float] = field(default_factory=dict)
+    tracer: Optional[object] = None
+    recorder: Optional[object] = None
+
+    def count(self, key: str, amount: float = 1) -> None:
+        """Increment a named counter."""
+        self.counters[key] = self.counters.get(key, 0) + amount
 
 
 @dataclass
@@ -77,21 +129,15 @@ class DiffStats:
 
     Attributes:
         engine: Name of the engine that produced the delta.
-        phase_seconds: Wall-clock seconds keyed by the paper's phase
-            numbers ``"phase1"`` .. ``"phase5"`` (phase 5 is delta
-            construction).  Present for stages that have a paper
-            counterpart; see ``stage_seconds`` for the execution order.
-        stage_seconds: Seconds per pipeline stage, *in execution order*
-            (dict insertion order).
+        stage_seconds: Seconds per stage, *in execution order* (dict
+            insertion order).
         old_nodes / new_nodes: Node counts of the two documents.
         matched_nodes: Size of the final matching (document pair excluded).
         operation_counts: Delta operations per kind.
-        counters: Free-form counters from the run's
-            :class:`~repro.engine.context.DiffContext` (e.g. BULD's
-            candidate probes).
+        counters: Free-form counters from the run's :class:`DiffContext`
+            (e.g. BULD's candidate probes).
     """
 
-    phase_seconds: dict[str, float] = field(default_factory=dict)
     old_nodes: int = 0
     new_nodes: int = 0
     matched_nodes: int = 0
@@ -101,22 +147,32 @@ class DiffStats:
     counters: dict[str, float] = field(default_factory=dict)
 
     @property
+    def phase_seconds(self) -> dict[str, float]:
+        """Seconds keyed by the paper's phase numbers, in stage order.
+
+        ``"phase1"`` .. ``"phase5"`` (phase 5 is delta construction) for
+        the stages that have a paper counterpart (:data:`STAGE_PHASES`).
+        """
+        return {
+            STAGE_PHASES[stage]: seconds
+            for stage, seconds in self.stage_seconds.items()
+            if stage in STAGE_PHASES
+        }
+
+    @property
     def total_seconds(self) -> float:
-        """Sum over stages (falls back to phase aliases if no stages)."""
-        if self.stage_seconds:
-            return sum(self.stage_seconds.values())
-        return sum(self.phase_seconds.values())
+        """Sum over stages."""
+        return sum(self.stage_seconds.values())
 
     @property
     def core_seconds(self) -> float:
         """Phases 3+4 — what the paper calls "the core of the diff"."""
-        return self.phase_seconds.get("phase3", 0.0) + self.phase_seconds.get(
-            "phase4", 0.0
-        )
+        phases = self.phase_seconds
+        return phases.get("phase3", 0.0) + phases.get("phase4", 0.0)
 
     @property
     def stage_order(self) -> list[str]:
-        """Stage names in execution order."""
+        """The stage names in execution order."""
         return list(self.stage_seconds)
 
     def to_dict(self) -> dict:
@@ -129,96 +185,41 @@ class DiffStats:
             "operation_counts": dict(self.operation_counts),
             "stage_order": self.stage_order,
             "stage_seconds": dict(self.stage_seconds),
-            "phase_seconds": dict(self.phase_seconds),
+            "phase_seconds": self.phase_seconds,
             "counters": dict(self.counters),
             "total_seconds": self.total_seconds,
             "core_seconds": self.core_seconds,
         }
 
 
-@runtime_checkable
-class Matcher(Protocol):
-    """The minimal protocol a diff algorithm must implement.
-
-    A matcher only decides *which nodes correspond*; delta construction,
-    XID management, timing and statistics are the engine's job.
-    """
-
-    def match(
-        self, old: Document, new: Document, context: DiffContext
-    ) -> Matching:
-        """Return a matching between ``old`` and ``new``."""
-        ...
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One named step of an engine pipeline.
-
-    Attributes:
-        name: Stable identifier (span names and ``stage_seconds`` keys).
-        run: Callable receiving the shared :class:`EngineRun`.
-        phase_key: Optional paper-phase alias recorded into
-            ``DiffStats.phase_seconds`` (``"phase1"`` .. ``"phase5"``).
-    """
-
-    name: str
-    run: Callable[["EngineRun"], None]
-    phase_key: Optional[str] = None
-
-
-@dataclass
-class EngineRun:
-    """Mutable state threaded through the stages of one diff run."""
-
-    old: Document
-    new: Document
-    context: DiffContext
-    matching: Optional[Matching] = None
-    weights: Optional[dict[Node, float]] = None
-    delta: Optional[Delta] = None
-    old_nodes: int = 0
-    new_nodes: int = 0
-    extra: dict = field(default_factory=dict)
-
-
 class DiffEngine:
-    """Base class: a named, stage-pipelined diff algorithm.
+    """Base class: a named diff algorithm run as timed stages.
 
-    Subclasses implement :meth:`stages`; the base class owns the run
-    protocol — XID preparation, stage timing and statistics — so every
-    engine behaves identically from the outside.
+    Subclasses implement :meth:`match`; :meth:`diff_with_stats` owns the
+    run protocol — XID preparation, stage timing, tracing, statistics and
+    the shared ``build-delta`` stage — so every engine behaves
+    identically from the outside.
     """
 
-    #: Registry name; set by subclasses / the registry.
+    #: The engine's name: its ``ENGINES`` key, span tag and stats tag.
     name: str = ""
 
-    # -- to implement ------------------------------------------------------
-
-    def stages(self, run: EngineRun) -> list[Stage]:
-        """The ordered pipeline for one run (fresh closures per run)."""
-        raise NotImplementedError
-
-    # -- run protocol ------------------------------------------------------
-
-    def diff(
+    def match(
         self,
-        old_document: Document,
-        new_document: Document,
-        config: Optional[DiffConfig] = None,
-        *,
-        allocator: Optional[XidAllocator] = None,
-        context: Optional[DiffContext] = None,
-    ) -> Delta:
-        """Compute the delta transforming old into new (stats discarded)."""
-        delta, _ = self.diff_with_stats(
-            old_document,
-            new_document,
-            config,
-            allocator=allocator,
-            context=context,
-        )
-        return delta
+        old: Document,
+        new: Document,
+        context: DiffContext,
+        stats: DiffStats,
+        stage: Callable[[str], ContextManager[None]],
+    ) -> tuple[Matching, Optional[dict[Node, float]]]:
+        """Match ``old`` against ``new``, one ``with stage(name):`` per step.
+
+        ``stage(name)`` is the run's timing context manager.  Returns the
+        matching and the new-side weights that steer the move detector
+        (``None``: subtree sizes).  An engine that counts the nodes anyway
+        may fill ``stats.old_nodes``/``stats.new_nodes``.
+        """
+        raise NotImplementedError
 
     def diff_with_stats(
         self,
@@ -229,7 +230,7 @@ class DiffEngine:
         allocator: Optional[XidAllocator] = None,
         context: Optional[DiffContext] = None,
     ) -> tuple[Delta, DiffStats]:
-        """Run the pipeline; return the delta plus per-stage statistics.
+        """Run the stages; return the delta plus per-stage statistics.
 
         ``config`` and ``allocator`` fill the corresponding context slots
         when those are ``None``; an explicit :class:`DiffContext` carries
@@ -240,122 +241,98 @@ class DiffEngine:
         if context.config is None:
             context.config = config if config is not None else DiffConfig()
         context.config.validate()
+        # The XID contract shared by every engine (module docstring).
+        if max_xid(old_document) == 0:
+            assign_initial_xids(old_document)
         if context.allocator is None:
-            context.allocator = allocator
-
-        self._prepare_xids(old_document, context)
-        run = EngineRun(old=old_document, new=new_document, context=context)
+            context.allocator = (
+                allocator if allocator is not None
+                else XidAllocator(max_xid(old_document) + 1)
+            )
         stats = DiffStats(engine=self.name)
-        # One perf_counter pair per stage, written to the stats and, with
-        # a tracer, used verbatim as the stage span's duration: the trace
-        # and the stats can never disagree.
         tracer = context.tracer
         recorder = context.recorder
         if recorder is not None and not getattr(recorder, "enabled", True):
             recorder = context.recorder = None
+
+        @contextmanager
+        def stage(name: str):
+            # One perf_counter pair per stage, written to the stats and,
+            # with a tracer, used verbatim as the stage span's duration:
+            # the trace and the stats can never disagree.
+            stage_span = None
+            if tracer is not None:
+                stage_span = tracer.start_span(
+                    f"stage:{name}", stage=name, order=len(stats.stage_seconds)
+                )
+            matches_before = 0 if recorder is None else recorder.match_count()
+            started = time.perf_counter()
+            try:
+                yield
+            finally:
+                elapsed = time.perf_counter() - started
+                if stage_span is not None:
+                    if recorder is not None:
+                        # Attribution tag: pairs this stage added.  Only
+                        # with an active recorder, so a trace without one
+                        # carries no extra attribute.
+                        stage_span.attrs["matches"] = (
+                            recorder.match_count() - matches_before
+                        )
+                    tracer.end_span(stage_span, duration=elapsed)
+            stats.stage_seconds[name] = elapsed
+
         engine_span = None
         if tracer is not None:
             engine_span = tracer.start_span(
                 f"engine:{self.name}", engine=self.name
             )
         try:
-            for order, stage in enumerate(self.stages(run)):
-                stage_span = None
-                if tracer is not None:
-                    stage_span = tracer.start_span(
-                        f"stage:{stage.name}", stage=stage.name, order=order
-                    )
-                matches_before = (
-                    recorder.match_count() if recorder is not None else 0
+            matching, weights = self.match(
+                old_document, new_document, context, stats, stage
+            )
+            config = context.config
+            with stage("build-delta"):
+                delta = build_delta(
+                    old_document,
+                    new_document,
+                    matching,
+                    allocator=context.allocator,
+                    weights=weights,
+                    exact_move_threshold=config.exact_move_threshold,
+                    move_block_length=config.move_block_length,
                 )
-                started = time.perf_counter()
-                try:
-                    stage.run(run)
-                finally:
-                    elapsed = time.perf_counter() - started
-                    if stage_span is not None:
-                        if recorder is not None:
-                            # Attribution tag: pairs this stage added.  Only
-                            # with an active recorder, so recorder-off traces
-                            # stay byte-identical to the seed's.
-                            stage_span.attrs["matches"] = (
-                                recorder.match_count() - matches_before
-                            )
-                        tracer.end_span(stage_span, duration=elapsed)
-                stats.stage_seconds[stage.name] = elapsed
-                if stage.phase_key is not None:
-                    stats.phase_seconds[stage.phase_key] = elapsed
         finally:
+            stats.old_nodes = stats.old_nodes or old_document.subtree_size()
+            stats.new_nodes = stats.new_nodes or new_document.subtree_size()
             if engine_span is not None:
-                engine_span.attrs["old_nodes"] = (
-                    run.old_nodes or run.old.subtree_size()
-                )
-                engine_span.attrs["new_nodes"] = (
-                    run.new_nodes or run.new.subtree_size()
-                )
+                engine_span.attrs["old_nodes"] = stats.old_nodes
+                engine_span.attrs["new_nodes"] = stats.new_nodes
                 if recorder is not None:
                     engine_span.attrs["matches"] = recorder.match_count()
                 tracer.end_span(engine_span)
-        if run.delta is None:
-            raise EngineError(
-                f"engine {self.name!r}: pipeline finished without a delta"
-            )
-        return run.delta, self._finish_stats(run, stats)
-
-    # -- shared helpers ----------------------------------------------------
-
-    @staticmethod
-    def _prepare_xids(old_document: Document, context: DiffContext) -> None:
-        """The XID contract shared by every engine (module docstring)."""
-        if max_xid(old_document) == 0:
-            assign_initial_xids(old_document)
-        if context.allocator is None:
-            context.allocator = XidAllocator(max_xid(old_document) + 1)
-
-    def _build_delta_stage(self, run: EngineRun) -> None:
-        """Default ``build-delta`` stage body (the shared Phase 5)."""
-        config = run.context.config
-        run.delta = build_delta(
-            run.old,
-            run.new,
-            run.matching,
-            allocator=run.context.allocator,
-            weights=run.weights,
-            exact_move_threshold=config.exact_move_threshold,
-            move_block_length=config.move_block_length,
-        )
-
-    @staticmethod
-    def _finish_stats(run: EngineRun, stats: DiffStats) -> DiffStats:
-        stats.old_nodes = run.old_nodes or run.old.subtree_size()
-        stats.new_nodes = run.new_nodes or run.new.subtree_size()
-        if run.matching is not None:
-            stats.matched_nodes = max(len(run.matching) - 1, 0)
-        stats.operation_counts = run.delta.summary()
-        stats.counters = dict(run.context.counters)
-        return stats
+        stats.matched_nodes = max(len(matching) - 1, 0)
+        stats.operation_counts = delta.summary()
+        stats.counters = dict(context.counters)
+        return delta, stats
 
     def __repr__(self):
         return f"<{type(self).__name__} name={self.name!r}>"
 
 
 class MatcherEngine(DiffEngine):
-    """Adapter turning any :class:`Matcher` into a two-stage engine.
+    """A one-stage engine around any object with a ``match`` method.
 
-    The pipeline is ``match`` (the algorithm) followed by ``build-delta``
-    (the shared Phase-5 builder).  The match stage carries the paper's
-    ``phase3`` alias — it is the counterpart of BULD's matching core.
+    ``matcher.match(old, new, context)`` returns the
+    :class:`~repro.core.matching.Matching`; it runs as the ``match``
+    stage, followed by the shared ``build-delta``.
     """
 
-    def __init__(self, name: str, matcher: Matcher):
+    def __init__(self, name: str, matcher):
         self.name = name
         self.matcher = matcher
 
-    def stages(self, run: EngineRun) -> list[Stage]:
-        return [
-            Stage("match", self._match, phase_key="phase3"),
-            Stage("build-delta", self._build_delta_stage, phase_key="phase5"),
-        ]
-
-    def _match(self, run: EngineRun) -> None:
-        run.matching = self.matcher.match(run.old, run.new, run.context)
+    def match(self, old, new, context, stats, stage):
+        with stage("match"):
+            matching = self.matcher.match(old, new, context)
+        return matching, None

@@ -1,11 +1,36 @@
-"""The built-in engines: BULD plus the Section-3 baselines.
+"""The five engines and the library's one diff entry point.
 
-Each baseline algorithm used to expose its own incompatible API
-(``lu_diff``, ``ladiff_diff``, ``diffmk`` returning token runs ...); here
-they are all :class:`~repro.engine.base.DiffEngine` implementations
-producing a completed delta through the shared Phase-5 builder, so any of
-them round-trips (``apply(diff(old, new), old) == new``) and plugs into
-the version store, the CLI and the benchmarks interchangeably.
+:func:`diff` is the one-call API: run an engine (the paper's BULD by
+default) on two documents and return the delta.  :func:`diff_with_stats`
+also returns the run's :class:`~repro.engine.base.DiffStats` — per-stage
+timings and matching statistics, the instrumentation behind the paper's
+Figure 4 — and threads the optional tracer, metrics registry and
+provenance recorder through the run.  Both follow the XID contract in
+:mod:`repro.engine.base`; ``repro.diff`` and ``repro.core.diff`` are
+re-exports of these two functions.
+
+:data:`ENGINES` is the fixed table of engines the paper compares
+(Section 3), each a :class:`~repro.engine.base.DiffEngine` producing a
+completed delta through the shared Phase-5 builder, so any of them
+round-trips (``apply(diff(old, new), old) == new``) and plugs into the
+version store, the CLI and the benchmarks interchangeably:
+
+- ``"buld"``   — the paper's BULD algorithm, five named stages;
+- ``"lu"``     — Lu/Selkow optimal order-preserving matching (quadratic);
+- ``"ladiff"`` — LaDiff/Chawathe-96 similarity matching;
+- ``"diffmk"`` — DiffMK-style token-list diff lifted back to nodes;
+- ``"flat"``   — node-sequence LCS (structure-blind lower baseline).
+
+A custom algorithm needs no entry in the table: every function that
+takes an engine name also takes an engine instance::
+
+    from repro.engine import MatcherEngine, diff
+
+    class MyMatcher:
+        def match(self, old, new, context):
+            ...  # return a repro.core.matching.Matching
+
+    delta = diff(old, new, engine=MatcherEngine("mine", MyMatcher()))
 
 ``"diffmk"`` and ``"flat"`` deserve a note: the historical tools emit edit
 scripts over flattened token lists, not tree deltas.  To give them a
@@ -19,34 +44,37 @@ comparison demonstrates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Callable, Optional, Union
 
 from repro.core.buld import CANDIDATE_PROBES, BuldMatcher
+from repro.core.config import DiffConfig
+from repro.core.delta import Delta
 from repro.core.lcs import myers_opcodes
 from repro.core.matching import Matching
-from repro.core.signature import annotate
-from repro.engine.base import DiffEngine, EngineRun, Stage
-from repro.engine.context import DiffContext
-from repro.engine.registry import register_engine, register_matcher
+from repro.core.xid import XidAllocator
+from repro.engine.base import (
+    DiffContext,
+    DiffEngine,
+    DiffStats,
+    EngineError,
+    MatcherEngine,
+)
 from repro.xmlkit.model import Document, Node
-from repro.xmlkit.serializer import escape_attribute, escape_text
-
-if TYPE_CHECKING:
-    from repro.baselines.ladiff import LaDiffConfig
 
 __all__ = [
     "BuldEngine",
-    "DiffMkMatcher",
-    "FlatMatcher",
-    "LaDiffMatcher",
-    "LuMatcher",
+    "ENGINES",
+    "available_engines",
+    "diff",
+    "diff_with_stats",
+    "get_engine",
 ]
 
 
 class BuldEngine(DiffEngine):
-    """The paper's algorithm as a five-stage pipeline.
+    """The paper's algorithm in five stages.
 
-    Stage names (execution order) and their paper-phase aliases:
+    The stages (execution order) and their paper-phase aliases:
 
     1. ``annotate``       (phase2) — signatures, weights, old-side indexes;
     2. ``id-attributes``  (phase1) — ID-attribute matches and locks;
@@ -60,53 +88,28 @@ class BuldEngine(DiffEngine):
 
     name = "buld"
 
-    def stages(self, run: EngineRun) -> list[Stage]:
+    def match(self, old, new, context, stats, stage):
         matcher = BuldMatcher(
-            run.old,
-            run.new,
-            run.context.config,
-            recorder=run.context.recorder,
+            old, new, context.config, recorder=context.recorder
         )
-        run.extra["matcher"] = matcher
-        return [
-            Stage("annotate", self._annotate, "phase2"),
-            Stage("id-attributes", self._id_attributes, "phase1"),
-            Stage("match-subtrees", self._match_subtrees, "phase3"),
-            Stage("propagate", self._propagate, "phase4"),
-            Stage("build-delta", self._build, "phase5"),
-        ]
-
-    @staticmethod
-    def _annotate(run: EngineRun) -> None:
-        run.extra["matcher"].phase2_annotate()
-
-    @staticmethod
-    def _id_attributes(run: EngineRun) -> None:
-        run.extra["matcher"].phase1_id_attributes()
-
-    @staticmethod
-    def _match_subtrees(run: EngineRun) -> None:
-        matcher: BuldMatcher = run.extra["matcher"]
-        matcher.phase3_match_subtrees()
-        run.context.count(CANDIDATE_PROBES, matcher.candidate_probes)
-
-    @staticmethod
-    def _propagate(run: EngineRun) -> None:
-        run.extra["matcher"].phase4_propagate()
-
-    def _build(self, run: EngineRun) -> None:
-        # Release the matcher first: the delta builder needs only the
-        # matching and the new weights, and dropping the rest (old-side
-        # annotations, new signatures, both candidate indexes) before it
-        # runs lowers the diff's peak memory.
-        matcher: BuldMatcher = run.extra.pop("matcher")
-        run.matching = matcher.matching
+        with stage("annotate"):
+            matcher.phase2_annotate()
+        with stage("id-attributes"):
+            matcher.phase1_id_attributes()
+        with stage("match-subtrees"):
+            matcher.phase3_match_subtrees()
+            context.count(CANDIDATE_PROBES, matcher.candidate_probes)
+        with stage("propagate"):
+            matcher.phase4_propagate()
+        # Return only the matching and the new weights, so the matcher
+        # (old-side annotations, new signatures, both candidate indexes)
+        # is released before the delta builder runs: a lower peak.
+        weights = None
         if matcher.new_annotations is not None:
-            run.weights = matcher.new_annotations.weights
-            run.old_nodes = matcher.old_annotations.node_count
-            run.new_nodes = matcher.new_annotations.node_count
-        del matcher
-        self._build_delta_stage(run)
+            weights = matcher.new_annotations.weights
+            stats.old_nodes = matcher.old_annotations.node_count
+            stats.new_nodes = matcher.new_annotations.node_count
+        return matcher.matching, weights
 
 
 class LuMatcher:
@@ -122,84 +125,45 @@ class LuMatcher:
 
 
 class LaDiffMatcher:
-    """LaDiff/Chawathe-96 similarity matching.
-
-    Thresholds come from a :class:`~repro.baselines.ladiff.LaDiffConfig`
-    given at construction (defaults are Chawathe's).
-    """
-
-    def __init__(self, config: LaDiffConfig | None = None):
-        self.config = config
+    """LaDiff/Chawathe-96 similarity matching, Chawathe's thresholds."""
 
     def match(
         self, old: Document, new: Document, context: DiffContext
     ) -> Matching:
         from repro.baselines.ladiff import ladiff_match
 
-        return ladiff_match(old, new, self.config)
+        return ladiff_match(old, new)
 
 
-def _diffmk_tokens(document: Document) -> list[tuple[str, Node | None]]:
-    """DiffMK's flattened token list, each token tagged with its node.
+class ListDiffMatcher:
+    """A flattened-list diff, lifted back onto the tree.
 
-    Mirrors :func:`repro.baselines.diffmk.flatten`: one token per
-    tag-open (with attributes), tag-close, and leaf value.  The owning
-    node rides along on open/leaf tokens (close tags carry ``None``).
+    ``items(document)`` flattens a document to ``(key, node)`` pairs.
+    Myers runs over the two key lists, and the nodes of the items inside
+    ``equal`` runs are matched; an item without a node (``None``) pins
+    nothing, and ``can_match`` guards kind and label preservation.
     """
-    tokens: list[tuple[str, Node | None]] = []
-    stack: list = [document]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            tokens.append((node, None))
-            continue
-        kind = node.kind
-        if kind == "document":
-            stack.extend(reversed(node.children))
-        elif kind == "element":
-            attributes = "".join(
-                f' {name}="{escape_attribute(str(value))}"'
-                for name, value in sorted(node.attributes.items())
-            )
-            tokens.append((f"<{node.label}{attributes}>", node))
-            stack.append(f"</{node.label}>")
-            stack.extend(reversed(node.children))
-        elif kind == "text":
-            tokens.append((escape_text(node.value), node))
-        elif kind == "comment":
-            tokens.append((f"<!--{node.value}-->", node))
-        else:  # pi
-            tokens.append((f"<?{node.target} {node.value}?>", node))
-    return tokens
 
-
-class DiffMkMatcher:
-    """DiffMK's flattened-list diff, lifted back onto the tree.
-
-    Runs Myers over the token lists (exactly what the historical tool
-    diffed) and matches the nodes owning tokens inside ``equal`` runs.
-    Equal open tokens imply equal labels and attributes, so every pair
-    satisfies the matching's kind/label preservation; ``can_match``
-    guards the rest.
-    """
+    def __init__(
+        self, items: Callable[[Document], list[tuple[object, Optional[Node]]]]
+    ):
+        self.items = items
 
     def match(
         self, old: Document, new: Document, context: DiffContext
     ) -> Matching:
+        old_items, new_items = self.items(old), self.items(new)
         matching = Matching()
         matching.add(old, new)
-        old_tokens = _diffmk_tokens(old)
-        new_tokens = _diffmk_tokens(new)
         opcodes = myers_opcodes(
-            [token for token, _ in old_tokens],
-            [token for token, _ in new_tokens],
+            [key for key, _ in old_items], [key for key, _ in new_items]
         )
         for tag, i1, i2, j1, j2 in opcodes:
             if tag != "equal":
                 continue
-            for offset in range(i2 - i1):
-                old_node = old_tokens[i1 + offset][1]
-                new_node = new_tokens[j1 + offset][1]
+            for (_, old_node), (_, new_node) in zip(
+                old_items[i1:i2], new_items[j1:j2]
+            ):
                 if (
                     old_node is not None
                     and new_node is not None
@@ -209,55 +173,149 @@ class DiffMkMatcher:
         return matching
 
 
-def _node_sequence(document: Document) -> tuple[list[tuple], list[Node]]:
-    """Preorder node keys (kind + shallow content) and the nodes."""
-    keys: list[tuple] = []
-    nodes: list[Node] = []
+def _diffmk_items(document: Document) -> list[tuple[str, Optional[Node]]]:
+    """DiffMK's token list, exactly what the historical tool diffed.
+
+    Equal open tokens imply equal labels and attributes; close tags
+    carry no node.
+    """
+    from repro.baselines.diffmk import node_tokens
+
+    return list(node_tokens(document))
+
+
+def _node_sequence(document: Document) -> list[tuple[tuple, Node]]:
+    """The flat baseline's items: preorder nodes keyed by shallow content.
+
+    Elements are keyed by label, leaves by value, so attribute changes
+    survive as attribute operations (labels still match); everything
+    positional is left to the builder's move/delete/insert derivation.
+    """
+    items: list[tuple[tuple, Node]] = []
     stack: list[Node] = list(reversed(document.children))
     while stack:
         node = stack.pop()
         kind = node.kind
         if kind == "element":
-            keys.append(("E", node.label))
+            items.append((("E", node.label), node))
             stack.extend(reversed(node.children))
         elif kind == "pi":
-            keys.append(("P", node.target, node.value))
+            items.append((("P", node.target, node.value), node))
         else:  # text / comment
-            keys.append((kind[0].upper(), node.value))
-        nodes.append(node)
-    return keys, nodes
+            items.append(((kind[0].upper(), node.value), node))
+    return items
 
 
-class FlatMatcher:
-    """Node-sequence LCS: the simplest structure-blind matcher.
+#: Every engine by name.  Engines keep no state across runs, so one
+#: instance each serves every caller.
+ENGINES: dict[str, DiffEngine] = {
+    "buld": BuldEngine(),
+    "lu": MatcherEngine("lu", LuMatcher()),
+    "ladiff": MatcherEngine("ladiff", LaDiffMatcher()),
+    "diffmk": MatcherEngine("diffmk", ListDiffMatcher(_diffmk_items)),
+    "flat": MatcherEngine("flat", ListDiffMatcher(_node_sequence)),
+}
 
-    Flattens both documents to their preorder node sequences (elements
-    keyed by label, leaves by value) and matches along a longest common
-    subsequence.  Attribute changes survive as attribute operations
-    (labels still match); everything positional is left to the builder's
-    move/delete/insert derivation.
+
+def available_engines() -> list[str]:
+    """Sorted names of every engine in :data:`ENGINES`."""
+    return sorted(ENGINES)
+
+
+def get_engine(engine: Union[str, DiffEngine]) -> DiffEngine:
+    """The engine named ``engine``; an engine instance passes through.
+
+    Raises:
+        EngineError: Unknown name (the message lists what is available).
     """
-
-    def match(
-        self, old: Document, new: Document, context: DiffContext
-    ) -> Matching:
-        matching = Matching()
-        matching.add(old, new)
-        old_keys, old_nodes = _node_sequence(old)
-        new_keys, new_nodes = _node_sequence(new)
-        for tag, i1, i2, j1, j2 in myers_opcodes(old_keys, new_keys):
-            if tag != "equal":
-                continue
-            for offset in range(i2 - i1):
-                old_node = old_nodes[i1 + offset]
-                new_node = new_nodes[j1 + offset]
-                if matching.can_match(old_node, new_node):
-                    matching.add(old_node, new_node)
-        return matching
+    if isinstance(engine, DiffEngine):
+        return engine
+    instance = ENGINES.get(engine)
+    if instance is None:
+        raise EngineError(
+            f"unknown engine {engine!r}; available: "
+            + ", ".join(available_engines())
+        )
+    return instance
 
 
-register_engine("buld", BuldEngine)
-register_matcher("lu", LuMatcher())
-register_matcher("ladiff", LaDiffMatcher())
-register_matcher("diffmk", DiffMkMatcher())
-register_matcher("flat", FlatMatcher())
+def diff(
+    old_document: Document,
+    new_document: Document,
+    config: Optional[DiffConfig] = None,
+    *,
+    allocator: Optional[XidAllocator] = None,
+    engine: Union[str, DiffEngine] = "buld",
+) -> Delta:
+    """Compute the delta transforming ``old_document`` into ``new_document``.
+
+    Args:
+        old_document: Base version; receives initial XIDs if unlabelled.
+        new_document: Target version; receives XIDs as a side effect.
+        config: Tuning knobs (:class:`~repro.core.config.DiffConfig`);
+            defaults are the paper's settings.
+        allocator: XID source for inserted nodes (version stores pass the
+            document's persistent allocator).
+        engine: An :data:`ENGINES` name (default the paper's BULD) or an
+            engine instance.
+
+    Returns:
+        A completed :class:`~repro.core.delta.Delta`; applying it to
+        ``old_document`` yields ``new_document`` exactly.
+    """
+    delta, _ = diff_with_stats(
+        old_document, new_document, config, allocator=allocator, engine=engine
+    )
+    return delta
+
+
+def diff_with_stats(
+    old_document: Document,
+    new_document: Document,
+    config: Optional[DiffConfig] = None,
+    *,
+    allocator: Optional[XidAllocator] = None,
+    engine: Union[str, DiffEngine] = "buld",
+    tracer=None,
+    metrics=None,
+    recorder=None,
+) -> tuple[Delta, DiffStats]:
+    """Like :func:`diff` but also returns per-stage statistics.
+
+    Args:
+        tracer: Optional :class:`repro.obs.trace.Tracer`; the engine
+            emits one ``engine:<name>`` span wrapping one
+            ``stage:<name>`` span per stage.  The stage spans carry the
+            engine's own timing measurement, so the trace and the
+            returned ``DiffStats.stage_seconds`` agree exactly.
+        metrics: Optional :class:`repro.obs.metrics.MetricsRegistry`;
+            after the run, ``repro_stage_seconds`` observes each entry
+            of ``DiffStats.stage_seconds`` and ``repro_diffs_total`` is
+            incremented.  A run that raises records neither.
+        recorder: Optional
+            :class:`repro.obs.provenance.ProvenanceRecorder`; BULD
+            notifies it of every match/lock/rejection decision (feed it
+            to :func:`repro.obs.provenance.build_report` afterwards).
+            With ``metrics`` also given, the per-phase attribution
+            metrics (``repro_matches_total`` ...) are published after
+            the run.  A disabled recorder (``NullRecorder``) is treated
+            exactly like the default ``None``.
+    """
+    context = DiffContext(tracer=tracer, recorder=recorder)
+    delta, stats = get_engine(engine).diff_with_stats(
+        old_document, new_document, config, allocator=allocator,
+        context=context,
+    )
+    if metrics is not None:
+        from repro.obs.metrics import observe_stage_seconds
+
+        observe_stage_seconds(metrics, stats)
+        metrics.counter(
+            "repro_diffs_total", help="Diff runs completed."
+        ).inc(engine=stats.engine)
+        # The engine has replaced a disabled recorder with None.
+        if context.recorder is not None:
+            from repro.obs.provenance import publish_provenance_metrics
+
+            publish_provenance_metrics(metrics, context.recorder)
+    return delta, stats

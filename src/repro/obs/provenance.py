@@ -3,7 +3,7 @@
 The tracing and metrics layers answer "how long did each stage take";
 this module answers the quality question behind the paper's Figure 5 —
 *what did the matcher decide, and why*.  A :class:`ProvenanceRecorder`
-rides the run's :class:`~repro.engine.context.DiffContext` and is
+rides the run's :class:`~repro.engine.base.DiffContext` and is
 notified by :class:`~repro.core.matching.Matching` and
 :class:`~repro.core.buld.BuldMatcher` about every decision:
 

@@ -19,7 +19,7 @@ from repro.core.apply import aggregate, apply_delta
 from repro.core.config import DiffConfig
 from repro.core.delta import Delta
 from repro.core.xid import assign_initial_xids
-from repro.engine import DiffContext, DiffEngine, DiffStats, resolve_engine
+from repro.engine import DiffContext, DiffEngine, DiffStats, get_engine
 from repro.obs.context import current_request_id
 from repro.versioning.repository import MemoryRepository, Repository
 from repro.xmlkit.model import Document, coalesce_text
@@ -36,7 +36,7 @@ class VersionStore:
         on_commit: Optional callback ``f(doc_id, delta, new_document)``
             invoked after every successful commit — this is where the
             paper's *Alerter* (subscription system) hooks in.
-        engine: Diff engine used by :meth:`commit` — a registered name
+        engine: Diff engine used by :meth:`commit` — an engine name
             (``"buld"``, ``"lu"``, ...) or a
             :class:`~repro.engine.base.DiffEngine` instance.
         tracer: Optional :class:`repro.obs.trace.Tracer`.  Every commit
@@ -76,7 +76,7 @@ class VersionStore:
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         self.checkpoint_every = checkpoint_every
-        self.engine = resolve_engine(engine)
+        self.engine = get_engine(engine)
         self.tracer = tracer
         self.metrics = metrics
         self.events = events

@@ -5,14 +5,12 @@ import pytest
 from repro.baselines import (
     diffmk,
     flatten,
-    ladiff_diff,
     ladiff_match,
-    lu_diff,
     lu_match,
     tree_edit_distance,
 )
 from repro.baselines.diffmk import patch_tokens
-from repro.core import apply_delta
+from repro.core import apply_delta, diff
 from repro.xmlkit import parse
 
 
@@ -55,13 +53,13 @@ class TestLuSelkow:
     def test_delta_is_correct(self):
         old = parse("<r><a>1</a><b>2</b><c>3</c></r>")
         new = parse("<r><a>1</a><b>two</b><d>4</d></r>")
-        delta = lu_diff(old, new)
+        delta = diff(old, new, engine="lu")
         assert apply_delta(delta, old, verify=True).deep_equal(new)
 
     def test_no_moves_ever(self):
         old = parse("<r><a>aaa</a><b>bbb</b></r>")
         new = parse("<r><b>bbb</b><a>aaa</a></r>")
-        delta = lu_diff(old, new)
+        delta = diff(old, new, engine="lu")
         assert delta.by_kind("move") == []
         assert apply_delta(delta, old, verify=True).deep_equal(new)
 
@@ -166,13 +164,13 @@ class TestLaDiff:
     def test_delta_is_correct(self):
         old = parse("<r><a>one two</a><b>three four</b></r>")
         new = parse("<r><b>three four</b><a>one two five</a><c/></r>")
-        delta = ladiff_diff(old, new)
+        delta = diff(old, new, engine="ladiff")
         assert apply_delta(delta, old, verify=True).deep_equal(new)
 
     def test_moves_are_detected(self):
         old = parse("<r><sec1><p>shared words here</p></sec1><sec2/></r>")
         new = parse("<r><sec1/><sec2><p>shared words here</p></sec2></r>")
-        delta = ladiff_diff(old, new)
+        delta = diff(old, new, engine="ladiff")
         assert len(delta.by_kind("move")) == 1
 
 

@@ -2,9 +2,10 @@
 
 Every expected value below was produced by the earlier implementation
 (payloads cloned into a temporary document that the generic serializer
-wrote out, and a candidate index that re-scanned taken nodes).  A change
-to the delta writer or to phase 3's candidate index must keep each of
-them: the same delta bytes and the same matcher decisions.
+wrote out, and a candidate index that re-scanned taken nodes); the
+per-engine pins by the plugin-registry engine layer.  A change to the
+delta writer, to phase 3's candidate index or to the engine layer must
+keep each of them: the same delta bytes and the same matcher decisions.
 """
 
 import hashlib
@@ -75,6 +76,15 @@ PROVENANCE_SHA256 = (
     "b15f158246b470c50799ac1c9d234af2ad0505d2a853fffe08234eb29407be6d"
 )
 
+#: Every engine's delta on the 1k-node FIG4 pair.
+ENGINE_DELTA_SHA256 = {
+    "buld": "d566393e3c88a826637d0f2e5a00610e91321eee3cc0dc275fe59a79243517e2",
+    "diffmk": "1116fe94d56627dc2e6f4d2fb23a84b703546449e77f117f5715335abf11e7ae",
+    "flat": "95a668c4cc1d739043fc15161c4e52faae60c25fa1d21fe9dc465fd0be7cba68",
+    "ladiff": "67ab536ab20e720cf10d9f214c70d4c322c0f5f255e68ac85b8d681e928ca52e",
+    "lu": "ecae6396e0f4355c7cb0025642c2b3d6961d7ea87ccc91d9155ebedb0775e77e",
+}
+
 
 class TestDiffDeltaBytes:
     @pytest.mark.parametrize("nodes", sorted(FIG4_DELTA_SHA256))
@@ -96,6 +106,12 @@ class TestDiffDeltaBytes:
             site.clone(keep_xids=False), evolved.clone(keep_xids=False)
         )
         assert sha256(serialize_delta(delta)) == SITE_DELTA_SHA256
+
+    @pytest.mark.parametrize("engine", sorted(ENGINE_DELTA_SHA256))
+    def test_engine_pair(self, engine):
+        old, new = fig4_pair(1_000)
+        delta = serialize_delta(diff(old, new, engine=engine))
+        assert sha256(delta) == ENGINE_DELTA_SHA256[engine]
 
 
 def provenance_digest(recorder: ProvenanceRecorder) -> str:

@@ -1,4 +1,4 @@
-"""Engine-layer contract: every registered engine is a *correct* diff.
+"""Engine-layer contract: every engine in the table is a *correct* diff.
 
 Parity means: whatever matching an engine produces, the shared builder
 turns it into a delta that transforms old into new exactly — so all five
@@ -8,23 +8,23 @@ engines round-trip on the simulator workloads, differ only in delta
 
 import pytest
 
-from repro.core import apply_delta, diff
+from repro.core import apply_backward, apply_delta, diff, serialize_delta
 from repro.engine import (
     DiffContext,
     EngineError,
     MatcherEngine,
     available_engines,
+    diff_with_stats,
     get_engine,
-    register_matcher,
-    resolve_engine,
 )
+from repro.engine.engines import ENGINES
 from repro.simulator import (
     GeneratorConfig,
     SimulatorConfig,
     generate_document,
     simulate_changes,
 )
-from repro.xmlkit import parse
+from repro.xmlkit import parse, serialize
 
 
 def scenario(doc_seed, sim_seed, nodes=90, **probabilities):
@@ -39,14 +39,18 @@ def scenario(doc_seed, sim_seed, nodes=90, **probabilities):
 
 
 class TestRegistry:
+    """The fixed engine table and the name lookup over it."""
+
     def test_builtins_registered(self):
-        assert set(available_engines()) >= {
+        assert available_engines() == [
             "buld",
             "diffmk",
             "flat",
             "ladiff",
             "lu",
-        }
+        ]
+        for name, engine in ENGINES.items():
+            assert engine.name == name
 
     def test_get_engine_caches_instances(self):
         assert get_engine("buld") is get_engine("buld")
@@ -58,35 +62,40 @@ class TestRegistry:
 
     def test_resolve_accepts_instances(self):
         engine = get_engine("lu")
-        assert resolve_engine(engine) is engine
-        assert resolve_engine("lu") is engine
+        assert get_engine(engine) is engine
+        custom = MatcherEngine("custom", object())
+        assert get_engine(custom) is custom
 
 
 class TestEngineParity:
-    """Satellite: apply(engine.diff(old, new), old) == new for every engine."""
+    """Every engine's delta replays both ways, to the very bytes."""
 
-    @pytest.mark.parametrize("name", sorted({"buld", "lu", "ladiff", "diffmk", "flat"}))
+    @pytest.mark.parametrize("name", sorted(ENGINES))
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_round_trip_on_simulator_workload(self, name, seed):
         old, new = scenario(seed, seed + 40)
-        delta = get_engine(name).diff(old, new)
-        assert apply_delta(delta, old, verify=True).deep_equal(new)
+        delta = diff(old, new, engine=name)
+        forward = apply_delta(delta, old, verify=True)
+        assert forward.deep_equal(new)
+        assert serialize(forward) == serialize(new)
+        backward = apply_backward(delta, new, verify=True)
+        assert backward.deep_equal(old)
+        assert serialize(backward) == serialize(old)
 
-    @pytest.mark.parametrize("name", sorted({"buld", "lu", "ladiff", "diffmk", "flat"}))
+    @pytest.mark.parametrize("name", sorted(ENGINES))
     def test_identical_documents_empty_delta(self, name):
         base = generate_document(GeneratorConfig(target_nodes=60, seed=7))
-        delta = get_engine(name).diff(
-            base.clone(keep_xids=False), base.clone(keep_xids=False)
+        delta = diff(
+            base.clone(keep_xids=False), base.clone(keep_xids=False),
+            engine=name,
         )
         assert delta.is_empty(), f"{name} found changes in identity"
 
     def test_repro_diff_is_engine_shim(self):
         old_a, new_a = scenario(4, 44)
         old_b, new_b = scenario(4, 44)
-        from repro.core import serialize_delta
-
         via_shim = diff(old_a, new_a)
-        via_engine = get_engine("buld").diff(old_b, new_b)
+        via_engine, _ = get_engine("buld").diff_with_stats(old_b, new_b)
         assert serialize_delta(via_shim) == serialize_delta(via_engine)
 
     def test_engine_flag_through_shim(self):
@@ -130,7 +139,7 @@ class TestStagePipeline:
 
 
 class TestCustomMatcher:
-    def test_registered_matcher_round_trips(self):
+    def test_custom_matcher_round_trips(self):
         class RootOnlyMatcher:
             """Worst legal matcher: matches nothing below the roots."""
 
@@ -142,21 +151,15 @@ class TestCustomMatcher:
                 context.count("root_only_runs")
                 return matching
 
-        register_matcher("root-only-test", RootOnlyMatcher())
-        try:
-            assert "root-only-test" in available_engines()
-            old, new = scenario(12, 52, nodes=40)
-            context = DiffContext()
-            delta, stats = get_engine("root-only-test").diff_with_stats(
-                old, new, context=context
-            )
-            assert apply_delta(delta, old, verify=True).deep_equal(new)
-            assert stats.counters.get("root_only_runs") == 1
-        finally:
-            from repro.engine import registry
-
-            registry._FACTORIES.pop("root-only-test", None)
-            registry._INSTANCES.pop("root-only-test", None)
+        engine = MatcherEngine("root-only", RootOnlyMatcher())
+        old, new = scenario(12, 52, nodes=40)
+        delta, stats = diff_with_stats(old, new, engine=engine)
+        assert apply_delta(delta, old, verify=True).deep_equal(new)
+        assert stats.engine == "root-only"
+        assert stats.stage_order == ["match", "build-delta"]
+        assert stats.counters.get("root_only_runs") == 1
+        # A custom engine joins no table: the names stay the five.
+        assert "root-only" not in available_engines()
 
     def test_matcher_engine_adapter(self):
         class SwapCaseMatcher:
@@ -170,7 +173,8 @@ class TestCustomMatcher:
         engine = MatcherEngine("adhoc", SwapCaseMatcher())
         old = parse("<a><b>x</b></a>")
         new = parse("<a><c>y</c></a>")
-        delta = engine.diff(old, new)
+        context = DiffContext()
+        delta, _ = engine.diff_with_stats(old, new, context=context)
         assert apply_delta(delta, old, verify=True).deep_equal(new)
 
 
@@ -187,8 +191,6 @@ class TestTopLevelExports:
             "DiffEngine",
             "available_engines",
             "get_engine",
-            "register_engine",
-            "register_matcher",
         ):
             assert name in repro.__all__
 

@@ -1,14 +1,11 @@
 """Cross-algorithm coherence: every diff flavour must be *correct*, and
 their relative behaviours must match the paper's Section 3 narrative."""
 
+import functools
+
 import pytest
 
-from repro.baselines import (
-    diffmk,
-    ladiff_diff,
-    lu_diff,
-    tree_edit_distance,
-)
+from repro.baselines import diffmk, tree_edit_distance
 from repro.core import apply_delta, delta_byte_size, diff
 from repro.simulator import (
     GeneratorConfig,
@@ -29,9 +26,8 @@ def scenario(doc_seed, sim_seed, nodes=80, **probabilities):
 
 
 ALGORITHMS = {
-    "buld": diff,
-    "lu": lu_diff,
-    "ladiff": ladiff_diff,
+    name: functools.partial(diff, engine=name)
+    for name in ("buld", "lu", "ladiff")
 }
 
 
@@ -62,7 +58,9 @@ class TestRelativeBehaviour:
             move_probability=0.5,
         )
         buld_delta = diff(old.clone(keep_xids=False), new.clone(keep_xids=False))
-        lu_delta = lu_diff(old.clone(keep_xids=False), new.clone(keep_xids=False))
+        lu_delta = diff(
+            old.clone(keep_xids=False), new.clone(keep_xids=False), engine="lu"
+        )
         if buld_delta.by_kind("move"):
             assert delta_byte_size(buld_delta) <= delta_byte_size(lu_delta) * 1.2
 

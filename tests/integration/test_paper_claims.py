@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from repro.baselines import flatten, lu_diff, tree_edit_distance, unix_diff_size
+from repro.baselines import flatten, tree_edit_distance, unix_diff_size
 from repro.core import DiffConfig, apply_delta, delta_byte_size, diff, diff_with_stats
 from repro.core.moves import (
     chunked_increasing_subsequence,
@@ -108,8 +108,8 @@ class TestPerformance:
                              new.clone(keep_xids=False))
             )
             lu = _best_of(
-                lambda: lu_diff(old.clone(keep_xids=False),
-                                new.clone(keep_xids=False))
+                lambda: diff(old.clone(keep_xids=False),
+                             new.clone(keep_xids=False), engine="lu")
             )
             return lu / buld
 

@@ -94,6 +94,35 @@ class TestDriftDetection:
         )
         assert problems == []
 
+    def test_phantom_imported_name_flagged(self, check_docs):
+        # A dotted-name scan sees only `repro`, which imports; each name
+        # after `import` has to be resolved on its own.
+        problems = []
+        check_docs.check_imported_names(
+            ROOT / "README.md",
+            "```python\n"
+            "from repro import register_matcher, diff\n"
+            "from repro.core import (\n"
+            "    apply_delta,\n"
+            "    no_such_helper as helper,\n"
+            ")\n"
+            "```\n",
+            problems,
+        )
+        assert len(problems) == 2
+        assert "register_matcher" in problems[0] + problems[1]
+        assert "no_such_helper" in problems[0] + problems[1]
+
+    def test_real_imported_names_accepted(self, check_docs):
+        problems = []
+        check_docs.check_imported_names(
+            ROOT / "README.md",
+            "`from repro.engine import MatcherEngine, diff` and\n"
+            "from repro import cli as command_line  # a submodule\n",
+            problems,
+        )
+        assert problems == []
+
     def test_phantom_cli_flag_flagged(self, check_docs, tmp_path):
         flags, commands = check_docs.real_cli_surface()
         docs = tmp_path / "docs"

@@ -7,7 +7,9 @@ Three classes of drift, all fatal:
    EXPERIMENTS.md and docs/*.md must point at an existing file.
 2. **Phantom code references** — every dotted ``repro.*`` name in the
    docs and README must resolve: the longest module prefix must import,
-   and any remaining parts must exist as attributes.
+   and any remaining parts must exist as attributes.  Every name a
+   ``from repro... import a, b`` line imports (parenthesised lists
+   included) must exist in that module, as an attribute or a submodule.
 3. **Phantom CLI flags and subcommands** — every ``--flag`` mentioned
    in docs/*.md (except the benchmark scripts' page) must exist
    somewhere in the real argparse tree.  docs/cli.md's sections must
@@ -55,6 +57,12 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # The trailing lookahead skips versioned identifier strings such as the
 # bench schema id `repro.bench/1`, which are not import paths.
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+(?![\w/])")
+#: ``from repro.x import a, b as c`` up to the line end or a closing
+#: backtick, or a parenthesised name list over several lines.
+IMPORT_RE = re.compile(
+    r"\bfrom[ \t]+(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)*)[ \t]+import[ \t]+"
+    r"(\([^)]*\)|[^\n`#]+)"
+)
 FLAG_RE = re.compile(r"--[A-Za-z][A-Za-z0-9-]*")
 HEADING_RE = re.compile(r"^##+\s+(.+?)\s*$", re.MULTILINE)
 #: A docs/cli.md heading spelled like a command; prose headings are
@@ -147,6 +155,34 @@ def check_module_refs(path: pathlib.Path, text: str, problems: list[str]) -> Non
                 break
 
 
+def check_imported_names(
+    path: pathlib.Path, text: str, problems: list[str]
+) -> None:
+    """Every name a ``from repro... import`` line imports must exist."""
+    for module_name, names in sorted(set(IMPORT_RE.findall(text))):
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError:
+            problems.append(
+                f"{_rel(path)}: unimportable module {module_name!r}"
+            )
+            continue
+        for item in names.strip("()").split(","):
+            words = item.split()
+            if not words or words[0] == "*":
+                continue
+            name = words[0]
+            if hasattr(module, name):
+                continue
+            try:
+                importlib.import_module(f"{module_name}.{name}")
+            except ImportError:
+                problems.append(
+                    f"{_rel(path)}: 'from {module_name} import {name}' — "
+                    f"{module_name} has no attribute {name!r}"
+                )
+
+
 def real_cli_surface():
     """(all option strings, all subcommand names) from the parser.
 
@@ -229,7 +265,7 @@ def check_store_schemes(path: pathlib.Path, text: str, problems: list[str]) -> N
             continue
         problems.append(
             f"{_rel(path)}: store URL scheme {scheme!r} is not "
-            f"registered (expected one of {sorted(known)})"
+            f"registered (expected one of {sorted(STORE_SCHEMES)})"
         )
 
 
@@ -366,6 +402,7 @@ def main() -> int:
     for path in reference_files:
         text = path.read_text()
         check_module_refs(path, text, problems)
+        check_imported_names(path, text, problems)
         check_store_schemes(path, text, problems)
 
     _, commands = real_cli_surface()
