@@ -550,7 +550,6 @@ ABL_CONFIGS = (
     ("ancestor depth factor 0", {"ancestor_depth_factor": 0.0}),
     ("ancestor depth factor 3", {"ancestor_depth_factor": 3.0}),
     ("chunked moves (threshold 0)", {"exact_move_threshold": 0}),
-    ("fast signatures (salted hash)", {"fast_signatures": True}),
 )
 
 

@@ -18,7 +18,7 @@ Subcommands mirror the library's main capabilities:
 - ``obs render TRACE``  — pretty-print a saved JSON-lines trace
   (``--request-id`` filters the server's multi-request ``traces.jsonl``).
 - ``fsck STORE``        — check (and repair) a version store; STORE is a
-  store URL (``file://``, ``sqlite://``, ``blob://``) or a bare path.
+  store URL (``file://``, ``sqlite://``) or a bare path.
 - ``store ...``         — inspect and update a version store by URL
   (``ls``, ``log``, ``cat``, ``commit``).
 - ``serve``             — run the HTTP diff service (``docs/server.md``):
@@ -986,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write per-document delta files here")
     sub.add_argument("--store", default=None, metavar="URL",
                      help="also commit added/changed documents into this "
-                          "version store (file://, sqlite://, blob://, "
+                          "version store (file://, sqlite://, "
                           "or a bare path)")
     sub.add_argument("-o", "--output", default="-")
     add_obs(sub)
@@ -996,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fsck", help="check (and repair) a version store"
     )
     sub.add_argument("store",
-                     help="store URL or path (file://, sqlite://, blob://, "
+                     help="store URL or path (file://, sqlite://, "
                           "or a bare path — the layout is sniffed)")
     sub.add_argument("--repair", action="store_true",
                      help="apply the deterministic repairs "
@@ -1020,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_store_url(leaf):
         leaf.add_argument(
             "--store", required=True, metavar="URL",
-            help="store URL or path (file://, sqlite://, blob://, "
+            help="store URL or path (file://, sqlite://, "
                  "or a bare path)",
         )
 
@@ -1037,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf = store_sub.add_parser(
         "stats", help="store-health report: chain-length histogram, "
                       "checkpoint coverage/staleness, bytes by kind "
-                      "(schema repro.storewatch/2)"
+                      "(schema repro.storewatch/3)"
     )
     add_store_url(leaf)
     leaf.add_argument("--json", action="store_true",
@@ -1075,7 +1075,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf.add_argument("document", help="XML file (or '-' for stdin)")
     leaf.add_argument(
         "--store", default=None, metavar="URL",
-        help="store URL or path (file://, sqlite://, blob://, "
+        help="store URL or path (file://, sqlite://, "
              "or a bare path); "
              "exactly one of --store / --url is required",
     )

@@ -175,10 +175,9 @@ class BuldMatcher:
         is read, the indexes are built, and the new tree comes last.
         """
         log_text = self.config.log_text_weight
-        fast = getattr(self.config, "fast_signatures", False)
         recorder = self.recorder
         old_annotations = annotate(
-            self.old_document, log_text_weight=log_text, fast=fast
+            self.old_document, log_text_weight=log_text
         )
         self.old_annotations = old_annotations
         self._total_weight = max(old_annotations.total_weight, 1.0)
@@ -204,7 +203,7 @@ class BuldMatcher:
                     bucket.reverse()
 
         self.new_annotations = annotate(
-            self.new_document, log_text_weight=log_text, fast=fast
+            self.new_document, log_text_weight=log_text
         )
         total_nodes = (
             old_annotations.node_count + self.new_annotations.node_count

@@ -41,10 +41,6 @@ class DiffConfig:
             ``1 + factor · log2(n) · W/W0`` used both for candidate
             ancestor agreement checks and upward match propagation.
         log_text_weight: Leaf weight ``1 + log(1 + len)`` (paper) vs 1.0.
-        fast_signatures: Hash subtrees with Python's salted 64-bit tuple
-            hash instead of blake2b — a 2-4x faster Phase 2 at a
-            negligible in-process collision risk (signatures then are not
-            stable across processes).
         lazy_down: When True (paper), children of freshly matched ancestors
             wait for Phase 4; when False they are aligned eagerly on the
             spot (the "quadratic risk" alternative, kept for ablation).
@@ -60,7 +56,6 @@ class DiffConfig:
     max_candidates: int = 32
     ancestor_depth_factor: float = 1.0
     log_text_weight: bool = True
-    fast_signatures: bool = False
     lazy_down: bool = True
     exact_move_threshold: int = 50
     move_block_length: int = 50

@@ -13,6 +13,7 @@ Three related tools used across the library:
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Optional, Sequence
 
 __all__ = ["lcs_length", "lcs_pairs", "myers_opcodes"]
@@ -102,45 +103,48 @@ def myers_opcodes(a: Sequence, b: Sequence) -> list[Opcode]:
     if m == 0:
         return [("delete", 0, n, 0, 0)]
 
-    # Forward pass recording the frontier before every round.
-    frontier = {1: 0}
-    trace: list[dict[int, int]] = []
-    found_d = None
+    # Forward pass.  Round d reaches diagonals k = -d, -d+2, ..., d; its
+    # furthest x per diagonal is one flat row, row[(k + d) // 2], so
+    # diagonal k's neighbours k-1 and k+1 sit at i-1 and i of the
+    # previous row.  Every row but the last is kept for the backtrack.
+    rows: list[array] = []
+    previous = [0]  # round -1: diagonal 1 at x = 0
     for d in range(n + m + 1):
-        trace.append(dict(frontier))
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and frontier.get(k - 1, -1) < frontier.get(k + 1, -1)):
-                x = frontier.get(k + 1, 0)
+        row = [0] * (d + 1)
+        for i in range(d + 1):
+            if i == 0 or (i != d and previous[i - 1] < previous[i]):
+                x = previous[i]
             else:
-                x = frontier.get(k - 1, 0) + 1
-            y = x - k
+                x = previous[i - 1] + 1
+            y = x - (2 * i - d)
             while x < n and y < m and a[x] == b[y]:
                 x += 1
                 y += 1
-            frontier[k] = x
+            row[i] = x
             if x >= n and y >= m:
-                found_d = d
                 break
-        if found_d is not None:
+        if x >= n and y >= m:
             break
+        rows.append(array("q", row))
+        previous = row
+    found_d = d
 
     # Backtrack from (n, m) to (0, 0), collecting elementary steps.
     steps: list[tuple[str, int, int]] = []  # ("equal"|"delete"|"insert", i, j)
     x, y = n, m
     for d in range(found_d, 0, -1):
-        v = trace[d]
+        v = rows[d - 1]
         k = x - y
-        if k == -d or (k != d and v.get(k - 1, -1) < v.get(k + 1, -1)):
-            prev_k = k + 1
-        else:
-            prev_k = k - 1
-        prev_x = v[prev_k]
+        i = (k + d) // 2
+        down = i == 0 or (i != d and v[i - 1] < v[i])
+        prev_k = k + 1 if down else k - 1
+        prev_x = v[i] if down else v[i - 1]
         prev_y = prev_x - prev_k
         while x > prev_x and y > prev_y:
             steps.append(("equal", x - 1, y - 1))
             x -= 1
             y -= 1
-        if prev_k == k + 1:
+        if down:
             steps.append(("insert", x, y - 1))
             y -= 1
         else:

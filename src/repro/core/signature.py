@@ -40,7 +40,7 @@ class TreeAnnotations:
 
     Attributes:
         signatures: node -> subtree-content signature (a 16-byte blake2b
-            digest, or a salted 64-bit int in ``fast`` mode).
+            digest).
         weights: node -> weight (float, >= 1 for every node), or ``None``
             once dropped (BULD drops the old side's after phase 2).
         total_weight: weight of the whole document (the paper's ``W0``).
@@ -72,8 +72,6 @@ def annotate(
     document: Document,
     *,
     log_text_weight: bool = True,
-    digest_size: int = _DIGEST_SIZE,
-    fast: bool = False,
 ) -> TreeAnnotations:
     """Compute signatures and weights for every node in one postorder pass.
 
@@ -81,26 +79,17 @@ def annotate(
         document: The document to annotate (any subtree root also works).
         log_text_weight: Use the paper's ``1 + log(1 + len(text))`` leaf
             weight; ``False`` gives every leaf weight 1 (an ablation knob).
-        digest_size: Signature width in bytes (blake2b mode).
-        fast: Use Python's salted 64-bit tuple hashing instead of blake2b.
-            Roughly 2-4x faster for Phase 2 at a ~2^-64 per-pair collision
-            probability; signatures are only comparable within one
-            process (fine for a diff — both documents are annotated in
-            the same run).  The paper only asks for "a hash value"; this
-            knob measures the implementation choice.
 
     Returns:
         A :class:`TreeAnnotations` holding both maps.
     """
-    if fast:
-        return _annotate_fast(document, log_text_weight)
     annotations = TreeAnnotations()
     signatures = annotations.signatures
     weights = annotations.weights
 
     for node in postorder(document):
         kind = node.kind
-        hasher = hashlib.blake2b(digest_size=digest_size)
+        hasher = hashlib.blake2b(digest_size=_DIGEST_SIZE)
         if kind == "element":
             label_bytes = node.label.encode("utf-8")
             hasher.update(b"E")
@@ -143,52 +132,6 @@ def annotate(
                 hasher.update(signatures[child])
                 weight += weights[child]
         signatures[node] = hasher.digest()
-        weights[node] = weight
-        annotations.node_count += 1
-
-    annotations.total_weight = weights[document] if document in weights else 0.0
-    return annotations
-
-
-def _annotate_fast(document: Document, log_text_weight: bool) -> TreeAnnotations:
-    """Salted-tuple-hash variant of :func:`annotate` (same structure)."""
-    annotations = TreeAnnotations()
-    signatures = annotations.signatures
-    weights = annotations.weights
-
-    for node in postorder(document):
-        kind = node.kind
-        if kind == "element":
-            weight = 1.0
-            child_signatures = []
-            for child in node.children:
-                child_signatures.append(signatures[child])
-                weight += weights[child]
-            signature = hash(
-                (
-                    "E",
-                    node.label,
-                    tuple(sorted(node.attributes.items())),
-                    tuple(child_signatures),
-                )
-            )
-        elif kind == "text":
-            signature = hash(("T", node.value))
-            weight = _leaf_weight(len(node.value), log_text_weight)
-        elif kind == "comment":
-            signature = hash(("C", node.value))
-            weight = _leaf_weight(len(node.value), log_text_weight)
-        elif kind == "pi":
-            signature = hash(("P", node.target, node.value))
-            weight = _leaf_weight(len(node.value), log_text_weight)
-        else:  # document
-            weight = 1.0
-            child_signatures = []
-            for child in node.children:
-                child_signatures.append(signatures[child])
-                weight += weights[child]
-            signature = hash(("D", tuple(child_signatures)))
-        signatures[node] = signature
         weights[node] = weight
         annotations.node_count += 1
 

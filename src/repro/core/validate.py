@@ -17,8 +17,8 @@ external checks (``base_document`` given)
     referenced XIDs exist, update targets are value nodes, attach parents
     are containers, delete payloads match the document content.
 
-The version store uses this when loading deltas from a directory
-repository; the CLI exposes it as ``xydiff validate``.
+The CLI exposes it as ``xydiff validate``, its one caller; the version
+store does not run it on the deltas it loads.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Store-health analytics: the ``repro.storewatch/2`` report.
+"""Store-health analytics: the ``repro.storewatch/3`` report.
 
 The paper's setting is a warehouse continuously diffing and versioning
 crawled documents; storage health (checksum rot, torn commits) and
 delta-chain growth (reconstruction cost) are the operational risks.
 :func:`collect_store_stats` walks any :class:`~repro.storage.backend.
-StorageBackend`-backed repository — filesystem, SQLite or blob — and
+StorageBackend`-backed repository — filesystem or SQLite — and
 produces one schema-versioned report:
 
 - document / version counts (plus documents whose metadata is
@@ -14,8 +14,7 @@ produces one schema-versioned report:
 - the delta-chain length histogram (power-of-two buckets) that ROADMAP
   item 3's checkpoint/compaction policies need as input;
 - checkpoint coverage and staleness (versions accumulated since the
-  newest checkpoint — the backward-replay bound);
-- the blob backend's dedup ratio (logical vs physical bytes).
+  newest checkpoint — the backward-replay bound).
 
 The same report is served by ``GET /statz`` (never queued, like
 ``/metrics``), exported as gauges by :func:`publish_store_metrics`
@@ -41,7 +40,7 @@ __all__ = [
 ]
 
 #: Schema identifier stamped on every report.
-SCHEMA = "repro.storewatch/2"
+SCHEMA = "repro.storewatch/3"
 
 #: Byte-accounting kinds, in render order.
 BYTE_KINDS = ("snapshot", "delta", "meta", "journal", "other")
@@ -94,7 +93,7 @@ def _size_of(backend, key: str) -> int:
 def collect_store_stats(
     repository, *, label: Optional[str] = None, per_document: bool = False
 ) -> dict:
-    """One ``repro.storewatch/2`` report for a storage-backed repository.
+    """One ``repro.storewatch/3`` report for a storage-backed repository.
 
     Args:
         repository: A :class:`~repro.versioning.repository.
@@ -186,7 +185,6 @@ def collect_store_stats(
             )
 
     readable = documents - unreadable
-    dedup_stats = getattr(backend, "dedup_stats", None)
 
     report = {
         "schema": SCHEMA,
@@ -219,7 +217,6 @@ def collect_store_stats(
                 round(staleness_sum / readable, 6) if readable else 0.0
             ),
         },
-        "dedup": dedup_stats() if dedup_stats is not None else None,
     }
     if per_document:
         report["documents_detail"] = sorted(
@@ -268,12 +265,6 @@ def publish_store_metrics(report: dict, metrics) -> None:
         help="Most versions any document accumulated since its newest "
              "checkpoint.",
     ).set(report["checkpoints"]["max_staleness"], store=store)
-    if report["dedup"] is not None:
-        metrics.gauge(
-            "repro_store_dedup_ratio",
-            help="Blob store logical/physical byte ratio (1.0 = no "
-                 "sharing).",
-        ).set(report["dedup"]["ratio"], store=store)
 
 
 def render_store_stats(report: dict) -> str:
@@ -304,10 +295,4 @@ def render_store_stats(report: dict) -> str:
         f"staleness max={checkpoints['max_staleness']} "
         f"mean={checkpoints['mean_staleness']:.2f}"
     )
-    if report["dedup"] is not None:
-        dedup = report["dedup"]
-        lines.append(
-            f"dedup: refs={dedup['refs']} objects={dedup['objects']} "
-            f"ratio={dedup['ratio']:.2f}x"
-        )
     return "\n".join(lines)

@@ -13,7 +13,7 @@ reference and the capacity model.
 The server composes only existing layers:
 
 - version stores are addressed by the same store URLs as the CLI
-  (``file://``, ``sqlite://``, ``blob://``) through
+  (``file://``, ``sqlite://``) through
   :func:`repro.versioning.repository.open_repository` — a store name in
   the request path (``/repos/{store}/...``) maps to a configured URL;
 - ``/metrics`` serves the existing Prometheus exporter
@@ -303,7 +303,7 @@ class DiffServer:
         return entry
 
     def store_stats(self, name: Optional[str] = None) -> dict:
-        """The ``/statz`` body: one ``repro.storewatch/2`` report per
+        """The ``/statz`` body: one ``repro.storewatch/3`` report per
         store (or a single report when ``name`` is given).
 
         Collection holds each store's commit lock — the same lock the

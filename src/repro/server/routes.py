@@ -572,7 +572,7 @@ async def handle_slo(server, request: Request, params, obs) -> Response:
 
 
 async def handle_statz(server, request: Request, params, obs) -> Response:
-    """GET /statz — one ``repro.storewatch/2`` store-health report per
+    """GET /statz — one ``repro.storewatch/3`` store-health report per
     configured store (chain lengths, checkpoint staleness, bytes by
     kind).  Served inline like ``/metrics`` — never queued — but the
     store walk itself runs on the default executor so the event loop

@@ -10,15 +10,12 @@ deltas survive crashes.  Two layers provide that:
   SHA-256 digests so a manifest can later prove the bytes on disk are
   the bytes that were committed.
 - :mod:`repro.storage.backend` — the :class:`StorageBackend` protocol
-  the repository commits through, with three conforming
+  the repository commits through, with two conforming
   implementations: :class:`~repro.storage.filesystem.FilesystemBackend`
   (the classic directory layout, byte-identical with pre-protocol
-  stores), :class:`~repro.storage.sqlite_store.SQLiteBackend` (one WAL
-  database file, transactional commits) and
-  :class:`~repro.storage.blobstore.BlobStoreBackend`
-  (content-addressed objects with refcounted GC).  Backends are
-  addressed by store URL (``file://``, ``sqlite://``, ``blob://``) via
-  :func:`open_backend`.
+  stores) and :class:`~repro.storage.sqlite_store.SQLiteBackend` (one
+  WAL database file, transactional commits).  Backends are addressed
+  by store URL (``file://``, ``sqlite://``) via :func:`open_backend`.
 """
 
 from repro._lazy import lazy_exports
@@ -26,7 +23,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "DURABILITY_LEVELS",
     "STORE_SCHEMES",
-    "BlobStoreBackend",
     "FilesystemBackend",
     "SQLiteBackend",
     "StorageBackend",
@@ -47,7 +43,6 @@ _getattr, __dir__ = lazy_exports(__name__, {
     "backend": (
         "STORE_SCHEMES", "StorageBackend", "open_backend", "parse_store_url",
     ),
-    "blobstore": ("BlobStoreBackend",),
     "filesystem": ("FilesystemBackend",),
     "sqlite_store": ("SQLiteBackend",),
 })
@@ -55,7 +50,7 @@ _getattr, __dir__ = lazy_exports(__name__, {
 
 def __getattr__(name: str):
     # The scheme registry fills as backend modules import; read through
-    # the package it lists the built-in three, as it always has.
+    # the package it lists the built-in two.
     if name == "STORE_SCHEMES":
         from repro.storage.backend import load_backends
 

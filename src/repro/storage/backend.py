@@ -16,17 +16,16 @@ honour (and :mod:`tests.storage.test_backend_contract` proves):
   against any backend.
 - :meth:`~StorageBackend.batch` opens a transactional scope where the
   backend *may* make the enclosed writes all-or-nothing (SQLite does;
-  the file-based backends fall back to the journal protocol layered
-  above them).
+  the filesystem backend falls back to the journal protocol layered
+  above it).
 
 Store URLs
 ----------
 Backends are addressed by URL: ``file://PATH`` (directory layout,
-byte-identical with the pre-protocol store), ``sqlite://PATH`` (one
-database file) and ``blob://PATH`` (content-addressed object store).
-:func:`open_backend` resolves a URL — or a bare filesystem path, whose
-backend is sniffed from the on-disk markers — to a backend instance.
-A store URL takes no query parameters.
+byte-identical with the pre-protocol store) and ``sqlite://PATH`` (one
+database file).  :func:`open_backend` resolves a URL — or a bare
+filesystem path, whose backend is sniffed from what is on disk — to a
+backend instance.  A store URL takes no query parameters.
 """
 
 from __future__ import annotations
@@ -124,8 +123,8 @@ class StorageBackend:
         return f"{self.url}::{key}"
 
     def orphans(self) -> list[str]:
-        """References to stored garbage no key accounts for (temp files,
-        unreferenced objects).  Sweep one with :meth:`sweep_orphan`."""
+        """References to stored garbage no key accounts for (leftover
+        temp files).  Sweep one with :meth:`sweep_orphan`."""
         return []
 
     def sweep_orphan(self, ref: str) -> bool:
@@ -160,17 +159,16 @@ class _NullBatch:
 # ---------------------------------------------------------------------------
 
 #: scheme -> backend class; populated by the backend modules on import.
-#: :func:`load_backends` imports the built-in three.
+#: :func:`load_backends` imports the built-in two.
 STORE_SCHEMES: dict[str, type] = {}
 
 
 def load_backends() -> dict[str, type]:
     """:data:`STORE_SCHEMES` with the built-in backends registered.
 
-    Importing the three backend modules here, not at module level, keeps
+    Importing the backend modules here, not at module level, keeps
     callers that never open a store from paying for them.
     """
-    import repro.storage.blobstore  # noqa: F401  (registers "blob")
     import repro.storage.filesystem  # noqa: F401  (registers "file")
     import repro.storage.sqlite_store  # noqa: F401  (registers "sqlite")
 
@@ -186,19 +184,20 @@ def parse_store_url(url) -> tuple[Optional[str], str]:
     """``"scheme://path"`` -> ``(scheme, path)``.
 
     A bare filesystem path parses as ``(None, path)`` — the caller
-    sniffs the backend from the on-disk markers.
+    sniffs the backend from what is on disk.
 
     Raises:
-        ValueError: the URL has an empty path or a query string.
+        RepositoryError: the URL has an empty path or a query string.
     """
     url = os.fspath(url)
     if "://" not in url:
         return None, url
     scheme, _, path = url.partition("://")
-    if "?" in path:
-        raise ValueError(f"store URL {url!r} takes no query parameters")
-    if not path:
-        raise ValueError(f"store URL {url!r} has an empty path")
+    if "?" in path or not path:
+        from repro.xmlkit.errors import RepositoryError
+
+        problem = "takes no query parameters" if path else "has an empty path"
+        raise RepositoryError(f"store URL {url!r} {problem}")
     return scheme, path
 
 
@@ -206,14 +205,11 @@ def sniff_scheme(path) -> str:
     """Backend scheme of an on-disk store at a bare path.
 
     - a file (or a ``.sqlite``/``.db`` name) is a SQLite store;
-    - a directory with a ``blob.json`` marker is a blob store;
     - anything else is the plain directory layout.
     """
     path = os.fspath(path)
     if os.path.isfile(path) or path.endswith((".sqlite", ".db")):
         return "sqlite"
-    if os.path.exists(os.path.join(path, "blob.json")):
-        return "blob"
     return "file"
 
 

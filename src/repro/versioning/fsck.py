@@ -1,13 +1,13 @@
 """Store checking and repair (the ``xydiff fsck`` subcommand).
 
 ``fsck_store`` audits any repository reachable through a store URL
-(``file://``, ``sqlite://``, ``blob://`` — see
+(``file://``, ``sqlite://`` — see
 :func:`repro.versioning.repository.open_repository`) — opening it first
 runs journal recovery for torn commits — then verifies checksums
 against each document's ``manifest.json`` record and, with
 ``repair=True``, applies the deterministic fixes:
 
-- **orphan temp files / unreferenced blob objects / unexpected files**
+- **orphan temp files / unexpected files**
   are removed (they are invisible to every read path: the metadata
   never references them);
 - a **half-created document** (a prefix without metadata, left by a

@@ -14,8 +14,8 @@ Three implementations share the interface:
 
 - :class:`MemoryRepository` — everything in process memory.
 - :class:`BackendRepository` — persistent storage through any
-  :class:`repro.storage.backend.StorageBackend` (filesystem, SQLite,
-  content-addressed blobs).  Per document it keeps the current snapshot
+  :class:`repro.storage.backend.StorageBackend` (filesystem or
+  SQLite).  Per document it keeps the current snapshot
   (``<doc>/current.xml``), the deltas (``<doc>/delta-0001-0002.xml``
   ...), and a small metadata record.  Documents and deltas are stored
   in their XML forms, so the store is inspectable with any XML tooling
@@ -24,7 +24,7 @@ Three implementations share the interface:
   the classic one-directory-per-document filesystem layout
   (byte-identical with stores written before the protocol existed).
 
-A store URL (``file://``, ``sqlite://``, ``blob://``) or a bare path
+A store URL (``file://``, ``sqlite://``) or a bare path
 opens as one of the last two through :func:`open_repository`.
 
 Durability
@@ -131,8 +131,8 @@ class Finding:
         path: Offending file, key location or directory.
         message: Human-readable description.
         repairable: Whether ``fsck --repair`` has a deterministic fix.
-        scheme: Backend scheme the finding came from (``file``,
-            ``sqlite``, ``blob``).
+        scheme: Backend scheme the finding came from (``file`` or
+            ``sqlite``).
         key: Backend key (or orphan reference) the repair acts on.
     """
 
@@ -530,12 +530,8 @@ class BackendRepository(Repository):
     @staticmethod
     def _orphan_prefix(ref: str) -> Optional[str]:
         """Document prefix an orphan reference belongs to (None = global)."""
-        parts = ref.split("/")
-        if parts[0] == "refs" and len(parts) > 2:
-            return parts[1]
-        if parts[0] == "objects":
-            return None
-        return parts[0] if len(parts) > 1 else None
+        head, slash, _ = ref.partition("/")
+        return head if slash else None
 
     # -- metadata / manifest records -----------------------------------------
 
@@ -906,7 +902,7 @@ class BackendRepository(Repository):
                 self._verify_prefix(prefix, orphan_map.pop(prefix, []))
             )
         # Garbage not attributable to a live document (temp files in
-        # removed prefixes, unreferenced blob objects).
+        # removed prefixes or at the store root).
         for prefix, refs in sorted(
             orphan_map.items(), key=lambda item: item[0] or ""
         ):
@@ -919,9 +915,7 @@ class BackendRepository(Repository):
             doc_label,
             "orphan-temp",
             self.backend.location(ref),
-            "leftover atomic-write temp file"
-            if not ref.startswith("objects/")
-            else "unreferenced content object",
+            "leftover atomic-write temp file",
             repairable=True,
             scheme=self.backend.scheme,
             key=ref,
@@ -1169,6 +1163,22 @@ class DirectoryRepository(BackendRepository):
         return os.path.join(self.base_path, self._doc_key(doc_id))
 
 
+#: Stores of removed backends: URL scheme -> (the marker file the
+#: backend kept at the store root, why the store is refused).
+_REMOVED_STORES = {
+    "blob": (
+        "blob.json",
+        "is a content-addressed blob store, and the blob backend was "
+        "removed; keep documents in a file:// or sqlite:// store",
+    ),
+    "shard": (
+        "shard.json",
+        "is a sharded store, and the shard router was removed; open "
+        "each shard-NNN store under it by its own URL",
+    ),
+}
+
+
 def open_repository(
     store,
     *,
@@ -1183,14 +1193,13 @@ def open_repository(
 
     - ``file://PATH`` (or a bare directory path) — classic
       one-directory-per-document layout;
-    - ``sqlite://PATH`` — one WAL database file;
-    - ``blob://PATH`` — content-addressed object store.
+    - ``sqlite://PATH`` — one WAL database file.
 
     A bare path is sniffed (:func:`~repro.storage.backend.sniff_scheme`):
-    a ``blob.json`` marker means blob, an SQLite file (or ``.sqlite`` /
-    ``.db`` suffix) means SQLite, anything else is the directory layout.
-    A store written by the removed shard router is refused before
-    anything is read or created.
+    an SQLite file (or ``.sqlite`` / ``.db`` suffix) means SQLite,
+    anything else is the directory layout.  A store written by a removed
+    backend (the blob store, the shard router) is refused, by its scheme
+    or by its root marker file, before anything is read or created.
 
     Args:
         store: Store URL, bare path, or an already-open
@@ -1202,15 +1211,15 @@ def open_repository(
     if isinstance(store, Repository):
         return store
     url = os.fspath(store)
-    sharded = url.startswith("shard://")
-    if not sharded:
+    head, sep, _ = url.partition("://")
+    removed = head if sep and head in _REMOVED_STORES else None
+    if removed is None:
         scheme, path = parse_store_url(url)
-        sharded = os.path.exists(os.path.join(path, "shard.json"))
-    if sharded:
-        raise RepositoryError(
-            f"store {url!r} is a sharded store, and the shard router was "
-            "removed; open each shard-NNN store under it by its own URL"
-        )
+        for name, (marker, _) in _REMOVED_STORES.items():
+            if os.path.exists(os.path.join(path, marker)):
+                removed = name
+    if removed is not None:
+        raise RepositoryError(f"store {url!r} {_REMOVED_STORES[removed][1]}")
     if must_exist and not os.path.exists(path):
         raise RepositoryError(f"store {url!r} does not exist")
     if scheme is None:

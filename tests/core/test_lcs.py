@@ -126,3 +126,27 @@ class TestMyers:
                     b.insert(rng.randint(0, len(b)), rng.randint(0, 6))
             opcodes = myers_opcodes(a, b)
             assert apply_opcodes(a, b, opcodes) == b
+
+    def test_trace_memory_stays_small(self):
+        # 300 substitutions in 2,000 items: D = 600 edit rounds.  The
+        # backtrack trace holds one flat row of furthest-reaching x per
+        # round, about 1.8 MB traced here.
+        import tracemalloc
+
+        rng = random.Random(1)
+        a = list(range(2000))
+        b = list(a)
+        for position in rng.sample(range(2000), 300):
+            b[position] = -position - 1
+        tracemalloc.start()
+        try:
+            opcodes = myers_opcodes(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6_000_000
+        assert apply_opcodes(a, b, opcodes) == b
+        edits = sum(
+            (i2 - i1) + (j2 - j1) for t, i1, i2, j1, j2 in opcodes if t != "equal"
+        )
+        assert edits == 600

@@ -66,64 +66,6 @@ class TestSignatures:
                 assert same_sig == same_fp
 
 
-class TestFastSignatures:
-    def test_same_equivalence_classes(self):
-        docs = [
-            parse("<a><b>x</b><c k='v'/></a>"),
-            parse("<a><b>x</b><c k='v'/></a>"),
-            parse("<a><b>y</b><c k='v'/></a>"),
-            parse("<a><c k='v'/><b>x</b></a>"),
-        ]
-        slow = [annotate(d) for d in docs]
-        fast = [annotate(d, fast=True) for d in docs]
-        for i in range(len(docs)):
-            for j in range(len(docs)):
-                same_slow = slow[i].signature(docs[i].root) == slow[
-                    j
-                ].signature(docs[j].root)
-                same_fast = fast[i].signature(docs[i].root) == fast[
-                    j
-                ].signature(docs[j].root)
-                assert same_slow == same_fast, (i, j)
-
-    def test_weights_identical_between_modes(self):
-        doc = parse("<a><b>hello</b><c><d>world wide</d></c></a>")
-        slow = annotate(doc)
-        fast = annotate(doc, fast=True)
-        for node, weight in slow.weights.items():
-            assert fast.weight(node) == weight
-        assert fast.node_count == slow.node_count
-        assert fast.total_weight == slow.total_weight
-
-    def test_diff_with_fast_signatures_correct(self):
-        from repro.core import DiffConfig, apply_delta, diff
-
-        old = parse("<r><a>one</a><b>two</b><c>three</c></r>")
-        new = parse("<r><c>three</c><a>ONE</a><d>four</d></r>")
-        config = DiffConfig(fast_signatures=True)
-        delta = diff(old, new, config)
-        assert apply_delta(delta, old, verify=True).deep_equal(new)
-
-    def test_fast_mode_same_delta_as_blake2b(self):
-        from repro.core import DiffConfig, delta_byte_size, diff
-        from repro.simulator import (
-            GeneratorConfig,
-            SimulatorConfig,
-            generate_document,
-            simulate_changes,
-        )
-
-        base = generate_document(GeneratorConfig(target_nodes=200, seed=61))
-        result = simulate_changes(base, SimulatorConfig(seed=62))
-        sizes = []
-        for fast in (False, True):
-            old = base.clone(keep_xids=False)
-            new = result.new_document.clone(keep_xids=False)
-            delta = diff(old, new, DiffConfig(fast_signatures=fast))
-            sizes.append(delta_byte_size(delta))
-        assert sizes[0] == sizes[1]
-
-
 class TestCanonicalBytes:
     def test_equal_trees_equal_bytes(self):
         assert canonical_bytes(parse("<a><b/>t</a>")) == canonical_bytes(

@@ -96,7 +96,6 @@ def test_abl_delta_bytes_per_knob():
         "ancestor depth factor 0": 20983,
         "ancestor depth factor 3": 20983,
         "chunked moves (threshold 0)": 20983,
-        "fast signatures (salted hash)": 20983,
         "moves-vs-edits": 20983,
     }
     assert rows["moves-vs-edits"]["as_edits_bytes"] == 61025

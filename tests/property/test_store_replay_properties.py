@@ -78,7 +78,7 @@ def test_replay_reproduces_every_committed_snapshot(seed, steps):
 #: (XYDIFF_BACKENDS=sqlite), locally every backend runs.
 BACKENDS = [
     name.strip()
-    for name in os.environ.get("XYDIFF_BACKENDS", "file,sqlite,blob").split(",")
+    for name in os.environ.get("XYDIFF_BACKENDS", "file,sqlite").split(",")
     if name.strip()
 ]
 STORES = ["memory"] + BACKENDS

@@ -258,7 +258,7 @@ def test_statz_over_sqlite_store(tmp_path):
         )
         response, body = call(handle, "GET", "/statz")
         assert response.status == 200
-        assert body["schema"] == "repro.storewatch/2"
+        assert body["schema"] == "repro.storewatch/3"
         report = body["stores"]["main"]
         assert report["backend"] == "sqlite"
         assert report["documents"] == 12

@@ -1,7 +1,7 @@
 """Backend conformance: one contract, proven per backend.
 
-Every test in this module runs against all three storage backends
-(``file``, ``sqlite``, ``blob``) — the key/value contract, the stable
+Every test in this module runs against both storage backends
+(``file``, ``sqlite``) — the key/value contract, the stable
 JSON encoding, batch scopes, and, most importantly, the PR-3 crash
 matrix: a commit crashed, torn or EIO'd at *every* I/O boundary must
 leave a store that reopens into either the pre- or the post-state with
@@ -9,7 +9,7 @@ a clean ``verify()``.  The crash-safety guarantee is stated once,
 against the :class:`~repro.storage.backend.StorageBackend` protocol,
 and this suite is what makes the statement true per implementation.
 
-CI runs the module three times (one backend per matrix job) by setting
+CI runs the module twice (one backend per matrix job) by setting
 ``XYDIFF_BACKENDS``; locally, all backends run in one go.
 """
 
@@ -19,7 +19,6 @@ import os
 import pytest
 
 from repro.storage import (
-    BlobStoreBackend,
     FilesystemBackend,
     SQLiteBackend,
     open_backend,
@@ -33,7 +32,6 @@ from repro.xmlkit import parse, serialize_bytes
 _ALL_BACKENDS = {
     "file": FilesystemBackend,
     "sqlite": SQLiteBackend,
-    "blob": BlobStoreBackend,
 }
 
 #: CI's backend matrix narrows the sweep (XYDIFF_BACKENDS=sqlite);
@@ -41,7 +39,7 @@ _ALL_BACKENDS = {
 BACKENDS = [
     name.strip()
     for name in os.environ.get(
-        "XYDIFF_BACKENDS", "file,sqlite,blob"
+        "XYDIFF_BACKENDS", "file,sqlite"
     ).split(",")
     if name.strip()
 ]
@@ -433,43 +431,3 @@ class TestCrossBackendReplay:
         for scheme in BACKENDS[1:]:
             assert stored[scheme]["values"] == baseline["values"]
             assert stored[scheme]["replayed"] == baseline["replayed"]
-
-
-class TestBlobStoreSpecifics:
-    """Content addressing beyond the shared contract: blob only."""
-
-    def test_identical_payloads_share_one_object(self, tmp_path):
-        backend = BlobStoreBackend(str(tmp_path / "cas"))
-        backend.put("a/current.xml", b"<same/>")
-        backend.put("b/current.xml", b"<same/>")
-        digest = sha256_bytes(b"<same/>")
-        objects = []
-        for directory, _, names in os.walk(tmp_path / "cas" / "objects"):
-            objects.extend(n for n in names if not n.endswith(".refs"))
-        assert objects == [digest]
-        # deleting one ref keeps the object; deleting both reclaims it.
-        backend.delete("a/current.xml")
-        assert backend.get("b/current.xml") == b"<same/>"
-        backend.delete("b/current.xml")
-        assert backend.orphans() == []
-        for directory, _, names in os.walk(tmp_path / "cas" / "objects"):
-            assert not names
-        backend.close()
-
-    def test_gc_reconciles_drifted_refcounts(self, tmp_path):
-        backend = BlobStoreBackend(str(tmp_path / "cas"))
-        backend.put("a/current.xml", b"<kept/>")
-        kept = sha256_bytes(b"<kept/>")
-        # fake a crash artifact: an object no ref points at, plus a
-        # drifted refcount on the live one.
-        orphan = sha256_bytes(b"<orphan/>")
-        path = backend._object_path(orphan)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(b"<orphan/>")
-        backend._write_count(kept, 7)
-        assert backend.gc() == 1
-        assert not os.path.exists(path)
-        assert backend._read_count(kept) == 1
-        assert backend.get("a/current.xml") == b"<kept/>"
-        backend.close()

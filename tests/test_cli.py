@@ -1,6 +1,7 @@
 """Tests for the xydiff command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -673,7 +674,7 @@ class TestStoreCommands:
         assert main(["store", "commit", "doc-1", str(doc),
                      "--store", url]) == 0
 
-    @pytest.mark.parametrize("scheme", ["file", "sqlite", "blob"])
+    @pytest.mark.parametrize("scheme", ["file", "sqlite"])
     def test_commit_ls_log_cat_round_trip(self, tmp_path, capsys, scheme):
         path = tmp_path / ("s.sqlite" if scheme == "sqlite" else "s")
         url = f"{scheme}://{path}"
@@ -712,7 +713,7 @@ class TestStoreCommands:
         assert "doc-1  version=2 checkpoints=0 bytes=" in out
         assert "summary: documents=1 bytes=" in out
 
-    @pytest.mark.parametrize("scheme", ["file", "sqlite", "blob"])
+    @pytest.mark.parametrize("scheme", ["file", "sqlite"])
     def test_stats_text_and_json(self, tmp_path, capsys, scheme):
         path = tmp_path / ("s.sqlite" if scheme == "sqlite" else "s")
         url = f"{scheme}://{path}"
@@ -727,16 +728,38 @@ class TestStoreCommands:
 
         assert main(["store", "stats", "--store", url, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "repro.storewatch/2"
+        assert report["schema"] == "repro.storewatch/3"
         assert report["documents"] == 1
         assert report["chain"]["histogram"] == {"1": 1}
-        if scheme == "blob":
-            assert report["dedup"] is not None
+        assert "dedup" not in report
 
     def test_stats_missing_store_is_an_error(self, tmp_path, capsys):
         assert main(["store", "stats", "--store",
                      f"sqlite://{tmp_path / 'nope.sqlite'}"]) == 1
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "url, problem",
+        [
+            ("sqlite://{tmp}/s.sqlite?x=1", "takes no query parameters"),
+            ("sqlite://", "has an empty path"),
+        ],
+        ids=["query", "empty-path"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["fsck", "{url}"], ["store", "ls", "--store", "{url}"]],
+        ids=["fsck", "store-ls"],
+    )
+    def test_malformed_store_url_is_one_error_line(
+        self, tmp_path, capsys, url, problem, command
+    ):
+        url = url.format(tmp=tmp_path)
+        argv = [part.format(url=url) for part in command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: store URL {url!r} {problem}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_sitediff_commits_into_store(self, tmp_path, capsys):
         old_dir = tmp_path / "old"

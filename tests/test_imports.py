@@ -170,14 +170,14 @@ print(json.dumps([
 
 class TestSchemeRegistry:
     # The backends register their schemes on import, and nothing imports
-    # them before a store is opened; every reader must still see all three.
+    # them before a store is opened; every reader must still see both.
     def test_package_lists_builtin_schemes(self):
         code = (
             "import json\n"
             "from repro.storage import STORE_SCHEMES\n"
             "print(json.dumps(sorted(STORE_SCHEMES)))\n"
         )
-        assert run_fresh(code) == ["blob", "file", "sqlite"]
+        assert run_fresh(code) == ["file", "sqlite"]
 
     def test_store_url_opens_any_builtin_backend(self, tmp_path):
         code = (

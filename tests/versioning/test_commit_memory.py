@@ -21,7 +21,7 @@ from repro.xmlkit import parse
 
 BACKENDS = [
     name.strip()
-    for name in os.environ.get("XYDIFF_BACKENDS", "file,sqlite,blob").split(",")
+    for name in os.environ.get("XYDIFF_BACKENDS", "file,sqlite").split(",")
     if name.strip()
 ]
 

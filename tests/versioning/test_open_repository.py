@@ -2,7 +2,8 @@
 
 Every store-URL spelling must resolve to the layout that is actually on
 disk, a store URL takes no query parameters, and a store written by the
-removed shard router is refused before anything is read or created.
+removed shard router or the removed blob backend is refused before
+anything is read or created.
 """
 
 import os
@@ -10,7 +11,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.storage import BlobStoreBackend, SQLiteBackend, open_backend
+from repro.storage import SQLiteBackend, open_backend
 from repro.versioning import (
     BackendRepository,
     DirectoryRepository,
@@ -39,7 +40,6 @@ class TestOpenRepository:
         cases = [
             (f"file://{tmp_path / 'a'}", DirectoryRepository),
             (f"sqlite://{tmp_path / 'b.sqlite'}", BackendRepository),
-            (f"blob://{tmp_path / 'c'}", BackendRepository),
         ]
         for url, expected_type in cases:
             repo = open_repository(url)
@@ -51,7 +51,6 @@ class TestOpenRepository:
         layouts = {
             "file": lambda p: DirectoryRepository(p),
             "sqlite": lambda p: BackendRepository(SQLiteBackend(str(p))),
-            "blob": lambda p: BackendRepository(BlobStoreBackend(str(p))),
         }
         for name, build in layouts.items():
             path = tmp_path / (
@@ -80,9 +79,9 @@ class TestOpenRepository:
 
     def test_store_urls_take_no_query_parameters(self, tmp_path):
         url = f"sqlite://{tmp_path / 'x.sqlite'}?shards=2"
-        with pytest.raises(ValueError, match="no query parameters"):
+        with pytest.raises(RepositoryError, match="no query parameters"):
             open_repository(url)
-        with pytest.raises(ValueError, match="no query parameters"):
+        with pytest.raises(RepositoryError, match="no query parameters"):
             open_backend(url)
         assert os.listdir(tmp_path) == []
 
@@ -129,3 +128,39 @@ class TestShardedStoresAreRefused:
         assert main(["fsck", str(sharded_root), "--repair"]) == 1
         assert "shard router was removed" in capsys.readouterr().err
         assert _tree(sharded_root) == before
+
+
+class TestBlobStoresAreRefused:
+    @pytest.fixture()
+    def blob_root(self, tmp_path):
+        """A store as the removed blob backend laid it out: a marker
+        file, ref files naming each key's object, and the objects
+        under a two-level fan-out."""
+        root = tmp_path / "cas"
+        digest = "ab" * 32
+        (root / "refs" / "doc").mkdir(parents=True)
+        (root / "refs" / "doc" / "current.xml").write_text(digest + "\n")
+        objects = root / "objects" / digest[:2] / digest[2:4]
+        objects.mkdir(parents=True)
+        (objects / digest).write_bytes(DOC.encode())
+        (objects / (digest + ".refs")).write_text("1\n")
+        (root / "blob.json").write_text('{\n  "schema": "repro.blob/1"\n}\n')
+        return root
+
+    def test_blob_url_is_refused_and_creates_nothing(self, tmp_path):
+        with pytest.raises(RepositoryError, match="blob backend was removed"):
+            open_repository(f"blob://{tmp_path / 'new-store'}")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("spelling", ["{root}", "file://{root}"])
+    def test_blob_directory_is_refused_untouched(self, blob_root, spelling):
+        before = _tree(blob_root)
+        with pytest.raises(RepositoryError, match="blob backend was removed"):
+            open_repository(spelling.format(root=blob_root))
+        assert _tree(blob_root) == before
+
+    def test_fsck_refuses_a_blob_directory_untouched(self, blob_root, capsys):
+        before = _tree(blob_root)
+        assert main(["fsck", str(blob_root), "--repair"]) == 1
+        assert "blob backend was removed" in capsys.readouterr().err
+        assert _tree(blob_root) == before

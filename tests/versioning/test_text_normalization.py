@@ -22,7 +22,7 @@ from repro.xmlkit.errors import RepositoryError
 
 BACKENDS = [
     name.strip()
-    for name in os.environ.get("XYDIFF_BACKENDS", "file,sqlite,blob").split(",")
+    for name in os.environ.get("XYDIFF_BACKENDS", "file,sqlite").split(",")
     if name.strip()
 ]
 

@@ -22,7 +22,7 @@ Three classes of drift, all fatal:
    ``store``).
 4. **Phantom store schemes** — every ``scheme://`` store-URL example in
    the docs and README must use a scheme the storage layer actually
-   registers (``file``, ``sqlite``, ``blob``); web schemes
+   registers (``file``, ``sqlite``); web schemes
    (``http(s)``, ``mailto``) are exempt.
 5. **Endpoint-table drift** — the endpoint reference table in
    docs/server.md must list exactly the routes ``repro.server``
