@@ -58,12 +58,12 @@ __all__ = ["EXPERIMENTS", "abl", "comp", "fig4", "fig5", "fig6", "main",
 
 @functools.lru_cache(maxsize=None)
 def _simulated_pair(nodes, doc_seed, sim_seed, rate=0.10):
-    """(old, new, perfect delta); diff clones, never these."""
+    """A cached ``SimulationResult``; diff clones of its documents,
+    never the documents, so ``perfect_delta()`` stays exact."""
     base = generate_document(GeneratorConfig(target_nodes=nodes, seed=doc_seed))
-    result = simulate_changes(
+    return simulate_changes(
         base, SimulatorConfig(rate, rate, rate, rate, seed=sim_seed)
     )
-    return base, result.new_document, result.perfect_delta
 
 
 def _clones(old, new):
@@ -123,7 +123,8 @@ def fig4(fast=False):
     )
     rows = []
     for nodes in sizes:
-        old, new, _ = _simulated_pair(nodes, 1, 2)
+        pair = _simulated_pair(nodes, 1, 2)
+        old, new = pair.old_document, pair.new_document
         _, delta, stages, _ = _timed_diff(old, new, fast)
         rows.append({
             "nodes": nodes,
@@ -182,11 +183,10 @@ def fig5(fast=False):
     rows = []
     for nodes in sizes:
         for rate in rates:
-            old, new, perfect = _simulated_pair(
-                nodes, nodes, int(rate * 1000), rate
-            )
-            delta, _ = diff_with_stats(*_clones(old, new))
-            perfect_bytes = delta_byte_size(perfect)
+            pair = _simulated_pair(nodes, nodes, int(rate * 1000), rate)
+            old = pair.old_document
+            perfect_bytes = delta_byte_size(pair.perfect_delta())
+            delta, _ = diff_with_stats(*_clones(old, pair.new_document))
             computed_bytes = delta_byte_size(delta)
             rows.append({
                 "nodes": nodes,
@@ -487,7 +487,9 @@ def qual(fast=False):
 
     rows = []
     for seed in range(4 if fast else 16):
-        base, new_doc, _ = _simulated_pair(90, seed, seed + 500, rate=0.08)
+        pair = _simulated_pair(90, seed, seed + 500, rate=0.08)
+        base, new_doc = pair.old_document, pair.new_document
+        perfect = _edit_cost(pair.perfect_delta(), base)
         optimal = tree_edit_distance(*_clones(base, new_doc))
         old, new = _clones(base, new_doc)
         recorder = ProvenanceRecorder()
@@ -498,8 +500,10 @@ def qual(fast=False):
             "case": seed,
             "nodes": base.subtree_size() - 1,
             "optimal_cost": optimal,
+            "perfect_cost": perfect,
             "buld_cost": cost,
             "ratio": cost / optimal if optimal else 1.0,
+            "perfect_ratio": cost / perfect if perfect else 1.0,
             "unmatched_weight_ratio": report.unmatched_weight_ratio,
         })
     return rows
@@ -513,14 +517,15 @@ def render_qual(rows):
         "",
     ]
     header = (
-        f"{'case':>5} {'nodes':>6} | {'ZS optimal':>10} {'BULD cost':>10} "
-        f"{'ratio':>6} {'unmatched w':>11}"
+        f"{'case':>5} {'nodes':>6} | {'ZS optimal':>10} {'perfect':>8} "
+        f"{'BULD cost':>10} {'vs ZS':>6} {'vs perfect':>10} {'unmatched w':>11}"
     )
     lines += [header, "-" * len(header)]
     for row in rows:
         lines.append(
             f"{row['case']:>5} {row['nodes']:>6} | {row['optimal_cost']:>10.0f} "
-            f"{row['buld_cost']:>10.0f} {row['ratio']:>6.2f} "
+            f"{row['perfect_cost']:>8.0f} {row['buld_cost']:>10.0f} "
+            f"{row['ratio']:>6.2f} {row['perfect_ratio']:>10.2f} "
             f"{row['unmatched_weight_ratio']:>11.4f}"
         )
     lines += [
@@ -528,6 +533,9 @@ def render_qual(rows):
         f"average cost ratio vs optimum: "
         f"{_mean([row['ratio'] for row in rows]):.2f} "
         "(1.00 = optimal; paper: 'reasonably close to the optimal')",
+        f"average cost ratio vs perfect: "
+        f"{_mean([row['perfect_ratio'] for row in rows]):.2f} "
+        "(the simulator's own edit script, same cost model)",
         "unmatched w: share of the new document's weight left unmatched "
         "(the provenance report)",
     ]
@@ -558,7 +566,8 @@ def abl(fast=False):
     delta with its moves rewritten as delete+insert."""
     from repro.core.transform import moves_to_edits
 
-    old, new, _ = _simulated_pair(800 if fast else 8_000, 97, 98)
+    pair = _simulated_pair(800 if fast else 8_000, 97, 98)
+    old, new = pair.old_document, pair.new_document
     rows = []
     for name, overrides in ABL_CONFIGS:
         labelled_old, delta, _, seconds = _timed_diff(

@@ -805,7 +805,7 @@ def _cmd_simulate(args) -> int:
     result = simulate_changes(document, config)
     _write(args.output, serialize(result.new_document))
     if args.delta_output:
-        _write(args.delta_output, serialize_delta(result.perfect_delta))
+        _write(args.delta_output, serialize_delta(result.perfect_delta()))
     summary = ", ".join(f"{k}={v}" for k, v in sorted(result.counts.items()))
     print(f"simulated: {summary}", file=sys.stderr)
     return 0

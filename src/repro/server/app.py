@@ -260,9 +260,10 @@ class DiffServer:
     def store_entry(self, name: str):
         """``(VersionStore, threading.Lock)`` for a configured store name.
 
-        Stores open lazily on first use and stay open for the server's
-        lifetime; an unknown name is a 404 (the client addressed a
-        repo the operator never configured).
+        :meth:`start` opens every configured store through here, and
+        each stays open for the server's lifetime; an unknown name is
+        a 404 (the client addressed a repo the operator never
+        configured).
         """
         url = self.config.stores.get(name)
         if url is None:
@@ -342,7 +343,22 @@ class DiffServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
-        """Bind and start serving; returns the actual ``(host, port)``."""
+        """Open every store, bind and start serving; returns the actual
+        ``(host, port)``.
+
+        Stores open before anything else starts, so journal recovery
+        (and its ``repo.recover`` events) runs at boot, and a store that
+        cannot be opened stops the server with a
+        :class:`RepositoryError` naming it instead of failing every
+        request that touches it.
+        """
+        for name in sorted(self.config.stores):
+            try:
+                self.store_entry(name)
+            except Exception as error:  # any reason: the boot stops here
+                self._close_stores()
+                self.events.close()
+                raise RepositoryError(f"store {name!r}: {error}") from error
         await self.pool.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
@@ -385,6 +401,10 @@ class DiffServer:
         await self.pool.close()
         if self._server is not None:
             await self._server.wait_closed()
+        self._close_stores()
+        self.events.close()
+
+    def _close_stores(self) -> None:
         with self._stores_guard:
             for store, lock in self._stores.values():
                 # Cancelling the scrub task does not stop a verify already
@@ -392,7 +412,6 @@ class DiffServer:
                 with lock:
                     store.repository.close()
             self._stores.clear()
-        self.events.close()
 
     # -- connection handling -------------------------------------------------
 

@@ -1,8 +1,11 @@
 """The paper's change simulator (Section 6.1), rebuilt faithfully.
 
 The simulator applies controlled random changes to a document and returns
-both the mutated document and the **perfect delta** — the ground truth the
-diff's output is compared against in the quality experiments (Figure 5).
+both versions, XID-labelled, from which
+:meth:`SimulationResult.perfect_delta` builds the **perfect delta** — the
+ground truth the diff's output is compared against in the quality
+experiments (Figure 5).  Most callers only want the new version, so the
+ground truth is built only on request.
 
 The three phases follow the paper:
 
@@ -24,7 +27,10 @@ The three phases follow the paper:
 
 The ground truth needs no bookkeeping: the simulator works on a clone that
 keeps persistent XIDs, so joining the versions on XIDs yields the exact
-edit script (:func:`repro.core.apply.delta_by_xid_join`).
+edit script (:func:`repro.core.apply.delta_by_xid_join`).  That join is
+only exact while both versions keep the simulator's labels: diffing a
+version relabels the XIDs of its new side, so take the perfect delta
+first, or diff clones.
 """
 
 from __future__ import annotations
@@ -34,7 +40,12 @@ from dataclasses import dataclass, field
 
 from repro.core.apply import delta_by_xid_join
 from repro.core.delta import Delta
-from repro.core.xid import XidAllocator, assign_initial_xids, max_xid
+from repro.core.xid import (
+    DOCUMENT_XID,
+    XidAllocator,
+    assign_initial_xids,
+    max_xid,
+)
 from repro.simulator.words import make_text
 from repro.xmlkit.model import Document, Element, Node, Text, postorder, preorder
 
@@ -80,16 +91,23 @@ class SimulationResult:
     Attributes:
         old_document: The input document, XID-labelled (it is labelled in
             place if it was not already).
-        new_document: The mutated clone, fully XID-labelled.
-        perfect_delta: The exact ground-truth delta old -> new.
+        new_document: The mutated clone, fully XID-labelled; nodes it
+            shares with ``old_document`` carry the same XIDs.
         counts: Performed operations: ``deleted_subtrees``,
             ``deleted_nodes``, ``updates``, ``inserts``, ``moves``.
     """
 
     old_document: Document
     new_document: Document
-    perfect_delta: Delta
     counts: dict[str, int] = field(default_factory=dict)
+
+    def perfect_delta(self) -> Delta:
+        """The exact ground-truth delta old -> new, built on every call.
+
+        Call it before either document changes: the delta is a join on
+        XIDs, and a diff relabels the XIDs of its new side.
+        """
+        return delta_by_xid_join(self.old_document, self.new_document)
 
 
 def simulate_changes(
@@ -98,7 +116,9 @@ def simulate_changes(
     """Apply random changes to (a clone of) ``document``.
 
     The input document itself is never structurally modified; it only
-    receives initial XIDs when it has none yet.
+    receives initial XIDs when it has none yet.  No delta is built here:
+    :meth:`SimulationResult.perfect_delta` builds the ground truth when
+    a caller asks for it.
     """
     if config is None:
         config = SimulatorConfig()
@@ -107,6 +127,7 @@ def simulate_changes(
 
     if max_xid(document) == 0:
         assign_initial_xids(document)
+    document.xid = DOCUMENT_XID  # the clone inherits it
     allocator = XidAllocator(max_xid(document) + 1)
 
     working = document.clone()
@@ -138,12 +159,8 @@ def simulate_changes(
         counter,
     )
 
-    perfect = delta_by_xid_join(document, working)
     return SimulationResult(
-        old_document=document,
-        new_document=working,
-        perfect_delta=perfect,
-        counts=counts,
+        old_document=document, new_document=working, counts=counts
     )
 
 

@@ -64,7 +64,7 @@ class TestCleanDeltas:
                 GeneratorConfig(target_nodes=80, seed=seed)
             )
             result = simulate_changes(base, SimulatorConfig(seed=seed + 7))
-            assert validate_delta(result.perfect_delta, base) == []
+            assert validate_delta(result.perfect_delta(), base) == []
 
 
 class TestInternalProblems:

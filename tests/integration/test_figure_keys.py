@@ -82,6 +82,16 @@ def test_qual_cost_and_unmatched_weight():
     ])
 
 
+def test_qual_cost_against_the_perfect_delta():
+    """Case 3's 2.71x the optimum is QUAL's cost model charging moves as
+    twice their subtree: BULD costs exactly what the simulator's own
+    edit script does."""
+    rows = report.qual(fast=True)
+    assert [row["perfect_ratio"] for row in rows] == exactly(
+        [90 / 88, 23 / 15, 36 / 25, 103 / 103]
+    )
+
+
 def test_abl_delta_bytes_per_knob():
     rows = {row["configuration"]: row for row in report.abl(fast=True)}
     assert {name: row["delta_bytes"] for name, row in rows.items()} == {

@@ -37,17 +37,19 @@ from repro.xmlkit import parse, serialize, serialize_bytes
 
 @functools.lru_cache(maxsize=None)
 def _scenario(nodes, doc_seed, sim_seed, rate=0.10):
-    """(old, new, perfect delta) masters; diff clones, never these."""
+    """The simulated masters; diff clones, never these."""
     base = generate_document(GeneratorConfig(target_nodes=nodes, seed=doc_seed))
-    result = simulate_changes(
+    return simulate_changes(
         base, SimulatorConfig(rate, rate, rate, rate, seed=sim_seed)
     )
-    return base, result.new_document, result.perfect_delta
 
 
 def _pair(nodes, doc_seed, sim_seed, rate=0.10):
-    old, new, _ = _scenario(nodes, doc_seed, sim_seed, rate)
-    return old.clone(keep_xids=False), new.clone(keep_xids=False)
+    result = _scenario(nodes, doc_seed, sim_seed, rate)
+    return (
+        result.old_document.clone(keep_xids=False),
+        result.new_document.clone(keep_xids=False),
+    )
 
 
 def _catalog_pair(products, seed, with_ids=False):
@@ -135,8 +137,9 @@ class TestQualityVsPerfect:
 
     @staticmethod
     def ratio(nodes, rate, doc_seed, sim_seed):
-        old, new, perfect = _scenario(nodes, doc_seed, sim_seed, rate)
-        return _diff_bytes(old, new) / delta_byte_size(perfect)
+        result = _scenario(nodes, doc_seed, sim_seed, rate)
+        perfect = delta_byte_size(result.perfect_delta())
+        return _diff_bytes(result.old_document, result.new_document) / perfect
 
     @pytest.mark.parametrize("rate", [0.02, 0.10, 0.30])
     def test_within_the_paper_envelope(self, rate):
@@ -234,7 +237,7 @@ class TestTuningKnobs:
         assert inferred <= plain * 1.3
 
     def test_optimization_passes_never_hurt_quality_much(self):
-        old, new, _ = _scenario(1_000, 55, 56)
+        old, new = _pair(1_000, 55, 56)
         none = _diff_bytes(old, new, DiffConfig(optimization_passes=0))
         two = _diff_bytes(old, new, DiffConfig(optimization_passes=2))
         assert two <= none * 1.1

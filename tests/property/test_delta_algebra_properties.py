@@ -49,7 +49,7 @@ def test_aggregation_composes_chains(doc_seed, seed_one, seed_two):
     v2 = step_two.new_document
 
     combined = aggregate(
-        [step_one.perfect_delta, step_two.perfect_delta], v0
+        [step_one.perfect_delta(), step_two.perfect_delta()], v0
     )
     assert apply_delta(combined, v0, verify=True).deep_equal(v2)
     assert apply_backward(combined, v2, verify=True).deep_equal(v0)
@@ -60,9 +60,8 @@ def test_aggregation_composes_chains(doc_seed, seed_one, seed_two):
 def test_delta_then_inverse_aggregates_to_empty(doc_seed, sim_seed):
     v0 = generate_document(GeneratorConfig(target_nodes=60, seed=doc_seed))
     step = simulate_changes(v0, SimulatorConfig(seed=sim_seed))
-    combined = aggregate(
-        [step.perfect_delta, step.perfect_delta.inverted()], v0
-    )
+    perfect = step.perfect_delta()
+    combined = aggregate([perfect, perfect.inverted()], v0)
     assert combined.is_empty()
 
 
@@ -76,11 +75,12 @@ def test_perfect_delta_is_never_bigger_than_delete_all_insert_all(
 
     v0 = generate_document(GeneratorConfig(target_nodes=60, seed=doc_seed))
     step = simulate_changes(v0, SimulatorConfig(seed=sim_seed))
+    perfect = step.perfect_delta()
     # sanity envelope: the ground-truth delta cannot exceed a full dump of
     # both versions plus operation overhead per node
     bound = (
         len(serialize_bytes(v0))
         + len(serialize_bytes(step.new_document))
-        + 200 * (len(step.perfect_delta.operations) + 1)
+        + 200 * (len(perfect.operations) + 1)
     )
-    assert delta_byte_size(step.perfect_delta) <= bound
+    assert delta_byte_size(perfect) <= bound

@@ -27,10 +27,10 @@ def test_merge_always_produces_valid_document(doc_seed, ours_seed, theirs_seed):
     base = generate_document(GeneratorConfig(target_nodes=60, seed=doc_seed))
     ours = simulate_changes(
         base, SimulatorConfig(0.05, 0.1, 0.05, 0.03, seed=ours_seed)
-    ).perfect_delta
+    ).perfect_delta()
     theirs = simulate_changes(
         base, SimulatorConfig(0.05, 0.1, 0.05, 0.03, seed=theirs_seed)
-    ).perfect_delta
+    ).perfect_delta()
     result = merge(base, ours, theirs)
     # XIDs stay unique (raises on duplicates)
     xid_index(result.document)
@@ -49,11 +49,11 @@ def test_merge_with_empty_side_applies_other_side(doc_seed, sim_seed):
     changed = simulate_changes(
         base, SimulatorConfig(0.05, 0.1, 0.05, 0.03, seed=sim_seed)
     )
-    result = merge(base, changed.perfect_delta, Delta([]))
+    result = merge(base, changed.perfect_delta(), Delta([]))
     assert result.is_clean
     assert result.document.deep_equal(changed.new_document)
     # symmetric
-    result = merge(base, Delta([]), changed.perfect_delta)
+    result = merge(base, Delta([]), changed.perfect_delta())
     assert result.is_clean
     assert result.document.deep_equal(changed.new_document)
 

@@ -2,11 +2,15 @@
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.server import ServerConfig, serve_in_thread
+from repro.xmlkit.errors import RepositoryError
 
 OLD = "<site><page id='a'>alpha</page><page id='b'>beta</page></site>"
 NEW = "<site><page id='a'>alpha!</page><page id='c'>gamma</page></site>"
@@ -187,3 +191,51 @@ def test_metrics_exposes_server_series(server):
     assert "repro_server_queue_depth" in text
     assert "repro_server_requests_total" in text
     assert "repro_server_request_seconds_bucket" in text
+
+
+def test_a_store_that_cannot_open_stops_the_boot(tmp_path):
+    stores = {
+        "good": f"sqlite://{tmp_path}/good.db",
+        "x": f"blob://{tmp_path}/blobs",
+    }
+    with pytest.raises(RepositoryError, match="^store 'x': .*blob"):
+        serve_in_thread(ServerConfig(port=0, stores=stores))
+    assert not (tmp_path / "blobs").exists()
+
+
+def test_recovery_runs_at_boot(tmp_path):
+    from repro.testing.faults import FaultInjector, InjectedFault
+    from repro.versioning import DirectoryRepository, VersionStore
+    from repro.xmlkit import parse
+
+    path = tmp_path / "store"
+    repository = DirectoryRepository(path)
+    store = VersionStore(repository)
+    store.create("doc", parse(OLD))
+    repository.faults = FaultInjector(crash_after=3)
+    with pytest.raises(InjectedFault):
+        store.commit("doc", parse(NEW))
+    handle = serve_in_thread(
+        ServerConfig(port=0, stores={"main": f"file://{path}"})
+    )
+    try:
+        # No request has touched the store yet.
+        events = handle.server.events.tail(event="repo.recover")
+        assert [(e["store"], e["action"]) for e in events] == [
+            ("main", "rolled-forward")
+        ]
+    finally:
+        handle.close()
+
+
+def test_serve_exits_with_one_error_line_for_a_bad_store(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--repo", f"x=blob://{tmp_path}/blobs"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+    )
+    assert completed.returncode == 1
+    (line,) = completed.stderr.splitlines()
+    assert line.startswith("error: store 'x': ")

@@ -408,6 +408,29 @@ class TestGenerateSimulate:
         ) == 0
         assert parse(out.read_text()).root.label == "catalog"
 
+    def test_simulate_builds_the_perfect_delta_only_when_asked(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.core.apply as apply_module
+
+        calls = []
+        real = apply_module.build_delta
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(apply_module, "build_delta", counting)
+        source = tmp_path / "doc.xml"
+        main(["generate", "--nodes", "80", "--seed", "3", "-o", str(source)])
+        command = ["simulate", str(source), "-o", str(tmp_path / "new.xml")]
+        assert main(command) == 0
+        assert calls == []
+        delta = tmp_path / "perfect.xml"
+        assert main(command + ["--delta-output", str(delta)]) == 0
+        assert len(calls) == 1
+        assert delta.exists()
+
     def test_simulate_roundtrip(self, tmp_path, capsys):
         source = tmp_path / "doc.xml"
         main(["generate", "--nodes", "80", "--seed", "3", "-o", str(source)])

@@ -228,7 +228,7 @@ class TestMergeValidity:
             base, SimulatorConfig(0.05, 0.1, 0.05, 0.02, seed=2)
         )
         result = merge(
-            base, ours_result.perfect_delta, theirs_result.perfect_delta
+            base, ours_result.perfect_delta(), theirs_result.perfect_delta()
         )
         assert result.document.root is not None
         # sanity: merged doc has valid unique XIDs
