@@ -1316,7 +1316,7 @@ def main(argv=None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    except FileNotFoundError as error:
+    except OSError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

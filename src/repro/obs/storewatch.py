@@ -93,12 +93,13 @@ def _size_of(backend, key: str) -> int:
 def collect_store_stats(
     repository, *, label: Optional[str] = None, per_document: bool = False
 ) -> dict:
-    """One ``repro.storewatch/3`` report for a storage-backed repository.
+    """One ``repro.storewatch/3`` report for a repository.
 
     Args:
         repository: A :class:`~repro.versioning.repository.
-            BackendRepository` (what :func:`~repro.versioning.
-            repository.open_repository` returns for a store URL).
+            BackendRepository` — what :func:`~repro.versioning.
+            repository.open_repository` returns for a store URL, or a
+            ``VersionStore``'s ``repository``.
         label: Store name/URL recorded in the report (defaults to the
             backend's URL).
         per_document: Also include a ``documents_detail`` list (doc id,
@@ -107,21 +108,13 @@ def collect_store_stats(
             list is O(documents).
 
     Raises:
-        ReproError: For repositories without a storage backend
-            (:class:`~repro.versioning.repository.MemoryRepository`).
+        Nothing for a damaged document: one whose metadata is missing
+        or corrupt is counted in ``unreadable_documents``.  Only an
+        error of the backend itself (an unreadable directory, a closed
+        database) propagates.
     """
-    from repro.versioning.repository import (
-        META_NAME,
-        BackendRepository,
-        CorruptStoreError,
-    )
-    from repro.xmlkit.errors import ReproError
+    from repro.versioning.repository import META_NAME, CorruptStoreError
 
-    if not isinstance(repository, BackendRepository):
-        raise ReproError(
-            "store stats needs a storage-backed repository; "
-            f"{type(repository).__name__} has no backend to walk"
-        )
     backend = repository.backend
 
     documents = 0

@@ -49,17 +49,30 @@ class SQLiteBackend(StorageBackend):
         # isolation_level=None: autocommit, with explicit BEGIN for
         # batch() — the stdlib's implicit transaction management would
         # fight the protocol's write ordering.
-        self._conn = sqlite3.connect(
-            self.root, isolation_level=None, check_same_thread=False
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(
-            f"PRAGMA synchronous={_SYNCHRONOUS[self.durability]}"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS kv ("
-            "key TEXT PRIMARY KEY, data BLOB NOT NULL)"
-        )
+        self._conn = None
+        try:
+            self._conn = sqlite3.connect(
+                self.root, isolation_level=None, check_same_thread=False
+            )
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute(
+                f"PRAGMA synchronous={_SYNCHRONOUS[self.durability]}"
+            )
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS kv ("
+                "key TEXT PRIMARY KEY, data BLOB NOT NULL)"
+            )
+        except sqlite3.Error as exc:
+            # A directory, or a file that is not a database: one
+            # caller-facing error, not a driver traceback.
+            from repro.xmlkit.errors import RepositoryError
+
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+            raise RepositoryError(
+                f"cannot open store {self.url!r}: {exc}"
+            ) from exc
         self._in_batch = False
 
     # -- primitives ----------------------------------------------------------

@@ -1,7 +1,8 @@
 """Xyleme-style change control built on the diff (the paper's Figure 1).
 
 - :mod:`repro.versioning.repository` — snapshot + delta-chain storage
-  (in memory, or through any :class:`repro.storage.StorageBackend`),
+  through any :class:`repro.storage.StorageBackend` (filesystem or
+  SQLite, on disk or in memory),
   and :func:`open_repository`, the store-URL front door.
 - :mod:`repro.versioning.version_control` — the one commit path
   (:class:`VersionStore`), version reconstruction, cross-version
@@ -24,7 +25,6 @@ __all__ = [
     "MergeResult",
     "fsck_store",
     "merge",
-    "MemoryRepository",
     "RecoveryEvent",
     "Repository",
     "SiteDelta",
@@ -41,7 +41,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "merge": ("Conflict", "MergeResult", "merge"),
     "repository": (
         "BackendRepository", "CorruptStoreError", "DirectoryRepository",
-        "Finding", "MemoryRepository", "RecoveryEvent", "Repository",
+        "Finding", "RecoveryEvent", "Repository",
         "open_repository",
     ),
     "sitediff": ("SiteDelta", "SiteSnapshot", "diff_sites"),

@@ -10,22 +10,20 @@ from the nearest stored state (the current snapshot or a checkpoint) and
 applies the completed deltas from there in either direction: forward
 from a state below the requested version, backward from one above.
 
-Three implementations share the interface:
+One class implements it: :class:`BackendRepository` (exported as
+``Repository`` too) stores everything through a
+:class:`repro.storage.backend.StorageBackend` (filesystem, or SQLite —
+an in-memory SQLite database is what ``VersionStore()`` uses when no
+repository is given).  Per document it keeps the current snapshot
+(``<doc>/current.xml``), the deltas (``<doc>/delta-0001-0002.xml``
+...), and a small metadata record.  Documents and deltas are stored in
+their XML forms, so the store is inspectable with any XML tooling — a
+property the paper makes a point of.  :class:`DirectoryRepository` is
+its constructor for the classic one-directory-per-document filesystem
+layout.
 
-- :class:`MemoryRepository` — everything in process memory.
-- :class:`BackendRepository` — persistent storage through any
-  :class:`repro.storage.backend.StorageBackend` (filesystem or
-  SQLite).  Per document it keeps the current snapshot
-  (``<doc>/current.xml``), the deltas (``<doc>/delta-0001-0002.xml``
-  ...), and a small metadata record.  Documents and deltas are stored
-  in their XML forms, so the store is inspectable with any XML tooling
-  — a property the paper makes a point of.
-- :class:`DirectoryRepository` — the backend repository specialised to
-  the classic one-directory-per-document filesystem layout
-  (byte-identical with stores written before the protocol existed).
-
-A store URL (``file://``, ``sqlite://``) or a bare path
-opens as one of the last two through :func:`open_repository`.
+A store URL (``file://``, ``sqlite://``) or a bare path opens as one of
+the two through :func:`open_repository`.
 
 Durability
 ----------
@@ -83,7 +81,6 @@ __all__ = [
     "CorruptStoreError",
     "DirectoryRepository",
     "Finding",
-    "MemoryRepository",
     "RecoveryEvent",
     "Repository",
     "open_repository",
@@ -160,287 +157,7 @@ class RecoveryEvent:
     detail: str = ""
 
 
-class Repository:
-    """Interface of a versioned document store.
-
-    ``create`` and ``append`` accept an optional ``commit_record`` — an
-    idempotency marker (``{"key": ..., "digest": ...}``) persisted
-    *with* the commit, in the same journaled write, so a retried commit
-    can be recognised even across a crash.  :meth:`last_commit` reads
-    the record back (with the ``version`` it produced); a commit
-    without a record clears any previous one — the record always
-    describes the *latest* version or nothing.
-    """
-
-    def create(
-        self,
-        doc_id: str,
-        document: Document,
-        allocator: XidAllocator,
-        commit_record: Optional[dict] = None,
-    ):
-        """Store version 1 of a new document."""
-        raise NotImplementedError
-
-    def exists(self, doc_id: str) -> bool:
-        raise NotImplementedError
-
-    def document_ids(self) -> list[str]:
-        raise NotImplementedError
-
-    def current_version(self, doc_id: str) -> int:
-        """Highest stored version number (versions start at 1)."""
-        raise NotImplementedError
-
-    def load_current(self, doc_id: str, readonly: bool = False) -> Document:
-        """The current snapshot.
-
-        By default the caller receives a private copy it may freely
-        mutate.  With ``readonly=True`` the repository may return a
-        shared instance instead (the in-memory repository skips a
-        full-tree clone — the version store's diff-on-commit hot path
-        reads the current version and throws it away); the caller
-        promises not to mutate it.  A backend repository parses a
-        fresh tree on every call either way.
-        """
-        raise NotImplementedError
-
-    def load_allocator(self, doc_id: str) -> XidAllocator:
-        raise NotImplementedError
-
-    def load_delta(self, doc_id: str, base_version: int) -> Delta:
-        """The delta from ``base_version`` to ``base_version + 1``."""
-        raise NotImplementedError
-
-    def append(
-        self,
-        doc_id: str,
-        delta: Delta,
-        new_document: Document,
-        allocator: XidAllocator,
-        commit_record: Optional[dict] = None,
-    ):
-        """Advance a document by one version."""
-        raise NotImplementedError
-
-    def last_commit(self, doc_id: str) -> Optional[dict]:
-        """The idempotency record of the latest commit, or ``None``.
-
-        The returned dict carries whatever the committer recorded
-        (``key``, ``digest``) plus ``version`` — the version that
-        commit produced.
-        """
-        self._check_exists(doc_id)
-        return None
-
-    def attribution(self, doc_id: str) -> dict[str, str]:
-        """``version -> request id`` for every attributed commit.
-
-        Unlike :meth:`last_commit` (latest record only), this map keeps
-        one entry per committed version whose ``commit_record`` carried
-        a ``request_id`` — the durable end of request correlation: an
-        acked commit can be traced from the client's retry log to the
-        exact stored version it produced.  Versions are string keys
-        (JSON round trip).  Backends without persistent state return an
-        empty map.
-        """
-        self._check_exists(doc_id)
-        return {}
-
-    def verify(self, doc_id: str | None = None) -> list[Finding]:
-        """Audit stored state; a backend without persistent state is
-        vacuously clean."""
-        return []
-
-    # -- snapshot checkpoints -------------------------------------------------
-    # Checkpoints are extra starting points for materialize(), bounding
-    # the delta walk for long histories.  The base implementations make
-    # checkpointing optional for custom backends: nothing is stored and
-    # every walk starts from the current snapshot.
-
-    def store_snapshot(self, doc_id: str, version: int, document: Document):
-        """Keep a full copy of one historical version (optional)."""
-
-    def load_snapshot(self, doc_id: str, version: int):
-        """A stored historical snapshot, or ``None``."""
-        return None
-
-    def snapshot_versions(self, doc_id: str) -> list[int]:
-        """Versions with a stored snapshot (ascending, possibly empty)."""
-        return []
-
-    # -- reconstruction ------------------------------------------------------
-
-    def materialize(
-        self, doc_id: str, version: int, damaged: Optional[str] = None
-    ) -> Document:
-        """Rebuild any stored version from the nearest stored state.
-
-        The stored states are the current snapshot and the checkpoints.
-        Nearness counts the deltas to apply; a tie goes to the higher
-        start, and the current snapshot wins over a checkpoint of the
-        same version.  From a start below ``version`` the deltas apply
-        forward, from one above they apply backward (completed deltas
-        invert for free).  A checkpoint that cannot be loaded is passed
-        over for the next-nearest start.
-
-        Every read goes through :meth:`current_version`,
-        :meth:`snapshot_versions`, :meth:`load_current`,
-        :meth:`load_snapshot` and :meth:`load_delta`, so subclasses that
-        instrument those see the whole walk.
-
-        ``damaged`` is for repair only: the name of a stored copy known
-        to be bad (``current.xml`` or ``snapshot-NNNN.xml``), which the
-        walk must not start from because it is what is being rebuilt.
-
-        Raises:
-            RepositoryError: ``version`` is out of range, or no intact
-                stored state is left to start from.
-        """
-        current = self.current_version(doc_id)
-        if not 1 <= version <= current:
-            raise RepositoryError(
-                f"{doc_id!r} has versions 1..{current}, not {version}"
-            )
-        # (start version, checkpoint version or None for current.xml)
-        starts = [
-            (checkpoint, checkpoint)
-            for checkpoint in self.snapshot_versions(doc_id)
-            if snapshot_name(checkpoint) != damaged
-        ]
-        if damaged != CURRENT_NAME:
-            starts.append((current, None))
-        starts.sort(
-            key=lambda s: (abs(s[0] - version), -s[0], s[1] is not None)
-        )
-        for start, checkpoint in starts:
-            if checkpoint is None:
-                document = self.load_current(doc_id)
-            else:
-                try:
-                    document = self.load_snapshot(doc_id, checkpoint)
-                except (ReproError, OSError):
-                    document = None
-                if document is None:
-                    continue
-            if start <= version:
-                replay, bases = apply_delta, range(start, version)
-            else:
-                replay = apply_backward
-                bases = range(start - 1, version - 1, -1)
-            for base in bases:
-                document = replay(
-                    self.load_delta(doc_id, base), document, in_place=True
-                )
-            return document
-        raise RepositoryError(
-            f"{doc_id!r}: no intact stored state to rebuild version "
-            f"{version} from"
-        )
-
-    def close(self) -> None:
-        """Release backing resources; idempotent."""
-
-    def _check_exists(self, doc_id: str) -> None:
-        if not self.exists(doc_id):
-            raise RepositoryError(f"unknown document {doc_id!r}")
-
-
-class MemoryRepository(Repository):
-    """In-process repository; documents are cloned on the way in and out."""
-
-    def __init__(self):
-        self._current: dict[str, Document] = {}
-        self._deltas: dict[str, list[Delta]] = {}
-        self._next_xid: dict[str, int] = {}
-        self._snapshots: dict[tuple[str, int], Document] = {}
-        self._last_commit: dict[str, dict] = {}
-        self._attribution: dict[str, dict[str, str]] = {}
-
-    def create(
-        self, doc_id, document, allocator, commit_record=None
-    ):
-        if doc_id in self._current:
-            raise RepositoryError(f"document {doc_id!r} already exists")
-        self._current[doc_id] = document.clone()
-        self._deltas[doc_id] = []
-        self._next_xid[doc_id] = allocator.next_xid
-        if commit_record is not None:
-            self._last_commit[doc_id] = dict(commit_record, version=1)
-            if commit_record.get("request_id"):
-                self._attribution.setdefault(doc_id, {})["1"] = str(
-                    commit_record["request_id"]
-                )
-
-    def exists(self, doc_id: str) -> bool:
-        return doc_id in self._current
-
-    def document_ids(self) -> list[str]:
-        return sorted(self._current)
-
-    def current_version(self, doc_id: str) -> int:
-        self._check_exists(doc_id)
-        return len(self._deltas[doc_id]) + 1
-
-    def load_current(self, doc_id: str, readonly: bool = False) -> Document:
-        self._check_exists(doc_id)
-        document = self._current[doc_id]
-        return document if readonly else document.clone()
-
-    def load_allocator(self, doc_id: str) -> XidAllocator:
-        self._check_exists(doc_id)
-        return XidAllocator(self._next_xid[doc_id])
-
-    def load_delta(self, doc_id: str, base_version: int) -> Delta:
-        self._check_exists(doc_id)
-        deltas = self._deltas[doc_id]
-        if not 1 <= base_version <= len(deltas):
-            raise RepositoryError(
-                f"no delta {base_version}->{base_version + 1} for {doc_id!r}"
-            )
-        return deltas[base_version - 1]
-
-    def append(self, doc_id, delta, new_document, allocator, commit_record=None):
-        self._check_exists(doc_id)
-        self._deltas[doc_id].append(delta)
-        self._current[doc_id] = new_document.clone()
-        self._next_xid[doc_id] = allocator.next_xid
-        version = len(self._deltas[doc_id]) + 1
-        if commit_record is not None:
-            self._last_commit[doc_id] = dict(commit_record, version=version)
-            if commit_record.get("request_id"):
-                self._attribution.setdefault(doc_id, {})[str(version)] = str(
-                    commit_record["request_id"]
-                )
-        else:
-            self._last_commit.pop(doc_id, None)
-
-    def last_commit(self, doc_id):
-        self._check_exists(doc_id)
-        record = self._last_commit.get(doc_id)
-        return dict(record) if record is not None else None
-
-    def attribution(self, doc_id):
-        self._check_exists(doc_id)
-        return dict(self._attribution.get(doc_id, {}))
-
-    def store_snapshot(self, doc_id, version, document):
-        self._check_exists(doc_id)
-        self._snapshots[(doc_id, version)] = document.clone()
-
-    def load_snapshot(self, doc_id, version):
-        snapshot = self._snapshots.get((doc_id, version))
-        return snapshot.clone() if snapshot is not None else None
-
-    def snapshot_versions(self, doc_id):
-        return sorted(
-            version
-            for document_id, version in self._snapshots
-            if document_id == doc_id
-        )
-
-
-class BackendRepository(Repository):
+class BackendRepository:
     """Repository persisted through a :class:`StorageBackend`.
 
     Every document maps to a key prefix (its sanitised id); the keys
@@ -456,6 +173,14 @@ class BackendRepository(Repository):
     Opening the repository scans for leftover commit journals and
     recovers them (see the module docstring); what happened is recorded
     in :attr:`recovery_events`.
+
+    ``create`` and ``append`` accept an optional ``commit_record`` — an
+    idempotency marker (``{"key": ..., "digest": ...}``) persisted
+    *with* the commit, in the same journaled write, so a retried commit
+    can be recognised even across a crash.  :meth:`last_commit` reads
+    the record back (with the ``version`` it produced); a commit
+    without a record clears any previous one — the record always
+    describes the *latest* version or nothing.
 
     Args:
         backend: The storage backend holding the bytes.
@@ -493,6 +218,7 @@ class BackendRepository(Repository):
         self.backend.faults = value
 
     def close(self) -> None:
+        """Release backing resources; idempotent."""
         self.backend.close()
 
     # -- keys ----------------------------------------------------------------
@@ -586,9 +312,10 @@ class BackendRepository(Repository):
         _restore_xids(document, labels)
         return document
 
-    # -- Repository interface ------------------------------------------------
+    # -- documents -----------------------------------------------------------
 
     def create(self, doc_id, document, allocator, commit_record=None):
+        """Store version 1 of a new document."""
         if self.backend.exists(self._meta_key(doc_id)):
             raise RepositoryError(f"document {doc_id!r} already exists")
         meta = {
@@ -643,15 +370,20 @@ class BackendRepository(Repository):
         return len(self._doc_prefixes())
 
     def current_version(self, doc_id: str) -> int:
+        """Highest stored version number (versions start at 1)."""
         return int(self._load_meta(doc_id)["current_version"])
 
     def load_current(self, doc_id: str, readonly: bool = False) -> Document:
+        """The current snapshot, as a fresh tree the caller may mutate.
+
+        ``readonly`` has no effect: every call parses its own tree, so
+        there is no shared instance to hand out.  It stays for callers
+        that pass it.
+        """
         span = None
         if self.tracer is not None:
             span = self.tracer.start_span("repo.load-current", doc_id=doc_id)
         try:
-            # Every call parses a fresh tree, so ``readonly`` has no
-            # clone to skip here.
             meta = self._load_meta(doc_id)
             return self._load_tree(
                 self._current_key(doc_id), meta, meta.get("xid_labels")
@@ -664,19 +396,36 @@ class BackendRepository(Repository):
         return XidAllocator(int(self._load_meta(doc_id)["next_xid"]))
 
     def last_commit(self, doc_id):
+        """The idempotency record of the latest commit, or ``None``.
+
+        The returned dict carries whatever the committer recorded
+        (``key``, ``digest``) plus ``version`` — the version that
+        commit produced.
+        """
         record = self._load_meta(doc_id).get("last_commit")
         return dict(record) if record is not None else None
 
     def attribution(self, doc_id):
+        """``version -> request id`` for every attributed commit.
+
+        Unlike :meth:`last_commit` (latest record only), this map keeps
+        one entry per committed version whose ``commit_record`` carried
+        a ``request_id`` — the durable end of request correlation: an
+        acked commit can be traced from the client's retry log to the
+        exact stored version it produced.  Versions are string keys
+        (JSON round trip).
+        """
         return dict(self._load_meta(doc_id).get("attribution", {}))
 
     def load_delta(self, doc_id: str, base_version: int) -> Delta:
+        """The delta from ``base_version`` to ``base_version + 1``."""
         key = self._delta_key(doc_id, base_version)
         try:
             data = self.backend.get(key)
         except FileNotFoundError as exc:
             # Probe only on the miss, to tell the two errors apart.
-            self._check_exists(doc_id)
+            if not self.exists(doc_id):
+                raise RepositoryError(f"unknown document {doc_id!r}")
             raise RepositoryError(
                 f"no delta {base_version}->{base_version + 1} for {doc_id!r}"
             ) from exc
@@ -691,6 +440,7 @@ class BackendRepository(Repository):
             ) from exc
 
     def append(self, doc_id, delta, new_document, allocator, commit_record=None):
+        """Advance a document by one version."""
         span = None
         if self.tracer is not None:
             span = self.tracer.start_span("repo.append", doc_id=doc_id)
@@ -1102,11 +852,14 @@ class BackendRepository(Repository):
         return findings
 
     # -- snapshot checkpoints ------------------------------------------------
+    # Checkpoints are extra starting points for materialize(), bounding
+    # the delta walk for long histories.
 
     def _snapshot_key(self, doc_id: str, version: int) -> str:
         return self._doc_key(doc_id) + "/" + snapshot_name(version)
 
     def store_snapshot(self, doc_id, version, document):
+        """Keep a full copy of one historical version."""
         meta = self._load_meta(doc_id)
         with self.backend.batch():
             digest = self.backend.put(
@@ -1122,6 +875,7 @@ class BackendRepository(Repository):
             self._store_meta(doc_id, meta)
 
     def load_snapshot(self, doc_id, version):
+        """A stored historical snapshot, or ``None``."""
         meta = self._load_meta(doc_id)
         labels = meta.get("snapshots", {}).get(str(version))
         if labels is None:
@@ -1131,8 +885,83 @@ class BackendRepository(Repository):
         )
 
     def snapshot_versions(self, doc_id):
+        """Versions with a stored snapshot (ascending, possibly empty)."""
         meta = self._load_meta(doc_id)
         return sorted(int(v) for v in meta.get("snapshots", {}))
+
+    # -- reconstruction ------------------------------------------------------
+
+    def materialize(
+        self, doc_id: str, version: int, damaged: Optional[str] = None
+    ) -> Document:
+        """Rebuild any stored version from the nearest stored state.
+
+        The stored states are the current snapshot and the checkpoints.
+        Nearness counts the deltas to apply; a tie goes to the higher
+        start, and the current snapshot wins over a checkpoint of the
+        same version.  From a start below ``version`` the deltas apply
+        forward, from one above they apply backward (completed deltas
+        invert for free).  A checkpoint that cannot be loaded is passed
+        over for the next-nearest start.
+
+        Every read goes through :meth:`current_version`,
+        :meth:`snapshot_versions`, :meth:`load_current`,
+        :meth:`load_snapshot` and :meth:`load_delta`, so subclasses that
+        instrument those see the whole walk.
+
+        ``damaged`` is for repair only: the name of a stored copy known
+        to be bad (``current.xml`` or ``snapshot-NNNN.xml``), which the
+        walk must not start from because it is what is being rebuilt.
+
+        Raises:
+            RepositoryError: ``version`` is out of range, or no intact
+                stored state is left to start from.
+        """
+        current = self.current_version(doc_id)
+        if not 1 <= version <= current:
+            raise RepositoryError(
+                f"{doc_id!r} has versions 1..{current}, not {version}"
+            )
+        # (start version, checkpoint version or None for current.xml)
+        starts = [
+            (checkpoint, checkpoint)
+            for checkpoint in self.snapshot_versions(doc_id)
+            if snapshot_name(checkpoint) != damaged
+        ]
+        if damaged != CURRENT_NAME:
+            starts.append((current, None))
+        starts.sort(
+            key=lambda s: (abs(s[0] - version), -s[0], s[1] is not None)
+        )
+        for start, checkpoint in starts:
+            if checkpoint is None:
+                document = self.load_current(doc_id)
+            else:
+                try:
+                    document = self.load_snapshot(doc_id, checkpoint)
+                except (ReproError, OSError):
+                    document = None
+                if document is None:
+                    continue
+            if start <= version:
+                replay, bases = apply_delta, range(start, version)
+            else:
+                replay = apply_backward
+                bases = range(start - 1, version - 1, -1)
+            for base in bases:
+                document = replay(
+                    self.load_delta(doc_id, base), document, in_place=True
+                )
+            return document
+        raise RepositoryError(
+            f"{doc_id!r}: no intact stored state to rebuild version "
+            f"{version} from"
+        )
+
+
+#: The repository class under its interface name: annotations and
+#: ``isinstance`` checks read ``Repository``.
+Repository = BackendRepository
 
 
 class DirectoryRepository(BackendRepository):
@@ -1158,9 +987,6 @@ class DirectoryRepository(BackendRepository):
         )
         self.base_path = backend.root
         super().__init__(backend, tracer=tracer)
-
-    def _doc_dir(self, doc_id: str) -> str:
-        return os.path.join(self.base_path, self._doc_key(doc_id))
 
 
 #: Stores of removed backends: URL scheme -> (the marker file the
@@ -1226,9 +1052,7 @@ def open_repository(
         scheme = sniff_scheme(path)
     if scheme == "file":
         if must_exist and not os.path.isdir(path):
-            raise RepositoryError(
-                f"store directory {path!r} does not exist"
-            )
+            raise RepositoryError(f"store {url!r} is not a directory")
         return DirectoryRepository(
             path, tracer, durability=durability, faults=faults
         )

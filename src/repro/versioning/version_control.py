@@ -21,7 +21,7 @@ from repro.core.delta import Delta
 from repro.core.xid import assign_initial_xids
 from repro.engine import DiffContext, DiffEngine, DiffStats, get_engine
 from repro.obs.context import current_request_id
-from repro.versioning.repository import MemoryRepository, Repository
+from repro.versioning.repository import BackendRepository, Repository
 from repro.xmlkit.model import Document, coalesce_text
 
 __all__ = ["VersionStore"]
@@ -31,7 +31,10 @@ class VersionStore:
     """Versioned documents with diff-on-commit change control.
 
     Args:
-        repository: Backing store; defaults to an in-memory repository.
+        repository: Backing store; defaults to a repository on a
+            private in-memory SQLite database, which keeps the same
+            journal, manifest and XML forms as an on-disk store and is
+            gone when the store is dropped.
         config: Diff configuration used by :meth:`commit`.
         on_commit: Optional callback ``f(doc_id, delta, new_document)``
             invoked after every successful commit — this is where the
@@ -70,7 +73,13 @@ class VersionStore:
         events=None,
         store_name: Optional[str] = None,
     ):
-        self.repository = repository if repository is not None else MemoryRepository()
+        if repository is None:
+            # Imported here: loading the version store alone pulls in
+            # neither sqlite3 nor the SQLite backend.
+            from repro.storage.sqlite_store import SQLiteBackend
+
+            repository = BackendRepository(SQLiteBackend(":memory:"))
+        self.repository = repository
         self.config = config or DiffConfig()
         self.on_commit = on_commit
         if checkpoint_every is not None and checkpoint_every < 1:
@@ -159,11 +168,7 @@ class VersionStore:
                 attrs["request_id"] = request_id
             span = tracer.start_span("store.commit", **attrs)
         try:
-            # readonly: the diff never mutates its old side (delta payloads
-            # are cloned out of it by the builder), so an in-memory
-            # repository can hand over its instance without a full-tree
-            # copy.
-            current = self.repository.load_current(doc_id, readonly=True)
+            current = self.repository.load_current(doc_id)
             allocator = self.repository.load_allocator(doc_id)
             base_version = self.repository.current_version(doc_id)
             if span is not None:

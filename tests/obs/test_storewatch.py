@@ -12,9 +12,8 @@ from repro.obs.storewatch import (
     publish_store_metrics,
     render_store_stats,
 )
-from repro.versioning.repository import MemoryRepository, open_repository
+from repro.versioning.repository import open_repository
 from repro.versioning.version_control import VersionStore
-from repro.xmlkit.errors import ReproError
 from repro.xmlkit.parser import parse
 
 
@@ -115,9 +114,16 @@ def test_file_store_has_no_dedup_block(file_repo):
     assert "dedup" not in collect_store_stats(file_repo)
 
 
-def test_memory_repository_is_rejected():
-    with pytest.raises(ReproError):
-        collect_store_stats(MemoryRepository())
+def test_default_store_is_counted():
+    store = VersionStore()
+    _grow(store, "doc-1", 3)
+    _grow(store, "doc-2", 1)
+    report = collect_store_stats(store.repository)
+    assert report["backend"] == "sqlite"
+    assert report["documents"] == 2
+    assert report["versions"] == 4
+    assert report["deltas"] == 2
+    store.repository.close()
 
 
 def test_publish_store_metrics_gauges(file_repo):

@@ -23,11 +23,7 @@ from repro.simulator import (
     generate_document,
     simulate_changes,
 )
-from repro.versioning import (
-    DirectoryRepository,
-    MemoryRepository,
-    open_repository,
-)
+from repro.versioning import DirectoryRepository, open_repository
 from repro.versioning.repository import CURRENT_NAME
 from repro.versioning.version_control import VersionStore
 from repro.xmlkit.model import postorder
@@ -86,7 +82,7 @@ STORES = ["memory"] + BACKENDS
 
 def _open_store(kind, root):
     if kind == "memory":
-        return MemoryRepository()
+        return VersionStore().repository
     suffix = ".sqlite" if kind == "sqlite" else ""
     return open_repository(f"{kind}://{root}/store{suffix}")
 

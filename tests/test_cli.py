@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -825,3 +827,39 @@ class TestStoreCommands:
         assert "[file]" in out
         assert "missing-manifest" in out
         assert main(["fsck", str(root)]) == 0
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+@pytest.mark.parametrize(
+    "make_argv, says",
+    [
+        pytest.param(lambda d: ["fsck", f"sqlite://{d / 'not-a-db'}"],
+                     "not a database", id="fsck-sqlite-not-a-database"),
+        pytest.param(lambda d: ["fsck", f"sqlite://{d / 'dir'}"],
+                     "unable to open", id="fsck-sqlite-directory"),
+        pytest.param(lambda d: ["fsck", f"file://{d / 'x.xml'}"],
+                     "is not a directory", id="fsck-file-regular-file"),
+        pytest.param(lambda d: ["diff", str(d / "dir"), str(d / "x.xml")],
+                     "Is a directory", id="diff-directory"),
+        pytest.param(lambda d: ["apply", str(d / "x.xml"), str(d / "dir")],
+                     "Is a directory", id="apply-directory"),
+        pytest.param(lambda d: ["diff", str(d / "x.xml"), str(d / "x.xml"),
+                                "-o", str(d / "dir")],
+                     "Is a directory", id="diff-output-directory"),
+    ],
+)
+def test_bad_path_is_one_error_line(tmp_path, make_argv, says):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "x.xml").write_text("<a/>")
+    (tmp_path / "not-a-db").write_text("plain text, " * 20)
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", *make_argv(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(SRC)),
+    )
+    assert completed.returncode == 1
+    assert "Traceback" not in completed.stderr
+    (line,) = completed.stderr.splitlines()
+    assert line.startswith("error: ") and says in line

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.versioning import DirectoryRepository, MemoryRepository, VersionStore
+from repro.versioning import DirectoryRepository, VersionStore
 from repro.xmlkit import parse
 from repro.xmlkit.errors import RepositoryError
 
@@ -14,7 +14,7 @@ def versions(count):
 @pytest.fixture(params=["memory", "directory"])
 def repository(request, tmp_path):
     if request.param == "memory":
-        return MemoryRepository()
+        return VersionStore().repository
     return DirectoryRepository(tmp_path / "repo")
 
 

@@ -1,9 +1,9 @@
-"""Tests for memory and directory repositories."""
+"""Tests for the default (in-memory SQLite) and directory repositories."""
 
 import pytest
 
 from repro.core import XidAllocator, assign_initial_xids, diff, max_xid
-from repro.versioning import DirectoryRepository, MemoryRepository
+from repro.versioning import DirectoryRepository, VersionStore
 from repro.xmlkit import RepositoryError, parse, postorder
 
 
@@ -16,7 +16,7 @@ def labelled(text):
 @pytest.fixture(params=["memory", "directory"])
 def repository(request, tmp_path):
     if request.param == "memory":
-        return MemoryRepository()
+        return VersionStore().repository
     return DirectoryRepository(tmp_path / "repo")
 
 

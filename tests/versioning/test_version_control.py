@@ -116,3 +116,43 @@ class TestHooks:
         assert store.current_version("x") == 2
         assert store.current_version("y") == 1
         assert sorted(store.document_ids()) == ["x", "y"]
+
+
+class TestDefaultStore:
+    def test_default_and_file_stores_write_the_same_bytes(self, tmp_path):
+        """The default store is the file store's code on another backend:
+        every delta and every materialized version serializes to the
+        same bytes."""
+        from repro.core.deltaxml import serialize_delta
+        from repro.simulator import (
+            GeneratorConfig,
+            SimulatorConfig,
+            generate_document,
+            simulate_changes,
+        )
+        from repro.xmlkit.serializer import serialize_bytes
+
+        default = VersionStore(checkpoint_every=2)
+        on_disk = VersionStore(
+            DirectoryRepository(tmp_path / "repo"), checkpoint_every=2
+        )
+        document = generate_document(GeneratorConfig(target_nodes=80, seed=7))
+        for store in (default, on_disk):
+            store.create("doc", document)
+        for step in range(5):
+            document = simulate_changes(
+                document, SimulatorConfig(0.1, 0.15, 0.1, 0.05, seed=step)
+            ).new_document
+            for store in (default, on_disk):
+                store.commit("doc", document)
+
+        assert default.current_version("doc") == 6
+        assert [serialize_delta(d) for d in default.deltas("doc")] == [
+            serialize_delta(d) for d in on_disk.deltas("doc")
+        ]
+        for version in range(1, 7):
+            assert serialize_bytes(default.get_version("doc", version)) == (
+                serialize_bytes(on_disk.get_version("doc", version))
+            ), f"version {version}"
+        default.repository.close()
+        on_disk.repository.close()
