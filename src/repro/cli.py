@@ -555,13 +555,13 @@ def _store_commit_remote(args) -> int:
 
 def _cmd_validate(args) -> int:
     from repro.core.validate import validate_delta
-    from repro.core.xid import assign_initial_xids, max_xid
+    from repro.core.xid import assign_initial_xids, has_xids
 
     delta = parse_delta(_read(args.delta))
     base = None
     if args.base is not None:
         base = _load_document(args.base, args.keep_whitespace)
-        if max_xid(base) == 0:
+        if not has_xids(base):
             assign_initial_xids(base)
     problems = validate_delta(delta, base)
     for problem in problems:
@@ -698,10 +698,10 @@ def _cmd_merge(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     from repro.core.apply import aggregate
-    from repro.core.xid import assign_initial_xids, max_xid
+    from repro.core.xid import assign_initial_xids, has_xids
 
     base = _load_document(args.base, args.keep_whitespace)
-    if max_xid(base) == 0:
+    if not has_xids(base):
         assign_initial_xids(base)
     deltas = [parse_delta(_read(path)) for path in args.deltas]
     combined = aggregate(deltas, base)

@@ -45,6 +45,7 @@ from repro.core.xid import (
     DOCUMENT_XID,
     XidAllocator,
     assign_initial_xids,
+    has_xids,
     max_xid,
 )
 from repro.xmlkit.errors import DeltaError
@@ -90,7 +91,7 @@ def build_delta(
     Returns:
         The completed :class:`Delta` transforming old into new.
     """
-    if old_document.xid is None and max_xid(old_document) == 0:
+    if old_document.xid is None and not has_xids(old_document):
         assign_initial_xids(old_document)
     old_document.xid = DOCUMENT_XID
     new_document.xid = DOCUMENT_XID
@@ -333,6 +334,10 @@ def _move_operations(
         if len(stable) < 2:
             continue
         values = [entry[3] for entry in stable]
+        if all(left < right for left, right in zip(values, values[1:])):
+            # Already in order: every weight is >= 1, so the whole
+            # sequence is the unique heaviest one and nothing moves.
+            continue
         entry_weights = [weights.get(entry[1], 1.0) for entry in stable]
         if len(stable) <= exact_move_threshold:
             _, kept = heaviest_increasing_subsequence(values, entry_weights)

@@ -62,18 +62,18 @@ class TreeAnnotations:
         return self.weights[node]
 
 
-def _leaf_weight(length: int, log_text_weight: bool) -> float:
-    if not log_text_weight:
-        return 1.0
-    return 1.0 + math.log(1 + length)
-
-
 def annotate(
     document: Document,
     *,
     log_text_weight: bool = True,
 ) -> TreeAnnotations:
     """Compute signatures and weights for every node in one postorder pass.
+
+    Each node is hashed with one blake2b call over its own content and
+    its children's digests: ``E<len>:<label>`` and ``<len>=<name><len>:
+    <value>`` per attribute in name order for an element, ``T``/``C``
+    plus the value for text and comments, ``P<target>\\0<value>`` for a
+    processing instruction and ``D`` for the document.
 
     Args:
         document: The document to annotate (any subtree root also works).
@@ -86,54 +86,57 @@ def annotate(
     annotations = TreeAnnotations()
     signatures = annotations.signatures
     weights = annotations.weights
+    # label -> the ``E<len>:<label>`` bytes every element of it starts with
+    prefixes: dict[str, bytes] = {}
+    blake2b = hashlib.blake2b
+    log = math.log
 
-    for node in postorder(document):
+    order = postorder(document)
+    for node in order:
         kind = node.kind
-        hasher = hashlib.blake2b(digest_size=_DIGEST_SIZE)
         if kind == "element":
-            label_bytes = node.label.encode("utf-8")
-            hasher.update(b"E")
-            hasher.update(str(len(label_bytes)).encode("ascii"))
-            hasher.update(b":")
-            hasher.update(label_bytes)
-            for name, value in sorted(node.attributes.items()):
-                name_bytes = name.encode("utf-8")
-                value_bytes = str(value).encode("utf-8")
-                hasher.update(str(len(name_bytes)).encode("ascii"))
-                hasher.update(b"=")
-                hasher.update(name_bytes)
-                hasher.update(str(len(value_bytes)).encode("ascii"))
-                hasher.update(b":")
-                hasher.update(value_bytes)
+            label = node.label
+            prefix = prefixes.get(label)
+            if prefix is None:
+                label_bytes = label.encode("utf-8")
+                prefix = prefixes[label] = b"E%d:%s" % (
+                    len(label_bytes), label_bytes
+                )
+            parts = [prefix]
+            attributes = node.attributes
+            if attributes:
+                for name, value in sorted(attributes.items()):
+                    name_bytes = name.encode("utf-8")
+                    value_bytes = str(value).encode("utf-8")
+                    parts.append(b"%d=%s%d:%s" % (
+                        len(name_bytes), name_bytes,
+                        len(value_bytes), value_bytes,
+                    ))
             weight = 1.0
             for child in node.children:
-                hasher.update(signatures[child])
+                parts.append(signatures[child])
                 weight += weights[child]
-        elif kind == "text":
-            value_bytes = node.value.encode("utf-8")
-            hasher.update(b"T")
-            hasher.update(value_bytes)
-            weight = _leaf_weight(len(node.value), log_text_weight)
-        elif kind == "comment":
-            value_bytes = node.value.encode("utf-8")
-            hasher.update(b"C")
-            hasher.update(value_bytes)
-            weight = _leaf_weight(len(node.value), log_text_weight)
+            data = b"".join(parts)
+        elif kind == "text" or kind == "comment":
+            value = node.value
+            data = (b"T" if kind == "text" else b"C") + value.encode("utf-8")
+            weight = 1.0 + log(1 + len(value)) if log_text_weight else 1.0
         elif kind == "pi":
-            hasher.update(b"P")
-            hasher.update(node.target.encode("utf-8"))
-            hasher.update(b"\x00")
-            hasher.update(node.value.encode("utf-8"))
-            weight = _leaf_weight(len(node.value), log_text_weight)
+            value = node.value
+            data = b"P%s\x00%s" % (
+                node.target.encode("utf-8"), value.encode("utf-8")
+            )
+            weight = 1.0 + log(1 + len(value)) if log_text_weight else 1.0
         else:  # document
-            hasher.update(b"D")
+            parts = [b"D"]
             weight = 1.0
             for child in node.children:
-                hasher.update(signatures[child])
+                parts.append(signatures[child])
                 weight += weights[child]
-        signatures[node] = hasher.digest()
+            data = b"".join(parts)
+        signatures[node] = blake2b(data, digest_size=_DIGEST_SIZE).digest()
         weights[node] = weight
-        annotations.node_count += 1
+    annotations.node_count = len(order)
 
     annotations.total_weight = weights[document] if document in weights else 0.0
     return annotations

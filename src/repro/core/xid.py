@@ -23,13 +23,14 @@ import re
 from typing import Iterable, Optional
 
 from repro.xmlkit.errors import DeltaError
-from repro.xmlkit.model import Document, Node, postorder
+from repro.xmlkit.model import Document, Node, postorder, preorder
 
 __all__ = [
     "DOCUMENT_XID",
     "XidAllocator",
     "assign_initial_xids",
     "format_xid_map",
+    "has_xids",
     "max_xid",
     "parse_xid_map",
     "subtree_xids",
@@ -97,6 +98,18 @@ def max_xid(document: Document) -> int:
         if node.xid is not None and node.xid > best:
             best = node.xid
     return best
+
+
+def has_xids(document: Document) -> bool:
+    """Whether any node carries an XID above the document's own ``0``.
+
+    The same test as ``max_xid(document) > 0``, but it stops at the
+    first labelled node instead of walking the whole tree.
+    """
+    for node in preorder(document):
+        if node.xid is not None and node.xid > 0:
+            return True
+    return False
 
 
 def xid_index(document: Document) -> dict[int, Node]:

@@ -54,7 +54,7 @@ from repro.core.builder import build_delta
 from repro.core.config import DiffConfig
 from repro.core.delta import Delta
 from repro.core.matching import Matching
-from repro.core.xid import XidAllocator, assign_initial_xids, max_xid
+from repro.core.xid import XidAllocator, assign_initial_xids, has_xids, max_xid
 from repro.xmlkit.errors import ReproError
 from repro.xmlkit.model import Document, Node
 
@@ -242,7 +242,7 @@ class DiffEngine:
             context.config = config if config is not None else DiffConfig()
         context.config.validate()
         # The XID contract shared by every engine (module docstring).
-        if max_xid(old_document) == 0:
+        if not has_xids(old_document):
             assign_initial_xids(old_document)
         if context.allocator is None:
             context.allocator = (

@@ -44,6 +44,7 @@ from repro.core.xid import (
     DOCUMENT_XID,
     XidAllocator,
     assign_initial_xids,
+    has_xids,
     max_xid,
 )
 from repro.simulator.words import make_text
@@ -125,7 +126,7 @@ def simulate_changes(
     config.validate()
     rng = random.Random(config.seed)
 
-    if max_xid(document) == 0:
+    if not has_xids(document):
         assign_initial_xids(document)
     document.xid = DOCUMENT_XID  # the clone inherits it
     allocator = XidAllocator(max_xid(document) + 1)

@@ -40,6 +40,7 @@ import random
 import tempfile
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -198,7 +199,7 @@ def run_scenario(
     acked: dict[str, list[tuple[int, str, Optional[str]]]] = {}
     client_events = EventLogger(capacity=8192, level="debug")
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, ExitStack() as cleanup:
         url = store_url or f"sqlite://{tmp}/chaos.db"
         handle = serve_in_thread(
             ServerConfig(
@@ -228,6 +229,8 @@ def run_scenario(
             )
             for index in range(scenario.clients)
         ]
+        for client in clients:
+            cleanup.callback(client.close)
 
         def worker(index: int) -> None:
             client = clients[index]
@@ -337,6 +340,7 @@ def run_scenario(
         from repro.versioning.repository import open_repository
 
         repository = open_repository(url)
+        cleanup.callback(repository.close)
         unattributed = 0
         for doc_id, acks in sorted(acked.items()):
             attribution = repository.attribution(doc_id)

@@ -168,39 +168,43 @@ class VersionStore:
                 attrs["request_id"] = request_id
             span = tracer.start_span("store.commit", **attrs)
         try:
-            current = self.repository.load_current(doc_id)
-            allocator = self.repository.load_allocator(doc_id)
-            base_version = self.repository.current_version(doc_id)
-            if span is not None:
-                span.attrs["base_version"] = base_version
-            working = new_document.clone(keep_xids=False)
-            coalesce_text(working)
-            context = DiffContext(
-                config=self.config, allocator=allocator, tracer=tracer
-            )
-            delta, stats = self.engine.diff_with_stats(
-                current, working, context=context
-            )
-            self.last_stats = stats
-            if self.metrics is not None:
-                from repro.obs.metrics import observe_stage_seconds
-
-                observe_stage_seconds(self.metrics, stats)
-            delta.base_version = base_version
-            delta.target_version = delta.base_version + 1
-            self.repository.append(
-                doc_id, delta, working, allocator,
-                commit_record=commit_record,
-            )
-            if self._commits_total is not None:
-                self._commits_total.inc(engine=stats.engine)
-            if (
-                self.checkpoint_every is not None
-                and delta.target_version % self.checkpoint_every == 0
-            ):
-                self.repository.store_snapshot(
-                    doc_id, delta.target_version, working
+            # One metadata read serves the whole commit: load_current
+            # makes it, and the allocator, the base version and
+            # append reuse it.
+            with self.repository.pinned_head(doc_id):
+                current = self.repository.load_current(doc_id)
+                allocator = self.repository.load_allocator(doc_id)
+                base_version = self.repository.current_version(doc_id)
+                if span is not None:
+                    span.attrs["base_version"] = base_version
+                working = new_document.clone(keep_xids=False)
+                coalesce_text(working)
+                context = DiffContext(
+                    config=self.config, allocator=allocator, tracer=tracer
                 )
+                delta, stats = self.engine.diff_with_stats(
+                    current, working, context=context
+                )
+                self.last_stats = stats
+                if self.metrics is not None:
+                    from repro.obs.metrics import observe_stage_seconds
+
+                    observe_stage_seconds(self.metrics, stats)
+                delta.base_version = base_version
+                delta.target_version = delta.base_version + 1
+                self.repository.append(
+                    doc_id, delta, working, allocator,
+                    commit_record=commit_record,
+                )
+                if self._commits_total is not None:
+                    self._commits_total.inc(engine=stats.engine)
+                if (
+                    self.checkpoint_every is not None
+                    and delta.target_version % self.checkpoint_every == 0
+                ):
+                    self.repository.store_snapshot(
+                        doc_id, delta.target_version, working
+                    )
             if self.on_commit is not None:
                 self.on_commit(doc_id, delta, working)
         finally:

@@ -546,14 +546,23 @@ def preorder(node: Node) -> Iterator[Node]:
             stack.extend(reversed(children))
 
 
-def postorder(node: Node) -> Iterator[Node]:
-    """Iterative post-order traversal (children before their parent)."""
-    stack: list[tuple[Node, bool]] = [(node, False)]
+def postorder(node: Node) -> list[Node]:
+    """Post-order traversal (children before their parent), as a list.
+
+    The list is the reverse of a preorder that visits children right to
+    left, built before the caller sees it: a caller may set values and
+    XIDs while it iterates, but must not change the tree's structure.
+    """
+    order = []
+    visit = order.append
+    stack = [node]
+    pop = stack.pop
+    push_all = stack.extend
     while stack:
-        current, expanded = stack.pop()
-        if expanded or current.is_leaf:
-            yield current
-            continue
-        stack.append((current, True))
-        for child in reversed(current.children):
-            stack.append((child, False))
+        current = pop()
+        visit(current)
+        children = current.children
+        if children:
+            push_all(children)
+    order.reverse()
+    return order

@@ -1,7 +1,9 @@
 """Tests for the xydiff command-line interface."""
 
+import contextlib
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 
@@ -841,6 +843,8 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
                      "unable to open", id="fsck-sqlite-directory"),
         pytest.param(lambda d: ["fsck", f"file://{d / 'x.xml'}"],
                      "is not a directory", id="fsck-file-regular-file"),
+        pytest.param(lambda d: ["fsck", f"sqlite://{d / 'no-data.db'}"],
+                     "no such column: data", id="fsck-sqlite-kv-without-data"),
         pytest.param(lambda d: ["diff", str(d / "dir"), str(d / "x.xml")],
                      "Is a directory", id="diff-directory"),
         pytest.param(lambda d: ["apply", str(d / "x.xml"), str(d / "dir")],
@@ -854,6 +858,12 @@ def test_bad_path_is_one_error_line(tmp_path, make_argv, says):
     (tmp_path / "dir").mkdir()
     (tmp_path / "x.xml").write_text("<a/>")
     (tmp_path / "not-a-db").write_text("plain text, " * 20)
+    # A database whose kv table lacks the data column: it opens, and
+    # the first read of a stored value fails.
+    with contextlib.closing(sqlite3.connect(tmp_path / "no-data.db")) as db:
+        db.execute("CREATE TABLE kv (key TEXT PRIMARY KEY)")
+        db.execute("INSERT INTO kv VALUES ('doc/meta.json')")
+        db.commit()
     completed = subprocess.run(
         [sys.executable, "-m", "repro", *make_argv(tmp_path)],
         capture_output=True, text=True, timeout=60,
