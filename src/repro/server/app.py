@@ -73,6 +73,7 @@ from repro.xmlkit.errors import (
     DeltaError,
     ReproError,
     RepositoryError,
+    StorageError,
     XmlParseError,
 )
 
@@ -572,6 +573,10 @@ class DiffServer:
                 response = Response.error(
                     422, "malformed-xml", error.location()
                 )
+            except StorageError as error:
+                # The store failed (locked, damaged): a server fault the
+                # client may retry, never "not found".
+                response = Response.error(500, "storage-error", str(error))
             except (RepositoryError, DeltaError) as error:
                 # Unknown documents and versions surface here ("doc has
                 # versions 1..N"); the store itself existing is checked

@@ -32,6 +32,8 @@ import collections
 import time
 from typing import Optional
 
+from repro.xmlkit.errors import RepositoryError, StorageError
+
 __all__ = ["Scrubber"]
 
 #: Newest findings kept for the /healthz summary.
@@ -136,6 +138,12 @@ class Scrubber:
                     docs = await loop.run_in_executor(
                         None, self._list_documents, store, lock
                     )
+                except StorageError as exc:
+                    # A store that cannot even list its documents is
+                    # the broken disk this task exists to report.
+                    findings += 1
+                    self._record(name, _scrub_error("", exc))
+                    docs = []
                 except Exception:
                     docs = []
                 position = 0
@@ -174,26 +182,19 @@ class Scrubber:
 
         Never raises: a document deleted since the cursor snapshot is
         skipped, and any other error (an injected or real EIO
-        mid-verify) becomes a synthetic ``scrub-error`` finding — the
-        scrubber reports broken disks, it does not crash on them.
+        mid-verify, a failing storage backend) becomes a synthetic
+        ``scrub-error`` finding — the scrubber reports broken disks, it
+        does not crash on them.
         """
-        from repro.versioning.repository import Finding
-        from repro.xmlkit.errors import RepositoryError
-
         try:
             with lock:
                 return store.repository.verify(doc_id)
+        except StorageError as exc:
+            return [_scrub_error(doc_id, exc)]
         except RepositoryError:
             return []
         except Exception as exc:  # noqa: BLE001 — see docstring
-            return [
-                Finding(
-                    doc_id=doc_id,
-                    kind="scrub-error",
-                    path="",
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            ]
+            return [_scrub_error(doc_id, exc)]
 
     def _record(self, store_name: str, finding) -> None:
         self.findings_total += 1
@@ -217,3 +218,15 @@ class Scrubber:
             kind=finding.kind,
             path=finding.path or None,
         )
+
+
+def _scrub_error(doc_id: str, exc: Exception):
+    """The synthetic finding for an error raised while verifying."""
+    from repro.versioning.repository import Finding
+
+    return Finding(
+        doc_id=doc_id,
+        kind="scrub-error",
+        path="",
+        message=f"{type(exc).__name__}: {exc}",
+    )

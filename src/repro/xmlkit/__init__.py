@@ -29,6 +29,7 @@ __all__ = [
     "ProcessingInstruction",
     "ReproError",
     "RepositoryError",
+    "StorageError",
     "Text",
     "VOID_ELEMENTS",
     "XmlParseError",
@@ -62,7 +63,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "dtd": ("AttributeDecl", "Dtd", "ElementDecl", "format_dtd", "parse_dtd"),
     "errors": (
         "ApplyError", "DeltaError", "DtdError", "PathError", "ReproError",
-        "RepositoryError", "XmlParseError", "XmlSerializeError",
+        "RepositoryError", "StorageError", "XmlParseError",
+        "XmlSerializeError",
     ),
     "htmlize": ("VOID_ELEMENTS", "htmlize"),
     "infer": ("infer_dtd", "infer_id_attributes"),

@@ -14,6 +14,7 @@ __all__ = [
     "PathError",
     "ReproError",
     "RepositoryError",
+    "StorageError",
     "XmlParseError",
     "XmlSerializeError",
 ]
@@ -79,3 +80,10 @@ class PathError(ReproError):
 
 class RepositoryError(ReproError):
     """Raised by the versioned document repository on misuse or corruption."""
+
+
+class StorageError(RepositoryError):
+    """Raised when the storage backend itself fails (a locked, damaged
+    or unreadable store), not because a request named an unknown
+    document or version.  The fault lies with the store, so a server
+    answers it with a 5xx and a scrubber reports it as a finding."""

@@ -310,6 +310,48 @@ def test_scrubber_walks_sqlite_store(tmp_path):
         handle.close()
 
 
+def _drop_kv(path):
+    import sqlite3
+
+    other = sqlite3.connect(path)
+    other.execute("DROP TABLE kv")
+    other.commit()
+    other.close()
+
+
+@pytest.mark.parametrize("listed_first", [True, False],
+                         ids=["mid-lap", "at-listing"])
+def test_failing_sqlite_store_is_a_finding(tmp_path, listed_first):
+    # A store whose kv table is gone must not scrub clean: whether the
+    # failure hits a document's verify or the listing of the store, it
+    # is reported as a scrub-error finding.
+    path = tmp_path / "store.db"
+    handle = serve_in_thread(
+        ServerConfig(
+            port=0,
+            stores={"main": f"sqlite://{path}"},
+            scrub_interval=3600.0,
+            scrub_batch=1,
+        )
+    )
+    try:
+        commit(handle, "doc-1", "<d><p>1</p></d>")
+        commit(handle, "doc-2", "<d><p>2</p></d>")
+        if listed_first:
+            assert tick(handle) == 1  # lists both, verifies doc-1
+        _drop_kv(path)
+        tick(handle)
+        response, health = call(handle, "GET", "/healthz")
+        assert health["status"] == "degraded"
+        assert health["scrub"]["findings_by_kind"] == {"scrub-error": 1}
+        last = health["scrub"]["last_finding"]
+        assert last["doc_id"] == ("doc-2" if listed_first else "")
+        assert "StorageError" in last["message"]
+        assert "no such table: kv" in last["message"]
+    finally:
+        handle.close()
+
+
 def test_statz_never_queued(tmp_path):
     # /statz must answer even when the pool queue is saturated — it is
     # an inline route like /metrics.

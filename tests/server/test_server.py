@@ -239,3 +239,31 @@ def test_serve_exits_with_one_error_line_for_a_bad_store(tmp_path):
     assert completed.returncode == 1
     (line,) = completed.stderr.splitlines()
     assert line.startswith("error: store 'x': ")
+
+
+def test_a_failing_store_answers_5xx_not_404(tmp_path):
+    import sqlite3
+
+    path = tmp_path / "main.db"
+    handle = serve_in_thread(
+        ServerConfig(port=0, stores={"main": f"sqlite://{path}"})
+    )
+    try:
+        response, _ = call(handle, "POST", "/repos/main/commit",
+                           {"doc_id": "doc-1", "document": OLD})
+        assert response.status == 201
+        other = sqlite3.connect(path)
+        other.execute("DROP TABLE kv")
+        other.commit()
+        other.close()
+        # The document exists; the store under it is what failed.
+        response, body = call(handle, "POST", "/repos/main/commit",
+                              {"doc_id": "doc-1", "document": NEW})
+        assert response.status == 500
+        assert body["error"]["code"] == "storage-error"
+        assert "no such table: kv" in body["error"]["message"]
+        response, body = call(handle, "GET", "/repos/main/docs/doc-1")
+        assert response.status == 500
+        assert body["error"]["code"] == "storage-error"
+    finally:
+        handle.close()
