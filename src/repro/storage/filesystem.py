@@ -7,11 +7,21 @@ every existing store opens unchanged and ``fsck`` stays clean across
 the refactor.  Atomicity comes from :func:`repro.storage.atomic.
 atomic_write` (temp file + ``os.replace``); the temp files a crash can
 leave behind surface through :meth:`FilesystemBackend.orphans`.
+
+Errors: a missing key reads as :class:`FileNotFoundError`, as the
+backend contract says.  Any other ``OSError`` of ``get``, ``put``,
+``delete``, ``digest`` or ``size`` (a directory where a file belongs,
+a permission or device error) is raised as one :class:`~repro.xmlkit
+.errors.StorageError` naming the store, as the SQLite backend does:
+an unreadable file is a damaged store, not an absent key.  A fault of
+an attached injector passes through unchanged, on both backends.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import stat
 from typing import Optional
 
 from repro.storage.atomic import (
@@ -21,8 +31,32 @@ from repro.storage.atomic import (
     sha256_file,
 )
 from repro.storage.backend import StorageBackend, register_scheme
+from repro.xmlkit.errors import StorageError
 
 __all__ = ["FilesystemBackend"]
+
+
+def _store_errors(method):
+    """Raise an ``OSError`` of ``method`` as a :class:`StorageError`
+    naming the store, unless it is a missing file or an injected
+    fault."""
+
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except FileNotFoundError:
+            raise
+        except OSError as exc:
+            # Imported on this path only: stores that never fail do not
+            # load the fault injector.
+            from repro.testing.faults import InjectedFault
+
+            if isinstance(exc, InjectedFault):
+                raise
+            raise StorageError(f"store {self.url!r}: {exc}") from exc
+
+    return wrapper
 
 
 @register_scheme
@@ -38,6 +72,7 @@ class FilesystemBackend(StorageBackend):
     def _path(self, key: str) -> str:
         return os.path.join(self.root, *key.split("/"))
 
+    @_store_errors
     def put(self, key: str, data: bytes, *, label: Optional[str] = None) -> str:
         path = self._path(key)
         parent = os.path.dirname(path)
@@ -51,10 +86,12 @@ class FilesystemBackend(StorageBackend):
             label=label or os.path.basename(path),
         )
 
+    @_store_errors
     def get(self, key: str) -> bytes:
         with open(self._path(key), "rb") as handle:
             return handle.read()
 
+    @_store_errors
     def delete(self, key: str, *, label: Optional[str] = None) -> None:
         path = self._path(key)
         fault_aware_unlink(
@@ -88,17 +125,17 @@ class FilesystemBackend(StorageBackend):
     def exists(self, key: str) -> bool:
         return os.path.exists(self._path(key))
 
+    @_store_errors
     def digest(self, key: str) -> str:
-        try:
-            return sha256_file(self._path(key))
-        except OSError as exc:
-            raise FileNotFoundError(key) from exc
+        return sha256_file(self._path(key))
 
+    @_store_errors
     def size(self, key: str) -> int:
-        try:
-            return os.path.getsize(self._path(key))
-        except OSError as exc:
-            raise FileNotFoundError(key) from exc
+        path = self._path(key)
+        status = os.stat(path)
+        if not stat.S_ISREG(status.st_mode):
+            raise IsADirectoryError(f"{path} is not a regular file")
+        return status.st_size
 
     def location(self, key: str) -> str:
         return self._path(key)

@@ -48,7 +48,12 @@ repository therefore commits with a write discipline:
 
 :meth:`BackendRepository.verify` audits checksums and structure and
 returns findings; ``repro fsck`` (see :mod:`repro.versioning.fsck`)
-wraps it with repair.
+wraps it with repair.  A stored file the backend cannot read (it
+raises :class:`~repro.xmlkit.errors.StorageError`) is never taken for
+a missing one: verification reports it as ``unreadable-file``, and
+recovery leaves that document's journal in place as ``unrecoverable``.
+A metadata or manifest read that fails raises it: the store as a whole
+is failing.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ from repro.xmlkit.errors import (
     DeltaError,
     ReproError,
     RepositoryError,
+    StorageError,
     XmlParseError,
 )
 from repro.xmlkit.model import Document
@@ -156,7 +162,8 @@ class RecoveryEvent:
     ``action`` is ``rolled-forward``, ``rolled-back``,
     ``rolled-back-replay``, ``removed-invalid-journal`` or
     ``unrecoverable`` (the journal is left in place and
-    :meth:`BackendRepository.verify` keeps reporting it).
+    :meth:`BackendRepository.verify` keeps reporting it; a file the
+    backend could not read is also unrecoverable).
     """
 
     doc_dir: str
@@ -290,14 +297,20 @@ class BackendRepository:
         of the same document in the scope return it, and a metadata
         write replaces it.  :meth:`~repro.versioning.version_control
         .VersionStore.commit` runs in one, so a commit reads the head
-        once and ``append`` builds on that same metadata.  Scopes do
-        not nest.
+        once and ``append`` builds on that same metadata, and
+        :meth:`materialize` runs in one, so a version read does too.
+        Inside an open scope for the same document this one reuses it;
+        one for another document replaces it until this scope ends.
         """
+        outer = getattr(self._pinned, "head", None)
+        if outer is not None and outer[0] == doc_id:
+            yield
+            return
         self._pinned.head = [doc_id, None]
         try:
             yield
         finally:
-            self._pinned.head = None
+            self._pinned.head = outer
 
     def _pin_for(self, doc_id: str) -> Optional[list]:
         head = getattr(self._pinned, "head", None)
@@ -356,17 +369,46 @@ class BackendRepository:
     # -- documents -----------------------------------------------------------
 
     def create(self, doc_id, document, allocator, commit_record=None):
-        """Store version 1 of a new document."""
+        """Store version 1 of a new document, under the XIDs it carries."""
+        self._create(
+            doc_id,
+            document,
+            allocator.next_xid,
+            _collect_xids(document),
+            commit_record,
+        )
+
+    def create_initial(self, doc_id, document, nodes, commit_record=None):
+        """Store version 1 of a new document under its initial XIDs.
+
+        The stored labels are what :func:`~repro.core.xid
+        .assign_initial_xids` would give the tree, ``1..nodes`` in
+        postorder with ``next_xid = nodes + 1``, written from the count
+        alone: the tree's own XIDs are neither read nor changed.
+        ``nodes`` counts every node but the document node, and the tree
+        must read back as it is (see :func:`~repro.xmlkit.model
+        .normalized_size`); :meth:`~repro.versioning.version_control
+        .VersionStore.create` checks both in one walk.
+        """
+        self._create(
+            doc_id,
+            document,
+            nodes + 1,
+            format_xid_map(range(1, nodes + 1)),
+            commit_record,
+        )
+
+    def _create(self, doc_id, document, next_xid, labels, commit_record):
         if self.backend.exists(self._meta_key(doc_id)):
             raise RepositoryError(f"document {doc_id!r} already exists")
         meta = {
             "doc_id": doc_id,
             "current_version": 1,
-            "next_xid": allocator.next_xid,
+            "next_xid": next_xid,
             "id_attributes": sorted(
                 list(pair) for pair in document.id_attributes
             ),
-            "xid_labels": _collect_xids(document),
+            "xid_labels": labels,
         }
         if commit_record is not None:
             meta["last_commit"] = dict(commit_record, version=1)
@@ -583,7 +625,18 @@ class BackendRepository:
         try:
             for key in self.backend.list_keys():
                 if key.endswith("/" + JOURNAL_NAME):
-                    events.append(self._recover_doc(key.rsplit("/", 1)[0]))
+                    prefix = key.rsplit("/", 1)[0]
+                    try:
+                        event = self._recover_doc(prefix)
+                    except StorageError as exc:
+                        # Deciding from a file that cannot be read
+                        # would take it for absent: keep the journal.
+                        event = RecoveryEvent(
+                            self.backend.location(prefix),
+                            "unrecoverable",
+                            str(exc),
+                        )
+                    events.append(event)
         finally:
             self.backend.faults = saved_faults
         self.recovery_events.extend(events)
@@ -728,6 +781,14 @@ class BackendRepository:
         )
         meta_key = prefix + "/" + META_NAME
         if META_NAME not in names:
+            if backend.exists(meta_key):
+                # Present but not listed as a value: a directory or
+                # another non-file in its place.  Not absent, so the
+                # prefix is not cleaned up.
+                findings.append(
+                    _unreadable(prefix, backend, meta_key, META_NAME)
+                )
+                return findings
             findings.append(
                 Finding(
                     prefix,
@@ -770,7 +831,11 @@ class BackendRepository:
             )
         manifest_key = prefix + "/" + MANIFEST_NAME
         manifest_files: dict = {}
-        if MANIFEST_NAME not in names:
+        if MANIFEST_NAME not in names and backend.exists(manifest_key):
+            findings.append(
+                _unreadable(doc_label, backend, manifest_key, MANIFEST_NAME)
+            )
+        elif MANIFEST_NAME not in names:
             findings.append(
                 Finding(
                     doc_label,
@@ -805,7 +870,13 @@ class BackendRepository:
             rederivable = name == CURRENT_NAME or bool(
                 _SNAPSHOT_FILE_RE.match(name)
             )
-            stored = _digest_or_none(backend, key)
+            try:
+                stored = _digest_or_none(backend, key)
+            except StorageError as exc:
+                findings.append(
+                    _unreadable(doc_label, backend, key, name, exc)
+                )
+                continue
             if stored is None:
                 findings.append(
                     Finding(
@@ -948,7 +1019,8 @@ class BackendRepository:
         Every read goes through :meth:`current_version`,
         :meth:`snapshot_versions`, :meth:`load_current`,
         :meth:`load_snapshot` and :meth:`load_delta`, so subclasses that
-        instrument those see the whole walk.
+        instrument those see the whole walk.  The walk runs inside
+        :meth:`pinned_head`, so those calls read the metadata once.
 
         ``damaged`` is for repair only: the name of a stored copy known
         to be bad (``current.xml`` or ``snapshot-NNNN.xml``), which the
@@ -958,6 +1030,10 @@ class BackendRepository:
             RepositoryError: ``version`` is out of range, or no intact
                 stored state is left to start from.
         """
+        with self.pinned_head(doc_id):
+            return self._materialize(doc_id, version, damaged)
+
+    def _materialize(self, doc_id, version, damaged):
         current = self.current_version(doc_id)
         if not 1 <= version <= current:
             raise RepositoryError(
@@ -1101,6 +1177,29 @@ def open_repository(
         f"{scheme}://{path}", durability=durability, faults=faults
     )
     return BackendRepository(backend, tracer=tracer)
+
+
+def _unreadable(
+    doc_label: str,
+    backend: StorageBackend,
+    key: str,
+    name: str,
+    error: Optional[StorageError] = None,
+) -> Finding:
+    """The finding for a stored value that exists but cannot be read.
+
+    No repair applies: fsck must not delete or overwrite what it could
+    not read.
+    """
+    detail = f": {error}" if error is not None else " (not a regular value)"
+    return Finding(
+        doc_label,
+        "unreadable-file",
+        backend.location(key),
+        f"{name} cannot be read{detail}",
+        scheme=backend.scheme,
+        key=key,
+    )
 
 
 def _digest_or_none(backend: StorageBackend, key: str) -> Optional[str]:

@@ -18,11 +18,10 @@ from typing import Callable, Optional
 from repro.core.apply import aggregate, apply_delta
 from repro.core.config import DiffConfig
 from repro.core.delta import Delta
-from repro.core.xid import assign_initial_xids
 from repro.engine import DiffContext, DiffEngine, DiffStats, get_engine
 from repro.obs.context import current_request_id
 from repro.versioning.repository import BackendRepository, Repository
-from repro.xmlkit.model import Document, coalesce_text
+from repro.xmlkit.model import Document, coalesce_text, normalized_size
 
 __all__ = ["VersionStore"]
 
@@ -112,7 +111,10 @@ class VersionStore:
         Stored content is normalized to its XML-serializable form
         (adjacent text siblings coalesce and empty text nodes drop —
         neither could survive the repository's serialization round trip
-        anyway).
+        anyway).  The caller's tree is never changed: it is copied only
+        when it holds such text nodes, and its stored XIDs are the
+        initial ones, 1..n in postorder, written from a node count
+        without labelling any tree.
 
         ``commit_record`` is an optional idempotency marker persisted
         with the commit; see :class:`~repro.versioning.repository
@@ -129,11 +131,10 @@ class VersionStore:
                 attrs["request_id"] = request_id
             span = tracer.start_span("store.create", **attrs)
         try:
-            working = document.clone(keep_xids=False)
-            coalesce_text(working)
-            allocator = assign_initial_xids(working)
-            self.repository.create(
-                doc_id, working, allocator, commit_record=commit_record
+            working, nodes = _normalized(document)
+            # The document node takes no label of its own.
+            self.repository.create_initial(
+                doc_id, working, nodes - 1, commit_record=commit_record
             )
         finally:
             if span is not None:
@@ -157,6 +158,17 @@ class VersionStore:
         delta still advances the version, mirroring a crawler revisit).
         The stored content is normalized like :meth:`create`; ``tracer``
         overrides the store's own tracer for this call, like there.
+
+        The diff labels ``new_document`` in place, as
+        :func:`~repro.core.diff.diff` labels its new side: afterwards
+        every node carries the XID it is stored under, and
+        ``on_commit`` receives that same tree.  Only a tree that needs
+        normalizing is copied first; then the copy is labelled and
+        stored, and the caller's tree keeps its structure and XIDs.
+
+        One clock reading times the commit: the ``store.commit`` span's
+        duration and the ``repo.commit`` event's ``duration_ms`` are the
+        same measurement.
         """
         span = None
         tracer = tracer if tracer is not None else self.tracer
@@ -177,8 +189,7 @@ class VersionStore:
                 base_version = self.repository.current_version(doc_id)
                 if span is not None:
                     span.attrs["base_version"] = base_version
-                working = new_document.clone(keep_xids=False)
-                coalesce_text(working)
+                working, _ = _normalized(new_document)
                 context = DiffContext(
                     config=self.config, allocator=allocator, tracer=tracer
                 )
@@ -208,17 +219,16 @@ class VersionStore:
             if self.on_commit is not None:
                 self.on_commit(doc_id, delta, working)
         finally:
+            elapsed = time.perf_counter() - started
             if span is not None:
-                tracer.end_span(span)
+                tracer.end_span(span, duration=elapsed)
         if self.events is not None:
             self.events.emit(
                 "repo.commit",
                 store=self.store_name,
                 doc_id=doc_id,
                 version=delta.target_version,
-                duration_ms=round(
-                    (time.perf_counter() - started) * 1000.0, 3
-                ),
+                duration_ms=round(elapsed * 1000.0, 3),
             )
         return delta
 
@@ -288,3 +298,17 @@ class VersionStore:
             delta = self.repository.load_delta(doc_id, base)
             document = apply_delta(delta, document, in_place=True, verify=True)
         return document.deep_equal(self.repository.load_current(doc_id))
+
+
+def _normalized(document: Document) -> tuple[Document, int]:
+    """``document`` in stored form, and its node count.
+
+    One read-only walk decides whether :func:`coalesce_text` would
+    change the tree.  If not, the tree itself is returned; otherwise an
+    unlabelled copy, normalized.  The count includes the document node.
+    """
+    nodes, normalized = normalized_size(document)
+    if normalized:
+        return document, nodes
+    working = document.clone(keep_xids=False)
+    return working, nodes - coalesce_text(working)

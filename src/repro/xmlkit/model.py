@@ -28,6 +28,11 @@ dropped, ``parent`` reads ``None`` and the node acts as a detached root;
 ``orphaned`` tells it apart from a detached node, and the path helpers
 raise on it instead of returning a shortened path.
 
+``children`` is a plain slot on elements and documents, and a class
+attribute holding the shared empty tuple on every leaf, so reading it
+costs no call.  Write children only through :meth:`Element.append`,
+:meth:`Element.insert`, :meth:`Element.remove` and :meth:`Node.detach`
+(or :meth:`Document.append`): they keep the weak back-links right.
 A parsed or cloned element stores its children as one exact-size
 tuple; the first structural write (:meth:`Element.insert`,
 :meth:`Node.detach`, :func:`coalesce_text`) turns it into the element's
@@ -51,6 +56,7 @@ __all__ = [
     "ProcessingInstruction",
     "Text",
     "coalesce_text",
+    "normalized_size",
     "postorder",
     "preorder",
 ]
@@ -64,6 +70,16 @@ class _Gone:
 #: already gone, so calling it returns ``None`` like any dead link.
 _NO_PARENT = ref(_Gone())
 
+# Shared by every node that has none: an immutable empty child sequence
+# and a read-only empty attribute mapping.  A write through either raises
+# instead of changing every other node that shares it.
+_NO_CHILDREN: tuple = ()
+_NO_ATTRIBUTES: Mapping[str, str] = MappingProxyType({})
+
+# Allocates a node without running its constructor; clone() fills the
+# slots itself.
+_new = object.__new__
+
 
 class Node:
     """Abstract base for all tree nodes.
@@ -75,16 +91,17 @@ class Node:
             registered with a version history yet.
 
     ``_up`` holds the weak back-link; only this module and the parser
-    touch it.  Code elsewhere reads ``parent``.
+    touch it.  Code elsewhere reads ``parent``.  Each concrete
+    constructor sets both slots itself.
     """
 
     __slots__ = ("_up", "xid")
 
     kind = "node"
 
-    def __init__(self):
-        self._up = _NO_PARENT
-        self.xid: Optional[int] = None
+    #: Child sequence: the shared empty tuple on every leaf.  Elements
+    #: and documents shadow it with a slot of their own.
+    children: Sequence["Node"] = _NO_CHILDREN
 
     @property
     def parent(self) -> Optional["Node"]:
@@ -109,11 +126,6 @@ class Node:
     @property
     def is_leaf(self) -> bool:
         return True
-
-    @property
-    def children(self) -> Sequence["Node"]:
-        """Child sequence; the shared immutable empty tuple for leaves."""
-        return _NO_CHILDREN
 
     def position(self) -> int:
         """Index of this node in its parent's child list.
@@ -204,22 +216,45 @@ class Node:
         raise NotImplementedError
 
     def clone(self, *, keep_xids: bool = True) -> "Node":
-        """Deep copy of the subtree rooted here; the copy is detached."""
+        """Deep copy of the subtree rooted here; the copy is detached.
+
+        Elements and text, nearly every node of a tree, are copied
+        inline by kind, with their slots set directly.
+        """
         copy_root = self._shallow_clone(keep_xids)
+        if not self.children:
+            return copy_root
         stack = [(self, copy_root)]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            original, copy = stack.pop()
-            children = original.children
-            if not children:
-                continue
+            original, copy = pop()
+            up = ref(copy)
+            copies = []
+            add = copies.append
+            for child in original.children:
+                kind = child.kind
+                if kind == "element":
+                    twin = _new(Element)
+                    twin.label = child.label
+                    attributes = child.attributes
+                    twin.attributes = (
+                        dict(attributes) if attributes else _NO_ATTRIBUTES
+                    )
+                    twin.children = _NO_CHILDREN
+                    if child.children:
+                        push((child, twin))
+                elif kind == "text":
+                    twin = _new(Text)
+                    twin.value = child.value
+                else:
+                    twin = child._shallow_clone(keep_xids)
+                twin._up = up
+                twin.xid = child.xid if keep_xids else None
+                add(twin)
             # One exact-size tuple per element, as the parser builds it; a
             # document keeps its list (documents always own one).
-            copies = [child._shallow_clone(keep_xids) for child in children]
-            up = ref(copy)
-            for child_copy in copies:
-                child_copy._up = up
-            copy._children = tuple(copies) if copy.kind == "element" else copies
-            stack.extend(zip(children, copies))
+            copy.children = tuple(copies) if copy.kind == "element" else copies
         return copy_root
 
     def _shallow_clone(self, keep_xids: bool) -> "Node":
@@ -234,13 +269,6 @@ class Node:
         return "".join(parts)
 
 
-# Shared by every node that has none: an immutable empty child sequence
-# and a read-only empty attribute mapping.  A write through either raises
-# instead of changing every other node that shares it.
-_NO_CHILDREN: tuple = ()
-_NO_ATTRIBUTES: Mapping[str, str] = MappingProxyType({})
-
-
 class Element(Node):
     """An element node: a label, an attribute map, and ordered children.
 
@@ -250,37 +278,44 @@ class Element(Node):
     first use.
     """
 
-    __slots__ = ("label", "attributes", "_children", "__weakref__")
+    __slots__ = ("label", "attributes", "children", "__weakref__")
 
     kind = "element"
 
     def __init__(self, label: str, attributes: Optional[Mapping] = None):
-        super().__init__()
+        self._up = _NO_PARENT
+        self.xid: Optional[int] = None
         self.label = label
         self.attributes: Mapping[str, str] = (
             dict(attributes) if attributes else _NO_ATTRIBUTES
         )
-        self._children: Sequence[Node] = _NO_CHILDREN
+        self.children: Sequence[Node] = _NO_CHILDREN
 
     @property
     def is_leaf(self) -> bool:
-        return not self._children
-
-    @property
-    def children(self) -> Sequence[Node]:
-        return self._children
+        return not self.children
 
     # -- mutation ----------------------------------------------------------
 
     def append(self, child: Node) -> Node:
-        """Attach ``child`` as the last child (detaching it first if needed)."""
-        return self.insert(len(self._children), child)
+        """Attach ``child`` as the last child (detaching it first if needed).
+
+        A child of this element moves to the end.
+        """
+        if child._up() is not None:
+            child.detach()
+        children = self.children
+        if children.__class__ is not list:
+            children = self._own_children()
+        children.append(child)
+        child._up = ref(self)
+        return child
 
     def insert(self, index: int, child: Node) -> Node:
         """Attach ``child`` at position ``index`` (supports ``len(children)``)."""
         if child._up() is not None:
             child.detach()
-        size = len(self._children)
+        size = len(self.children)
         if not 0 <= index <= size:
             raise IndexError(f"insert position {index} out of range 0..{size}")
         self._own_children().insert(index, child)
@@ -289,9 +324,9 @@ class Element(Node):
 
     def _own_children(self) -> list[Node]:
         """The element's own child list, copied from a shared or parsed tuple."""
-        children = self._children
+        children = self.children
         if children.__class__ is not list:
-            children = self._children = list(children)
+            children = self.children = list(children)
         return children
 
     def set_attribute(self, name: str, value: str) -> None:
@@ -317,7 +352,7 @@ class Element(Node):
 
     def find(self, label: str) -> Optional["Element"]:
         """First direct child element with the given label, or ``None``."""
-        for child in self._children:
+        for child in self.children:
             if child.kind == "element" and child.label == label:
                 return child
         return None
@@ -326,7 +361,7 @@ class Element(Node):
         """All direct child elements with the given label, in order."""
         return [
             child
-            for child in self._children
+            for child in self.children
             if child.kind == "element" and child.label == label
         ]
 
@@ -335,7 +370,7 @@ class Element(Node):
         return self.attributes.get(name, default)
 
     def child_elements(self) -> Iterator["Element"]:
-        for child in self._children:
+        for child in self.children:
             if child.kind == "element":
                 yield child
 
@@ -352,7 +387,7 @@ class Element(Node):
 
     def __repr__(self):
         xid = f" xid={self.xid}" if self.xid is not None else ""
-        return f"<Element {self.label!r}{xid} children={len(self._children)}>"
+        return f"<Element {self.label!r}{xid} children={len(self.children)}>"
 
 
 class Text(Node):
@@ -363,7 +398,8 @@ class Text(Node):
     kind = "text"
 
     def __init__(self, value: str):
-        super().__init__()
+        self._up = _NO_PARENT
+        self.xid: Optional[int] = None
         self.value = value
 
     def _shallow_equal(self, other: Node) -> bool:
@@ -389,7 +425,8 @@ class Comment(Node):
     kind = "comment"
 
     def __init__(self, value: str):
-        super().__init__()
+        self._up = _NO_PARENT
+        self.xid: Optional[int] = None
         self.value = value
 
     def _shallow_equal(self, other: Node) -> bool:
@@ -413,7 +450,8 @@ class ProcessingInstruction(Node):
     kind = "pi"
 
     def __init__(self, target: str, value: str = ""):
-        super().__init__()
+        self._up = _NO_PARENT
+        self.xid: Optional[int] = None
         self.target = target
         self.value = value
 
@@ -441,13 +479,14 @@ class Document(Node):
             Phase 1 exploits.
     """
 
-    __slots__ = ("_children", "doctype_name", "id_attributes", "__weakref__")
+    __slots__ = ("children", "doctype_name", "id_attributes", "__weakref__")
 
     kind = "document"
 
     def __init__(self, root: Optional[Element] = None):
-        super().__init__()
-        self._children: list[Node] = []
+        self._up = _NO_PARENT
+        self.xid: Optional[int] = None
+        self.children: list[Node] = []
         self.doctype_name: Optional[str] = None
         self.id_attributes: set[tuple[str, str]] = set()
         if root is not None:
@@ -455,19 +494,15 @@ class Document(Node):
 
     @property
     def is_leaf(self) -> bool:
-        return not self._children
-
-    @property
-    def children(self) -> list[Node]:
-        return self._children
+        return not self.children
 
     def _own_children(self) -> list[Node]:
-        return self._children
+        return self.children
 
     @property
     def root(self) -> Optional[Element]:
         """The single root element, or ``None`` for an empty document."""
-        for child in self._children:
+        for child in self.children:
             if child.kind == "element":
                 return child
         return None
@@ -477,7 +512,7 @@ class Document(Node):
             raise ValueError("document already has a root element")
         if child._up() is not None:
             child.detach()
-        self._children.append(child)
+        self.children.append(child)
         child._up = ref(self)
         return child
 
@@ -533,6 +568,40 @@ def coalesce_text(root: Node) -> int:
             del children[index]
             removed += 1
     return removed
+
+
+def normalized_size(root: Node) -> tuple[int, bool]:
+    """Count a subtree's nodes and tell whether it is already normalized.
+
+    Returns ``(nodes, normalized)``: ``nodes`` counts ``root`` and every
+    node below it, and ``normalized`` is true when :func:`coalesce_text`
+    would leave the subtree unchanged (no empty text node, no adjacent
+    text siblings).  The walk only reads, so a caller can decide from it
+    whether a tree needs a normalized copy at all.
+    """
+    nodes = 0
+    normalized = True
+    stack = [root]
+    pop = stack.pop
+    push_all = stack.extend
+    while stack:
+        node = pop()
+        nodes += 1
+        children = node.children
+        if not children:
+            continue
+        push_all(children)
+        if normalized:
+            after_text = False
+            for child in children:
+                if child.kind == "text":
+                    if after_text or not child.value:
+                        normalized = False
+                        break
+                    after_text = True
+                else:
+                    after_text = False
+    return nodes, normalized
 
 
 def preorder(node: Node) -> Iterator[Node]:

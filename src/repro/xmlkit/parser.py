@@ -40,7 +40,10 @@ class _TreeBuilder:
 
     Each open element gathers its children in a plain list; when it
     closes, they become one exact-size tuple and share one weak
-    back-link to it (see :mod:`repro.xmlkit.model`).
+    back-link to it (see :mod:`repro.xmlkit.model`).  An element keeps
+    the attribute dict expat hands over (a fresh one per start tag)
+    instead of copying it, and buffered text is flushed only when some
+    is pending.
     """
 
     def __init__(self, strip_whitespace: bool):
@@ -60,8 +63,7 @@ class _TreeBuilder:
     # -- text buffering ------------------------------------------------------
 
     def _flush_text(self) -> None:
-        if not self._text_parts:
-            return
+        """Turn the pending text into a node (callers check there is some)."""
         value = "".join(self._text_parts)
         self._text_parts.clear()
         if len(self._open) == 1:
@@ -74,29 +76,35 @@ class _TreeBuilder:
     # -- expat handlers --------------------------------------------------------
 
     def start_element(self, name: str, attributes: dict) -> None:
-        self._flush_text()
-        element = Element(name, attributes)
+        if self._text_parts:
+            self._flush_text()
+        element = Element(name)
+        if attributes:
+            element.attributes = attributes
         self._open[-1][1].append(element)
         self._open.append((element, []))
 
     def end_element(self, name: str) -> None:
-        self._flush_text()
+        if self._text_parts:
+            self._flush_text()
         element, children = self._open.pop()
         if children:
             up = ref(element)
             for child in children:
                 child._up = up
-            element._children = tuple(children)
+            element.children = tuple(children)
 
     def character_data(self, data: str) -> None:
         self._text_parts.append(data)
 
     def comment(self, data: str) -> None:
-        self._flush_text()
+        if self._text_parts:
+            self._flush_text()
         self._open[-1][1].append(Comment(data))
 
     def processing_instruction(self, target: str, data: str) -> None:
-        self._flush_text()
+        if self._text_parts:
+            self._flush_text()
         self._open[-1][1].append(ProcessingInstruction(target, data))
 
     def start_doctype(self, name, system_id, public_id, has_internal_subset):

@@ -84,23 +84,28 @@ class TestByteIdenticalWhenDisabled:
 class TestNullRecorderOverhead:
     NOISE_FLOOR = 0.001  # seconds
 
+    PAIRS = 9
+
     def test_within_noise_floor(self):
         old, new = scenario(11, 12, nodes=200)
 
-        def median_wall(recorder):
-            samples = []
-            for _ in range(7):
-                a = old.clone(keep_xids=False)
-                b = new.clone(keep_xids=False)
-                started = time.perf_counter()
-                diff_with_stats(a, b, recorder=recorder)
-                samples.append(time.perf_counter() - started)
-            return statistics.median(samples)
+        def wall(recorder):
+            a = old.clone(keep_xids=False)
+            b = new.clone(keep_xids=False)
+            started = time.perf_counter()
+            diff_with_stats(a, b, recorder=recorder)
+            return time.perf_counter() - started
 
-        median_wall(None)  # warm caches on both paths
-        baseline = median_wall(None)
-        with_null = median_wall(NullRecorder())
-        assert with_null - baseline < self.NOISE_FLOOR
+        wall(None)  # warm caches on both paths
+        wall(NullRecorder())
+        # The arms alternate, one run each per pair, so load from other
+        # processes lands on both alike; the median of the paired
+        # differences is what must stay under the floor.
+        differences = []
+        for _ in range(self.PAIRS):
+            baseline = wall(None)
+            differences.append(wall(NullRecorder()) - baseline)
+        assert statistics.median(differences) < self.NOISE_FLOOR
 
     def test_delta_identical_with_null_recorder(self):
         from repro.core.deltaxml import serialize_delta

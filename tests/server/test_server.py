@@ -267,3 +267,27 @@ def test_a_failing_store_answers_5xx_not_404(tmp_path):
         assert body["error"]["code"] == "storage-error"
     finally:
         handle.close()
+
+
+def test_an_unreadable_file_store_value_answers_storage_error(tmp_path):
+    store = tmp_path / "store"
+    handle = serve_in_thread(
+        ServerConfig(port=0, stores={"main": f"file://{store}"})
+    )
+    try:
+        for document in (OLD, NEW):
+            response, _ = call(handle, "POST", "/repos/main/commit",
+                               {"doc_id": "doc-1", "document": document})
+            assert response.status in (200, 201)
+        # A directory where the delta file belongs: the store is
+        # damaged, the version is not unknown.
+        delta = store / "doc-1" / "delta-0001-0002.xml"
+        delta.unlink()
+        delta.mkdir()
+        response, body = call(handle, "GET",
+                              "/repos/main/docs/doc-1/versions/1")
+        assert response.status == 500
+        assert body["error"]["code"] == "storage-error"
+        assert "delta-0001-0002.xml" in body["error"]["message"]
+    finally:
+        handle.close()

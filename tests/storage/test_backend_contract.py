@@ -13,8 +13,10 @@ CI runs the module twice (one backend per matrix job) by setting
 ``XYDIFF_BACKENDS``; locally, all backends run in one go.
 """
 
+import contextlib
 import json
 import os
+import sqlite3
 
 import pytest
 
@@ -27,7 +29,7 @@ from repro.storage import (
 from repro.testing import FaultInjector, InjectedFault, InjectedIOError
 from repro.versioning import BackendRepository, fsck_store
 from repro.versioning.version_control import VersionStore
-from repro.xmlkit import parse, serialize_bytes
+from repro.xmlkit import StorageError, parse, serialize_bytes
 
 _ALL_BACKENDS = {
     "file": FilesystemBackend,
@@ -431,3 +433,116 @@ class TestCrossBackendReplay:
         for scheme in BACKENDS[1:]:
             assert stored[scheme]["values"] == baseline["values"]
             assert stored[scheme]["replayed"] == baseline["replayed"]
+
+
+def _make_unreadable(tmp_path, scheme, key):
+    """Leave ``key`` listed but unreadable.
+
+    On ``file`` a directory takes the file's place.  On ``sqlite`` the
+    ``kv`` table loses its ``data`` column, so keys still list but no
+    value reads or writes.
+    """
+    path = _store_path(tmp_path, scheme)
+    if scheme == "file":
+        target = os.path.join(path, *key.split("/"))
+        os.remove(target)
+        os.mkdir(target)
+        return
+    with contextlib.closing(sqlite3.connect(path)) as db:
+        db.execute("ALTER TABLE kv RENAME COLUMN data TO gone")
+        db.commit()
+
+
+class TestUnreadableValues:
+    """A value that exists but cannot be read is a storage error, never
+    a missing key."""
+
+    def test_reads_and_writes_raise_storage_error(self, tmp_path, scheme):
+        backend = _make_backend(tmp_path, scheme)
+        backend.put("doc/delta-0001-0002.xml", b"<delta/>")
+        _make_unreadable(tmp_path, scheme, "doc/delta-0001-0002.xml")
+        calls = [
+            lambda: backend.get("doc/delta-0001-0002.xml"),
+            lambda: backend.digest("doc/delta-0001-0002.xml"),
+            lambda: backend.size("doc/delta-0001-0002.xml"),
+            lambda: backend.put("doc/delta-0001-0002.xml", b"<new/>"),
+        ]
+        if scheme == "file":
+            calls.append(lambda: backend.delete("doc/delta-0001-0002.xml"))
+        for call in calls:
+            with pytest.raises(StorageError) as info:
+                call()
+            assert not isinstance(info.value, FileNotFoundError)
+            assert backend.url in str(info.value)
+        if scheme == "file":
+            # Beside it, a key that is really absent still reads so.
+            with pytest.raises(FileNotFoundError):
+                backend.get("doc/missing.xml")
+        backend.close()
+
+    def test_verify_and_reads_do_not_take_it_for_missing(
+        self, tmp_path, scheme
+    ):
+        repo, store = _repo_at(tmp_path, scheme)
+        store.create("doc", parse(V1))
+        store.commit("doc", parse(V2))
+        store.commit("doc", parse(V3))
+        repo.close()
+        _make_unreadable(tmp_path, scheme, "doc/delta-0001-0002.xml")
+        reopened = _reopen(tmp_path, scheme)
+        with pytest.raises(StorageError):
+            VersionStore(reopened).get_version("doc", 1)
+        if scheme == "file":
+            kinds = {f.kind for f in reopened.verify()}
+            assert kinds == {"unreadable-file"}
+        else:
+            # The whole store fails: its metadata cannot be read.
+            with pytest.raises(StorageError):
+                reopened.verify()
+        reopened.close()
+        url = f"{scheme}://{_store_path(tmp_path, scheme)}"
+        if scheme == "file":
+            report = fsck_store(url, repair=True)
+            assert report.exit_code() == 2
+            assert report.repaired == []
+            assert os.path.isdir(
+                os.path.join(_store_path(tmp_path, scheme), "doc",
+                             "delta-0001-0002.xml")
+            )
+
+    def test_recovery_keeps_a_journal_it_cannot_decide(
+        self, tmp_path, scheme
+    ):
+        repo, store = _repo_at(tmp_path, scheme)
+        store.create("doc", parse(V1))
+        store.commit("doc", parse(V2))
+        # Tear the delta after the journal landed (SQLite commits both):
+        # recovery has to read current.xml to choose a direction.
+        repo.faults = FaultInjector(crash_after=1, mode="torn")
+        with pytest.raises(InjectedFault):
+            store.commit("doc", parse(V3))
+        repo.close()
+        _make_unreadable(tmp_path, scheme, "doc/current.xml")
+        reopened = _reopen(tmp_path, scheme)
+        assert [e.action for e in reopened.recovery_events] == [
+            "unrecoverable"
+        ]
+        assert "doc/journal.json" in reopened.backend.list_keys("doc/")
+        reopened.close()
+
+    def test_a_directory_in_place_of_the_meta_is_not_cleaned_up(
+        self, tmp_path
+    ):
+        repo, store = _repo_at(tmp_path, "file")
+        store.create("doc", parse(V1))
+        repo.close()
+        _make_unreadable(tmp_path, "file", "doc/meta.json")
+        reopened = _reopen(tmp_path, "file")
+        assert [f.kind for f in reopened.verify()] == ["unreadable-file"]
+        reopened.close()
+        report = fsck_store(f"file://{_store_path(tmp_path, 'file')}",
+                            repair=True)
+        assert report.exit_code() == 2 and report.repaired == []
+        assert os.path.exists(
+            os.path.join(_store_path(tmp_path, "file"), "doc", "current.xml")
+        )

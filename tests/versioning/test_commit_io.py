@@ -1,7 +1,10 @@
-"""One commit's storage I/O, and the range-notation XID labels.
+"""One commit's and one version read's storage I/O, and the
+range-notation XID labels.
 
 A commit reads the document's head once: ``meta.json`` and then
 ``current.xml``, plus the manifest ``append`` extends, so three gets.
+A version read does too: ``meta.json`` once, the stored state it starts
+from, and the deltas it replays.
 It writes the journal, the delta, ``current.xml``, the manifest and the
 meta, so five puts.  XID labels (the current version's and every
 checkpoint's) are kept in the XID-map range notation deltas use, not as
@@ -13,12 +16,15 @@ sweep.
 
 import json
 import os
+import time
 from collections import Counter
 
 import pytest
 
 from repro.cli import main
 from repro.core.xid import parse_xid_map
+from repro.obs.log import EventLogger
+from repro.obs.trace import Tracer
 from repro.simulator import (
     GeneratorConfig,
     SimulatorConfig,
@@ -208,3 +214,77 @@ def test_an_old_layout_store_opens_commits_and_passes_fsck(tmp_path, scheme):
     assert repo.verify() == []
     repo.close()
     assert main(["fsck", url]) == 0
+
+
+class _KeyCounter:
+    """Counts one backend's gets by file name (deltas as ``delta``)."""
+
+    def __init__(self, backend):
+        self.counts = Counter()
+        get = backend.get
+
+        def counting_get(key):
+            name = key.rsplit("/", 1)[-1]
+            self.counts["delta" if name.startswith("delta-") else name] += 1
+            return get(key)
+
+        backend.get = counting_get
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_a_version_read_reads_the_head_once(tmp_path, scheme):
+    _, repo = _open(tmp_path, scheme)
+    store = VersionStore(repo)
+    texts = _chain()[:6]
+    store.create("doc", parse(texts[0]))
+    for text in texts[1:]:
+        store.commit("doc", parse(text))
+    counter = _KeyCounter(repo.backend)
+    version = store.get_version("doc", 3)
+    assert serialize(version) == serialize(parse(texts[2]))
+    # current_version, snapshot_versions and load_current share one
+    # meta read; three deltas walk back from version 6 to 3.
+    assert counter.counts == Counter(
+        {"meta.json": 1, "current.xml": 1, "delta": 3}
+    )
+    assert repo._pinned.head is None
+    repo.close()
+
+
+def test_a_read_inside_an_open_scope_reuses_its_meta(tmp_path):
+    _, repo = _open(tmp_path, "file")
+    store = VersionStore(repo)
+    texts = _chain()
+    store.create("doc", parse(texts[0]))
+    store.commit("doc", parse(texts[1]))
+    store.create("other", parse(texts[0]))
+    counter = _KeyCounter(repo.backend)
+    with repo.pinned_head("doc"):
+        repo.current_version("doc")
+        store.get_version("doc", 1)
+        outer = repo._pinned.head
+        # A scope for another document pins its own meta, then the
+        # outer scope is back.
+        store.get_version("other", 1)
+        assert repo._pinned.head is outer
+        store.get_version("doc", 2)
+    assert repo._pinned.head is None
+    assert counter.counts["meta.json"] == 2
+    repo.close()
+
+
+def test_a_commit_span_and_event_report_one_duration(monkeypatch):
+    # A clock that moves 1 ms per reading: two readings of the end of
+    # one commit could not agree.
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(time, "perf_counter", lambda: next(ticks) / 1000.0)
+    tracer = Tracer()
+    events = EventLogger()
+    store = VersionStore(tracer=tracer, events=events)
+    texts = _chain()
+    store.create("doc", parse(texts[0]))
+    store.commit("doc", parse(texts[1]))
+    (span,) = [s for s in tracer.iter_spans() if s.name == "store.commit"]
+    (event,) = events.tail(event="repo.commit")
+    assert span.duration > 0
+    assert event["duration_ms"] == round(span.duration * 1000.0, 3)
