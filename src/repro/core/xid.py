@@ -23,7 +23,7 @@ import re
 from typing import Iterable, Optional
 
 from repro.xmlkit.errors import DeltaError
-from repro.xmlkit.model import Document, Node, postorder, preorder
+from repro.xmlkit.model import Document, Node, postorder
 
 __all__ = [
     "DOCUMENT_XID",
@@ -106,9 +106,17 @@ def has_xids(document: Document) -> bool:
     The same test as ``max_xid(document) > 0``, but it stops at the
     first labelled node instead of walking the whole tree.
     """
-    for node in preorder(document):
-        if node.xid is not None and node.xid > 0:
+    stack = [document]
+    pop = stack.pop
+    push_all = stack.extend
+    while stack:
+        node = pop()
+        xid = node.xid
+        if xid is not None and xid > 0:
             return True
+        children = node.children
+        if children:
+            push_all(children)
     return False
 
 

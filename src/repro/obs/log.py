@@ -73,6 +73,11 @@ EVENT_CATALOG = {
         "an idempotent commit was answered from a recorded response "
         "instead of re-executing (fields: store, doc_id, source)"
     ),
+    "server.trace-dropped": (
+        "a sampled request's span tree could not be closed or written, "
+        "so its trace was dropped; the response is unaffected "
+        "(fields: error)"
+    ),
     "pool.batch-start": (
         "a worker batch left the queue for an executor thread "
         "(fields: size)"

@@ -499,6 +499,7 @@ class DiffServer:
             )
         )
         token = activate(context)
+        obs = None
         try:
             self.events.emit(
                 "server.accept",
@@ -527,12 +528,7 @@ class DiffServer:
                         )
                     except ValueError as error:
                         raise HttpError(400, str(error)) from None
-                try:
-                    response = await route.handler(
-                        self, request, params, obs
-                    )
-                finally:
-                    self._finish_sample(obs)
+                response = await route.handler(self, request, params, obs)
                 if obs.span is not None:
                     response.headers.setdefault(
                         "X-Repro-Span-Id", str(obs.span.span_id)
@@ -590,7 +586,11 @@ class DiffServer:
                     "internal-error",
                     f"{type(error).__name__}: {error}",
                 )
+            # One clock reading ends the request: the histogram, the
+            # server.complete event and a sampled span report it alike.
             elapsed = time.perf_counter() - started
+            if obs is not None:
+                self._finish_sample(obs, elapsed)
             self._requests_total.inc(
                 route=name,
                 method=request.method,
@@ -691,12 +691,24 @@ class DiffServer:
         self._sampled_total.inc(route=route.name)
         return RequestObs(tracer=tracer, span=span)
 
-    def _finish_sample(self, obs: RequestObs) -> None:
+    def _finish_sample(self, obs: RequestObs, elapsed: float) -> None:
+        """End a sampled root span with the request's own duration.
+
+        Runs after the response is decided, so it must not fail the
+        request: a root span with spans still open under it (a job
+        abandoned at its deadline keeps running) or a trace file that
+        cannot be written drops this request's trace with a warning.
+        """
         if obs.tracer is None or obs.span is None:
             return
-        obs.tracer.end_span(obs.span)
-        if self.config.trace_dir:
-            self._append_trace(obs)
+        try:
+            obs.tracer.end_span(obs.span, duration=elapsed)
+            if self.config.trace_dir:
+                self._append_trace(obs)
+        except (ValueError, OSError) as error:
+            self.events.emit(
+                "server.trace-dropped", level="warning", error=str(error)
+            )
 
     def _append_trace(self, obs: RequestObs) -> None:
         """Append a sampled span tree to the rotating ``traces.jsonl``.

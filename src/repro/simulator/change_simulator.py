@@ -47,8 +47,16 @@ from repro.core.xid import (
     has_xids,
     max_xid,
 )
-from repro.simulator.words import make_text
-from repro.xmlkit.model import Document, Element, Node, Text, postorder, preorder
+from repro.simulator.words import draw_below, make_text
+from repro.xmlkit.model import (
+    Document,
+    Element,
+    Node,
+    Text,
+    bulk,
+    postorder,
+    preorder,
+)
 
 __all__ = ["SimulationResult", "SimulatorConfig", "simulate_changes"]
 
@@ -119,46 +127,53 @@ def simulate_changes(
     The input document itself is never structurally modified; it only
     receives initial XIDs when it has none yet.  No delta is built here:
     :meth:`SimulationResult.perfect_delta` builds the ground truth when
-    a caller asks for it.
+    a caller asks for it.  The copy is built and changed inside
+    :func:`~repro.xmlkit.model.bulk`.
     """
     if config is None:
         config = SimulatorConfig()
     config.validate()
     rng = random.Random(config.seed)
 
-    if not has_xids(document):
-        assign_initial_xids(document)
-    document.xid = DOCUMENT_XID  # the clone inherits it
-    allocator = XidAllocator(max_xid(document) + 1)
+    with bulk():
+        # Labelling a fresh document returns its allocator; only a
+        # labelled one is walked for its largest XID.
+        allocator = (
+            None if has_xids(document) else assign_initial_xids(document)
+        )
+        document.xid = DOCUMENT_XID  # the clone inherits it
+        if allocator is None:
+            allocator = XidAllocator(max_xid(document) + 1)
 
-    working = document.clone()
-    counts = {
-        "deleted_subtrees": 0,
-        "deleted_nodes": 0,
-        "updates": 0,
-        "inserts": 0,
-        "moves": 0,
-    }
+        working = document.clone()
+        counts = {
+            "deleted_subtrees": 0,
+            "deleted_nodes": 0,
+            "updates": 0,
+            "inserts": 0,
+            "moves": 0,
+        }
 
-    original_count = working.subtree_size() - 1  # sans document node
+        original_count = working.subtree_size() - 1  # sans document node
 
-    deleted_pool = _phase_delete(working, config, rng, counts)
-    remaining_count = working.subtree_size() - 1
-    compensation = (
-        original_count / remaining_count if remaining_count else 1.0
-    )
+        deleted_pool = _phase_delete(working, config, rng, counts)
+        # The delete phase counts what it removes, so no second walk.
+        remaining_count = original_count - counts["deleted_nodes"]
+        compensation = (
+            original_count / remaining_count if remaining_count else 1.0
+        )
 
-    counter = _phase_update(working, config, rng, counts, compensation)
-    _phase_insert_move(
-        working,
-        config,
-        rng,
-        counts,
-        compensation,
-        deleted_pool,
-        allocator,
-        counter,
-    )
+        counter = _phase_update(working, config, rng, counts, compensation)
+        _phase_insert_move(
+            working,
+            config,
+            rng,
+            counts,
+            compensation,
+            deleted_pool,
+            allocator,
+            counter,
+        )
 
     return SimulationResult(
         old_document=document, new_document=working, counts=counts
@@ -241,6 +256,7 @@ def _phase_insert_move(
         return
     move_share = move_p / (insert_p + move_p) if insert_p + move_p else 0.0
 
+    getrandbits = rng.getrandbits
     elements = [
         node
         for node in preorder(working)
@@ -249,10 +265,12 @@ def _phase_insert_move(
     for element in elements:
         if rng.random() >= total_p:
             continue
-        position = rng.randint(0, len(element.children))
+        position = draw_below(getrandbits, len(element.children) + 1)
         wants_move = deleted_pool and rng.random() < move_share
         if wants_move:
-            subtree = deleted_pool.pop(rng.randrange(len(deleted_pool)))
+            subtree = deleted_pool.pop(
+                draw_below(getrandbits, len(deleted_pool))
+            )
             if subtree.kind == "text" and _text_adjacent(element, position):
                 deleted_pool.append(subtree)  # cannot place it here
                 continue
@@ -323,4 +341,4 @@ def _copy_label(element: Element, rng) -> str | None:
         ]
     if not labels:
         labels = [element.label]
-    return rng.choice(labels) if labels else None
+    return labels[draw_below(rng.getrandbits, len(labels))]

@@ -20,8 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.simulator.words import WORDS, make_text
-from repro.xmlkit.model import Document, Element, Text
+from repro.simulator.words import WORDS, draw_below, make_text
+from repro.xmlkit.model import Document, Element, Text, bulk
 
 __all__ = [
     "GeneratorConfig",
@@ -69,7 +69,15 @@ class GeneratorConfig:
 def generate_document(config: GeneratorConfig) -> Document:
     """Generate a random document according to ``config``."""
     rng = random.Random(config.seed)
+    draw = rng.random
+    getrandbits = rng.getrandbits
     vocabulary = _depth_vocabulary(rng, config)
+    target_nodes = config.target_nodes
+    max_depth = config.max_depth
+    max_fanout = config.max_fanout
+    text_probability = config.text_probability
+    long_text_probability = config.long_text_probability
+    attribute_probability = config.attribute_probability
 
     root = Element(vocabulary[0][0])
     document = Document(root)
@@ -80,45 +88,48 @@ def generate_document(config: GeneratorConfig) -> Document:
     open_elements: list[Element] = [root]
     depths: dict[int, int] = {id(root): 1}
 
-    while node_count < config.target_nodes and open_elements:
-        index = rng.randrange(len(open_elements))
-        parent = open_elements[index]
-        depth = depths[id(parent)]
+    with bulk():
+        while node_count < target_nodes and open_elements:
+            index = draw_below(getrandbits, len(open_elements))
+            parent = open_elements[index]
+            depth = depths[id(parent)]
 
-        batch = rng.randint(1, config.max_fanout)
-        for _ in range(batch):
-            if node_count >= config.target_nodes:
-                break
-            make_text_child = (
-                rng.random() < config.text_probability
-                and not (parent.children and parent.children[-1].kind == "text")
-            )
-            if make_text_child:
-                counter += 1
-                if rng.random() < config.long_text_probability:
-                    value = make_text(rng, 30, 80, counter)
+            batch = 1 + draw_below(getrandbits, max_fanout)
+            for _ in range(batch):
+                if node_count >= target_nodes:
+                    break
+                make_text_child = draw() < text_probability and not (
+                    parent.children and parent.children[-1].kind == "text"
+                )
+                if make_text_child:
+                    counter += 1
+                    if draw() < long_text_probability:
+                        value = make_text(rng, 30, 80, counter)
+                    else:
+                        value = make_text(rng, 2, 10, counter)
+                    parent.append(Text(value))
+                    node_count += 1
                 else:
-                    value = make_text(rng, 2, 10, counter)
-                parent.append(Text(value))
-                node_count += 1
-            else:
-                label_pool = vocabulary[min(depth, config.max_depth)]
-                child = Element(rng.choice(label_pool))
-                if rng.random() < config.attribute_probability:
-                    for name in rng.sample(
-                        _ATTRIBUTE_NAMES, rng.randint(1, 2)
-                    ):
-                        child.set_attribute(name, rng.choice(WORDS))
-                parent.append(child)
-                node_count += 1
-                if depth < config.max_depth:
-                    open_elements.append(child)
-                    depths[id(child)] = depth + 1
+                    label_pool = vocabulary[min(depth, max_depth)]
+                    child = Element(
+                        label_pool[draw_below(getrandbits, len(label_pool))]
+                    )
+                    if draw() < attribute_probability:
+                        for name in rng.sample(
+                            _ATTRIBUTE_NAMES, 1 + draw_below(getrandbits, 2)
+                        ):
+                            word = WORDS[draw_below(getrandbits, len(WORDS))]
+                            child.set_attribute(name, word)
+                    parent.append(child)
+                    node_count += 1
+                    if depth < max_depth:
+                        open_elements.append(child)
+                        depths[id(child)] = depth + 1
 
-        # Retire parents that grew wide enough to keep fanout bounded.
-        if len(parent.children) >= config.max_fanout:
-            open_elements[index] = open_elements[-1]
-            open_elements.pop()
+            # Retire parents that grew wide enough to keep fanout bounded.
+            if len(parent.children) >= max_fanout:
+                open_elements[index] = open_elements[-1]
+                open_elements.pop()
 
     return document
 
@@ -157,36 +168,43 @@ def generate_catalog(
     root = Element("catalog")
     document = Document(root)
 
-    category_elements = []
-    for index in range(max(categories, 1)):
-        category = Element("category")
-        title = Element("title")
-        title.append(Text(f"{rng.choice(WORDS).title()} {rng.choice(WORDS)}"))
-        category.append(title)
-        root.append(category)
-        category_elements.append(category)
+    with bulk():
+        category_elements = []
+        for index in range(max(categories, 1)):
+            category = Element("category")
+            title = Element("title")
+            title.append(
+                Text(f"{rng.choice(WORDS).title()} {rng.choice(WORDS)}")
+            )
+            category.append(title)
+            root.append(category)
+            category_elements.append(category)
 
-    for index in range(products):
-        category = rng.choice(category_elements)
-        product = Element("product")
-        product.set_attribute("sku", f"sku-{seed}-{index:05d}")
-        if rng.random() < 0.3:
-            product.set_attribute("status", rng.choice(("new", "sale", "old")))
-        name = Element("name")
-        name.append(Text(make_text(rng, 1, 3, index)))
-        price = Element("price")
-        price.append(Text(f"${rng.randint(1, 2000)}.{rng.randint(0, 99):02d}"))
-        product.append(name)
-        product.append(price)
-        if rng.random() < 0.6:
-            description = Element("description")
-            description.append(Text(make_text(rng, 15, 60)))
-            product.append(description)
-        if rng.random() < 0.4:
-            stock = Element("stock")
-            stock.append(Text(str(rng.randint(0, 500))))
-            product.append(stock)
-        category.append(product)
+        for index in range(products):
+            category = rng.choice(category_elements)
+            product = Element("product")
+            product.set_attribute("sku", f"sku-{seed}-{index:05d}")
+            if rng.random() < 0.3:
+                product.set_attribute(
+                    "status", rng.choice(("new", "sale", "old"))
+                )
+            name = Element("name")
+            name.append(Text(make_text(rng, 1, 3, index)))
+            price = Element("price")
+            price.append(
+                Text(f"${rng.randint(1, 2000)}.{rng.randint(0, 99):02d}")
+            )
+            product.append(name)
+            product.append(price)
+            if rng.random() < 0.6:
+                description = Element("description")
+                description.append(Text(make_text(rng, 15, 60)))
+                product.append(description)
+            if rng.random() < 0.4:
+                stock = Element("stock")
+                stock.append(Text(str(rng.randint(0, 500))))
+                product.append(stock)
+            category.append(product)
 
     if with_ids:
         document.id_attributes.add(("product", "sku"))

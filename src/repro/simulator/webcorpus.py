@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from repro.simulator.change_simulator import SimulatorConfig, simulate_changes
 from repro.simulator.generator import GeneratorConfig, generate_document
 from repro.simulator.words import WORDS, make_text
-from repro.xmlkit.model import Document, Element, Text
+from repro.xmlkit.model import Document, Element, Text, bulk
 
 __all__ = [
     "WebCorpus",
@@ -84,13 +84,17 @@ class WebCorpus:
         self.config = config or WebCorpusConfig()
 
     def document_seeds(self) -> list[int]:
-        return [self.config.seed * 10_000 + i for i in range(self.config.documents)]
+        return [self._seed(i) for i in range(self.config.documents)]
+
+    def _seed(self, index: int) -> int:
+        """``document_seeds()[index]``, without building the list."""
+        return self.config.seed * 10_000 + index
 
     def generate(self, index: int) -> Document:
         """The ``index``-th corpus document (deterministic)."""
         if not 0 <= index < self.config.documents:
             raise IndexError(f"corpus has {self.config.documents} documents")
-        seed = self.document_seeds()[index]
+        seed = self._seed(index)
         rng = random.Random(seed)
         log_min = math.log(self.config.min_bytes)
         log_max = math.log(self.config.max_bytes)
@@ -118,7 +122,7 @@ class WebCorpus:
         versions = [self.generate(index)]
         for week in range(weeks):
             profile = weekly_change_profile(
-                seed=self.document_seeds()[index] + 7_000 + week
+                seed=self._seed(index) + 7_000 + week
             )
             result = simulate_changes(versions[-1], profile)
             versions.append(result.new_document)
@@ -137,52 +141,54 @@ def generate_site_snapshot(
     rng = random.Random(seed)
     site = Element("site", {"host": f"www.example{seed}.org"})
     document = Document(site)
-    section_elements = []
-    for index in range(max(sections, 1)):
-        section = Element(
-            "section", {"path": f"/{rng.choice(WORDS)}{index}/"}
-        )
-        site.append(section)
-        section_elements.append(section)
-
-    for index in range(pages):
-        section = rng.choice(section_elements)
-        page = Element("page")
-        url = Element("url")
-        url.append(
-            Text(
-                f"http://{site.attributes['host']}"
-                f"{section.attributes['path']}page{index}.html"
+    with bulk():
+        section_elements = []
+        for index in range(max(sections, 1)):
+            section = Element(
+                "section", {"path": f"/{rng.choice(WORDS)}{index}/"}
             )
-        )
-        title = Element("title")
-        title.append(Text(make_text(rng, 2, 6, index)))
-        size = Element("bytes")
-        size.append(Text(str(rng.randint(500, 80_000))))
-        modified = Element("modified")
-        modified.append(
-            Text(f"2001-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}")
-        )
-        page.append(url)
-        page.append(title)
-        page.append(size)
-        page.append(modified)
-        links = Element("links")
-        for _ in range(rng.randint(0, 5)):
-            link = Element("link")
-            link.append(
+            site.append(section)
+            section_elements.append(section)
+
+        for index in range(pages):
+            section = rng.choice(section_elements)
+            page = Element("page")
+            url = Element("url")
+            url.append(
                 Text(
                     f"http://{site.attributes['host']}"
-                    f"/{rng.choice(WORDS)}/page{rng.randrange(max(pages, 1))}.html"
+                    f"{section.attributes['path']}page{index}.html"
                 )
             )
-            links.append(link)
-        page.append(links)
-        if rng.random() < 0.5:
-            summary = Element("summary")
-            summary.append(Text(make_text(rng, 10, 40)))
-            page.append(summary)
-        section.append(page)
+            title = Element("title")
+            title.append(Text(make_text(rng, 2, 6, index)))
+            size = Element("bytes")
+            size.append(Text(str(rng.randint(500, 80_000))))
+            modified = Element("modified")
+            modified.append(
+                Text(f"2001-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}")
+            )
+            page.append(url)
+            page.append(title)
+            page.append(size)
+            page.append(modified)
+            links = Element("links")
+            for _ in range(rng.randint(0, 5)):
+                link = Element("link")
+                link.append(
+                    Text(
+                        f"http://{site.attributes['host']}"
+                        f"/{rng.choice(WORDS)}"
+                        f"/page{rng.randrange(max(pages, 1))}.html"
+                    )
+                )
+                links.append(link)
+            page.append(links)
+            if rng.random() < 0.5:
+                summary = Element("summary")
+                summary.append(Text(make_text(rng, 10, 40)))
+                page.append(summary)
+            section.append(page)
     return document
 
 

@@ -40,10 +40,19 @@ own list.  Every node also carries an optional integer ``xid``
 (persistent identifier).
 Traversals are iterative so arbitrarily deep trees never hit Python's
 recursion limit.
+
+Because a tree holds no reference cycle, the cycle collector has
+nothing to find in one, yet every node allocated counts towards its
+next run, and each run over the oldest generation walks every live
+node.  Code that builds trees in bulk (the parser, :meth:`Node.clone`,
+the simulator) therefore runs inside :func:`bulk`, which pauses the
+collector while it works.
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 from weakref import ref
@@ -55,6 +64,7 @@ __all__ = [
     "Node",
     "ProcessingInstruction",
     "Text",
+    "bulk",
     "coalesce_text",
     "normalized_size",
     "postorder",
@@ -79,6 +89,56 @@ _NO_ATTRIBUTES: Mapping[str, str] = MappingProxyType({})
 # Allocates a node without running its constructor; clone() fills the
 # slots itself.
 _new = object.__new__
+
+
+class _CollectorPause:
+    """The process-wide state behind :func:`bulk`.
+
+    ``depth`` counts the scopes open in any thread.  The first entry
+    records whether the collector was enabled and disables it; the last
+    exit restores exactly that state.  Scopes that overlap in several
+    threads therefore never re-enable the collector under each other,
+    and a caller that had switched the collector off finds it off.
+    """
+
+    __slots__ = ("depth", "was_enabled", "lock")
+
+    def __init__(self):
+        self.depth = 0
+        self.was_enabled = False
+        self.lock = threading.Lock()
+
+    def __enter__(self) -> None:
+        with self.lock:
+            if not self.depth:
+                self.was_enabled = gc.isenabled()
+                gc.disable()
+            self.depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self.lock:
+            self.depth -= 1
+            if not self.depth and self.was_enabled:
+                gc.enable()
+
+
+_PAUSE = _CollectorPause()
+
+
+def bulk() -> _CollectorPause:
+    """A scope in which the cyclic garbage collector does not run.
+
+    Tree builders run inside it: trees are acyclic (children reach
+    their parent through a weak link), so a collection while one is
+    built frees nothing and only walks the live nodes.  Scopes nest and
+    may overlap across threads; the collector is disabled while any is
+    open and put back as the outermost scope found it, also when the
+    scope ends with an exception.  Reference counting still frees every
+    acyclic object at once; only cyclic garbage made inside a scope
+    waits for the next collection after it.  Keep scopes to bulk
+    building, which makes no cyclic garbage.
+    """
+    return _PAUSE
 
 
 class Node:
@@ -188,7 +248,17 @@ class Node:
 
     def subtree_size(self) -> int:
         """Number of nodes in the subtree rooted here (>= 1)."""
-        return sum(1 for _ in preorder(self))
+        nodes = 0
+        stack = [self]
+        pop = stack.pop
+        push_all = stack.extend
+        while stack:
+            node = pop()
+            nodes += 1
+            children = node.children
+            if children:
+                push_all(children)
+        return nodes
 
     # -- content -----------------------------------------------------------
 
@@ -219,7 +289,8 @@ class Node:
         """Deep copy of the subtree rooted here; the copy is detached.
 
         Elements and text, nearly every node of a tree, are copied
-        inline by kind, with their slots set directly.
+        inline by kind, with their slots set directly.  A copy with
+        children is built inside :func:`bulk`.
         """
         copy_root = self._shallow_clone(keep_xids)
         if not self.children:
@@ -227,34 +298,37 @@ class Node:
         stack = [(self, copy_root)]
         pop = stack.pop
         push = stack.append
-        while stack:
-            original, copy = pop()
-            up = ref(copy)
-            copies = []
-            add = copies.append
-            for child in original.children:
-                kind = child.kind
-                if kind == "element":
-                    twin = _new(Element)
-                    twin.label = child.label
-                    attributes = child.attributes
-                    twin.attributes = (
-                        dict(attributes) if attributes else _NO_ATTRIBUTES
-                    )
-                    twin.children = _NO_CHILDREN
-                    if child.children:
-                        push((child, twin))
-                elif kind == "text":
-                    twin = _new(Text)
-                    twin.value = child.value
-                else:
-                    twin = child._shallow_clone(keep_xids)
-                twin._up = up
-                twin.xid = child.xid if keep_xids else None
-                add(twin)
-            # One exact-size tuple per element, as the parser builds it; a
-            # document keeps its list (documents always own one).
-            copy.children = tuple(copies) if copy.kind == "element" else copies
+        with bulk():
+            while stack:
+                original, copy = pop()
+                up = ref(copy)
+                copies = []
+                add = copies.append
+                for child in original.children:
+                    kind = child.kind
+                    if kind == "element":
+                        twin = _new(Element)
+                        twin.label = child.label
+                        attributes = child.attributes
+                        twin.attributes = (
+                            dict(attributes) if attributes else _NO_ATTRIBUTES
+                        )
+                        twin.children = _NO_CHILDREN
+                        if child.children:
+                            push((child, twin))
+                    elif kind == "text":
+                        twin = _new(Text)
+                        twin.value = child.value
+                    else:
+                        twin = child._shallow_clone(keep_xids)
+                    twin._up = up
+                    twin.xid = child.xid if keep_xids else None
+                    add(twin)
+                # One exact-size tuple per element, as the parser builds
+                # it; a document keeps its list (documents always own one).
+                copy.children = (
+                    tuple(copies) if copy.kind == "element" else copies
+                )
         return copy_root
 
     def _shallow_clone(self, keep_xids: bool) -> "Node":

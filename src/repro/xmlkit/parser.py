@@ -30,6 +30,7 @@ from repro.xmlkit.model import (
     Element,
     ProcessingInstruction,
     Text,
+    bulk,
 )
 
 __all__ = ["parse", "parse_file"]
@@ -158,10 +159,9 @@ def parse(
     builder = _TreeBuilder(strip_whitespace)
     parser = _make_parser(builder)
     try:
-        if isinstance(source, str):
-            # expat handles str by encoding internally since 3.x via Parse.
-            parser.Parse(source, True)
-        else:
+        # expat takes ``str`` and ``bytes`` alike; the tree is built
+        # with the cycle collector paused (see ``model.bulk``).
+        with bulk():
             parser.Parse(source, True)
     except expat.ExpatError as exc:
         # expat's offset is 0-based; report the conventional 1-based column.

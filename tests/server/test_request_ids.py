@@ -267,3 +267,63 @@ def test_deltas_are_identical_with_telemetry_on_and_off(tmp_path):
     finally:
         quiet.close()
         noisy.close()
+
+
+def test_span_histogram_and_event_share_one_clock_reading(tmp_path):
+    """A sampled request's root span, the request histogram and the
+    ``server.complete`` event report one measurement, not three."""
+    from repro.obs.metrics import MetricsRegistry
+
+    metrics = MetricsRegistry()
+    handle = serve_in_thread(
+        ServerConfig(
+            port=0,
+            stores={},
+            workers=1,
+            trace_sample=1,
+            trace_dir=str(tmp_path),
+            log_level="debug",
+        ),
+        metrics=metrics,
+    )
+    try:
+        with DiffClient(handle.url().rstrip("/")) as client:
+            client.diff(V1, V2)
+        _, payload = _get(handle, "/logz?event=server.complete")
+    finally:
+        handle.close()
+    (complete,) = [
+        record for record in payload["events"] if record["route"] == "diff"
+    ]
+    (root,) = [
+        json.loads(line)
+        for line in (tmp_path / "traces.jsonl").read_text().splitlines()
+        if json.loads(line)["parent_id"] is None
+    ]
+    assert root["name"] == "server.diff"
+    assert complete["duration_ms"] == round(root["duration"] * 1000.0, 3)
+    observed = metrics.get("repro_server_request_seconds")
+    assert observed.sample_sum(route="diff") == root["duration"]
+
+
+def test_a_trace_that_cannot_be_written_does_not_fail_the_request(tmp_path):
+    blocked = tmp_path / "not-a-directory"
+    blocked.write_text("")
+    handle = serve_in_thread(
+        ServerConfig(
+            port=0,
+            stores={},
+            workers=1,
+            trace_sample=1,
+            trace_dir=str(blocked),
+            log_level="debug",
+        )
+    )
+    try:
+        with DiffClient(handle.url().rstrip("/"), retries=0) as client:
+            assert client.diff(V1, V2)["delta"]
+        _, payload = _get(handle, "/logz?event=server.trace-dropped")
+    finally:
+        handle.close()
+    assert len(payload["events"]) == 1
+    assert payload["events"][0]["level"] == "warning"
