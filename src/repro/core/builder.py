@@ -17,7 +17,11 @@ the complete set of operations:
 
 The builder is deliberately independent of *how* the matching was obtained:
 the BULD algorithm uses it, the baselines can use it, and delta
-*aggregation* uses it with the trivial "same XID" matching.
+*aggregation* uses it with the trivial "same XID" matching.  Only the
+matching's settled regions (see :mod:`repro.core.matching`) change how
+much it walks: their interiors carry no operation and already carry
+their XIDs, so every pass skips them and iterates the loose pairs.  A
+matching without settled regions is walked whole.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.core.delta import (
     Operation,
     Update,
 )
-from repro.core.matching import Matching
+from repro.core.matching import Matching, pruned_postorder, pruned_preorder
 from repro.core.moves import (
     DEFAULT_BLOCK_LENGTH,
     chunked_increasing_subsequence,
@@ -91,8 +95,11 @@ def build_delta(
     Returns:
         The completed :class:`Delta` transforming old into new.
     """
+    settled_new = matching.settled_new
     if old_document.xid is None and not has_xids(old_document):
         assign_initial_xids(old_document)
+        # Settled regions copied the labels the old tree had before.
+        settled_new = set()
     old_document.xid = DOCUMENT_XID
     new_document.xid = DOCUMENT_XID
     if matching.old_of(new_document) is None:
@@ -102,7 +109,9 @@ def build_delta(
         if allocator is None:
             allocator = XidAllocator(max_xid(old_document) + 1)
         next_xid_before = allocator.next_xid
-        _assign_new_document_xids(new_document, matching, allocator)
+        _assign_new_document_xids(
+            new_document, matching, allocator, settled_new
+        )
         next_xid_after = allocator.next_xid
     else:
         next_xid_before = next_xid_after = None
@@ -136,9 +145,12 @@ def build_delta(
 
 
 def _assign_new_document_xids(
-    new_document: Document, matching: Matching, allocator: XidAllocator
+    new_document: Document,
+    matching: Matching,
+    allocator: XidAllocator,
+    settled_new: set,
 ) -> None:
-    for node in postorder(new_document):
+    for node in pruned_postorder(new_document, settled_new):
         if node is new_document:
             continue
         partner = matching.old_of(node)
@@ -166,7 +178,7 @@ def _check_new_document_xids(new_document: Document) -> None:
 
 def _update_operations(matching: Matching) -> list[Operation]:
     operations: list[Operation] = []
-    for old, new in matching.pairs():
+    for old, new in matching.loose_pairs():
         kind = old.kind
         if kind in ("text", "comment", "pi"):
             if old.value != new.value:
@@ -228,7 +240,7 @@ def _delete_operations(
 ) -> list[Operation]:
     operations: list[Operation] = []
     positions = _PositionCache()
-    for node in preorder(old_document):
+    for node in pruned_preorder(old_document, matching.settled_old):
         if node is old_document or matching.has_old(node):
             continue
         parent = node.parent
@@ -246,7 +258,7 @@ def _insert_operations(
 ) -> list[Operation]:
     operations: list[Operation] = []
     positions = _PositionCache()
-    for node in preorder(new_document):
+    for node in pruned_preorder(new_document, matching.settled_new):
         if node is new_document or matching.has_new(node):
             continue
         parent = node.parent
@@ -298,8 +310,7 @@ def _move_operations(
         weights = _subtree_sizes(new_document)
 
     # Inter-parent moves: matched nodes whose parents do not correspond.
-    inter_moved_new: set[Node] = set()
-    for old, new in matching.pairs():
+    for old, new in matching.loose_pairs():
         if old.kind == "document":
             continue
         old_parent = old.parent
@@ -314,23 +325,24 @@ def _move_operations(
                     new_positions_cache.position(new),
                 )
             )
-            inter_moved_new.add(new)
 
     # Intra-parent moves: reordered children of corresponding parents.
-    for old_parent, new_parent in matching.pairs():
-        if not old_parent.children:
+    # A settled region root's children are all in place.
+    settled_new = matching.settled_new
+    new_of = matching.new_of
+    for old_parent, new_parent in matching.loose_pairs():
+        if not old_parent.children or new_parent in settled_new:
             continue
         new_positions = {
             child: index for index, child in enumerate(new_parent.children)
         }
         stable: list[tuple[Node, Node, int, int]] = []  # old, new, old_pos, new_pos
         for old_position, child in enumerate(old_parent.children):
-            partner = matching.new_of(child)
-            if partner is None or partner in inter_moved_new:
-                continue
-            if partner.parent is not new_parent:
-                continue  # inter-parent move, already emitted
-            stable.append((child, partner, old_position, new_positions[partner]))
+            partner = new_of(child)
+            # A partner under another parent moved there (emitted above).
+            new_position = new_positions.get(partner)
+            if new_position is not None:
+                stable.append((child, partner, old_position, new_position))
         if len(stable) < 2:
             continue
         values = [entry[3] for entry in stable]

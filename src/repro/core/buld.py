@@ -10,10 +10,13 @@ never be matched, even later.  A bottom-up / top-down propagation pass then
 spreads these free matches.
 
 **Phase 2 — signatures and weights.**  One postorder pass per document
-computes a subtree hash (signature) and a weight for every node
-(:mod:`repro.core.signature`), an index of old-document subtrees by
-signature, and the *secondary index* by ``(signature, parent)`` that lets
-the matcher find "the candidate under the right parent" in constant time.
+computes an exact subtree number (signature) and a weight for every
+node (:mod:`repro.core.signature`); both documents are numbered
+against one table, dropped when the phase ends, so equal numbers mean
+identical subtrees.  The old document's pass also fills the index of
+old subtrees by signature; the *secondary index* by ``(signature,
+parent)`` lets the matcher find "the candidate under the right parent"
+in constant time.
 The secondary index only holds signatures that several old subtrees
 share: a lone candidate is found the same way by either lookup.  Both
 indexes store a key's lone old node directly and use a list only for
@@ -30,16 +33,19 @@ ancestor look-up depth shrinks with subtree weight, keeping the total cost
 drops the taken or locked old nodes it scans past, so no later lookup
 inspects them again and each bucket costs time linear in its length
 overall.  An accepted match propagates: the whole identical
-subtrees are matched node by node, and ancestors with equal labels are
-matched bottom-up, again weight-bounded.  If nothing matches, the node's
-children enter the queue — matching descends *lazily*.
+subtrees are matched node by node, with their XIDs, and ancestors with
+equal labels are matched bottom-up, again weight-bounded.  A subtree
+pair matched whole is *settled* (:mod:`repro.core.matching`).  If
+nothing matches, the node's children enter the queue — matching
+descends *lazily*.
 
 **Phase 4 — structural propagation ("peephole" pass).**  A bottom-up pass
 matches unmatched parents whose children voted for the same old parent
 (heaviest total weight wins), then a top-down pass matches children that
 are the unique child with a given label under already-matched parents.
 This is what turns "the Price subtree changed" into a text *update* instead
-of a delete + insert.
+of a delete + insert.  Both walks skip settled interiors: every node
+there is matched already, to its counterpart.
 
 The result is a :class:`~repro.core.matching.Matching`; Phase 5 (delta
 construction) lives in :mod:`repro.core.builder`.
@@ -51,11 +57,16 @@ import heapq
 import math
 from typing import Optional, Union
 
-from repro.core.matching import Matching
-from repro.core.signature import TreeAnnotations, annotate
-from repro.xmlkit.model import Document, Node, postorder, preorder
+from repro.core.matching import Matching, pruned_postorder, pruned_preorder
+from repro.core.signature import TreeAnnotations, _index_add, annotate
+from repro.xmlkit.model import Document, Node, preorder
 
-__all__ = ["BuldMatcher", "CANDIDATE_PROBES", "match_documents"]
+__all__ = [
+    "BuldMatcher",
+    "CANDIDATE_PROBES",
+    "SETTLED_NODES",
+    "match_documents",
+]
 
 #: An index entry: the old node that holds the key alone, a list when
 #: several share it, or ``()`` once a lone node is taken.
@@ -66,6 +77,11 @@ Bucket = Union[Node, list[Node], tuple[()]]
 #: scans together).  Divided by the new document's node count it is the
 #: deterministic cost of phase 3's candidate search.
 CANDIDATE_PROBES = "buld_candidate_probes"
+
+#: ``DiffStats.counters`` key: new-document nodes inside settled regions
+#: (region roots not counted), which phase 4 and the delta builder skip
+#: because phase 3 paired them whole (:mod:`repro.core.matching`).
+SETTLED_NODES = "buld_settled_nodes"
 
 
 class BuldMatcher:
@@ -101,8 +117,8 @@ class BuldMatcher:
         self.new_annotations: Optional[TreeAnnotations] = None
         # A list bucket holds old nodes in document order, stored
         # head-last so that dropping a scanned prefix is a truncation.
-        self._signature_index: dict[bytes, Bucket] = {}
-        self._parent_index: dict[tuple[bytes, int], Bucket] = {}
+        self._signature_index: dict[int, Bucket] = {}
+        self._parent_index: dict[tuple[int, int], Bucket] = {}
         #: Bucket entries inspected by phase-3 lookups (CANDIDATE_PROBES).
         self.candidate_probes = 0
         self._positions: dict[Node, int] = {}
@@ -170,14 +186,22 @@ class BuldMatcher:
     def phase2_annotate(self) -> None:
         """Signatures + weights for both documents and old-side indexes.
 
-        The steps are ordered so that the fewest maps are alive at once:
-        the old tree is annotated, its weights are dropped once the total
-        is read, the indexes are built, and the new tree comes last.
+        Both documents are numbered against one table, which is dropped
+        when this phase ends.  The steps are ordered so that the fewest
+        maps are alive at once: the old tree is annotated and its
+        signature index filled in the same pass, its weights are dropped
+        once the total is read, the secondary index is built, and the
+        new tree comes last.
         """
         log_text = self.config.log_text_weight
         recorder = self.recorder
+        table: dict = {}
+        signature_index = self._signature_index
         old_annotations = annotate(
-            self.old_document, log_text_weight=log_text
+            self.old_document,
+            table=table,
+            index=signature_index,
+            log_text_weight=log_text,
         )
         self.old_annotations = old_annotations
         self._total_weight = max(old_annotations.total_weight, 1.0)
@@ -185,11 +209,6 @@ class BuldMatcher:
             # Later phases read new-side weights only.
             old_annotations.weights = None
 
-        signatures = old_annotations.signatures
-        signature_index = self._signature_index
-        for node in preorder(self.old_document):
-            if node is not self.old_document:
-                _index_add(signature_index, signatures[node], node)
         parent_index = self._parent_index
         for signature, bucket in signature_index.items():
             if isinstance(bucket, list):
@@ -203,7 +222,7 @@ class BuldMatcher:
                     bucket.reverse()
 
         self.new_annotations = annotate(
-            self.new_document, log_text_weight=log_text
+            self.new_document, table=table, log_text_weight=log_text
         )
         total_nodes = (
             old_annotations.node_count + self.new_annotations.node_count
@@ -386,21 +405,13 @@ class BuldMatcher:
 
         Descendants already matched elsewhere (from earlier, smaller
         matches) are skipped together with their subtrees — the resulting
-        holes surface later as moves.
+        holes surface later as moves.  Equal exact signatures mean equal
+        content, so :meth:`Matching.add_identical` pairs without checking
+        each node again, and settles a region it pairs whole.
         """
-        matching = self.matching
         if self.recorder is not None:
             self.recorder.phase = "subtree-hash"
-        stack = [(old_root, new_root)]
-        while stack:
-            old_node, new_node = stack.pop()
-            if not matching.can_match(old_node, new_node):
-                continue
-            matching.add(old_node, new_node)
-            old_children = old_node.children
-            new_children = new_node.children
-            if len(old_children) == len(new_children):
-                stack.extend(zip(old_children, new_children))
+        self.matching.add_identical(old_root, new_root)
 
     def _propagate_to_ancestors(
         self, old_node: Node, new_node: Node, weight: float
@@ -478,7 +489,7 @@ class BuldMatcher:
         weights = (
             self.new_annotations.weights if self.new_annotations else None
         )
-        for node in postorder(self.new_document):
+        for node in pruned_postorder(self.new_document, matching.settled_new):
             if node.kind != "element":
                 continue
             if matching.has_new(node) or matching.is_locked(node):
@@ -512,7 +523,9 @@ class BuldMatcher:
     def _propagate_to_children(self) -> None:
         """Top-down: unique same-label children of matched parents match."""
         matching = self.matching
-        for new_parent in preorder(self.new_document):
+        for new_parent in pruned_preorder(
+            self.new_document, matching.settled_new
+        ):
             if new_parent.kind not in ("element", "document"):
                 continue
             old_parent = matching.old_of(new_parent)
@@ -564,17 +577,6 @@ def match_documents(
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _index_add(index: dict, key, node: Node) -> None:
-    """Add ``node`` to ``key``'s bucket: the node alone, or a list."""
-    bucket = index.get(key)
-    if bucket is None:
-        index[key] = node
-    elif isinstance(bucket, list):
-        bucket.append(node)
-    else:
-        index[key] = [bucket, node]
 
 
 def _id_key_map(

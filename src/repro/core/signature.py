@@ -2,13 +2,16 @@
 
 For every node of both versions the algorithm precomputes:
 
-- a **signature**: a hash that uniquely (with overwhelming probability)
-  represents the content of the entire subtree rooted at the node.  Two
-  subtrees have equal signatures iff they are structurally identical, so a
-  dictionary of old-document signatures finds "unchanged islands" in O(1)
-  per probe.  We hash with blake2b over the node's own content plus its
-  children's digests, so the whole pass is a single postorder traversal —
-  linear time, exactly as Section 5.3 requires.
+- a **signature**: a number that represents the content of the entire
+  subtree rooted at the node.  The paper hashes each subtree so that a
+  dictionary of old-document signatures finds "unchanged islands" in
+  O(1) per probe.  Here the signature is an *exact subtree number*: one
+  postorder pass per document looks up each node's key — its own
+  content plus its children's numbers — in a table that both documents
+  of a diff share, and a key seen for the first time gets the next
+  number.  Two subtrees annotated against one table have equal numbers
+  if and only if they are structurally identical: no collision is
+  possible, and the pass stays linear, as Section 5.3 requires.
 
 - a **weight**: the paper's measure of subtree importance.  Elements weigh
   ``1 + Σ weight(children)``; text (and other leaf) nodes weigh
@@ -20,7 +23,6 @@ For every node of both versions the algorithm precomputes:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Optional
 
@@ -28,7 +30,7 @@ from repro.xmlkit.model import Document, Node, postorder
 
 __all__ = ["TreeAnnotations", "annotate"]
 
-_DIGEST_SIZE = 16
+_EMPTY = ()
 
 
 class TreeAnnotations:
@@ -39,8 +41,8 @@ class TreeAnnotations:
     they describe the tree as it was when :func:`annotate` ran.
 
     Attributes:
-        signatures: node -> subtree-content signature (a 16-byte blake2b
-            digest).
+        signatures: node -> exact subtree number (an ``int``); numbers
+            compare only between documents annotated against one table.
         weights: node -> weight (float, >= 1 for every node), or ``None``
             once dropped (BULD drops the old side's after phase 2).
         total_weight: weight of the whole document (the paper's ``W0``).
@@ -50,12 +52,12 @@ class TreeAnnotations:
     __slots__ = ("signatures", "weights", "total_weight", "node_count")
 
     def __init__(self):
-        self.signatures: dict[Node, bytes] = {}
+        self.signatures: dict[Node, int] = {}
         self.weights: Optional[dict[Node, float]] = {}
         self.total_weight: float = 0.0
         self.node_count: int = 0
 
-    def signature(self, node: Node) -> bytes:
+    def signature(self, node: Node) -> int:
         return self.signatures[node]
 
     def weight(self, node: Node) -> float:
@@ -65,78 +67,120 @@ class TreeAnnotations:
 def annotate(
     document: Document,
     *,
+    table: Optional[dict] = None,
+    index: Optional[dict] = None,
     log_text_weight: bool = True,
 ) -> TreeAnnotations:
     """Compute signatures and weights for every node in one postorder pass.
 
-    Each node is hashed with one blake2b call over its own content and
-    its children's digests: ``E<len>:<label>`` and ``<len>=<name><len>:
-    <value>`` per attribute in name order for an element, ``T``/``C``
-    plus the value for text and comments, ``P<target>\\0<value>`` for a
-    processing instruction and ``D`` for the document.
+    A node's key is its content with its children's numbers in place of
+    their subtrees, as one flat tuple: ``(label, attributes, *children)``
+    for an element, the attributes being a tuple of ``(name,
+    str(value))`` pairs in name order; the value itself (a ``str``) for
+    a text; ``("C", value)`` for a comment; ``("P", target, value)`` for
+    a processing instruction; and the children's numbers alone for the
+    document.  No two kinds share a key: only a text's key is a string,
+    only an element's has a tuple second, and only a document's starts
+    with a number (or is empty).  A key already in ``table`` reuses its
+    number, a new one gets ``len(table)``.
 
     Args:
         document: The document to annotate (any subtree root also works).
+        table: The key -> number table to share with the documents the
+            numbers are compared against; a fresh one when omitted.
+        index: Optional number -> bucket map that receives every node
+            but the root, in document order: a lone node, or a list once
+            several nodes share the number.  Identical subtrees are
+            disjoint, so postorder meets them in document order.
         log_text_weight: Use the paper's ``1 + log(1 + len(text))`` leaf
             weight; ``False`` gives every leaf weight 1 (an ablation knob).
 
     Returns:
         A :class:`TreeAnnotations` holding both maps.
     """
+    if table is None:
+        table = {}
     annotations = TreeAnnotations()
     signatures = annotations.signatures
     weights = annotations.weights
-    # label -> the ``E<len>:<label>`` bytes every element of it starts with
-    prefixes: dict[str, bytes] = {}
-    blake2b = hashlib.blake2b
+    lookup = table.get
     log = math.log
+    # The numbers and weights of finished subtrees whose parent is still
+    # ahead: a node's children are the last entries of both stacks.
+    numbers: list[int] = []
+    subtree_weights: list[float] = []
+    push_number = numbers.append
+    push_weight = subtree_weights.append
 
     order = postorder(document)
     for node in order:
         kind = node.kind
-        if kind == "element":
-            label = node.label
-            prefix = prefixes.get(label)
-            if prefix is None:
-                label_bytes = label.encode("utf-8")
-                prefix = prefixes[label] = b"E%d:%s" % (
-                    len(label_bytes), label_bytes
-                )
-            parts = [prefix]
-            attributes = node.attributes
-            if attributes:
-                for name, value in sorted(attributes.items()):
-                    name_bytes = name.encode("utf-8")
-                    value_bytes = str(value).encode("utf-8")
-                    parts.append(b"%d=%s%d:%s" % (
-                        len(name_bytes), name_bytes,
-                        len(value_bytes), value_bytes,
+        if kind == "element" or kind == "document":
+            count = len(node.children)
+            if kind == "element":
+                attributes = node.attributes
+                if attributes:
+                    attributes = tuple(sorted(
+                        zip(attributes, map(str, attributes.values()))
                     ))
+                else:
+                    attributes = _EMPTY
+                if count:
+                    key = (node.label, attributes, *numbers[-count:])
+                else:
+                    key = (node.label, attributes)
+            else:
+                key = tuple(numbers[-count:]) if count else _EMPTY
             weight = 1.0
-            for child in node.children:
-                parts.append(signatures[child])
-                weight += weights[child]
-            data = b"".join(parts)
-        elif kind == "text" or kind == "comment":
-            value = node.value
-            data = (b"T" if kind == "text" else b"C") + value.encode("utf-8")
+            if count:
+                del numbers[-count:]
+                for child_weight in subtree_weights[-count:]:
+                    weight += child_weight
+                del subtree_weights[-count:]
+        elif kind == "text":
+            key = value = node.value
             weight = 1.0 + log(1 + len(value)) if log_text_weight else 1.0
-        elif kind == "pi":
+        elif kind == "comment":
             value = node.value
-            data = b"P%s\x00%s" % (
-                node.target.encode("utf-8"), value.encode("utf-8")
-            )
+            key = ("C", value)
             weight = 1.0 + log(1 + len(value)) if log_text_weight else 1.0
-        else:  # document
-            parts = [b"D"]
-            weight = 1.0
-            for child in node.children:
-                parts.append(signatures[child])
-                weight += weights[child]
-            data = b"".join(parts)
-        signatures[node] = blake2b(data, digest_size=_DIGEST_SIZE).digest()
+        else:  # processing instruction
+            value = node.value
+            key = ("P", node.target, value)
+            weight = 1.0 + log(1 + len(value)) if log_text_weight else 1.0
+        number = lookup(key)
+        if number is None:
+            number = table[key] = len(table)
+            if index is not None:
+                index[number] = node
+        elif index is not None:
+            _index_add(index, number, node)
+        signatures[node] = number
         weights[node] = weight
+        push_number(number)
+        push_weight(weight)
     annotations.node_count = len(order)
 
+    if index is not None:
+        # The root came last; its own subtree is no candidate.
+        number = signatures[document]
+        bucket = index[number]
+        if bucket is document:
+            del index[number]
+        else:
+            bucket.pop()
+            if len(bucket) == 1:
+                index[number] = bucket[0]
     annotations.total_weight = weights[document] if document in weights else 0.0
     return annotations
+
+
+def _index_add(index: dict, key, node: Node) -> None:
+    """Add ``node`` to ``key``'s bucket: the node alone, or a list."""
+    bucket = index.get(key)
+    if bucket is None:
+        index[key] = node
+    elif isinstance(bucket, list):
+        bucket.append(node)
+    else:
+        index[key] = [bucket, node]

@@ -19,7 +19,6 @@ on the root element have a parent to refer to.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Optional
 
 from repro.xmlkit.errors import DeltaError
@@ -36,12 +35,11 @@ __all__ = [
     "subtree_xids",
     "xid_index",
     "xid_map_of",
+    "xid_map_runs",
 ]
 
 #: Reserved persistent identifier of the document node itself.
 DOCUMENT_XID = 0
-
-_RANGE_RE = re.compile(r"^(\d+)(?:-(\d+))?$")
 
 
 class XidAllocator:
@@ -183,22 +181,34 @@ def parse_xid_map(text: str) -> list[int]:
     Raises:
         DeltaError: on malformed input.
     """
+    xids: list[int] = []
+    for run in xid_map_runs(text):
+        xids.extend(run)
+    return xids
+
+
+def xid_map_runs(text: str) -> list[range]:
+    """The runs of an XID-map as ranges, in order, without expanding them.
+
+    Raises:
+        DeltaError: on malformed input.
+    """
     stripped = text.strip()
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
     if not stripped:
         return []
-    xids: list[int] = []
+    runs: list[range] = []
     for part in stripped.split(";"):
-        match = _RANGE_RE.match(part.strip())
-        if match is None:
+        first, dash, last = part.strip().partition("-")
+        if not first.isdecimal() or (dash and not last.isdecimal()):
             raise DeltaError(f"malformed XID-map component {part!r}")
-        start = int(match.group(1))
-        end = int(match.group(2)) if match.group(2) else start
+        start = int(first)
+        end = int(last) if dash else start
         if end < start:
             raise DeltaError(f"descending XID range {part!r}")
-        xids.extend(range(start, end + 1))
-    return xids
+        runs.append(range(start, end + 1))
+    return runs
 
 
 def xid_map_of(node: Node) -> str:

@@ -243,7 +243,10 @@ class DiffEngine:
         context.config.validate()
         # The XID contract shared by every engine (module docstring).
         if not has_xids(old_document):
-            assign_initial_xids(old_document)
+            initial = assign_initial_xids(old_document)
+            if context.allocator is None and allocator is None:
+                # Positioned past the labels just assigned: no max_xid walk.
+                context.allocator = initial
         if context.allocator is None:
             context.allocator = (
                 allocator if allocator is not None

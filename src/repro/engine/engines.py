@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro.core.buld import CANDIDATE_PROBES, BuldMatcher
+from repro.core.buld import CANDIDATE_PROBES, SETTLED_NODES, BuldMatcher
 from repro.core.config import DiffConfig
 from repro.core.delta import Delta
 from repro.core.lcs import myers_opcodes
@@ -99,6 +99,7 @@ class BuldEngine(DiffEngine):
         with stage("match-subtrees"):
             matcher.phase3_match_subtrees()
             context.count(CANDIDATE_PROBES, matcher.candidate_probes)
+            context.count(SETTLED_NODES, matcher.matching.settled_nodes)
         with stage("propagate"):
             matcher.phase4_propagate()
         # Return only the matching and the new weights, so the matcher

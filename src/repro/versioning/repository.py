@@ -64,12 +64,13 @@ import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from repro.core.apply import apply_backward, apply_delta
 from repro.core.delta import Delta
 from repro.core.deltaxml import delta_from_document, serialize_delta
-from repro.core.xid import XidAllocator, format_xid_map, parse_xid_map
+from repro.core.xid import XidAllocator, format_xid_map, xid_map_runs
 from repro.storage.atomic import check_durability, sha256_bytes
 from repro.storage.backend import (
     StorageBackend,
@@ -587,8 +588,13 @@ class BackendRepository:
             # scope lets a transactional backend make the whole
             # sequence atomic on top of that.
             with self.backend.batch():
+                # Compact: the journal is removed in this same batch, so
+                # its format never reaches a completed commit's bytes.
                 self.backend.put_json(
-                    self._journal_key(doc_id), journal, label="journal"
+                    self._journal_key(doc_id),
+                    journal,
+                    label="journal",
+                    compact=True,
                 )
                 self.backend.put(
                     self._delta_key(doc_id, version),
@@ -1258,23 +1264,29 @@ def _restore_xids(document: Document, labels: Optional[str | list]) -> None:
 
     ``labels`` is the range notation :func:`_collect_xids` writes, or
     the plain JSON list of XIDs that stores written before it hold.
+    The labels are read run by run as the walk assigns them: no list
+    of every label is built.
     """
     from repro.core.xid import DOCUMENT_XID, assign_initial_xids
     from repro.xmlkit.model import postorder
 
     if isinstance(labels, str):
         try:
-            labels = parse_xid_map(labels)
+            runs = xid_map_runs(labels)
         except DeltaError as exc:
             raise RepositoryError(
                 f"stored XID labels are malformed: {exc}"
             ) from exc
-    if labels:
-        nodes = postorder(document)
-        if len(labels) != len(nodes) - 1:
-            raise RepositoryError("stored XID labels do not fit the snapshot")
-        for node, xid in zip(nodes, labels):
-            node.xid = int(xid)
-        document.xid = DOCUMENT_XID
     else:
+        runs = [labels] if labels else []
+    count = sum(map(len, runs))
+    if not count:
         assign_initial_xids(document)
+        return
+    nodes = postorder(document)
+    if count != len(nodes) - 1:
+        raise RepositoryError("stored XID labels do not fit the snapshot")
+    # The document comes last in postorder; the labels end before it.
+    for node, xid in zip(nodes, chain.from_iterable(runs)):
+        node.xid = xid
+    document.xid = DOCUMENT_XID

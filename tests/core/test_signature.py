@@ -3,47 +3,72 @@
 import math
 
 from repro.core import annotate
-from repro.xmlkit import canonical_bytes, content_fingerprint, parse, preorder
+from repro.xmlkit import (
+    Comment,
+    Element,
+    ProcessingInstruction,
+    Text,
+    canonical_bytes,
+    content_fingerprint,
+    parse,
+    preorder,
+)
+
+
+def numbers(*roots, **options):
+    """Annotate every root against one shared table: their signatures."""
+    table = {}
+    return [annotate(root, table=table, **options) for root in roots]
+
+
+def root_numbers(a, b):
+    ann_a, ann_b = numbers(a, b)
+    return ann_a.signature(a.root), ann_b.signature(b.root)
 
 
 class TestSignatures:
     def test_identical_documents_share_signatures(self):
         a = parse("<a><b>x</b><c k='v'/></a>")
         b = parse("<a><b>x</b><c k='v'/></a>")
-        ann_a = annotate(a)
-        ann_b = annotate(b)
-        assert ann_a.signature(a.root) == ann_b.signature(b.root)
+        first, second = root_numbers(a, b)
+        assert first == second
 
     def test_text_change_changes_ancestor_signatures(self):
         a = parse("<a><b>x</b></a>")
         b = parse("<a><b>y</b></a>")
-        assert annotate(a).signature(a.root) != annotate(b).signature(b.root)
+        first, second = root_numbers(a, b)
+        assert first != second
 
     def test_attribute_change_changes_signature(self):
         a = parse("<a k='1'/>")
         b = parse("<a k='2'/>")
-        assert annotate(a).signature(a.root) != annotate(b).signature(b.root)
+        first, second = root_numbers(a, b)
+        assert first != second
 
     def test_attribute_order_is_canonical(self):
         a = parse("<a x='1' y='2'/>")
         b = parse("<a y='2' x='1'/>")
-        assert annotate(a).signature(a.root) == annotate(b).signature(b.root)
+        first, second = root_numbers(a, b)
+        assert first == second
 
     def test_child_order_matters(self):
         a = parse("<a><b/><c/></a>")
         b = parse("<a><c/><b/></a>")
-        assert annotate(a).signature(a.root) != annotate(b).signature(b.root)
+        first, second = root_numbers(a, b)
+        assert first != second
 
     def test_kind_distinguished(self):
         a = parse("<a><!--x--></a>")
         b = parse("<a>x</a>", strip_whitespace=False)
-        assert annotate(a).signature(a.root) != annotate(b).signature(b.root)
+        first, second = root_numbers(a, b)
+        assert first != second
 
     def test_unchanged_subtree_signature_stable_across_documents(self):
         a = parse("<r><keep><x>1</x></keep><old/></r>")
         b = parse("<r><new/><keep><x>1</x></keep></r>")
-        sig_a = annotate(a).signature(a.root.find("keep"))
-        sig_b = annotate(b).signature(b.root.find("keep"))
+        ann_a, ann_b = numbers(a, b)
+        sig_a = ann_a.signature(a.root.find("keep"))
+        sig_b = ann_b.signature(b.root.find("keep"))
         assert sig_a == sig_b
 
     def test_signature_agrees_with_canonical_fingerprint(self):
@@ -54,7 +79,7 @@ class TestSignatures:
             parse("<a><b>x</b></a>"),
             parse("<a><b>y</b></a>"),
         ]
-        annotations = [annotate(d) for d in docs]
+        annotations = numbers(*docs)
         for i in range(3):
             for j in range(3):
                 same_sig = annotations[i].signature(docs[i].root) == annotations[
@@ -64,6 +89,66 @@ class TestSignatures:
                     docs[j].root
                 )
                 assert same_sig == same_fp
+
+
+class TestLookAlikeKinds:
+    """An element, a text, a comment and a PI never share a number."""
+
+    @staticmethod
+    def leaves(value):
+        return [
+            Element(value or "e"),
+            Text(value),
+            Comment(value),
+            ProcessingInstruction(value or "t", value),
+        ]
+
+    def distinct(self, nodes):
+        table = {}
+        signatures = [
+            annotate(node, table=table).signature(node) for node in nodes
+        ]
+        assert len(set(signatures)) == len(nodes), signatures
+
+    def test_leaves_with_one_value(self):
+        for value in ("x", "C", "P", "T", ""):
+            self.distinct(self.leaves(value))
+
+    def test_tag_like_values(self):
+        # Values spelled like another kind's key never reach its number.
+        self.distinct([
+            Text("C"),
+            Comment("x"),
+            Text("P"),
+            ProcessingInstruction("x", "x"),
+            Element("C"),
+            Element("P", {"x": "x"}),
+            Comment(""),
+            Text(""),
+        ])
+
+    def test_element_children_against_a_document(self):
+        table = {}
+        wrapper = Element("a")
+        wrapper.append(Text("x"))
+        document = parse("<a>x</a>")
+        first = annotate(wrapper, table=table).signature(wrapper)
+        second = annotate(document, table=table)
+        assert second.signature(document.root) == first
+        assert second.signature(document) != first
+
+    def test_attribute_values_compare_as_strings(self):
+        first, second = Element("e", {"k": 1}), Element("e", {"k": "1"})
+        table = {}
+        assert annotate(first, table=table).signature(first) == annotate(
+            second, table=table
+        ).signature(second)
+
+    def test_attributes_cannot_pose_as_children(self):
+        plain = Element("e", {"k": "v"})
+        nested = Element("e")
+        nested.append(Element("k"))
+        self.distinct([plain, nested, Element("e")])
 
 
 class TestCanonicalBytes:

@@ -5,7 +5,8 @@ builder, ``clone`` and ``Element.append`` run on every tree the store
 commits and the diff reads, so each was rewritten to do less work per
 node.  The earlier routines are kept here as oracles: the new ones must
 give the same node order, the same trees, the same bytes, the same
-XIDs and the same digests and weights.  The version store, which now
+XIDs, and the same weights and equality classes of subtrees (the exact
+subtree numbers that replaced the digests).  The version store, which now
 copies a caller's tree only when it must be normalized, must write the
 same bytes either way.
 """
@@ -359,23 +360,42 @@ def test_serialize_handles_any_depth():
 # -- annotate -----------------------------------------------------------------
 
 
+def same_classes(roots, log_text_weight=True):
+    """Annotate ``roots`` against one table and check them on the oracle.
+
+    Two nodes of any of the trees get equal numbers exactly when their
+    oracle digests are equal, and every weight is the oracle's.
+    """
+    table = {}
+    number_of_digest, digest_of_number = {}, {}
+    for root in roots:
+        annotations = annotate(
+            root, table=table, log_text_weight=log_text_weight
+        )
+        digests, weights = old_annotate(root, log_text_weight)
+        assert annotations.weights == weights
+        assert annotations.node_count == len(digests)
+        assert annotations.total_weight == weights[root]
+        for node, digest in digests.items():
+            number = annotations.signatures[node]
+            assert number_of_digest.setdefault(digest, number) == number
+            assert digest_of_number.setdefault(number, digest) == digest
+    return len(number_of_digest)
+
+
 @settings(max_examples=150, deadline=None)
-@given(documents(max_depth=5), st.booleans())
-def test_annotate_matches_the_per_update_routine(document, log_text_weight):
-    annotations = annotate(document, log_text_weight=log_text_weight)
-    signatures, weights = old_annotate(document, log_text_weight)
-    assert annotations.signatures == signatures
-    assert annotations.weights == weights
-    assert annotations.node_count == len(signatures)
-    assert annotations.total_weight == weights[document]
+@given(documents(max_depth=5), documents(max_depth=5), st.booleans())
+def test_annotate_matches_the_per_update_routine(
+    document, other, log_text_weight
+):
+    # The copy shares every subtree with the document, the other
+    # document few: both equal and different numbers are exercised.
+    same_classes([document, document.clone(), other], log_text_weight)
 
 
 def test_annotate_matches_on_a_deep_chain():
     root = chain(5000)
-    signatures, weights = old_annotate(root)
-    annotations = annotate(root)
-    assert annotations.signatures == signatures
-    assert annotations.weights == weights
+    assert same_classes([root, chain(5000)]) == 5001
 
 
 # -- parse --------------------------------------------------------------------

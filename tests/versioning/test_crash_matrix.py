@@ -212,3 +212,48 @@ class TestCrashDuringCreate:
         report = fsck_store(path, repair=True)
         assert report.exit_code() == 1
         assert fsck_store(path).exit_code() == 0
+
+
+class TestJournalFormat:
+    """The journal is written compact; an indented one still recovers."""
+
+    def _torn_commit(self, path, crash_after):
+        repo, store = _store_at(path)
+        store.create("doc", parse(V1))
+        store.commit("doc", parse(V2))
+        repo.faults = FaultInjector(crash_after=crash_after)
+        with pytest.raises(InjectedFault):
+            store.commit("doc", parse(V3))
+        return path / "doc" / "journal.json"
+
+    def test_journal_is_compact_json(self, tmp_path):
+        journal = self._torn_commit(tmp_path / "store", 1)
+        text = journal.read_text(encoding="utf-8")
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        assert ", " not in text and '": ' not in text
+
+    @pytest.mark.parametrize(
+        "crash_after, action, version",
+        [(2, "rolled-back", 2), (4, "rolled-forward", 3)],
+    )
+    def test_an_indented_journal_recovers(
+        self, tmp_path, crash_after, action, version
+    ):
+        import json
+
+        path = tmp_path / "store"
+        journal = self._torn_commit(path, crash_after)
+        # The form stores wrote before the journal went compact.
+        payload = json.loads(journal.read_text(encoding="utf-8"))
+        journal.write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
+        reopened = DirectoryRepository(path)
+        assert [e.action for e in reopened.recovery_events] == [action]
+        assert reopened.verify() == []
+        assert reopened.current_version("doc") == version
+        assert not journal.exists()
+        assert VersionStore(reopened).get_version("doc", version).deep_equal(
+            parse(V3 if version == 3 else V2)
+        )
