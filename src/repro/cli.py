@@ -303,10 +303,12 @@ def _cmd_sitediff(args) -> int:
         committed = 0
         for key in sorted(set(site_delta.added) | set(site_delta.changed)):
             document = new_snapshot.get(key)
-            if repository.exists(key):
-                store.commit(key, document)
-            else:
-                store.create(key, document)
+            # The commit reuses the metadata the existence check read.
+            with repository.pinned_head(key):
+                if repository.exists(key):
+                    store.commit(key, document)
+                else:
+                    store.create(key, document)
             committed += 1
         repository.close()
     _write_obs(args, tracer, metrics)

@@ -45,27 +45,9 @@ SCHEMA = "repro.storewatch/3"
 #: Byte-accounting kinds, in render order.
 BYTE_KINDS = ("snapshot", "delta", "meta", "journal", "other")
 
-
-def _classify(name: str) -> str:
-    """Byte-accounting kind of one per-document file name."""
-    from repro.versioning.repository import (
-        _DELTA_FILE_RE,
-        _SNAPSHOT_FILE_RE,
-        CURRENT_NAME,
-        JOURNAL_NAME,
-        MANIFEST_NAME,
-        META_NAME,
-    )
-
-    if name == CURRENT_NAME or _SNAPSHOT_FILE_RE.match(name):
-        return "snapshot"
-    if _DELTA_FILE_RE.match(name):
-        return "delta"
-    if name in (META_NAME, MANIFEST_NAME):
-        return "meta"
-    if name == JOURNAL_NAME:
-        return "journal"
-    return "other"
+#: Stored kinds (:func:`repro.versioning.layout.classify`) whose bytes
+#: count under another byte-accounting kind.
+_BYTE_KIND_OF = {"current": "snapshot", "manifest": "meta"}
 
 
 def chain_bucket(length: int) -> str:
@@ -113,7 +95,7 @@ def collect_store_stats(
         error of the backend itself (an unreadable directory, a closed
         database) propagates.
     """
-    from repro.versioning.repository import META_NAME, CorruptStoreError
+    from repro.versioning import layout
 
     backend = repository.backend
 
@@ -130,12 +112,12 @@ def collect_store_stats(
     staleness_sum = 0
     detail: list[dict] = []
 
-    for prefix in repository._doc_prefixes():
+    for prefix in layout.doc_prefixes(backend):
         documents += 1
         doc_bytes = 0
-        for key in backend.list_keys(prefix + "/"):
-            name = key[len(prefix) + 1:]
-            kind = "other" if "/" in name else _classify(name)
+        for key in layout.doc_keys(backend, prefix):
+            kind = layout.classify(layout.split_key(key)[1])[0]
+            kind = _BYTE_KIND_OF.get(kind, kind)
             size = _size_of(backend, key)
             bytes_by_kind[kind] += size
             doc_bytes += size
@@ -144,13 +126,13 @@ def collect_store_stats(
         checkpoints: list[int] = []
         staleness = 0
         try:
-            meta = repository._read_json(prefix + "/" + META_NAME, "metadata")
+            meta = layout.get_record(backend, prefix, "meta")
             doc_id = str(meta.get("doc_id", prefix))
             versions = int(meta.get("current_version", 1))
             checkpoints = sorted(
                 int(v) for v in meta.get("snapshots", {})
             )
-        except (FileNotFoundError, CorruptStoreError, ValueError):
+        except (FileNotFoundError, layout.CorruptStoreError, ValueError):
             unreadable += 1
         if versions is not None:
             versions_total += versions

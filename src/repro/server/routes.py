@@ -297,7 +297,9 @@ async def handle_commit(server, request: Request, params, obs) -> Response:
         from repro.xmlkit.parser import parse
 
         # One writer per store: commits serialize at the store door.
-        with lock:
+        # The pinned head lets the commit reuse the metadata that the
+        # existence check read.
+        with lock, store.repository.pinned_head(doc_id):
             if key is not None and store.repository.exists(doc_id):
                 # Cache was cold but the store remembers: the journaled
                 # last_commit record survives restarts and crashes.

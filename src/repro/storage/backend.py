@@ -30,7 +30,6 @@ backend instance.  A store URL takes no query parameters.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterator, Optional
 
@@ -106,27 +105,6 @@ class StorageBackend:
         with a stat/length query so store-wide accounting
         (:mod:`repro.obs.storewatch`) never reads the values."""
         return len(self.get(key))
-
-    def put_json(
-        self,
-        key: str,
-        payload,
-        *,
-        label: Optional[str] = None,
-        compact: bool = False,
-    ) -> str:
-        """Store ``payload`` as stable, sorted JSON (the metadata format).
-
-        The default indents by two spaces.  ``compact`` writes no
-        whitespace at all, which ``json`` encodes with its C encoder:
-        the indenting encoder is pure Python, and its closures leave
-        reference cycles behind on every call.  Readers accept either.
-        """
-        if compact:
-            text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        else:
-            text = json.dumps(payload, indent=2, sort_keys=True)
-        return self.put(key, (text + "\n").encode("utf-8"), label=label)
 
     def batch(self):
         """Transactional scope; the default is a no-op context manager."""

@@ -1,8 +1,8 @@
 """Filesystem backend: keys map 1:1 to files under the store root.
 
-This is a behaviour-preserving wrap of the layout
-:class:`repro.versioning.repository.DirectoryRepository` always used —
-the bytes it writes are **identical** to the pre-protocol store, so
+This is a behaviour-preserving wrap of the one-directory-per-document
+layout file stores always used — the bytes it writes are
+**identical** to the pre-protocol store, so
 every existing store opens unchanged and ``fsck`` stays clean across
 the refactor.  Atomicity comes from :func:`repro.storage.atomic.
 atomic_write` (temp file + ``os.replace``); the temp files a crash can

@@ -2,7 +2,7 @@
 
 :mod:`repro.testing.faults` provides deterministic failure injection
 for the storage layer — the machinery behind the crash-matrix tests
-that prove :class:`repro.versioning.DirectoryRepository` leaves a
+that prove :class:`repro.versioning.BackendRepository` leaves a
 loadable or repairable store no matter where a crash lands.
 """
 

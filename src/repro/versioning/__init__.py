@@ -4,6 +4,8 @@
   through any :class:`repro.storage.StorageBackend` (filesystem or
   SQLite, on disk or in memory),
   and :func:`open_repository`, the store-URL front door.
+- :mod:`repro.versioning.layout` — the store layout: the keys a
+  document owns, the bytes of its records and its XID labels.
 - :mod:`repro.versioning.version_control` — the one commit path
   (:class:`VersionStore`), version reconstruction, cross-version
   aggregation.
@@ -19,14 +21,12 @@ __all__ = [
     "BackendRepository",
     "Conflict",
     "CorruptStoreError",
-    "DirectoryRepository",
     "Finding",
     "FsckReport",
     "MergeResult",
     "fsck_store",
     "merge",
     "RecoveryEvent",
-    "Repository",
     "SiteDelta",
     "SiteSnapshot",
     "Subscription",
@@ -40,9 +40,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "fsck": ("FsckReport", "fsck_store"),
     "merge": ("Conflict", "MergeResult", "merge"),
     "repository": (
-        "BackendRepository", "CorruptStoreError", "DirectoryRepository",
-        "Finding", "RecoveryEvent", "Repository",
-        "open_repository",
+        "BackendRepository", "CorruptStoreError", "Finding",
+        "RecoveryEvent", "open_repository",
     ),
     "sitediff": ("SiteDelta", "SiteSnapshot", "diff_sites"),
     "version_control": ("VersionStore",),

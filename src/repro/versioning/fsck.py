@@ -15,7 +15,7 @@ against each document's ``manifest.json`` record and, with
 - a **missing or unreadable manifest** is rebuilt from the stored
   values (trust-on-first-hash, the only option for legacy stores);
 - a **damaged ``current.xml`` or checkpoint snapshot** is re-derived
-  with :meth:`~repro.versioning.repository.Repository.materialize`
+  with :meth:`~repro.versioning.repository.BackendRepository.materialize`
   from the nearest *other* stored state, either direction: a
   checkpoint below replays the delta chain forward, ``current.xml`` or
   a checkpoint above replays it backward (completed deltas invert for
@@ -39,15 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.storage.atomic import sha256_bytes
+from repro.versioning import layout
 from repro.versioning.repository import (
-    CURRENT_NAME,
-    MANIFEST_NAME,
-    META_NAME,
     BackendRepository,
     Finding,
     RecoveryEvent,
-    _DELTA_FILE_RE,
-    _SNAPSHOT_FILE_RE,
     open_repository,
 )
 from repro.xmlkit.errors import ReproError
@@ -99,7 +95,7 @@ def fsck_store(
 
     Args:
         store: Store URL, bare path, or an open
-            :class:`~repro.versioning.repository.Repository`.  Must
+            :class:`~repro.versioning.repository.BackendRepository`.  Must
             exist — fsck never creates a store.
         repair: Apply the deterministic fixes described in the module
             docstring.
@@ -144,7 +140,7 @@ def fsck_store(
 
 
 def _repair(repo: BackendRepository, finding: Finding) -> bool:
-    """Apply the fix for one finding; True on success."""
+    """Apply the fix for one repairable finding; True on success."""
     try:
         backend = repo.backend
         if finding.kind == "orphan-temp":
@@ -153,78 +149,59 @@ def _repair(repo: BackendRepository, finding: Finding) -> bool:
             backend.delete(finding.key)
             return True
         if finding.kind == "incomplete-document":
-            for key in backend.list_keys(finding.key + "/"):
+            for key in layout.doc_keys(backend, finding.key):
                 backend.delete(key)
             return True
-        prefix = finding.key.split("/", 1)[0]
+        prefix, name = layout.split_key(finding.key)
         if finding.kind == "missing-manifest":
-            return _rebuild_manifest(repo, prefix)
+            return _rebuild_manifest(backend, prefix)
         if finding.kind == "missing-checksum":
-            return _record_checksum(repo, finding.key)
+            manifest = layout.get_record(backend, prefix, "manifest")
+            manifest.setdefault("files", {})[name] = backend.digest(
+                finding.key
+            )
+            layout.put_record(backend, prefix, "manifest", manifest)
+            return True
         if finding.kind in ("checksum-mismatch", "missing-file"):
-            name = finding.key.rsplit("/", 1)[-1]
-            if name == CURRENT_NAME or _SNAPSHOT_FILE_RE.match(name):
-                return _rederive(repo, prefix, name)
+            return _rederive(repo, finding.key)
         return False
     except (ReproError, OSError):
         return False
 
 
-def _read_meta(repo: BackendRepository, prefix: str) -> dict:
-    return repo._read_json(prefix + "/" + META_NAME, "metadata")
-
-
-def _rebuild_manifest(repo: BackendRepository, prefix: str) -> bool:
+def _rebuild_manifest(backend, prefix: str) -> bool:
     """Recompute every checksum from the stored values."""
-    meta = _read_meta(repo, prefix)
-    current_version = int(meta.get("current_version", 1))
-    snapshot_versions = {int(v) for v in meta.get("snapshots", {})}
+    meta = layout.get_record(backend, prefix, "meta")
     files: dict[str, str] = {}
-    for key in repo.backend.list_keys(prefix + "/"):
-        name = key[len(prefix) + 1 :]
-        delta_match = _DELTA_FILE_RE.match(name)
-        snapshot_match = _SNAPSHOT_FILE_RE.match(name)
-        if name == CURRENT_NAME:
-            files[name] = repo.backend.digest(key)
-        elif delta_match and 1 <= int(delta_match.group(1)) < current_version:
-            files[name] = repo.backend.digest(key)
-        elif snapshot_match and int(snapshot_match.group(1)) in snapshot_versions:
-            files[name] = repo.backend.digest(key)
-    repo.backend.put_json(
-        prefix + "/" + MANIFEST_NAME,
-        {"algorithm": "sha256", "files": files},
-    )
+    for key in layout.doc_keys(backend, prefix):
+        name = layout.split_key(key)[1]
+        if layout.checksummed(name, meta):
+            files[name] = backend.digest(key)
+    layout.put_record(backend, prefix, "manifest", layout.manifest(files))
     return True
 
 
-def _record_checksum(repo: BackendRepository, key: str) -> bool:
-    prefix, name = key.rsplit("/", 1)
-    manifest = repo._read_json(prefix + "/" + MANIFEST_NAME, "manifest")
-    manifest.setdefault("files", {})[name] = repo.backend.digest(key)
-    repo.backend.put_json(prefix + "/" + MANIFEST_NAME, manifest)
-    return True
+def _rederive(repo: BackendRepository, key: str) -> bool:
+    """Rebuild the damaged current version or checkpoint at ``key``.
 
-
-def _rederive(repo: BackendRepository, prefix: str, name: str) -> bool:
-    """Rebuild the damaged ``current.xml`` or checkpoint ``name``.
-
-    :meth:`~repro.versioning.repository.Repository.materialize` walks
-    from the nearest *other* stored state, so the damaged copy is never
-    its own source.  The result only replaces it when its SHA-256
+    :meth:`~repro.versioning.repository.BackendRepository.materialize`
+    walks from the nearest *other* stored state, so the damaged copy is
+    never its own source.  The result only replaces it when its SHA-256
     matches the manifest's record.
     """
-    meta = _read_meta(repo, prefix)
-    doc_id = str(meta.get("doc_id", prefix))
-    snapshot = _SNAPSHOT_FILE_RE.match(name)
-    version = (
-        int(snapshot.group(1))
-        if snapshot
-        else int(meta.get("current_version", 1))
-    )
-    manifest = repo._read_json(prefix + "/" + MANIFEST_NAME, "manifest")
+    prefix, name = layout.split_key(key)
+    kind, version = layout.classify(name)
+    if kind not in ("current", "snapshot"):
+        return False
+    meta = layout.get_record(repo.backend, prefix, "meta")
+    if kind == "current":
+        version = int(meta.get("current_version", 1))
+    manifest = layout.get_record(repo.backend, prefix, "manifest")
     expected = manifest.get("files", {}).get(name)
-    data = serialize_bytes(repo.materialize(doc_id, version, damaged=name))
+    data = serialize_bytes(
+        repo.materialize(str(meta.get("doc_id", prefix)), version, damaged=name)
+    )
     if expected is not None and sha256_bytes(data) != expected:
         return False
-    repo.backend.put(prefix + "/" + name, data)
+    repo.backend.put(key, data)
     return True

@@ -1,29 +1,28 @@
 """Versioned document storage (the repository of Figure 1).
 
-A :class:`Repository` keeps, per document: the **current snapshot**, the
-**sequence of completed deltas** that produced it, and the **XID allocator
-state**.  That is exactly the paper's storage policy — "this delta is
-appended to the existing sequence of deltas for this document; the old
-version is then possibly removed from the repository" — old versions are
-reconstructed on demand by :meth:`Repository.materialize`, which starts
-from the nearest stored state (the current snapshot or a checkpoint) and
-applies the completed deltas from there in either direction: forward
-from a state below the requested version, backward from one above.
+A :class:`BackendRepository` keeps, per document: the **current
+snapshot**, the **sequence of completed deltas** that produced it, and
+the **XID allocator state**.  That is exactly the paper's storage
+policy — "this delta is appended to the existing sequence of deltas
+for this document; the old version is then possibly removed from the
+repository" — old versions are reconstructed on demand by
+:meth:`BackendRepository.materialize`, which starts from the nearest
+stored state (the current snapshot or a checkpoint) and applies the
+completed deltas from there in either direction: forward from a state
+below the requested version, backward from one above.
 
-One class implements it: :class:`BackendRepository` (exported as
-``Repository`` too) stores everything through a
+It stores everything through a
 :class:`repro.storage.backend.StorageBackend` (filesystem, or SQLite —
 an in-memory SQLite database is what ``VersionStore()`` uses when no
 repository is given).  Per document it keeps the current snapshot
 (``<doc>/current.xml``), the deltas (``<doc>/delta-0001-0002.xml``
-...), and a small metadata record.  Documents and deltas are stored in
-their XML forms, so the store is inspectable with any XML tooling — a
-property the paper makes a point of.  :class:`DirectoryRepository` is
-its constructor for the classic one-directory-per-document filesystem
-layout.
+...), and a small metadata record, under the keys and in the record
+formats :mod:`repro.versioning.layout` defines.  Documents and deltas
+are stored in their XML forms, so the store is inspectable with any
+XML tooling — a property the paper makes a point of.
 
-A store URL (``file://``, ``sqlite://``) or a bare path opens as one of
-the two through :func:`open_repository`.
+A store URL (``file://``, ``sqlite://``) or a bare path opens through
+:func:`open_repository`.
 
 Durability
 ----------
@@ -58,19 +57,16 @@ is failing.
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 from repro.core.apply import apply_backward, apply_delta
 from repro.core.delta import Delta
 from repro.core.deltaxml import delta_from_document, serialize_delta
-from repro.core.xid import XidAllocator, format_xid_map, xid_map_runs
+from repro.core.xid import XidAllocator
 from repro.storage.atomic import check_durability, sha256_bytes
 from repro.storage.backend import (
     StorageBackend,
@@ -79,8 +75,9 @@ from repro.storage.backend import (
     sniff_scheme,
 )
 from repro.storage.filesystem import FilesystemBackend
+from repro.versioning import layout
+from repro.versioning.layout import CorruptStoreError
 from repro.xmlkit.errors import (
-    DeltaError,
     ReproError,
     RepositoryError,
     StorageError,
@@ -93,39 +90,10 @@ from repro.xmlkit.serializer import serialize_bytes
 __all__ = [
     "BackendRepository",
     "CorruptStoreError",
-    "DirectoryRepository",
     "Finding",
     "RecoveryEvent",
-    "Repository",
     "open_repository",
 ]
-
-_DELTA_FILE_RE = re.compile(r"^delta-(\d+)-(\d+)\.xml$")
-_SNAPSHOT_FILE_RE = re.compile(r"^snapshot-(\d+)\.xml$")
-
-CURRENT_NAME = "current.xml"
-META_NAME = "meta.json"
-MANIFEST_NAME = "manifest.json"
-JOURNAL_NAME = "journal.json"
-
-
-def snapshot_name(version: int) -> str:
-    """Stored name of the checkpoint snapshot of ``version``."""
-    return f"snapshot-{version:04d}.xml"
-
-
-class CorruptStoreError(RepositoryError):
-    """A stored file is unreadable or fails validation.
-
-    Unlike plain :class:`RepositoryError` (misuse: unknown document,
-    out-of-range version), this means bytes on disk are damaged.  The
-    offending file is carried in :attr:`path` so tooling (``fsck``, a
-    monitoring hook) can point at it.
-    """
-
-    def __init__(self, message: str, path=None):
-        super().__init__(message)
-        self.path = os.fspath(path) if path is not None else None
 
 
 @dataclass
@@ -137,8 +105,8 @@ class Finding:
             the metadata naming it is itself unreadable).
         kind: Machine-readable category (``torn-commit``,
             ``corrupt-meta``, ``missing-manifest``, ``missing-checksum``,
-            ``missing-file``, ``checksum-mismatch``, ``orphan-temp``,
-            ``unexpected-file``, ``incomplete-document``).
+            ``missing-file``, ``checksum-mismatch``, ``unreadable-file``,
+            ``orphan-temp``, ``unexpected-file``, ``incomplete-document``).
         path: Offending file, key location or directory.
         message: Human-readable description.
         repairable: Whether ``fsck --repair`` has a deterministic fix.
@@ -175,9 +143,12 @@ class RecoveryEvent:
 class BackendRepository:
     """Repository persisted through a :class:`StorageBackend`.
 
-    Every document maps to a key prefix (its sanitised id); the keys
-    under it are the same names the classic directory layout used, so
-    the protocol is one level of indirection, not a new format.
+    Every document maps to a key prefix (its sanitised id, see
+    :func:`~repro.versioning.layout.doc_prefix`); the keys under it are
+    the same names the classic directory layout used, so the protocol
+    is one level of indirection, not a new format.  An id whose prefix
+    another id already owns reads as unknown: the metadata names its
+    document.
 
     The repository holds no document state between calls: the backend
     is the only source of truth.  ``load_current`` parses
@@ -239,55 +210,7 @@ class BackendRepository:
         """Release backing resources; idempotent."""
         self.backend.close()
 
-    # -- keys ----------------------------------------------------------------
-
-    def _doc_key(self, doc_id: str) -> str:
-        return re.sub(r"[^A-Za-z0-9._-]", "_", doc_id)
-
-    def _meta_key(self, doc_id: str) -> str:
-        return self._doc_key(doc_id) + "/" + META_NAME
-
-    def _current_key(self, doc_id: str) -> str:
-        return self._doc_key(doc_id) + "/" + CURRENT_NAME
-
-    def _manifest_key(self, doc_id: str) -> str:
-        return self._doc_key(doc_id) + "/" + MANIFEST_NAME
-
-    def _journal_key(self, doc_id: str) -> str:
-        return self._doc_key(doc_id) + "/" + JOURNAL_NAME
-
-    def _delta_name(self, base_version: int) -> str:
-        return f"delta-{base_version:04d}-{base_version + 1:04d}.xml"
-
-    def _delta_key(self, doc_id: str, base_version: int) -> str:
-        return self._doc_key(doc_id) + "/" + self._delta_name(base_version)
-
-    def _doc_prefixes(self) -> list[str]:
-        return sorted(
-            {
-                key.split("/", 1)[0]
-                for key in self.backend.list_keys()
-                if "/" in key
-            }
-        )
-
-    @staticmethod
-    def _orphan_prefix(ref: str) -> Optional[str]:
-        """Document prefix an orphan reference belongs to (None = global)."""
-        head, slash, _ = ref.partition("/")
-        return head if slash else None
-
     # -- metadata / manifest records -----------------------------------------
-
-    def _read_json(self, key: str, what: str) -> dict:
-        location = self.backend.location(key)
-        data = self.backend.get(key)
-        try:
-            return json.loads(data.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CorruptStoreError(
-                f"corrupt {what} at {location}: {exc}", path=location
-            ) from exc
 
     @contextmanager
     def pinned_head(self, doc_id: str):
@@ -317,27 +240,45 @@ class BackendRepository:
         head = getattr(self._pinned, "head", None)
         return head if head is not None and head[0] == doc_id else None
 
-    def _load_meta(self, doc_id: str) -> dict:
+    def _head(self, doc_id: str) -> Optional[dict]:
+        """``doc_id``'s metadata, or ``None`` for an unknown document.
+
+        A record naming another id (one that sanitises to the same
+        prefix) leaves ``doc_id`` unknown; one naming none, as stores
+        written before records named their document, is ``doc_id``'s.
+        """
         pin = self._pin_for(doc_id)
         if pin is not None and pin[1] is not None:
             return pin[1]
         try:
-            meta = self._read_json(self._meta_key(doc_id), "metadata")
-        except FileNotFoundError as exc:
-            raise RepositoryError(f"unknown document {doc_id!r}") from exc
+            meta = layout.get_record(
+                self.backend, layout.doc_prefix(doc_id), "meta"
+            )
+        except FileNotFoundError:
+            return None
+        if meta.get("doc_id", doc_id) != doc_id:
+            return None
         if pin is not None:
             pin[1] = meta
         return meta
 
+    def _load_meta(self, doc_id: str) -> dict:
+        meta = self._head(doc_id)
+        if meta is None:
+            raise RepositoryError(f"unknown document {doc_id!r}")
+        return meta
+
     def _store_meta(self, doc_id: str, meta: dict) -> None:
-        self.backend.put_json(self._meta_key(doc_id), meta, label="meta")
+        layout.put_record(
+            self.backend, layout.doc_prefix(doc_id), "meta", meta, label="meta"
+        )
         pin = self._pin_for(doc_id)
         if pin is not None:
             pin[1] = meta
 
-    def _load_manifest(self, doc_id: str) -> dict:
+    def _load_manifest(self, prefix: str) -> dict:
         try:
-            return self._read_json(self._manifest_key(doc_id), "manifest")
+            return layout.get_record(self.backend, prefix, "manifest")
         except FileNotFoundError:
             # Only a *missing* manifest falls back — stores written
             # before manifests existed keep working and fsck --repair
@@ -345,12 +286,7 @@ class BackendRepository:
             # CorruptStoreError instead (with .path): silently
             # regenerating would launder damaged checksums into
             # trusted ones.
-            return {"algorithm": "sha256", "files": {}}
-
-    def _store_manifest(self, doc_id: str, manifest: dict) -> None:
-        self.backend.put_json(
-            self._manifest_key(doc_id), manifest, label="manifest"
-        )
+            return layout.manifest({})
 
     def _load_tree(
         self, key: str, meta: dict, labels: Optional[str | list]
@@ -364,7 +300,7 @@ class BackendRepository:
         document.id_attributes = {
             tuple(pair) for pair in meta.get("id_attributes", [])
         }
-        _restore_xids(document, labels)
+        layout.restore_xids(document, labels)
         return document
 
     # -- documents -----------------------------------------------------------
@@ -375,7 +311,7 @@ class BackendRepository:
             doc_id,
             document,
             allocator.next_xid,
-            _collect_xids(document),
+            layout.collect_xids(document),
             commit_record,
         )
 
@@ -395,13 +331,21 @@ class BackendRepository:
             doc_id,
             document,
             nodes + 1,
-            format_xid_map(range(1, nodes + 1)),
+            layout.initial_xids(nodes),
             commit_record,
         )
 
     def _create(self, doc_id, document, next_xid, labels, commit_record):
-        if self.backend.exists(self._meta_key(doc_id)):
-            raise RepositoryError(f"document {doc_id!r} already exists")
+        prefix = layout.doc_prefix(doc_id)
+        if self.backend.exists(layout.key(prefix, "meta")):
+            meta = layout.get_record(self.backend, prefix, "meta")
+            owner = str(meta.get("doc_id", doc_id))
+            if owner == doc_id:
+                raise RepositoryError(f"document {doc_id!r} already exists")
+            raise RepositoryError(
+                f"document {doc_id!r} would be stored under the prefix "
+                f"{prefix!r} of document {owner!r}"
+            )
         meta = {
             "doc_id": doc_id,
             "current_version": 1,
@@ -419,13 +363,16 @@ class BackendRepository:
                 }
         with self.backend.batch():
             digest = self.backend.put(
-                self._current_key(doc_id),
+                layout.key(prefix, "current"),
                 serialize_bytes(document),
                 label="current",
             )
-            self._store_manifest(
-                doc_id,
-                {"algorithm": "sha256", "files": {CURRENT_NAME: digest}},
+            layout.put_record(
+                self.backend,
+                prefix,
+                "manifest",
+                layout.manifest({layout.name("current"): digest}),
+                label="manifest",
             )
             # meta.json lands last: its appearance is what makes the
             # document exist.  A crash before this point leaves an
@@ -434,14 +381,15 @@ class BackendRepository:
             self._store_meta(doc_id, meta)
 
     def exists(self, doc_id: str) -> bool:
-        return self.backend.exists(self._meta_key(doc_id))
+        meta_key = layout.key(layout.doc_prefix(doc_id), "meta")
+        return self.backend.exists(meta_key) and self._head(doc_id) is not None
 
     def document_ids(self) -> list[str]:
         ids = []
-        for prefix in self._doc_prefixes():
-            meta_key = prefix + "/" + META_NAME
-            if self.backend.exists(meta_key):
-                ids.append(str(self._read_json(meta_key, "metadata")["doc_id"]))
+        for prefix in layout.doc_prefixes(self.backend):
+            if self.backend.exists(layout.key(prefix, "meta")):
+                meta = layout.get_record(self.backend, prefix, "meta")
+                ids.append(str(meta.get("doc_id", prefix)))
         return sorted(ids)
 
     def document_count(self) -> int:
@@ -451,7 +399,7 @@ class BackendRepository:
         documents (a prefix without readable metadata), which is what
         ``fsck`` reports.
         """
-        return len(self._doc_prefixes())
+        return len(layout.doc_prefixes(self.backend))
 
     def current_version(self, doc_id: str) -> int:
         """Highest stored version number (versions start at 1)."""
@@ -470,7 +418,9 @@ class BackendRepository:
         try:
             meta = self._load_meta(doc_id)
             return self._load_tree(
-                self._current_key(doc_id), meta, meta.get("xid_labels")
+                layout.key(layout.doc_prefix(doc_id), "current"),
+                meta,
+                meta.get("xid_labels"),
             )
         finally:
             if span is not None:
@@ -503,7 +453,7 @@ class BackendRepository:
 
     def load_delta(self, doc_id: str, base_version: int) -> Delta:
         """The delta from ``base_version`` to ``base_version + 1``."""
-        key = self._delta_key(doc_id, base_version)
+        key = layout.key(layout.doc_prefix(doc_id), "delta", base_version)
         try:
             data = self.backend.get(key)
         except FileNotFoundError as exc:
@@ -533,14 +483,16 @@ class BackendRepository:
             version = int(meta["current_version"])
             if span is not None:
                 span.attrs["base_version"] = version
-            delta_name = self._delta_name(version)
+            prefix = layout.doc_prefix(doc_id)
+            delta_name = layout.name("delta", version)
+            current_name = layout.name("current")
             delta_bytes = serialize_delta(delta).encode("utf-8")
             current_bytes = serialize_bytes(new_document)
-            manifest = self._load_manifest(doc_id)
+            manifest = self._load_manifest(prefix)
             new_meta = dict(meta)
             new_meta["current_version"] = version + 1
             new_meta["next_xid"] = allocator.next_xid
-            new_meta["xid_labels"] = _collect_xids(new_document)
+            new_meta["xid_labels"] = layout.collect_xids(new_document)
             # The idempotency record commits (and clears) *with* the
             # version it describes: it rides the journaled metadata, so
             # roll-forward preserves it and roll-back discards it along
@@ -561,23 +513,20 @@ class BackendRepository:
                     new_meta["attribution"] = attribution
             else:
                 new_meta.pop("last_commit", None)
-            new_manifest = {
-                "algorithm": "sha256",
-                "files": dict(manifest.get("files", {})),
-            }
-            new_manifest["files"][delta_name] = sha256_bytes(delta_bytes)
-            new_manifest["files"][CURRENT_NAME] = sha256_bytes(current_bytes)
+            files = dict(manifest.get("files", {}))
+            pre_current = files.get(current_name)
+            files[delta_name] = sha256_bytes(delta_bytes)
+            files[current_name] = sha256_bytes(current_bytes)
+            new_manifest = layout.manifest(files)
             journal = {
                 "doc_id": meta.get("doc_id", doc_id),
                 "base_version": version,
                 "target_version": version + 1,
                 "delta_file": delta_name,
-                "pre": {
-                    CURRENT_NAME: manifest.get("files", {}).get(CURRENT_NAME)
-                },
+                "pre": {current_name: pre_current},
                 "post": {
-                    CURRENT_NAME: new_manifest["files"][CURRENT_NAME],
-                    delta_name: new_manifest["files"][delta_name],
+                    current_name: files[current_name],
+                    delta_name: files[delta_name],
                 },
                 "meta": new_meta,
                 "manifest": new_manifest,
@@ -587,29 +536,25 @@ class BackendRepository:
             # Every prefix of this sequence is recoverable.  The batch
             # scope lets a transactional backend make the whole
             # sequence atomic on top of that.
-            with self.backend.batch():
-                # Compact: the journal is removed in this same batch, so
-                # its format never reaches a completed commit's bytes.
-                self.backend.put_json(
-                    self._journal_key(doc_id),
-                    journal,
-                    label="journal",
-                    compact=True,
+            backend = self.backend
+            with backend.batch():
+                layout.put_record(
+                    backend, prefix, "journal", journal, label="journal"
                 )
-                self.backend.put(
-                    self._delta_key(doc_id, version),
-                    delta_bytes,
-                    label="delta",
+                backend.put(
+                    layout.join(prefix, delta_name), delta_bytes, label="delta"
                 )
-                self.backend.put(
-                    self._current_key(doc_id),
+                backend.put(
+                    layout.join(prefix, current_name),
                     current_bytes,
                     label="current",
                 )
-                self._store_manifest(doc_id, new_manifest)
+                layout.put_record(
+                    backend, prefix, "manifest", new_manifest, label="manifest"
+                )
                 self._store_meta(doc_id, new_meta)
-                self.backend.delete(
-                    self._journal_key(doc_id), label="journal-clear"
+                backend.delete(
+                    layout.key(prefix, "journal"), label="journal-clear"
                 )
         finally:
             if span is not None:
@@ -629,20 +574,18 @@ class BackendRepository:
         saved_faults = self.backend.faults
         self.backend.faults = None
         try:
-            for key in self.backend.list_keys():
-                if key.endswith("/" + JOURNAL_NAME):
-                    prefix = key.rsplit("/", 1)[0]
-                    try:
-                        event = self._recover_doc(prefix)
-                    except StorageError as exc:
-                        # Deciding from a file that cannot be read
-                        # would take it for absent: keep the journal.
-                        event = RecoveryEvent(
-                            self.backend.location(prefix),
-                            "unrecoverable",
-                            str(exc),
-                        )
-                    events.append(event)
+            for prefix in layout.journal_prefixes(self.backend):
+                try:
+                    event = self._recover_doc(prefix)
+                except StorageError as exc:
+                    # Deciding from a file that cannot be read would
+                    # take it for absent: keep the journal.
+                    event = RecoveryEvent(
+                        self.backend.location(prefix),
+                        "unrecoverable",
+                        str(exc),
+                    )
+                events.append(event)
         finally:
             self.backend.faults = saved_faults
         self.recovery_events.extend(events)
@@ -651,9 +594,9 @@ class BackendRepository:
     def _recover_doc(self, prefix: str) -> RecoveryEvent:
         backend = self.backend
         doc_ref = backend.location(prefix)
-        journal_key = prefix + "/" + JOURNAL_NAME
+        journal_key = layout.key(prefix, "journal")
         try:
-            journal = self._read_json(journal_key, "journal")
+            journal = layout.get_record(backend, prefix, "journal")
         except (CorruptStoreError, OSError):
             # The journal is written atomically *before* any content
             # key, so an unreadable journal means the tear hit the
@@ -663,27 +606,26 @@ class BackendRepository:
         post = journal.get("post", {})
         pre = journal.get("pre", {})
         delta_name = journal.get("delta_file", "")
-        delta_key = prefix + "/" + delta_name
-        current_key = prefix + "/" + CURRENT_NAME
+        delta_key = layout.join(prefix, delta_name)
+        current_name = layout.name("current")
+        current_key = layout.join(prefix, current_name)
         delta_ok = bool(delta_name) and _digest_or_none(
             backend, delta_key
         ) == post.get(delta_name)
         current_digest = _digest_or_none(backend, current_key)
-        if delta_ok and current_digest == post.get(CURRENT_NAME):
+        if delta_ok and current_digest == post.get(current_name):
             # All content landed — the crash hit the metadata writes or
             # the journal removal.  Roll forward from the journal's
             # embedded copies.
-            backend.put_json(
-                prefix + "/" + MANIFEST_NAME, journal["manifest"]
-            )
-            backend.put_json(prefix + "/" + META_NAME, journal["meta"])
+            layout.put_record(backend, prefix, "manifest", journal["manifest"])
+            layout.put_record(backend, prefix, "meta", journal["meta"])
             backend.delete(journal_key)
             return RecoveryEvent(
                 doc_ref,
                 "rolled-forward",
                 f"to version {journal.get('target_version')}",
             )
-        pre_current = pre.get(CURRENT_NAME)
+        pre_current = pre.get(current_name)
         if current_digest is not None and pre_current in (None, current_digest):
             # current.xml is still the pre-commit content (or a legacy
             # store never recorded its hash — trust the write order:
@@ -703,7 +645,7 @@ class BackendRepository:
             replayed = self.materialize(
                 str(journal["doc_id"]),
                 int(journal.get("base_version", 0)),
-                damaged=CURRENT_NAME,
+                damaged=current_name,
             )
         except (KeyError, ReproError, OSError):
             replayed = None
@@ -737,259 +679,173 @@ class BackendRepository:
         Verification never mutates the store; pair it with
         :func:`repro.versioning.fsck.fsck_store` for repair.
         """
-        orphan_map: dict[Optional[str], list[str]] = {}
+        orphans: dict[Optional[str], list[str]] = {}
         for ref in self.backend.orphans():
-            orphan_map.setdefault(self._orphan_prefix(ref), []).append(ref)
-        if doc_id is not None:
-            prefix = self._doc_key(doc_id)
-            scoped = orphan_map.get(prefix, [])
-            if not scoped and not self.backend.list_keys(prefix + "/"):
+            orphans.setdefault(layout.split_key(ref)[0], []).append(ref)
+        if doc_id is None:
+            prefixes = layout.doc_prefixes(self.backend)
+        else:
+            prefixes = [layout.doc_prefix(doc_id)]
+            if prefixes[0] not in orphans and not layout.doc_keys(
+                self.backend, prefixes[0]
+            ):
                 raise RepositoryError(f"unknown document {doc_id!r}")
-            return self._verify_prefix(prefix, scoped)
         findings: list[Finding] = []
-        for prefix in self._doc_prefixes():
-            findings.extend(
-                self._verify_prefix(prefix, orphan_map.pop(prefix, []))
-            )
-        # Garbage not attributable to a live document (temp files in
-        # removed prefixes or at the store root).
-        for prefix, refs in sorted(
-            orphan_map.items(), key=lambda item: item[0] or ""
-        ):
-            for ref in refs:
-                findings.append(self._orphan_finding(prefix or "-", ref))
+        for prefix in prefixes:
+            findings.extend(self._orphans(prefix, orphans.pop(prefix, [])))
+            findings.extend(self._verify_prefix(prefix))
+        if doc_id is None:
+            # Garbage not attributable to a live document (temp files in
+            # removed prefixes or at the store root).
+            for prefix in sorted(orphans, key=lambda prefix: prefix or ""):
+                findings.extend(self._orphans(prefix or "-", orphans[prefix]))
         return findings
 
-    def _orphan_finding(self, doc_label: str, ref: str) -> Finding:
+    def _finding(self, doc_label, kind, key, message, repairable=False):
+        """A finding about ``key``, located and tagged by this backend."""
         return Finding(
             doc_label,
-            "orphan-temp",
-            self.backend.location(ref),
-            "leftover atomic-write temp file",
-            repairable=True,
+            kind,
+            self.backend.location(key),
+            message,
+            repairable=repairable,
             scheme=self.backend.scheme,
-            key=ref,
+            key=key,
         )
 
-    def _verify_prefix(
-        self, prefix: str, orphan_refs: list[str]
-    ) -> list[Finding]:
-        backend = self.backend
-        scheme = backend.scheme
-        findings: list[Finding] = []
-        for ref in orphan_refs:
-            findings.append(self._orphan_finding(prefix, ref))
-        keys = backend.list_keys(prefix + "/")
-        names = sorted(
-            key[len(prefix) + 1 :]
-            for key in keys
-            if "/" not in key[len(prefix) + 1 :]
+    def _orphans(self, doc_label: str, refs: list[str]) -> list[Finding]:
+        message = "leftover atomic-write temp file"
+        return [
+            self._finding(doc_label, "orphan-temp", ref, message, True)
+            for ref in refs
+        ]
+
+    def _unreadable(self, doc_label, key, error=None) -> Finding:
+        """The finding for a stored value that exists but cannot be read.
+
+        No repair applies: fsck must not delete or overwrite what it
+        could not read.
+        """
+        detail = f": {error}" if error is not None else " (not a regular value)"
+        name = layout.split_key(key)[1]
+        return self._finding(
+            doc_label, "unreadable-file", key, f"{name} cannot be read{detail}"
         )
-        meta_key = prefix + "/" + META_NAME
-        if META_NAME not in names:
+
+    def _verify_prefix(self, prefix: str) -> list[Finding]:
+        backend = self.backend
+        # name -> key, in name order
+        keys = {
+            layout.split_key(key)[1]: key
+            for key in layout.doc_keys(backend, prefix)
+        }
+        meta_key = layout.key(prefix, "meta")
+        if layout.name("meta") not in keys:
             if backend.exists(meta_key):
                 # Present but not listed as a value: a directory or
                 # another non-file in its place.  Not absent, so the
                 # prefix is not cleaned up.
-                findings.append(
-                    _unreadable(prefix, backend, meta_key, META_NAME)
-                )
-                return findings
-            findings.append(
-                Finding(
-                    prefix,
-                    "incomplete-document",
-                    backend.location(prefix),
-                    "document prefix has no meta.json "
-                    "(crash before first commit)",
-                    repairable=True,
-                    scheme=scheme,
-                    key=prefix,
-                )
+                return [self._unreadable(prefix, meta_key)]
+            message = (
+                f"document prefix has no {layout.name('meta')} "
+                "(crash before first commit)"
             )
-            return findings
+            return [
+                self._finding(
+                    prefix, "incomplete-document", prefix, message, True
+                )
+            ]
         try:
-            meta = self._read_json(meta_key, "metadata")
+            meta = layout.get_record(backend, prefix, "meta")
         except CorruptStoreError as exc:
-            findings.append(
-                Finding(
-                    prefix,
-                    "corrupt-meta",
-                    backend.location(meta_key),
-                    str(exc),
-                    scheme=scheme,
-                    key=meta_key,
-                )
-            )
-            return findings
+            return [self._finding(prefix, "corrupt-meta", meta_key, str(exc))]
         doc_label = str(meta.get("doc_id", prefix))
-        if JOURNAL_NAME in names:
+        findings: list[Finding] = []
+
+        def add(kind, key, message, repairable=False):
             findings.append(
-                Finding(
-                    doc_label,
-                    "torn-commit",
-                    backend.location(prefix + "/" + JOURNAL_NAME),
-                    "unresolved commit journal "
-                    "(recovery could not roll it back or forward)",
-                    scheme=scheme,
-                    key=prefix + "/" + JOURNAL_NAME,
-                )
+                self._finding(doc_label, kind, key, message, repairable)
             )
-        manifest_key = prefix + "/" + MANIFEST_NAME
+
+        if layout.name("journal") in keys:
+            add(
+                "torn-commit",
+                layout.key(prefix, "journal"),
+                "unresolved commit journal "
+                "(recovery could not roll it back or forward)",
+            )
+        manifest_key = layout.key(prefix, "manifest")
         manifest_files: dict = {}
-        if MANIFEST_NAME not in names and backend.exists(manifest_key):
-            findings.append(
-                _unreadable(doc_label, backend, manifest_key, MANIFEST_NAME)
-            )
-        elif MANIFEST_NAME not in names:
-            findings.append(
-                Finding(
-                    doc_label,
-                    "missing-manifest",
-                    backend.location(manifest_key),
-                    "no checksum manifest (store predates manifests?)",
-                    repairable=True,
-                    scheme=scheme,
-                    key=manifest_key,
-                )
-            )
-        else:
+        if layout.name("manifest") in keys:
             try:
-                manifest_files = dict(
-                    self._read_json(manifest_key, "manifest").get("files", {})
-                )
+                manifest = layout.get_record(backend, prefix, "manifest")
+                manifest_files = dict(manifest.get("files", {}))
             except CorruptStoreError as exc:
-                findings.append(
-                    Finding(
-                        doc_label,
-                        "missing-manifest",
-                        backend.location(manifest_key),
-                        str(exc),
-                        repairable=True,
-                        scheme=scheme,
-                        key=manifest_key,
-                    )
-                )
-        current_version = int(meta.get("current_version", 1))
-        for name, digest in sorted(manifest_files.items()):
-            key = prefix + "/" + name
-            rederivable = name == CURRENT_NAME or bool(
-                _SNAPSHOT_FILE_RE.match(name)
+                add("missing-manifest", manifest_key, str(exc), True)
+        elif backend.exists(manifest_key):
+            findings.append(self._unreadable(doc_label, manifest_key))
+        else:
+            add(
+                "missing-manifest",
+                manifest_key,
+                "no checksum manifest (store predates manifests?)",
+                True,
             )
+        for name, digest in sorted(manifest_files.items()):
+            key = layout.join(prefix, name)
+            # A full copy of a version can be replayed from another one.
+            rederivable = layout.classify(name)[0] in ("current", "snapshot")
             try:
                 stored = _digest_or_none(backend, key)
             except StorageError as exc:
-                findings.append(
-                    _unreadable(doc_label, backend, key, name, exc)
-                )
+                findings.append(self._unreadable(doc_label, key, exc))
                 continue
             if stored is None:
-                findings.append(
-                    Finding(
-                        doc_label,
-                        "missing-file",
-                        backend.location(key),
-                        f"{name} is listed in the manifest but missing",
-                        repairable=rederivable,
-                        scheme=scheme,
-                        key=key,
-                    )
-                )
+                message = f"{name} is listed in the manifest but missing"
+                add("missing-file", key, message, rederivable)
             elif stored != digest:
-                findings.append(
-                    Finding(
-                        doc_label,
-                        "checksum-mismatch",
-                        backend.location(key),
-                        f"{name} does not match its recorded SHA-256",
-                        repairable=rederivable,
-                        scheme=scheme,
-                        key=key,
-                    )
-                )
-        for base in range(1, current_version):
-            name = self._delta_name(base)
-            key = prefix + "/" + name
-            if name not in names:
-                if name not in manifest_files:
-                    findings.append(
-                        Finding(
-                            doc_label,
-                            "missing-file",
-                            backend.location(key),
-                            f"delta {base}->{base + 1} is missing",
-                            scheme=scheme,
-                            key=key,
-                        )
-                    )
-            elif manifest_files and name not in manifest_files:
-                findings.append(
-                    Finding(
-                        doc_label,
-                        "missing-checksum",
-                        backend.location(key),
-                        f"{name} has no recorded checksum",
-                        repairable=True,
-                        scheme=scheme,
-                        key=key,
-                    )
-                )
-        snapshot_versions = {int(v) for v in meta.get("snapshots", {})}
-        for name in names:
-            key = prefix + "/" + name
-            delta_match = _DELTA_FILE_RE.match(name)
-            snapshot_match = _SNAPSHOT_FILE_RE.match(name)
-            if delta_match and not (
-                1 <= int(delta_match.group(1)) < current_version
-            ):
-                findings.append(
-                    Finding(
-                        doc_label,
-                        "unexpected-file",
-                        backend.location(key),
-                        f"{name} is outside the committed version range",
-                        repairable=True,
-                        scheme=scheme,
-                        key=key,
-                    )
-                )
-            elif snapshot_match and int(
-                snapshot_match.group(1)
-            ) not in snapshot_versions:
-                findings.append(
-                    Finding(
-                        doc_label,
-                        "unexpected-file",
-                        backend.location(key),
-                        f"{name} is not referenced by the metadata",
-                        repairable=True,
-                        scheme=scheme,
-                        key=key,
-                    )
-                )
+                message = f"{name} does not match its recorded SHA-256"
+                add("checksum-mismatch", key, message, rederivable)
+        for base in range(1, int(meta.get("current_version", 1))):
+            name = layout.name("delta", base)
+            key = layout.join(prefix, name)
+            if name not in keys and name not in manifest_files:
+                add("missing-file", key, f"delta {base}->{base + 1} is missing")
+            elif name in keys and manifest_files and name not in manifest_files:
+                message = f"{name} has no recorded checksum"
+                add("missing-checksum", key, message, True)
+        for name, key in keys.items():
+            kind = layout.classify(name)[0]
+            if kind == "delta" and not layout.checksummed(name, meta):
+                message = f"{name} is outside the committed version range"
+                add("unexpected-file", key, message, True)
+            elif kind == "snapshot" and not layout.checksummed(name, meta):
+                message = f"{name} is not referenced by the metadata"
+                add("unexpected-file", key, message, True)
         return findings
 
     # -- snapshot checkpoints ------------------------------------------------
     # Checkpoints are extra starting points for materialize(), bounding
     # the delta walk for long histories.
 
-    def _snapshot_key(self, doc_id: str, version: int) -> str:
-        return self._doc_key(doc_id) + "/" + snapshot_name(version)
-
     def store_snapshot(self, doc_id, version, document):
         """Keep a full copy of one historical version."""
         meta = self._load_meta(doc_id)
+        prefix = layout.doc_prefix(doc_id)
         with self.backend.batch():
             digest = self.backend.put(
-                self._snapshot_key(doc_id, version),
+                layout.key(prefix, "snapshot", version),
                 serialize_bytes(document),
                 label="snapshot",
             )
-            manifest = self._load_manifest(doc_id)
-            manifest.setdefault("files", {})[snapshot_name(version)] = digest
-            self._store_manifest(doc_id, manifest)
+            manifest = self._load_manifest(prefix)
+            files = manifest.setdefault("files", {})
+            files[layout.name("snapshot", version)] = digest
+            layout.put_record(
+                self.backend, prefix, "manifest", manifest, label="manifest"
+            )
             snapshots = dict(meta.get("snapshots", {}))
-            snapshots[str(version)] = _collect_xids(document)
+            snapshots[str(version)] = layout.collect_xids(document)
             self._store_meta(doc_id, dict(meta, snapshots=snapshots))
 
     def load_snapshot(self, doc_id, version):
@@ -999,7 +855,9 @@ class BackendRepository:
         if labels is None:
             return None
         return self._load_tree(
-            self._snapshot_key(doc_id, version), meta, labels
+            layout.key(layout.doc_prefix(doc_id), "snapshot", version),
+            meta,
+            labels,
         )
 
     def snapshot_versions(self, doc_id):
@@ -1028,9 +886,10 @@ class BackendRepository:
         instrument those see the whole walk.  The walk runs inside
         :meth:`pinned_head`, so those calls read the metadata once.
 
-        ``damaged`` is for repair only: the name of a stored copy known
-        to be bad (``current.xml`` or ``snapshot-NNNN.xml``), which the
-        walk must not start from because it is what is being rebuilt.
+        ``damaged`` is for repair only: the stored name of a copy known
+        to be bad (the current version or a checkpoint, see
+        :func:`~repro.versioning.layout.name`), which the walk must not
+        start from because it is what is being rebuilt.
 
         Raises:
             RepositoryError: ``version`` is out of range, or no intact
@@ -1049,9 +908,9 @@ class BackendRepository:
         starts = [
             (checkpoint, checkpoint)
             for checkpoint in self.snapshot_versions(doc_id)
-            if snapshot_name(checkpoint) != damaged
+            if layout.name("snapshot", checkpoint) != damaged
         ]
-        if damaged != CURRENT_NAME:
+        if damaged != layout.name("current"):
             starts.append((current, None))
         starts.sort(
             key=lambda s: (abs(s[0] - version), -s[0], s[1] is not None)
@@ -1082,36 +941,6 @@ class BackendRepository:
         )
 
 
-#: The repository class under its interface name: annotations and
-#: ``isinstance`` checks read ``Repository``.
-Repository = BackendRepository
-
-
-class DirectoryRepository(BackendRepository):
-    """Filesystem-backed repository (one subdirectory per document).
-
-    A :class:`BackendRepository` over a
-    :class:`~repro.storage.filesystem.FilesystemBackend` — the classic,
-    byte-identical on-disk layout every pre-protocol store used.
-
-    Args:
-        base_path: Root directory of the store (created if missing).
-        tracer: See :class:`BackendRepository`.
-        durability: ``"none"`` (default), ``"fsync"`` or ``"full"`` —
-            how hard every write pushes toward stable storage (see
-            :mod:`repro.storage.atomic`).
-        faults: Optional :class:`repro.testing.faults.FaultInjector`
-            threaded through every write (crash-matrix testing).
-    """
-
-    def __init__(self, base_path, tracer=None, *, durability="none", faults=None):
-        backend = FilesystemBackend(
-            base_path, durability=durability, faults=faults
-        )
-        self.base_path = backend.root
-        super().__init__(backend, tracer=tracer)
-
-
 #: Stores of removed backends: URL scheme -> (the marker file the
 #: backend kept at the store root, why the store is refused).
 _REMOVED_STORES = {
@@ -1135,7 +964,7 @@ def open_repository(
     durability: str = "none",
     faults=None,
     must_exist: bool = False,
-) -> Repository:
+) -> BackendRepository:
     """Open (or create) a repository from a store URL or bare path.
 
     Accepted forms:
@@ -1152,12 +981,18 @@ def open_repository(
 
     Args:
         store: Store URL, bare path, or an already-open
-            :class:`Repository` (returned unchanged — callers like
-            ``fsck`` can be handed either).
+            :class:`BackendRepository` (returned unchanged — callers
+            like ``fsck`` can be handed either).
+        tracer: See :class:`BackendRepository`.
+        durability: ``"none"`` (default), ``"fsync"`` or ``"full"`` —
+            how hard every write pushes toward stable storage (see
+            :mod:`repro.storage.atomic`).
+        faults: Optional :class:`repro.testing.faults.FaultInjector`
+            threaded through every write (crash-matrix testing).
         must_exist: Raise instead of creating a store that is not
             already on disk (``fsck`` never creates stores).
     """
-    if isinstance(store, Repository):
+    if isinstance(store, BackendRepository):
         return store
     url = os.fspath(store)
     head, sep, _ = url.partition("://")
@@ -1176,36 +1011,14 @@ def open_repository(
     if scheme == "file":
         if must_exist and not os.path.isdir(path):
             raise RepositoryError(f"store {url!r} is not a directory")
-        return DirectoryRepository(
-            path, tracer, durability=durability, faults=faults
+        backend = FilesystemBackend(
+            path, durability=durability, faults=faults
         )
-    backend = open_backend(
-        f"{scheme}://{path}", durability=durability, faults=faults
-    )
+    else:
+        backend = open_backend(
+            f"{scheme}://{path}", durability=durability, faults=faults
+        )
     return BackendRepository(backend, tracer=tracer)
-
-
-def _unreadable(
-    doc_label: str,
-    backend: StorageBackend,
-    key: str,
-    name: str,
-    error: Optional[StorageError] = None,
-) -> Finding:
-    """The finding for a stored value that exists but cannot be read.
-
-    No repair applies: fsck must not delete or overwrite what it could
-    not read.
-    """
-    detail = f": {error}" if error is not None else " (not a regular value)"
-    return Finding(
-        doc_label,
-        "unreadable-file",
-        backend.location(key),
-        f"{name} cannot be read{detail}",
-        scheme=backend.scheme,
-        key=key,
-    )
 
 
 def _digest_or_none(backend: StorageBackend, key: str) -> Optional[str]:
@@ -1213,80 +1026,3 @@ def _digest_or_none(backend: StorageBackend, key: str) -> Optional[str]:
         return backend.digest(key)
     except FileNotFoundError:
         return None
-
-
-def _collect_xids(document: Document) -> str:
-    """Postorder XID labels of a snapshot, in XID-map range notation.
-
-    XIDs are the glue between the snapshot and its delta chain, but they
-    are *not* serialized inside the XML content (that would pollute the
-    document).  They are stored beside it instead, as a postorder list
-    written the way deltas write one (:func:`~repro.core.xid
-    .format_xid_map`, e.g. ``(1-40;57;42-56)``): initial labels are
-    postorder, so most of a document is a handful of ranges.
-
-    The list fits only if the XML parses back to the same nodes, so a
-    tree holding an empty text node or adjacent text siblings (see
-    :func:`~repro.xmlkit.model.coalesce_text`) is refused here, before
-    anything is written.  A leaf's previous sibling, if it has one, is
-    the node postorder yields just before it.
-    """
-    from repro.xmlkit.model import postorder
-
-    xids = []
-    previous = None
-    for node in postorder(document):
-        if node is document:
-            continue
-        if node.kind == "text" and (
-            not node.value
-            or (
-                previous is not None
-                and previous.kind == "text"
-                and previous.parent is node.parent
-            )
-        ):
-            raise RepositoryError(
-                "cannot store a snapshot with empty or adjacent text "
-                "nodes: it would not read back"
-            )
-        if node.xid is None:
-            raise RepositoryError(
-                "cannot store a snapshot whose nodes lack XIDs"
-            )
-        xids.append(node.xid)
-        previous = node
-    return format_xid_map(xids)
-
-
-def _restore_xids(document: Document, labels: Optional[str | list]) -> None:
-    """Reattach the persisted postorder XID labels to a loaded snapshot.
-
-    ``labels`` is the range notation :func:`_collect_xids` writes, or
-    the plain JSON list of XIDs that stores written before it hold.
-    The labels are read run by run as the walk assigns them: no list
-    of every label is built.
-    """
-    from repro.core.xid import DOCUMENT_XID, assign_initial_xids
-    from repro.xmlkit.model import postorder
-
-    if isinstance(labels, str):
-        try:
-            runs = xid_map_runs(labels)
-        except DeltaError as exc:
-            raise RepositoryError(
-                f"stored XID labels are malformed: {exc}"
-            ) from exc
-    else:
-        runs = [labels] if labels else []
-    count = sum(map(len, runs))
-    if not count:
-        assign_initial_xids(document)
-        return
-    nodes = postorder(document)
-    if count != len(nodes) - 1:
-        raise RepositoryError("stored XID labels do not fit the snapshot")
-    # The document comes last in postorder; the labels end before it.
-    for node, xid in zip(nodes, chain.from_iterable(runs)):
-        node.xid = xid
-    document.xid = DOCUMENT_XID

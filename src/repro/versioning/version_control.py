@@ -20,7 +20,7 @@ from repro.core.config import DiffConfig
 from repro.core.delta import Delta
 from repro.engine import DiffContext, DiffEngine, DiffStats, get_engine
 from repro.obs.context import current_request_id
-from repro.versioning.repository import BackendRepository, Repository
+from repro.versioning.repository import BackendRepository
 from repro.xmlkit.model import Document, coalesce_text, normalized_size
 
 __all__ = ["VersionStore"]
@@ -62,7 +62,7 @@ class VersionStore:
 
     def __init__(
         self,
-        repository: Optional[Repository] = None,
+        repository: Optional[BackendRepository] = None,
         config: Optional[DiffConfig] = None,
         on_commit: Optional[Callable[[str, Delta, Document], None]] = None,
         checkpoint_every: Optional[int] = None,
@@ -118,7 +118,7 @@ class VersionStore:
 
         ``commit_record`` is an optional idempotency marker persisted
         with the commit; see :class:`~repro.versioning.repository
-        .Repository`.  ``tracer`` overrides the store's own tracer for
+        .BackendRepository`.  ``tracer`` overrides the store's own tracer for
         this call — the server threads its per-request tracer through
         here so the ``store.create`` span lands in the request's trace.
         """
@@ -251,8 +251,8 @@ class VersionStore:
         direction: the current snapshot, or a checkpoint when
         ``checkpoint_every`` stored one closer.  Deltas apply forward
         from a state below the requested version and backward from one
-        above (see :meth:`~repro.versioning.repository.Repository
-        .materialize`).
+        above (see :meth:`~repro.versioning.repository
+        .BackendRepository.materialize`).
         """
         return self.repository.materialize(doc_id, version)
 

@@ -12,11 +12,11 @@ import pytest
 import repro.core.builder as builder_module
 import repro.core.xid as xid_module
 import repro.engine.base as base_module
-import repro.versioning.repository as repository_module
+import repro.versioning.layout as layout_module
 import repro.xmlkit.model as model_module
 from repro.core import diff
 from repro.core.xid import XidAllocator, assign_initial_xids, format_xid_map
-from repro.versioning.repository import _restore_xids
+from repro.versioning.layout import restore_xids
 from repro.xmlkit import parse, postorder
 
 OLD = "<r><a>x</a><b k='1'><c/>y</b></r>"
@@ -87,10 +87,10 @@ class TestRestoreXids:
 
         monkeypatch.setattr(xid_module, "parse_xid_map", expanded)
         monkeypatch.setattr(
-            repository_module, "parse_xid_map", expanded, raising=False
+            layout_module, "parse_xid_map", expanded, raising=False
         )
         loaded = parse(OLD)
-        _restore_xids(loaded, labels)
+        restore_xids(loaded, labels)
         assert len(walks) == 1
         assert [n.xid for n in real(loaded)] == [
             n.xid for n in real(document)[:-1]
@@ -100,17 +100,17 @@ class TestRestoreXids:
         document = self.labelled()
         xids = [n.xid for n in postorder(document)[:-1]]
         loaded = parse(OLD)
-        _restore_xids(loaded, xids)
+        restore_xids(loaded, xids)
         assert [n.xid for n in postorder(loaded)] == xids + [0]
 
     @pytest.mark.parametrize("labels", ["(1-3)", "(1-20)", [1, 2]])
     def test_labels_that_do_not_fit_raise(self, labels):
-        with pytest.raises(repository_module.RepositoryError):
-            _restore_xids(parse(OLD), labels)
+        with pytest.raises(layout_module.RepositoryError):
+            restore_xids(parse(OLD), labels)
 
     @pytest.mark.parametrize("labels", [None, "()", []])
     def test_no_labels_assign_initial_xids(self, labels):
         loaded = parse(OLD)
-        _restore_xids(loaded, labels)
+        restore_xids(loaded, labels)
         nodes = postorder(loaded)
         assert [n.xid for n in nodes] == list(range(1, len(nodes))) + [0]

@@ -114,10 +114,10 @@ def test_abl_delta_bytes_per_knob():
 def test_store_delta_chain(tmp_path):
     """Five revisit commits of a 600-node page: the stored delta chain is
     pinned byte for byte."""
-    from repro.versioning import DirectoryRepository, VersionStore
+    from repro.versioning import VersionStore, open_repository
 
     base = generate_document(GeneratorConfig(target_nodes=600, seed=71))
-    store = VersionStore(DirectoryRepository(str(tmp_path)))
+    store = VersionStore(open_repository(str(tmp_path)))
     store.create("doc", base.clone(keep_xids=False))
     current = base
     for step in range(5):

@@ -8,7 +8,7 @@ first edit, and the merged state — all reconstructible.
 """
 
 from repro.core import diff
-from repro.versioning import DirectoryRepository, VersionStore, merge
+from repro.versioning import VersionStore, merge, open_repository
 from repro.xmlkit import parse
 
 import pytest
@@ -35,7 +35,7 @@ BOB = (
 def store(request, tmp_path):
     if request.param == "memory":
         return VersionStore()
-    return VersionStore(DirectoryRepository(tmp_path / "repo"))
+    return VersionStore(open_repository(tmp_path / "repo"))
 
 
 class TestSyncThroughStore:
@@ -98,12 +98,12 @@ class TestStorePersistence:
     def test_reopen_and_continue(self, tmp_path):
         """A directory store survives a 'process restart' mid-history."""
         path = tmp_path / "persistent"
-        first_session = VersionStore(DirectoryRepository(path))
+        first_session = VersionStore(open_repository(path))
         first_session.create("doc", parse("<d><v>1</v></d>"))
         first_session.commit("doc", parse("<d><v>2</v></d>"))
         del first_session
 
-        second_session = VersionStore(DirectoryRepository(path))
+        second_session = VersionStore(open_repository(path))
         assert second_session.current_version("doc") == 2
         second_session.commit("doc", parse("<d><v>3</v><w/></d>"))
         assert second_session.current_version("doc") == 3
@@ -119,12 +119,12 @@ class TestStorePersistence:
     def test_xid_continuity_across_reopen(self, tmp_path):
         """Fresh XIDs after reopening never collide with stored ones."""
         path = tmp_path / "persistent"
-        first = VersionStore(DirectoryRepository(path))
+        first = VersionStore(open_repository(path))
         first.create("doc", parse("<d><a>x</a></d>"))
         first.commit("doc", parse("<d><a>x</a><b>y</b></d>"))
         del first
 
-        second = VersionStore(DirectoryRepository(path))
+        second = VersionStore(open_repository(path))
         second.commit("doc", parse("<d><a>x</a><b>y</b><c>z</c></d>"))
         from repro.core import xid_index
 

@@ -16,9 +16,9 @@ from repro.simulator import (
 )
 from repro.versioning import (
     Alerter,
-    DirectoryRepository,
     Subscription,
     VersionStore,
+    open_repository,
 )
 
 
@@ -37,7 +37,7 @@ def pipeline(request, tmp_path):
     repository = (
         None
         if request.param == "memory"
-        else DirectoryRepository(tmp_path / "warehouse")
+        else open_repository(tmp_path / "warehouse")
     )
     store = VersionStore(repository=repository, on_commit=on_commit)
     return store, alerts

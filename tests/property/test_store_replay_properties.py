@@ -23,8 +23,8 @@ from repro.simulator import (
     generate_document,
     simulate_changes,
 )
-from repro.versioning import DirectoryRepository, open_repository
-from repro.versioning.repository import CURRENT_NAME
+from repro.versioning import open_repository
+from repro.versioning import layout
 from repro.versioning.version_control import VersionStore
 from repro.xmlkit.model import postorder
 from repro.xmlkit.serializer import serialize_bytes
@@ -34,7 +34,7 @@ from repro.xmlkit.serializer import serialize_bytes
 @given(seed=st.integers(0, 2**16), steps=st.integers(1, 4))
 def test_replay_reproduces_every_committed_snapshot(seed, steps):
     with tempfile.TemporaryDirectory() as root:
-        repo = DirectoryRepository(root)
+        repo = open_repository(root)
         store = VersionStore(repo, checkpoint_every=2)
         document = generate_document(
             GeneratorConfig(target_nodes=60, seed=seed)
@@ -123,7 +123,7 @@ def test_materialize_from_every_start_matches_commits(kind, seed, steps):
             repo.snapshot_versions = lambda doc_id, start=start: (
                 [] if start is None else [start]
             )
-            damaged = None if start is None else CURRENT_NAME
+            damaged = None if start is None else layout.name("current")
             for version, (data, labels) in enumerate(committed, start=1):
                 document = repo.materialize("doc", version, damaged=damaged)
                 assert serialize_bytes(document) == data, (start, version)

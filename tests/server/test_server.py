@@ -205,11 +205,11 @@ def test_a_store_that_cannot_open_stops_the_boot(tmp_path):
 
 def test_recovery_runs_at_boot(tmp_path):
     from repro.testing.faults import FaultInjector, InjectedFault
-    from repro.versioning import DirectoryRepository, VersionStore
+    from repro.versioning import VersionStore, open_repository
     from repro.xmlkit import parse
 
     path = tmp_path / "store"
-    repository = DirectoryRepository(path)
+    repository = open_repository(path)
     store = VersionStore(repository)
     store.create("doc", parse(OLD))
     repository.faults = FaultInjector(crash_after=3)

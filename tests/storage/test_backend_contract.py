@@ -27,7 +27,7 @@ from repro.storage import (
     sha256_bytes,
 )
 from repro.testing import FaultInjector, InjectedFault, InjectedIOError
-from repro.versioning import BackendRepository, fsck_store
+from repro.versioning import BackendRepository, fsck_store, layout
 from repro.versioning.version_control import VersionStore
 from repro.xmlkit import StorageError, parse, serialize_bytes
 
@@ -134,12 +134,15 @@ class TestKeyValueContract:
         assert backend.list_keys("nope/") == []
 
     def test_put_json_bytes_are_canonical(self, backend):
-        backend.put_json("doc/meta.json", {"b": 1, "a": [2, 3]})
+        layout.put_record(backend, "doc", "meta", {"b": 1, "a": [2, 3]})
         # indent=2, sorted keys, trailing newline — identical bytes on
         # every backend, so checksums in manifests are portable.
         assert backend.get("doc/meta.json") == (
             b'{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
         )
+        # The journal is compact: no whitespace but the trailing newline.
+        layout.put_record(backend, "doc", "journal", {"b": 1, "a": [2, 3]})
+        assert backend.get("doc/journal.json") == b'{"a":[2,3],"b":1}\n'
 
     def test_batch_scope_makes_writes_visible(self, backend):
         with backend.batch():

@@ -814,11 +814,11 @@ class TestStoreCommands:
         assert "b.xml  version=1" in out
 
     def test_fsck_reports_scheme(self, tmp_path, capsys):
-        from repro.versioning import DirectoryRepository, VersionStore
+        from repro.versioning import VersionStore, open_repository
         from repro.xmlkit import parse
 
         root = tmp_path / "warehouse"
-        repo = DirectoryRepository(root)
+        repo = open_repository(root)
         store = VersionStore(repo)
         store.create("doc-1", parse("<a><b>x</b></a>"))
         repo.backend.delete("doc-1/manifest.json")

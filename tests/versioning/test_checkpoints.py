@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.versioning import DirectoryRepository, VersionStore
+from repro.versioning import VersionStore, open_repository
 from repro.xmlkit import parse
 from repro.xmlkit.errors import RepositoryError
 
@@ -15,7 +15,7 @@ def versions(count):
 def repository(request, tmp_path):
     if request.param == "memory":
         return VersionStore().repository
-    return DirectoryRepository(tmp_path / "repo")
+    return open_repository(tmp_path / "repo")
 
 
 class TestCheckpointing:
@@ -88,7 +88,7 @@ class TestCheckpointing:
         assert apply_delta(combined, v2, verify=True).deep_equal(v6)
 
     def test_directory_snapshot_files_exist(self, tmp_path):
-        repository = DirectoryRepository(tmp_path / "repo")
+        repository = open_repository(tmp_path / "repo")
         store = VersionStore(repository, checkpoint_every=2)
         texts = versions(4)
         store.create("d", parse(texts[0]))
@@ -196,7 +196,7 @@ class TestMaterializeWalk:
 
     def test_unloadable_checkpoint_falls_back_to_next_nearest(self, tmp_path):
         store, texts = committed_store(
-            DirectoryRepository(tmp_path / "repo"), 12, checkpoint_every=5
+            open_repository(tmp_path / "repo"), 12, checkpoint_every=5
         )
         (tmp_path / "repo" / "d" / "snapshot-0005.xml").unlink()
         document, touched, starts = walk(store, 6)

@@ -32,7 +32,7 @@ from repro.simulator import (
     simulate_changes,
 )
 from repro.storage import open_backend
-from repro.versioning import BackendRepository, VersionStore
+from repro.versioning import BackendRepository, VersionStore, layout
 from repro.xmlkit import parse, postorder, serialize, serialize_bytes
 
 BACKENDS = [
@@ -165,14 +165,14 @@ def _bytes_and_xids(document) -> tuple[bytes, list]:
 def _to_list_layout(repo: BackendRepository, doc_id: str) -> None:
     """Rewrite a document's meta the way stores before range labels
     held it: every label list as a JSON list of XIDs."""
-    key = repo._meta_key(doc_id)
-    meta = json.loads(repo.backend.get(key))
+    prefix = layout.doc_prefix(doc_id)
+    meta = layout.get_record(repo.backend, prefix, "meta")
     meta["xid_labels"] = parse_xid_map(meta["xid_labels"])
     meta["snapshots"] = {
         version: parse_xid_map(labels)
         for version, labels in meta.get("snapshots", {}).items()
     }
-    repo.backend.put_json(key, meta)
+    layout.put_record(repo.backend, prefix, "meta", meta)
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)

@@ -1,6 +1,6 @@
 """Crash matrix: every I/O boundary of a commit leaves a usable store.
 
-``DirectoryRepository.append`` is a compound operation — six storage
+``BackendRepository.append`` is a compound operation — six storage
 operations in a fixed order (journal, delta, current, manifest, meta,
 journal removal).  These tests crash it at *every* boundary and prove
 the invariant the journal protocol promises: after reopening the store,
@@ -12,7 +12,7 @@ finds nothing to complain about.
 import pytest
 
 from repro.testing import FaultInjector, InjectedFault, InjectedIOError
-from repro.versioning import DirectoryRepository, fsck_store
+from repro.versioning import fsck_store, layout, open_repository
 from repro.versioning.version_control import VersionStore
 from repro.xmlkit import parse
 
@@ -32,7 +32,7 @@ APPEND_OPS = [
 
 
 def _store_at(path, faults=None, checkpoint_every=None):
-    repo = DirectoryRepository(path, faults=faults)
+    repo = open_repository(path, faults=faults)
     return repo, VersionStore(repo, checkpoint_every=checkpoint_every)
 
 
@@ -67,7 +67,7 @@ class TestCrashMatrix:
 
         # "reboot": a fresh process opens the same directory and the
         # constructor runs journal recovery.
-        reopened = DirectoryRepository(path)
+        reopened = open_repository(path)
         assert reopened.verify() == []
         version = reopened.current_version("doc")
         if crash_after <= 2:
@@ -95,7 +95,7 @@ class TestCrashMatrix:
         repo.faults = FaultInjector(crash_after=crash_after)
         with pytest.raises(InjectedFault):
             store.commit("doc", parse(V2))
-        events = DirectoryRepository(path).recovery_events
+        events = open_repository(path).recovery_events
         if crash_after == 0:
             # the journal itself never landed: nothing to recover.
             assert events == []
@@ -116,7 +116,7 @@ class TestTornWrites:
         repo.faults = FaultInjector(crash_after=0, label=label, mode="torn")
         with pytest.raises(InjectedFault):
             store.commit("doc", parse(V3))
-        reopened = DirectoryRepository(path)
+        reopened = open_repository(path)
         assert reopened.verify() == []
         assert reopened.current_version("doc") == 2
         assert _current_bytes(path) == pre_bytes
@@ -130,7 +130,7 @@ class TestTornWrites:
         repo.faults = FaultInjector(crash_after=0, label=label, mode="torn")
         with pytest.raises(InjectedFault):
             store.commit("doc", parse(V3))
-        reopened = DirectoryRepository(path)
+        reopened = open_repository(path)
         assert [e.action for e in reopened.recovery_events] == [
             "rolled-forward"
         ]
@@ -149,7 +149,7 @@ class TestTornWrites:
         with pytest.raises(InjectedFault):
             store.commit("doc", parse(V3))
         assert _current_bytes(path) != pre_bytes  # really torn
-        reopened = DirectoryRepository(path)
+        reopened = open_repository(path)
         assert [e.action for e in reopened.recovery_events] == [
             "rolled-back-replay"
         ]
@@ -167,7 +167,7 @@ class TestTornWrites:
         repo.faults = FaultInjector(crash_after=0, label="current", mode="torn")
         with pytest.raises(InjectedFault):
             store.commit("doc", parse(V3))
-        reopened = DirectoryRepository(path)
+        reopened = open_repository(path)
         assert [e.action for e in reopened.recovery_events] == [
             "unrecoverable"
         ]
@@ -187,7 +187,7 @@ class TestEio:
             store.commit("doc", parse(V2))
         # unlike a crash the process lives on; an explicit recover()
         # (or a reopen) completes the interrupted commit.
-        reopened = DirectoryRepository(path)
+        reopened = open_repository(path)
         assert [e.action for e in reopened.recovery_events] == [
             "rolled-forward"
         ]
@@ -204,7 +204,7 @@ class TestCrashDuringCreate:
         with pytest.raises(InjectedFault):
             store.create("doc", parse(V1))
         # meta.json never landed, so the document does not exist...
-        reopened = DirectoryRepository(path)
+        reopened = open_repository(path)
         assert not reopened.exists("doc")
         # ...but the half-created directory is flagged and repairable.
         kinds = [finding.kind for finding in reopened.verify()]
@@ -227,10 +227,15 @@ class TestJournalFormat:
         return path / "doc" / "journal.json"
 
     def test_journal_is_compact_json(self, tmp_path):
+        import json
+
         journal = self._torn_commit(tmp_path / "store", 1)
         text = journal.read_text(encoding="utf-8")
         assert text.endswith("\n") and "\n" not in text[:-1]
         assert ", " not in text and '": ' not in text
+        assert journal.read_bytes() == layout.encode_record(
+            "journal", json.loads(text)
+        )
 
     @pytest.mark.parametrize(
         "crash_after, action, version",
@@ -249,7 +254,7 @@ class TestJournalFormat:
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
-        reopened = DirectoryRepository(path)
+        reopened = open_repository(path)
         assert [e.action for e in reopened.recovery_events] == [action]
         assert reopened.verify() == []
         assert reopened.current_version("doc") == version

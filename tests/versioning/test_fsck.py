@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.versioning import DirectoryRepository, fsck_store
+from repro.versioning import fsck_store, open_repository
 from repro.versioning.version_control import VersionStore
 from repro.xmlkit import parse
 from repro.xmlkit.errors import RepositoryError
@@ -19,7 +19,7 @@ V3 = "<doc><a>alpha!</a><c>gamma gamma</c></doc>"
 def store_path(tmp_path):
     """A healthy three-version store with a checkpoint at version 2."""
     path = tmp_path / "store"
-    store = VersionStore(DirectoryRepository(path), checkpoint_every=2)
+    store = VersionStore(open_repository(path), checkpoint_every=2)
     store.create("doc", parse(V1))
     store.commit("doc", parse(V2))
     store.commit("doc", parse(V3))
@@ -70,7 +70,7 @@ class TestCurrentRepair:
 
     def test_damaged_current_without_checkpoint_unrepairable(self, tmp_path):
         path = tmp_path / "store"
-        store = VersionStore(DirectoryRepository(path))  # no checkpoints
+        store = VersionStore(open_repository(path))  # no checkpoints
         store.create("doc", parse(V1))
         store.commit("doc", parse(V2))
         (path / "doc" / "current.xml").write_bytes(b"<doc>gone</doc>")
@@ -103,7 +103,7 @@ class TestSnapshotRepair:
         """Checkpoint 2 is rebuilt backward from intact checkpoint 4, two
         deltas away, not from current.xml seven deltas away."""
         path = tmp_path / "store"
-        store = VersionStore(DirectoryRepository(path), checkpoint_every=2)
+        store = VersionStore(open_repository(path), checkpoint_every=2)
         store.create("doc", parse(V1))
         for step in range(8):
             store.commit("doc", parse(V2 if step % 2 == 0 else V3))
@@ -111,7 +111,7 @@ class TestSnapshotRepair:
         original = snapshot.read_bytes()
         snapshot.write_bytes(b"<doc>half a snapsh")
 
-        repo = DirectoryRepository(path)
+        repo = open_repository(path)
         touched, starts = [], []
         load_delta, load_snapshot = repo.load_delta, repo.load_snapshot
 
@@ -178,6 +178,16 @@ class TestStructure:
         stray.write_bytes(b"<delta/>")
         report = fsck_store(store_path, repair=True)
         assert [f.kind for f in report.repaired] == ["unexpected-file"]
+        assert not stray.exists()
+
+    def test_stray_snapshot_removed(self, store_path):
+        stray = _doc_dir(store_path) / "snapshot-0009.xml"
+        stray.write_bytes(b"<doc/>")
+        report = fsck_store(store_path, repair=True)
+        assert [(f.kind, f.message) for f in report.repaired] == [
+            ("unexpected-file",
+             "snapshot-0009.xml is not referenced by the metadata")
+        ]
         assert not stray.exists()
 
     def test_corrupt_meta_is_unrepairable(self, store_path):

@@ -14,7 +14,6 @@ from repro.cli import main
 from repro.storage import SQLiteBackend, open_backend
 from repro.versioning import (
     BackendRepository,
-    DirectoryRepository,
     VersionStore,
     open_repository,
 )
@@ -38,18 +37,19 @@ def _tree(root):
 class TestOpenRepository:
     def test_url_forms_resolve_to_matching_repositories(self, tmp_path):
         cases = [
-            (f"file://{tmp_path / 'a'}", DirectoryRepository),
-            (f"sqlite://{tmp_path / 'b.sqlite'}", BackendRepository),
+            (f"file://{tmp_path / 'a'}", "file"),
+            (f"sqlite://{tmp_path / 'b.sqlite'}", "sqlite"),
         ]
-        for url, expected_type in cases:
+        for url, scheme in cases:
             repo = open_repository(url)
-            assert isinstance(repo, expected_type)
+            assert isinstance(repo, BackendRepository)
+            assert repo.backend.scheme == scheme
             VersionStore(repo).create("doc", parse(DOC))
             repo.close()
 
     def test_bare_paths_are_sniffed(self, tmp_path):
         layouts = {
-            "file": lambda p: DirectoryRepository(p),
+            "file": lambda p: BackendRepository(open_backend(f"file://{p}")),
             "sqlite": lambda p: BackendRepository(SQLiteBackend(str(p))),
         }
         for name, build in layouts.items():
@@ -65,7 +65,7 @@ class TestOpenRepository:
             repo.close()
 
     def test_repository_instances_pass_through(self, tmp_path):
-        repo = DirectoryRepository(tmp_path / "store")
+        repo = open_repository(tmp_path / "store")
         assert open_repository(repo) is repo
         repo.close()
 
@@ -97,7 +97,7 @@ class TestShardedStoresAreRefused:
         file and one directory store per shard."""
         root = tmp_path / "warehouse"
         for index in range(2):
-            repo = DirectoryRepository(root / f"shard-{index:03d}")
+            repo = open_repository(root / f"shard-{index:03d}")
             VersionStore(repo).create(f"doc-{index}", parse(DOC))
             repo.close()
         (root / "shard.json").write_text(

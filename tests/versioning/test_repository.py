@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import XidAllocator, assign_initial_xids, diff, max_xid
-from repro.versioning import DirectoryRepository, VersionStore
+from repro.versioning import VersionStore, open_repository
 from repro.xmlkit import RepositoryError, parse, postorder
 
 
@@ -17,7 +17,7 @@ def labelled(text):
 def repository(request, tmp_path):
     if request.param == "memory":
         return VersionStore().repository
-    return DirectoryRepository(tmp_path / "repo")
+    return open_repository(tmp_path / "repo")
 
 
 class TestRepositoryContract:
@@ -88,7 +88,7 @@ class TestRepositoryContract:
 
 class TestDirectorySpecifics:
     def test_files_on_disk(self, tmp_path):
-        repo = DirectoryRepository(tmp_path / "store")
+        repo = open_repository(tmp_path / "store")
         doc, allocator = labelled("<a><b>x</b></a>")
         repo.create("doc-1", doc, allocator)
         new = parse("<a><b>y</b></a>")
@@ -100,7 +100,7 @@ class TestDirectorySpecifics:
         assert (doc_dir / "delta-0001-0002.xml").exists()
 
     def test_doc_id_sanitization(self, tmp_path):
-        repo = DirectoryRepository(tmp_path / "store")
+        repo = open_repository(tmp_path / "store")
         doc, allocator = labelled("<a/>")
         repo.create("http://example.com/page?id=1", doc, allocator)
         assert repo.exists("http://example.com/page?id=1")
@@ -108,16 +108,16 @@ class TestDirectorySpecifics:
 
     def test_reopen_from_disk(self, tmp_path):
         path = tmp_path / "store"
-        repo = DirectoryRepository(path)
+        repo = open_repository(path)
         doc, allocator = labelled("<a><b>x</b></a>")
         repo.create("d1", doc, allocator)
         # a brand-new handle over the same directory sees everything
-        reopened = DirectoryRepository(path)
+        reopened = open_repository(path)
         assert reopened.exists("d1")
         assert reopened.load_current("d1").deep_equal(doc)
 
     def test_id_attributes_roundtrip(self, tmp_path):
-        repo = DirectoryRepository(tmp_path / "store")
+        repo = open_repository(tmp_path / "store")
         doc = parse("<a><b k='1'/></a>", id_attributes={("b", "k")})
         allocator = assign_initial_xids(doc)
         repo.create("d1", doc, allocator)

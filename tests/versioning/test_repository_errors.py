@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.core import assign_initial_xids
-from repro.versioning import DirectoryRepository
+from repro.versioning import open_repository
 from repro.xmlkit import RepositoryError, StorageError, parse
 
 
 def make_repo(tmp_path):
-    repo = DirectoryRepository(tmp_path / "store")
+    repo = open_repository(tmp_path / "store")
     doc = parse("<a><b>x</b></a>")
     allocator = assign_initial_xids(doc)
     repo.create("d1", doc, allocator)
@@ -73,7 +73,7 @@ class TestCorruption:
         assert loaded.root.xid is not None  # postorder fallback
 
     def test_unlabelled_snapshot_rejected_on_store(self, tmp_path):
-        repo = DirectoryRepository(tmp_path / "store")
+        repo = open_repository(tmp_path / "store")
         doc = parse("<a/>")  # no XIDs
         from repro.core import XidAllocator
 

@@ -1,7 +1,7 @@
 """Tracing and metrics through the version store and site diff."""
 
 from repro import MetricsRegistry, Tracer, parse
-from repro.versioning.repository import DirectoryRepository
+from repro.versioning import open_repository
 from repro.versioning.sitediff import SiteSnapshot, diff_sites
 from repro.versioning.version_control import VersionStore
 
@@ -64,7 +64,7 @@ class TestVersionStoreTracing:
 class TestDirectoryRepositoryTracing:
     def test_every_load_current_reads_current_xml(self, tmp_path):
         tracer = Tracer()
-        repository = DirectoryRepository(tmp_path, tracer=tracer)
+        repository = open_repository(tmp_path, tracer=tracer)
         store = VersionStore(repository=repository, tracer=tracer)
         store.create("doc", parse(V1))
         reads = []

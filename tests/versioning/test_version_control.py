@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.versioning import DirectoryRepository, VersionStore
+from repro.versioning import VersionStore, open_repository
 from repro.xmlkit import RepositoryError, parse
 
 
@@ -18,7 +18,7 @@ VERSIONS = [
 def store(request, tmp_path):
     if request.param == "memory":
         return VersionStore()
-    return VersionStore(DirectoryRepository(tmp_path / "repo"))
+    return VersionStore(open_repository(tmp_path / "repo"))
 
 
 def populate(store):
@@ -134,7 +134,7 @@ class TestDefaultStore:
 
         default = VersionStore(checkpoint_every=2)
         on_disk = VersionStore(
-            DirectoryRepository(tmp_path / "repo"), checkpoint_every=2
+            open_repository(tmp_path / "repo"), checkpoint_every=2
         )
         document = generate_document(GeneratorConfig(target_nodes=80, seed=7))
         for store in (default, on_disk):

@@ -129,7 +129,15 @@ def test_a_large_parse_beside_live_trees_runs_no_full_collection(
     collector_enabled,
 ):
     """60k nodes parsed while three such trees are alive: without the
-    pause this runs about 200/18/1 collections of generations 0/1/2."""
+    pause this runs about 200/18/1 collections of generations 0/1/2.
+
+    Which generation a collection takes depends on the counts that
+    everything earlier in the process left behind: once enough young
+    collections have run since the last full one, the next collection
+    of any kind is a full one.  A full collection first starts the
+    counts from zero, so the collections counted below are the ones
+    this parse causes, whatever ran before it in the same process."""
+    gc.collect()
     text = items_document(20_000)
     alive = [parse(text) for _ in range(3)]
     started = [0, 0, 0]
