@@ -59,10 +59,13 @@ __all__ = ["main"]
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:  # malformed input, like bad XML
+        raise XmlParseError(f"not UTF-8: {error.reason}", source=path)
 
 
 def _write(path: str, text: str) -> None:
@@ -264,6 +267,7 @@ def _cmd_sitediff(args) -> int:
         # One malformed page must not abort the whole crawl: parse
         # failures are recorded per key and the rest of the site is
         # still diffed (see docs/cli.md on graceful degradation).
+        os.scandir(root).close()  # a missing site is no empty crawl
         snapshot = SiteSnapshot()
         for directory, _, names in sorted(os.walk(root)):
             for name in sorted(names):
@@ -271,11 +275,10 @@ def _cmd_sitediff(args) -> int:
                     continue
                 path = os.path.join(directory, name)
                 key = os.path.relpath(path, root)
-                with open(path, "r", encoding="utf-8") as handle:
-                    try:
-                        snapshot.add(key, parse(handle.read(), origin=path))
-                    except XmlParseError as error:
-                        parse_failures[key] = error
+                try:
+                    snapshot.add(key, parse(_read(path), origin=path))
+                except XmlParseError as error:
+                    parse_failures[key] = error
         return snapshot
 
     old_snapshot = snapshot_from_directory(args.old_dir)
@@ -296,21 +299,16 @@ def _cmd_sitediff(args) -> int:
         from repro.versioning.repository import open_repository
         from repro.versioning.version_control import VersionStore
 
-        repository = open_repository(args.store)
         store = VersionStore(
-            repository=repository, tracer=tracer, metrics=metrics
+            repository=open_repository(args.store),
+            tracer=tracer,
+            metrics=metrics,
         )
         committed = 0
         for key in sorted(set(site_delta.added) | set(site_delta.changed)):
-            document = new_snapshot.get(key)
-            # The commit reuses the metadata the existence check read.
-            with repository.pinned_head(key):
-                if repository.exists(key):
-                    store.commit(key, document)
-                else:
-                    store.create(key, document)
+            store.commit(key, new_snapshot.get(key))
             committed += 1
-        repository.close()
+        store.repository.close()
     _write_obs(args, tracer, metrics)
 
     lines = []
@@ -377,6 +375,9 @@ def _cmd_fsck(args) -> int:
     )
     _write(args.output, "\n".join(lines) + "\n")
     _write_obs(args, tracer, metrics)
+    if report.unrepaired:
+        problems = f"{len(report.unrepaired)} problem(s) remain"
+        print(f"error: {args.store}: {problems}", file=sys.stderr)
     return report.exit_code()
 
 
@@ -491,17 +492,16 @@ def _cmd_store_commit(args) -> int:
     )
     document = _load_document(args.document, args.keep_whitespace)
     doc_id = args.doc_id
-    if store.repository.exists(doc_id):
-        delta = store.commit(doc_id, document)
-        version = store.current_version(doc_id)
+    delta = store.commit(doc_id, document)
+    version = delta.target_version
+    if version == 1:
+        print(f"created {doc_id} version 1")
+    else:
         summary = ", ".join(
             f"{kind}={count}"
             for kind, count in sorted(delta.summary().items())
         )
         print(f"committed {doc_id} version {version} ({summary or 'no-op'})")
-    else:
-        store.create(doc_id, document)
-        print(f"created {doc_id} version 1")
     store.repository.close()
     _write_obs(args, tracer, metrics)
     return 0

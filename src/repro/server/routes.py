@@ -297,8 +297,8 @@ async def handle_commit(server, request: Request, params, obs) -> Response:
         from repro.xmlkit.parser import parse
 
         # One writer per store: commits serialize at the store door.
-        # The pinned head lets the commit reuse the metadata that the
-        # existence check read.
+        # The idempotency check reads last_commit before the commit;
+        # the pinned head lets the commit reuse that metadata read.
         with lock, store.repository.pinned_head(doc_id):
             if key is not None and store.repository.exists(doc_id):
                 # Cache was cold but the store remembers: the journaled
@@ -337,25 +337,14 @@ async def handle_commit(server, request: Request, params, obs) -> Response:
                 # Journal-durable attribution: the correlation id rides
                 # the last_commit record and the per-version map.
                 record["request_id"] = obs.context.request_id
-            if store.repository.exists(doc_id):
-                delta = store.commit(
-                    doc_id, document,
-                    commit_record=record, tracer=obs.tracer,
-                )
-                return {
-                    "doc_id": doc_id,
-                    "version": store.current_version(doc_id),
-                    "created": False,
-                    "summary": dict(sorted(delta.summary().items())),
-                }
-            store.create(
+            delta = store.commit(
                 doc_id, document, commit_record=record, tracer=obs.tracer
             )
             return {
                 "doc_id": doc_id,
-                "version": 1,
-                "created": True,
-                "summary": {},
+                "version": delta.target_version,
+                "created": delta.target_version == 1,
+                "summary": dict(sorted(delta.summary().items())),
             }
 
     result = await server.run_job(job, label="commit", deadline=obs.deadline)

@@ -82,12 +82,6 @@ class StorageBackend:
 
     # -- derived operations (override when the backend has a faster way) -----
 
-    def replace(self, key: str, data: bytes, *, label: Optional[str] = None) -> str:
-        """Overwrite an *existing* key; raises if it does not exist."""
-        if not self.exists(key):
-            raise FileNotFoundError(key)
-        return self.put(key, data, label=label)
-
     def exists(self, key: str) -> bool:
         try:
             self.get(key)

@@ -96,6 +96,10 @@ __all__ = [
 ]
 
 
+#: A pinned head not read yet (see BackendRepository.pinned_head).
+_UNREAD = object()
+
+
 @dataclass
 class Finding:
     """One problem reported by :meth:`BackendRepository.verify`.
@@ -180,8 +184,8 @@ class BackendRepository:
     def __init__(self, backend: StorageBackend, tracer=None):
         self.backend = backend
         self.tracer = tracer
-        # Per thread: [doc_id, meta or None] while a pinned_head scope
-        # is open (see pinned_head).
+        # Per thread: [doc_id, meta or None (absent) or _UNREAD] while
+        # a pinned_head scope is open (see pinned_head).
         self._pinned = threading.local()
         #: Torn commits handled while opening the store.
         self.recovery_events: list[RecoveryEvent] = []
@@ -216,13 +220,14 @@ class BackendRepository:
     def pinned_head(self, doc_id: str):
         """Read ``doc_id``'s metadata at most once inside this scope.
 
-        The first read in the scope (``load_current`` makes it, before
-        it reads the tree) is kept for the calling thread; later reads
-        of the same document in the scope return it, and a metadata
-        write replaces it.  :meth:`~repro.versioning.version_control
-        .VersionStore.commit` runs in one, so a commit reads the head
-        once and ``append`` builds on that same metadata, and
-        :meth:`materialize` runs in one, so a version read does too.
+        The first read in the scope (a commit's ``exists`` makes it) is
+        kept for the calling thread, also when it finds no document;
+        later reads of the same document in the scope return it, and a
+        metadata write replaces it.  :meth:`~repro.versioning
+        .version_control.VersionStore.commit` runs in one, so a commit
+        reads the head once and ``append`` builds on that same
+        metadata, and :meth:`materialize` runs in one, so a version
+        read does too.
         Inside an open scope for the same document this one reuses it;
         one for another document replaces it until this scope ends.
         """
@@ -230,7 +235,7 @@ class BackendRepository:
         if outer is not None and outer[0] == doc_id:
             yield
             return
-        self._pinned.head = [doc_id, None]
+        self._pinned.head = [doc_id, _UNREAD]
         try:
             yield
         finally:
@@ -248,16 +253,16 @@ class BackendRepository:
         written before records named their document, is ``doc_id``'s.
         """
         pin = self._pin_for(doc_id)
-        if pin is not None and pin[1] is not None:
+        if pin is not None and pin[1] is not _UNREAD:
             return pin[1]
         try:
             meta = layout.get_record(
                 self.backend, layout.doc_prefix(doc_id), "meta"
             )
         except FileNotFoundError:
-            return None
-        if meta.get("doc_id", doc_id) != doc_id:
-            return None
+            meta = None
+        if meta is not None and meta.get("doc_id", doc_id) != doc_id:
+            meta = None
         if pin is not None:
             pin[1] = meta
         return meta
@@ -381,8 +386,7 @@ class BackendRepository:
             self._store_meta(doc_id, meta)
 
     def exists(self, doc_id: str) -> bool:
-        meta_key = layout.key(layout.doc_prefix(doc_id), "meta")
-        return self.backend.exists(meta_key) and self._head(doc_id) is not None
+        return self._head(doc_id) is not None
 
     def document_ids(self) -> list[str]:
         ids = []
@@ -453,13 +457,11 @@ class BackendRepository:
 
     def load_delta(self, doc_id: str, base_version: int) -> Delta:
         """The delta from ``base_version`` to ``base_version + 1``."""
+        self._load_meta(doc_id)  # the owner check
         key = layout.key(layout.doc_prefix(doc_id), "delta", base_version)
         try:
             data = self.backend.get(key)
         except FileNotFoundError as exc:
-            # Probe only on the miss, to tell the two errors apart.
-            if not self.exists(doc_id):
-                raise RepositoryError(f"unknown document {doc_id!r}")
             raise RepositoryError(
                 f"no delta {base_version}->{base_version + 1} for {doc_id!r}"
             ) from exc
@@ -693,7 +695,7 @@ class BackendRepository:
         findings: list[Finding] = []
         for prefix in prefixes:
             findings.extend(self._orphans(prefix, orphans.pop(prefix, [])))
-            findings.extend(self._verify_prefix(prefix))
+            findings.extend(self._verify_prefix(prefix, doc_id))
         if doc_id is None:
             # Garbage not attributable to a live document (temp files in
             # removed prefixes or at the store root).
@@ -732,7 +734,7 @@ class BackendRepository:
             doc_label, "unreadable-file", key, f"{name} cannot be read{detail}"
         )
 
-    def _verify_prefix(self, prefix: str) -> list[Finding]:
+    def _verify_prefix(self, prefix: str, doc_id=None) -> list[Finding]:
         backend = self.backend
         # name -> key, in name order
         keys = {
@@ -759,6 +761,8 @@ class BackendRepository:
             meta = layout.get_record(backend, prefix, "meta")
         except CorruptStoreError as exc:
             return [self._finding(prefix, "corrupt-meta", meta_key, str(exc))]
+        if doc_id is not None and meta.get("doc_id", doc_id) != doc_id:
+            raise RepositoryError(f"unknown document {doc_id!r}")
         doc_label = str(meta.get("doc_id", prefix))
         findings: list[Finding] = []
 

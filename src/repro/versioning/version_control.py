@@ -13,6 +13,7 @@ direction, by applying completed deltas forward or backward, and
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import Callable, Optional
 
 from repro.core.apply import aggregate, apply_delta
@@ -122,26 +123,11 @@ class VersionStore:
         this call — the server threads its per-request tracer through
         here so the ``store.create`` span lands in the request's trace.
         """
-        span = None
-        tracer = tracer if tracer is not None else self.tracer
-        request_id = current_request_id()
-        if tracer is not None:
-            attrs = {"doc_id": doc_id}
-            if request_id is not None:
-                attrs["request_id"] = request_id
-            span = tracer.start_span("store.create", **attrs)
-        try:
+        with self._recorded("create", doc_id, tracer):
             working, nodes = _normalized(document)
             # The document node takes no label of its own.
             self.repository.create_initial(
                 doc_id, working, nodes - 1, commit_record=commit_record
-            )
-        finally:
-            if span is not None:
-                tracer.end_span(span)
-        if self.events is not None:
-            self.events.emit(
-                "repo.create", store=self.store_name, doc_id=doc_id
             )
         return 1
 
@@ -152,12 +138,18 @@ class VersionStore:
         commit_record: Optional[dict] = None,
         tracer=None,
     ) -> Delta:
-        """Diff the new version against the current one and append it.
+        """Store ``new_document`` as the next version of ``doc_id``.
 
         Returns the computed delta (empty if nothing changed — an empty
-        delta still advances the version, mirroring a crawler revisit).
-        The stored content is normalized like :meth:`create`; ``tracer``
-        overrides the store's own tracer for this call, like there.
+        delta still advances the version, mirroring a crawler revisit);
+        its ``target_version`` is the version stored.  An unknown id
+        starts its chain: it is stored exactly as :meth:`create` stores
+        it (no ``on_commit``, no commit counted), and the result is an
+        empty delta with ``target_version`` 1.  The head is read once,
+        in a ``pinned_head`` scope opened before the ``store.commit``
+        span, so callers neither probe for the document nor pin it.
+        The stored content is normalized like :meth:`create`;
+        ``tracer`` overrides the store's own tracer, like there.
 
         The diff labels ``new_document`` in place, as
         :func:`~repro.core.diff.diff` labels its new side: afterwards
@@ -170,23 +162,17 @@ class VersionStore:
         duration and the ``repo.commit`` event's ``duration_ms`` are the
         same measurement.
         """
-        span = None
-        tracer = tracer if tracer is not None else self.tracer
-        request_id = current_request_id()
-        started = time.perf_counter()
-        if tracer is not None:
-            attrs = {"doc_id": doc_id}
-            if request_id is not None:
-                attrs["request_id"] = request_id
-            span = tracer.start_span("store.commit", **attrs)
-        try:
-            # One metadata read serves the whole commit: load_current
-            # makes it, and the allocator, the base version and
-            # append reuse it.
-            with self.repository.pinned_head(doc_id):
-                current = self.repository.load_current(doc_id)
-                allocator = self.repository.load_allocator(doc_id)
-                base_version = self.repository.current_version(doc_id)
+        repository = self.repository
+        with repository.pinned_head(doc_id):
+            if not repository.exists(doc_id):
+                self.create(doc_id, new_document, commit_record, tracer)
+                return Delta([], target_version=1)
+            with self._recorded(
+                "commit", doc_id, tracer, timed=True
+            ) as (tracer, span, fields):
+                current = repository.load_current(doc_id)
+                allocator = repository.load_allocator(doc_id)
+                base_version = repository.current_version(doc_id)
                 if span is not None:
                     span.attrs["base_version"] = base_version
                 working, _ = _normalized(new_document)
@@ -202,8 +188,8 @@ class VersionStore:
 
                     observe_stage_seconds(self.metrics, stats)
                 delta.base_version = base_version
-                delta.target_version = delta.base_version + 1
-                self.repository.append(
+                delta.target_version = base_version + 1
+                repository.append(
                     doc_id, delta, working, allocator,
                     commit_record=commit_record,
                 )
@@ -213,24 +199,45 @@ class VersionStore:
                     self.checkpoint_every is not None
                     and delta.target_version % self.checkpoint_every == 0
                 ):
-                    self.repository.store_snapshot(
+                    repository.store_snapshot(
                         doc_id, delta.target_version, working
                     )
-            if self.on_commit is not None:
-                self.on_commit(doc_id, delta, working)
+                if self.on_commit is not None:
+                    self.on_commit(doc_id, delta, working)
+                fields["version"] = delta.target_version
+        return delta
+
+    @contextmanager
+    def _recorded(self, operation, doc_id, tracer, timed=False):
+        """Run the block in a ``store.<operation>`` span, then log a
+        ``repo.<operation>`` event; yields the tracer in effect, the span
+        (or ``None``) and a dict of extra event fields to fill.  ``timed``
+        puts the span's duration in the event as ``duration_ms``."""
+        tracer = tracer if tracer is not None else self.tracer
+        span = None
+        fields: dict = {}
+        started = time.perf_counter()
+        if tracer is not None:
+            attrs = {"doc_id": doc_id}
+            request_id = current_request_id()
+            if request_id is not None:
+                attrs["request_id"] = request_id
+            span = tracer.start_span(f"store.{operation}", **attrs)
+        try:
+            yield tracer, span, fields
         finally:
             elapsed = time.perf_counter() - started
             if span is not None:
-                tracer.end_span(span, duration=elapsed)
+                tracer.end_span(span, duration=elapsed if timed else None)
         if self.events is not None:
+            if timed:
+                fields["duration_ms"] = round(elapsed * 1000.0, 3)
             self.events.emit(
-                "repo.commit",
+                f"repo.{operation}",
                 store=self.store_name,
                 doc_id=doc_id,
-                version=delta.target_version,
-                duration_ms=round(elapsed * 1000.0, 3),
+                **fields,
             )
-        return delta
 
     # -- reading ------------------------------------------------------------
 
@@ -262,10 +269,12 @@ class VersionStore:
 
     def deltas(self, doc_id: str) -> list[Delta]:
         """All stored deltas, oldest first."""
-        return [
-            self.repository.load_delta(doc_id, base)
-            for base in range(1, self.repository.current_version(doc_id))
-        ]
+        repository = self.repository
+        with repository.pinned_head(doc_id):
+            return [
+                repository.load_delta(doc_id, base)
+                for base in range(1, repository.current_version(doc_id))
+            ]
 
     def changes_between(
         self, doc_id: str, from_version: int, to_version: int
@@ -274,17 +283,19 @@ class VersionStore:
 
         ``from_version < to_version`` aggregates forward; the reverse
         direction returns the inverse (completed deltas make both free).
-        Equal versions yield an empty delta.
+        Equal versions yield an empty delta.  The version read and the
+        delta reads share one metadata read.
         """
         if from_version == to_version:
             return Delta([])
         if from_version > to_version:
             return self.changes_between(doc_id, to_version, from_version).inverted()
-        base_document = self.get_version(doc_id, from_version)
-        chain = [
-            self.repository.load_delta(doc_id, base)
-            for base in range(from_version, to_version)
-        ]
+        with self.repository.pinned_head(doc_id):
+            base_document = self.get_version(doc_id, from_version)
+            chain = [
+                self.repository.load_delta(doc_id, base)
+                for base in range(from_version, to_version)
+            ]
         combined = aggregate(chain, base_document)
         combined.base_version = from_version
         combined.target_version = to_version
@@ -293,11 +304,15 @@ class VersionStore:
     def verify_integrity(self, doc_id: str) -> bool:
         """Replay the whole chain forward from version 1: the result must
         equal the stored current snapshot.  A store self-check."""
-        document = self.repository.materialize(doc_id, 1)
-        for base in range(1, self.repository.current_version(doc_id)):
-            delta = self.repository.load_delta(doc_id, base)
-            document = apply_delta(delta, document, in_place=True, verify=True)
-        return document.deep_equal(self.repository.load_current(doc_id))
+        repository = self.repository
+        with repository.pinned_head(doc_id):
+            document = repository.materialize(doc_id, 1)
+            for base in range(1, repository.current_version(doc_id)):
+                delta = repository.load_delta(doc_id, base)
+                document = apply_delta(
+                    delta, document, in_place=True, verify=True
+                )
+            return document.deep_equal(repository.load_current(doc_id))
 
 
 def _normalized(document: Document) -> tuple[Document, int]:

@@ -7,7 +7,7 @@ stdlib expat bindings.  See the individual modules for details:
 - :mod:`repro.xmlkit.parser` — expat-based parser (`parse`, `parse_file`).
 - :mod:`repro.xmlkit.serializer` — writer (`serialize`, `write_file`).
 - :mod:`repro.xmlkit.dtd` — minimal DTD declarations (ID attribute discovery).
-- :mod:`repro.xmlkit.canonical` — canonical byte form used for hashing.
+- :mod:`repro.xmlkit.canonical` — canonical byte form of a subtree.
 - :mod:`repro.xmlkit.path` — node paths and label patterns.
 """
 
@@ -36,7 +36,6 @@ __all__ = [
     "XmlSerializeError",
     "canonical_bytes",
     "coalesce_text",
-    "content_fingerprint",
     "document_byte_size",
     "escape_attribute",
     "escape_text",
@@ -59,7 +58,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "canonical": ("canonical_bytes", "content_fingerprint"),
+    "canonical": ("canonical_bytes",),
     "dtd": ("AttributeDecl", "Dtd", "ElementDecl", "format_dtd", "parse_dtd"),
     "errors": (
         "ApplyError", "DeltaError", "DtdError", "PathError", "ReproError",

@@ -1,9 +1,10 @@
 """Canonical form of subtrees.
 
 Two subtrees must map to the same canonical byte string exactly when they
-are structurally equal (:meth:`Node.deep_equal`).  The BULD signature module
-hashes these bytes incrementally; tests use the full string to cross-check
-the incremental hashing.
+are structurally equal (:meth:`Node.deep_equal`).  Nothing in the diff
+pipeline reads them: BULD numbers subtrees exactly (see
+:mod:`repro.core.signature`), and tests use this string as the
+independent oracle those numbers are checked against.
 
 The encoding is length-prefixed so that no concatenation of distinct trees
 can collide with a single tree ("1" + "23" vs "12" + "3" style ambiguity).
@@ -11,11 +12,9 @@ can collide with a single tree ("1" + "23" vs "12" + "3" style ambiguity).
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.xmlkit.model import Node
 
-__all__ = ["canonical_bytes", "content_fingerprint"]
+__all__ = ["canonical_bytes"]
 
 
 def canonical_bytes(node: Node) -> bytes:
@@ -62,8 +61,3 @@ def _encode(node: Node, parts: list[bytes]) -> None:
             stack.extend(reversed(current.children))
         else:  # pragma: no cover - model has no other kinds
             raise ValueError(f"unknown node kind {kind!r}")
-
-
-def content_fingerprint(node: Node) -> bytes:
-    """16-byte blake2b digest of the canonical form."""
-    return hashlib.blake2b(canonical_bytes(node), digest_size=16).digest()

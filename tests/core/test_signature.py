@@ -9,7 +9,6 @@ from repro.xmlkit import (
     ProcessingInstruction,
     Text,
     canonical_bytes,
-    content_fingerprint,
     parse,
     preorder,
 )
@@ -72,7 +71,7 @@ class TestSignatures:
         assert sig_a == sig_b
 
     def test_signature_agrees_with_canonical_fingerprint(self):
-        # Signatures and canonical fingerprints must induce the same
+        # Signatures and canonical forms must induce the same
         # equivalence classes (both capture structural equality).
         docs = [
             parse("<a><b>x</b></a>"),
@@ -85,10 +84,10 @@ class TestSignatures:
                 same_sig = annotations[i].signature(docs[i].root) == annotations[
                     j
                 ].signature(docs[j].root)
-                same_fp = content_fingerprint(docs[i].root) == content_fingerprint(
+                same_form = canonical_bytes(docs[i].root) == canonical_bytes(
                     docs[j].root
                 )
-                assert same_sig == same_fp
+                assert same_sig == same_form
 
 
 class TestLookAlikeKinds:

@@ -102,13 +102,6 @@ class TestKeyValueContract:
         backend.put("k", b"new")
         assert backend.get("k") == b"new"
 
-    def test_replace_requires_existing_key(self, backend):
-        with pytest.raises(FileNotFoundError):
-            backend.replace("k", b"data")
-        backend.put("k", b"old")
-        backend.replace("k", b"new")
-        assert backend.get("k") == b"new"
-
     def test_exists_and_delete(self, backend):
         assert not backend.exists("doc/meta.json")
         backend.put("doc/meta.json", b"{}")

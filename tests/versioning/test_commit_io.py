@@ -14,6 +14,7 @@ Runs against every storage backend; ``XYDIFF_BACKENDS`` narrows the
 sweep.
 """
 
+import http.client
 import json
 import os
 import time
@@ -25,6 +26,7 @@ from repro.cli import main
 from repro.core.xid import parse_xid_map
 from repro.obs.log import EventLogger
 from repro.obs.trace import Tracer
+from repro.server import ServerConfig, serve_in_thread
 from repro.simulator import (
     GeneratorConfig,
     SimulatorConfig,
@@ -32,6 +34,8 @@ from repro.simulator import (
     simulate_changes,
 )
 from repro.storage import open_backend
+from repro.storage.filesystem import FilesystemBackend
+from repro.storage.sqlite_store import SQLiteBackend
 from repro.versioning import BackendRepository, VersionStore, layout
 from repro.xmlkit import parse, postorder, serialize, serialize_bytes
 
@@ -62,23 +66,134 @@ def _open(tmp_path, scheme):
 
 
 class _Recorder:
-    """Counts one backend's gets and keeps the bytes of every put."""
+    """Counts a backend's gets and existence probes and keeps the bytes
+    of every put.
 
-    def __init__(self, backend):
+    ``target`` is one backend, or a backend class when the backend is
+    opened out of reach (by the CLI or the server); a class is patched
+    through ``monkeypatch`` so the patch ends with the test.
+    """
+
+    def __init__(self, target, monkeypatch=None):
         self.counts = Counter()
         self.puts: list[tuple[str, bytes]] = []
-        get, put = backend.get, backend.put
+        get, put, exists = target.get, target.put, target.exists
 
-        def counting_get(key):
+        # A class's methods take the backend first: pass it through.
+        def counting_get(*args):
             self.counts["gets"] += 1
-            return get(key)
+            return get(*args)
 
-        def recording_put(key, data, *, label=None):
+        def recording_put(*args, label=None):
             self.counts["puts"] += 1
-            self.puts.append((key.rsplit("/", 1)[-1], data))
-            return put(key, data, label=label)
+            self.puts.append((args[-2].rsplit("/", 1)[-1], args[-1]))
+            return put(*args, label=label)
 
-        backend.get, backend.put = counting_get, recording_put
+        def counting_exists(*args):
+            self.counts["probes"] += 1
+            return exists(*args)
+
+        patch = monkeypatch.setattr if monkeypatch is not None else setattr
+        patch(target, "get", counting_get)
+        patch(target, "put", recording_put)
+        patch(target, "exists", counting_exists)
+
+
+def _library_commit(url, tmp_path, doc_id, text):
+    store = VersionStore(BackendRepository(open_backend(url)))
+    store.commit(doc_id, parse(text))
+    store.repository.close()
+
+
+def _cli_commit(url, tmp_path, doc_id, text):
+    path = tmp_path / "incoming.xml"
+    path.write_text(text)
+    assert main(["store", "commit", doc_id, str(path), "--store", url]) == 0
+
+
+def _sitediff_commit(url, tmp_path, doc_id, text):
+    # A one-page site whose old side lacks the page: it is added, and
+    # then committed.
+    old, new = tmp_path / f"{doc_id}-old", tmp_path / f"{doc_id}-new"
+    old.mkdir()
+    new.mkdir()
+    (new / doc_id).write_text(text)
+    assert main(["sitediff", str(old), str(new), "--store", url]) == 0
+
+
+def _http_commit(url, tmp_path, doc_id, text, *, handle):
+    connection = http.client.HTTPConnection(
+        handle.host, handle.port, timeout=30
+    )
+    try:
+        connection.request(
+            "POST", "/repos/main/commit",
+            body=json.dumps({"doc_id": doc_id, "document": text}).encode(),
+            headers={
+                "Content-Type": "application/json",
+                "Idempotency-Key": f"key-{len(text)}",
+            },
+        )
+        response = connection.getresponse()
+        assert response.status in (200, 201), response.read()
+        response.read()
+    finally:
+        connection.close()
+
+
+FRONT_ENDS = ["library", "cli", "sitediff", "http"]
+BACKEND_CLASSES = {"file": FilesystemBackend, "sqlite": SQLiteBackend}
+
+
+@pytest.fixture
+def front_end(request, tmp_path, scheme):
+    """``(url, commit)``: a store and one front end that commits to it."""
+    url = f"{scheme}://{tmp_path / 'store'}"
+    if request.param != "http":
+        commit = {
+            "library": _library_commit,
+            "cli": _cli_commit,
+            "sitediff": _sitediff_commit,
+        }[request.param]
+        yield url, commit
+        return
+    handle = serve_in_thread(
+        ServerConfig(port=0, stores={"main": url}, workers=1)
+    )
+    try:
+        yield url, lambda *args: _http_commit(*args, handle=handle)
+    finally:
+        handle.close()
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+@pytest.mark.parametrize("front_end", FRONT_ENDS, indirect=True)
+def test_every_front_end_commits_without_a_probe(
+    tmp_path, scheme, front_end, monkeypatch
+):
+    # Each front end hands the commit to VersionStore.commit, which
+    # reads the head once, inside its own pinned scope: an existing
+    # document costs 3 gets and 5 puts, a new one 1 get (its absent
+    # meta), 1 probe (create's strict check) and 3 puts.
+    url, commit = front_end
+    texts = _chain()
+    seed = VersionStore(BackendRepository(open_backend(url)))
+    seed.create("doc.xml", parse(texts[0]))
+    seed.repository.close()
+    recorder = _Recorder(BACKEND_CLASSES[scheme], monkeypatch)
+    commit(url, tmp_path, "doc.xml", texts[1])
+    assert recorder.counts == Counter(gets=3, puts=5)
+    recorder.counts.clear()
+    commit(url, tmp_path, "new.xml", texts[0])
+    assert recorder.counts == Counter(gets=1, probes=1, puts=3)
+    monkeypatch.undo()
+    store = VersionStore(BackendRepository(open_backend(url)))
+    assert store.current_version("doc.xml") == 2
+    assert serialize(store.get_current("doc.xml")) == serialize(
+        parse(texts[1])
+    )
+    assert store.current_version("new.xml") == 1
+    store.repository.close()
 
 
 def _assert_range_labels(record: dict) -> None:
@@ -247,6 +362,35 @@ def test_a_version_read_reads_the_head_once(tmp_path, scheme):
     assert counter.counts == Counter(
         {"meta.json": 1, "current.xml": 1, "delta": 3}
     )
+    assert repo._pinned.head is None
+    repo.close()
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_range_reads_read_the_head_once(tmp_path, scheme):
+    # Delta reads check the document's owner in its meta; a read of
+    # many deltas pins the head, so the check adds no read.
+    _, repo = _open(tmp_path, scheme)
+    store = VersionStore(repo)
+    texts = _chain()[:4]
+    store.create("doc", parse(texts[0]))
+    for text in texts[1:]:
+        store.commit("doc", parse(text))
+    counter = _KeyCounter(repo.backend)
+    reads = {
+        # Version 1 rebuilt back from version 4, then deltas 1 and 2.
+        lambda: store.changes_between("doc", 1, 3): (1, 5),
+        lambda: store.changes_between("doc", 3, 1): (1, 5),
+        lambda: store.deltas("doc"): (0, 3),
+        # Version 1 rebuilt, replayed forward, compared with current.
+        lambda: store.verify_integrity("doc"): (2, 6),
+    }
+    for read, (currents, deltas) in reads.items():
+        counter.counts.clear()
+        read()
+        expected = Counter({"meta.json": 1, "current.xml": currents})
+        expected["delta"] = deltas
+        assert +counter.counts == +expected
     assert repo._pinned.head is None
     repo.close()
 

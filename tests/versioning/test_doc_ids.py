@@ -8,8 +8,8 @@ anything is read or written: a caller's mistake (400 over HTTP, one
 ``error:`` line in the CLI), not an unknown document.
 
 Two ids can share a prefix (``a/b`` and ``a_b``).  The metadata records
-which id owns it, so the other id reads as unknown, and creating it
-names both.  Runs against every storage backend; ``XYDIFF_BACKENDS``
+which id owns it, so the other id reads as unknown (delta reads and
+audits included), and creating or committing it names both.  Runs against every storage backend; ``XYDIFF_BACKENDS``
 narrows the sweep.
 """
 
@@ -81,17 +81,42 @@ def test_ids_sharing_a_prefix_do_not_alias(tmp_path, scheme):
     assert not repo.exists("a_b")
     with pytest.raises(RepositoryError, match="unknown document 'a_b'"):
         store.get_version("a_b", 1)
-    with pytest.raises(RepositoryError, match="unknown document 'a_b'"):
-        store.commit("a_b", parse(V2))
-    with pytest.raises(RepositoryError) as excinfo:
-        store.create("a_b", parse(V2))
-    assert "'a_b'" in str(excinfo.value) and "'a/b'" in str(excinfo.value)
+    # A commit of an unknown id creates it, so it is refused as create
+    # refuses it: naming both ids.
+    for call in (store.commit, store.create):
+        with pytest.raises(RepositoryError) as excinfo:
+            call("a_b", parse(V2))
+        assert "'a_b'" in str(excinfo.value) and "'a/b'" in str(excinfo.value)
     # The owner is untouched.
     assert repo.document_ids() == ["a/b"]
     assert store.current_version("a/b") == 1
     assert store.get_version("a/b", 1).deep_equal(parse(V1))
     store.commit("a/b", parse(V2))
     assert store.current_version("a/b") == 2
+    repo.close()
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_reads_of_an_id_sharing_a_prefix_are_unknown(tmp_path, scheme):
+    # Delta reads and audits check the owner too, not only the reads
+    # that materialize a version.
+    repo = _open(tmp_path, scheme)
+    store = VersionStore(repo)
+    store.create("a/b", parse(V1))
+    store.commit("a/b", parse(V2))
+    for call in (
+        lambda: store.delta("a_b", 1),
+        lambda: store.deltas("a_b"),
+        lambda: store.changes_between("a_b", 1, 2),
+        lambda: store.verify_integrity("a_b"),
+        lambda: repo.load_delta("a_b", 1),
+        lambda: repo.verify("a_b"),
+    ):
+        with pytest.raises(RepositoryError, match="unknown document 'a_b'"):
+            call()
+    assert store.delta("a/b", 1).summary() == store.deltas("a/b")[0].summary()
+    assert store.verify_integrity("a/b")
+    assert repo.verify("a/b") == []
     repo.close()
 
 
@@ -108,6 +133,7 @@ def test_a_meta_without_doc_id_still_reads(tmp_path, scheme):
     assert repo.exists("doc")
     store.commit("doc", parse(V2))
     assert store.get_version("doc", 1).deep_equal(parse(V1))
+    assert store.delta("doc", 1).summary() and repo.verify("doc") == []
     repo.close()
 
 
