@@ -462,39 +462,25 @@ def render_comp(rows):
 # ---------------------------------------------------------------------------
 
 
-def _edit_cost(delta, old):
+def qual(fast=False):
     """Nodes deleted + inserted + values updated; a move costs a delete
     plus an insert of its subtree (Zhang-Shasha has no moves)."""
-    from repro.core import xid_index
-    from repro.core.xid import subtree_xids
-
-    index = xid_index(old)
-    cost = 0
-    for operation in delta.operations:
-        if operation.kind in ("delete", "insert"):
-            cost += len(subtree_xids(operation.subtree))
-        elif operation.kind == "move":
-            node = index.get(operation.xid)
-            cost += 2 * (node.subtree_size() if node is not None else 1)
-        else:
-            cost += 1
-    return cost
-
-
-def qual(fast=False):
     from repro.baselines import tree_edit_distance
+    from repro.core.metrics import edit_cost
     from repro.obs.provenance import ProvenanceRecorder, build_report
 
     rows = []
     for seed in range(4 if fast else 16):
         pair = _simulated_pair(90, seed, seed + 500, rate=0.08)
         base, new_doc = pair.old_document, pair.new_document
-        perfect = _edit_cost(pair.perfect_delta(), base)
+        perfect = edit_cost(
+            pair.perfect_delta(), base, move_model="delete-insert"
+        )
         optimal = tree_edit_distance(*_clones(base, new_doc))
         old, new = _clones(base, new_doc)
         recorder = ProvenanceRecorder()
         delta, _ = diff_with_stats(old, new, recorder=recorder)
-        cost = _edit_cost(delta, old)
+        cost = edit_cost(delta, old, move_model="delete-insert")
         report = build_report(recorder, old, new, delta)
         rows.append({
             "case": seed,

@@ -1002,7 +1002,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "or a bare path — the layout is sniffed)")
     sub.add_argument("--repair", action="store_true",
                      help="apply the deterministic repairs "
-                          "(replay deltas, rebuild manifests, drop orphans)")
+                          "(replay deltas, rebuild checksums, drop orphans)")
     sub.add_argument("--durability", choices=DURABILITY_LEVELS,
                      default="none",
                      help="write policy for repairs (default: none)")

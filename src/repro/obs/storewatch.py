@@ -46,7 +46,9 @@ SCHEMA = "repro.storewatch/3"
 BYTE_KINDS = ("snapshot", "delta", "meta", "journal", "other")
 
 #: Stored kinds (:func:`repro.versioning.layout.classify`) whose bytes
-#: count under another byte-accounting kind.
+#: count under another byte-accounting kind: the current version is a
+#: snapshot, and the ``manifest.json`` of a store written before the
+#: head held the checksums is head metadata.
 _BYTE_KIND_OF = {"current": "snapshot", "manifest": "meta"}
 
 

@@ -3,7 +3,7 @@
 The warehouse setting assumes stores live for years; bit rot, torn
 commits and operator accidents surface long after the write that caused
 them.  The scrubber is the server's answer: an asyncio task that every
-``scrub_interval`` seconds re-verifies the manifest checksums of at
+``scrub_interval`` seconds re-verifies the head checksums of at
 most ``scrub_batch`` documents (round-robin across the configured
 stores, resuming where the previous tick stopped), so a whole store is
 eventually audited without ever taxing the hot path:

@@ -7,7 +7,7 @@ deltas survive crashes.  Two layers provide that:
 - :mod:`repro.storage.atomic` — the write discipline every file-based
   path uses: temp file + ``os.replace`` (readers never observe a
   half-written file), optional ``fsync`` per a durability policy, and
-  SHA-256 digests so a manifest can later prove the bytes on disk are
+  SHA-256 digests so a head record can later prove the bytes on disk are
   the bytes that were committed.
 - :mod:`repro.storage.backend` — the :class:`StorageBackend` protocol
   the repository commits through, with two conforming

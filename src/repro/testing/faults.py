@@ -18,8 +18,9 @@ production store meets:
 Operations are counted; ``crash_after=N`` lets a crash matrix walk
 every I/O boundary of a compound operation: ``N`` operations succeed,
 the next one fails.  ``label=`` restricts counting/failing to one named
-write point (``"journal"``, ``"delta"``, ``"current"``, ``"manifest"``,
-``"meta"``, ``"journal-clear"``).
+write point (``"journal"``, ``"delta"``, ``"current"``, ``"snapshot"``,
+``"meta"`` for the head, ``"journal-clear"``, and ``"manifest-clear"``
+when a head replaces one in the older layout).
 
 The injector also works as a pure probe: with no failure configured it
 records every operation in :attr:`FaultInjector.ops`, which is how the

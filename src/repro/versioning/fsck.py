@@ -3,17 +3,20 @@
 ``fsck_store`` audits any repository reachable through a store URL
 (``file://``, ``sqlite://`` — see
 :func:`repro.versioning.repository.open_repository`) — opening it first
-runs journal recovery for torn commits — then verifies checksums
-against each document's ``manifest.json`` record and, with
-``repair=True``, applies the deterministic fixes:
+runs journal recovery for torn commits — then verifies the stored
+values against the checksums in each document's head (``meta.json``)
+and, with ``repair=True``, applies the deterministic fixes:
 
-- **orphan temp files / unexpected files**
-  are removed (they are invisible to every read path: the metadata
-  never references them);
-- a **half-created document** (a prefix without metadata, left by a
+- **orphan temp files / unexpected files** (a ``manifest.json`` left
+  beside a head that holds the checksums among them) are removed
+  (they are invisible to every read path: the head never references
+  them);
+- a **half-created document** (a prefix without a head, left by a
   crash before the first commit completed) is removed;
-- a **missing or unreadable manifest** is rebuilt from the stored
-  values (trust-on-first-hash, the only option for legacy stores);
+- **missing checksums** (``missing-manifest``: a head with none and no
+  readable ``manifest.json``) are recomputed from the stored values
+  into the head (trust-on-first-hash, the only option for stores older
+  than checksums);
 - a **damaged ``current.xml`` or checkpoint snapshot** is re-derived
   with :meth:`~repro.versioning.repository.BackendRepository.materialize`
   from the nearest *other* stored state, either direction: a
@@ -23,7 +26,7 @@ against each document's ``manifest.json`` record and, with
   for.
 
 A replay only counts as a repair when the reconstructed bytes match
-the manifest's recorded SHA-256 — a repair can never silently
+the head's recorded SHA-256 — a repair can never silently
 substitute different content.  Damaged delta files and metadata are
 reported but not repaired: their content exists nowhere else.
 
@@ -154,13 +157,14 @@ def _repair(repo: BackendRepository, finding: Finding) -> bool:
             return True
         prefix, name = layout.split_key(finding.key)
         if finding.kind == "missing-manifest":
-            return _rebuild_manifest(backend, prefix)
+            return _rebuild_checksums(backend, prefix)
         if finding.kind == "missing-checksum":
-            manifest = layout.get_record(backend, prefix, "manifest")
-            manifest.setdefault("files", {})[name] = backend.digest(
-                finding.key
+            head = layout.get_record(backend, prefix, "meta")
+            files = dict(layout.checksums(backend, prefix, head))
+            files[name] = backend.digest(finding.key)
+            layout.put_head(
+                backend, prefix, dict(head, checksums=files), replaces=head
             )
-            layout.put_record(backend, prefix, "manifest", manifest)
             return True
         if finding.kind in ("checksum-mismatch", "missing-file"):
             return _rederive(repo, finding.key)
@@ -169,15 +173,15 @@ def _repair(repo: BackendRepository, finding: Finding) -> bool:
         return False
 
 
-def _rebuild_manifest(backend, prefix: str) -> bool:
-    """Recompute every checksum from the stored values."""
-    meta = layout.get_record(backend, prefix, "meta")
+def _rebuild_checksums(backend, prefix: str) -> bool:
+    """Recompute every checksum from the stored values into the head."""
+    head = layout.get_record(backend, prefix, "meta")
     files: dict[str, str] = {}
     for key in layout.doc_keys(backend, prefix):
         name = layout.split_key(key)[1]
-        if layout.checksummed(name, meta):
+        if layout.checksummed(name, head):
             files[name] = backend.digest(key)
-    layout.put_record(backend, prefix, "manifest", layout.manifest(files))
+    layout.put_head(backend, prefix, dict(head, checksums=files), replaces=head)
     return True
 
 
@@ -187,7 +191,7 @@ def _rederive(repo: BackendRepository, key: str) -> bool:
     :meth:`~repro.versioning.repository.BackendRepository.materialize`
     walks from the nearest *other* stored state, so the damaged copy is
     never its own source.  The result only replaces it when its SHA-256
-    matches the manifest's record.
+    matches the head's record.
     """
     prefix, name = layout.split_key(key)
     kind, version = layout.classify(name)
@@ -196,8 +200,7 @@ def _rederive(repo: BackendRepository, key: str) -> bool:
     meta = layout.get_record(repo.backend, prefix, "meta")
     if kind == "current":
         version = int(meta.get("current_version", 1))
-    manifest = layout.get_record(repo.backend, prefix, "manifest")
-    expected = manifest.get("files", {}).get(name)
+    expected = layout.checksums(repo.backend, prefix, meta).get(name)
     data = serialize_bytes(
         repo.materialize(str(meta.get("doc_id", prefix)), version, damaged=name)
     )

@@ -2,18 +2,21 @@
 
 Every document lives under one key prefix of a store
 (:mod:`repro.storage.backend`), its id with each character outside
-``[A-Za-z0-9._-]`` replaced by ``_``.  Under it are values of six
+``[A-Za-z0-9._-]`` replaced by ``_``.  Under it are values of five
 *kinds*: ``current.xml`` (``current``), ``delta-NNNN-MMMM.xml``
 (``delta``, the completed delta from its base version NNNN to NNNN + 1),
 ``snapshot-NNNN.xml`` (``snapshot``, a checkpoint), ``meta.json``
-(``meta``; its appearance makes the document exist), ``manifest.json``
-(``manifest``, SHA-256 checksums of the XML values) and
+(``meta``, the document's head, which holds the SHA-256 checksums of
+its XML values; its appearance makes the document exist) and
 ``journal.json`` (``journal``, a commit's intent record while it is in
-flight).  The XML values stay readable with any XML tool.  The records
-are JSON with sorted keys, indented except the journal's, which never
-outlives its commit and which ``json`` writes compact with its C
-encoder; readers accept either form.  The XIDs of a stored tree live
-in its metadata, in the XID-map range notation deltas use.
+flight).  The XML values stay readable with any XML tool.  Both records
+are compact JSON with sorted keys (:func:`encode_record`); readers
+accept any JSON form.  The XIDs of a stored tree live in its head, in
+the XID-map range notation deltas use.
+
+Stores written before the head held the checksums keep them in an
+older sixth value, ``manifest.json`` (``manifest``): :func:`checksums`
+reads them there, and :func:`put_head` deletes it.
 
 This module is the only one that knows these names and encodings; the
 repository, ``fsck`` and the store statistics go through it.
@@ -34,6 +37,7 @@ __all__ = [
     "CorruptStoreError",
     "DocIdError",
     "checksummed",
+    "checksums",
     "classify",
     "collect_xids",
     "doc_keys",
@@ -45,8 +49,8 @@ __all__ = [
     "join",
     "journal_prefixes",
     "key",
-    "manifest",
     "name",
+    "put_head",
     "put_record",
     "restore_xids",
     "split_key",
@@ -55,8 +59,8 @@ __all__ = [
 _NAMES = {
     "current": "current.xml",
     "meta": "meta.json",
-    "manifest": "manifest.json",
     "journal": "journal.json",
+    "manifest": "manifest.json",
 }
 _KINDS = {stored: kind for kind, stored in _NAMES.items()}
 _DELTA_RE = re.compile(r"^delta-(\d+)-(\d+)\.xml$")
@@ -172,9 +176,9 @@ def journal_prefixes(backend) -> list[str]:
 
 
 def checksummed(stored_name: str, meta: dict) -> bool:
-    """Whether the manifest of the state that ``meta`` describes keeps
-    a checksum of ``stored_name``: the current version, a delta inside
-    the committed range, or a checkpoint the metadata lists."""
+    """Whether the head ``meta`` keeps a checksum of ``stored_name``:
+    the current version, a delta inside the committed range, or a
+    checkpoint the head lists."""
     kind, version = classify(stored_name)
     if kind == "delta":
         return 1 <= version < int(meta.get("current_version", 1))
@@ -186,17 +190,9 @@ def checksummed(stored_name: str, meta: dict) -> bool:
 # -- records -----------------------------------------------------------------
 
 
-def manifest(files: dict) -> dict:
-    """A manifest record over ``name -> SHA-256`` checksums."""
-    return {"algorithm": "sha256", "files": files}
-
-
-def encode_record(kind: str, payload) -> bytes:
-    """The stored bytes of a ``meta``, ``manifest`` or ``journal`` record."""
-    if kind == "journal":
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+def encode_record(payload) -> bytes:
+    """The stored bytes of a record: compact JSON with sorted keys."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return (text + "\n").encode("utf-8")
 
 
@@ -222,9 +218,28 @@ def get_record(backend, prefix: str, kind: str) -> dict:
 
 def put_record(backend, prefix: str, kind: str, payload, *, label=None) -> str:
     """Write one record of a document; returns its SHA-256."""
-    return backend.put(
-        key(prefix, kind), encode_record(kind, payload), label=label
-    )
+    return backend.put(key(prefix, kind), encode_record(payload), label=label)
+
+
+def checksums(backend, prefix: str, head: dict) -> dict:
+    """``name -> SHA-256`` of the XML values ``head`` describes: its own,
+    or an older head's ``manifest.json`` (raises
+    :class:`CorruptStoreError` if that is not JSON), or none."""
+    files = head.get("checksums")
+    if files is not None:
+        return files
+    try:
+        return get_record(backend, prefix, "manifest").get("files", {})
+    except FileNotFoundError:
+        return {}
+
+
+def put_head(backend, prefix: str, head: dict, *, replaces=None, label="meta"):
+    """Write a document's head over ``replaces``, the head it supersedes;
+    if that one kept its checksums in ``manifest.json``, delete it."""
+    put_record(backend, prefix, "meta", head, label=label)
+    if replaces is not None and "checksums" not in replaces:
+        backend.delete(key(prefix, "manifest"), label="manifest-clear")
 
 
 # -- XID labels --------------------------------------------------------------

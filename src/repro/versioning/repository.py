@@ -16,10 +16,10 @@ It stores everything through a
 an in-memory SQLite database is what ``VersionStore()`` uses when no
 repository is given).  Per document it keeps the current snapshot
 (``<doc>/current.xml``), the deltas (``<doc>/delta-0001-0002.xml``
-...), and a small metadata record, under the keys and in the record
-formats :mod:`repro.versioning.layout` defines.  Documents and deltas
-are stored in their XML forms, so the store is inspectable with any
-XML tooling — a property the paper makes a point of.
+...), and one small head record (``meta.json``), under the keys and in
+the record formats :mod:`repro.versioning.layout` defines.  Documents
+and deltas are stored in their XML forms, so the store is inspectable
+with any XML tooling — a property the paper makes a point of.
 
 A store URL (``file://``, ``sqlite://``) or a bare path opens through
 :func:`open_repository`.
@@ -33,17 +33,23 @@ repository therefore commits with a write discipline:
 - every value is written atomically through the backend (the
   filesystem backend uses :mod:`repro.storage.atomic`: temp file +
   ``os.replace``; ``durability=`` adds ``fsync``);
-- SHA-256 checksums of the content files live in a per-document
-  ``manifest.json``;
+- the SHA-256 checksums of the XML values live in the document's head,
+  ``meta.json``, one record for the whole stored state;
 - :meth:`BackendRepository.append` is **journaled**: a commit-intent
-  record (``journal.json``) carrying the post-state checksums and the
-  new metadata is written *first* and removed *last*, inside a backend
-  ``batch()`` scope (a no-op on file-based backends; a native
-  transaction on SQLite).  On reopen, a leftover journal identifies a
-  torn commit, which is rolled forward (all content landed — finish
-  the metadata) or rolled back (remove the half-commit; if
-  ``current.xml`` itself was torn, materialize it from the nearest
-  checkpoint) deterministically.
+  record (``journal.json``) carrying the new head is written *first*,
+  then the delta, ``current.xml`` and the head, and it is removed
+  *last*, inside a backend ``batch()`` scope (a no-op on file-based
+  backends; a native transaction on SQLite).  On reopen, a leftover
+  journal identifies a torn commit, which is rolled forward (all
+  content landed — write the head) or rolled back (remove the
+  half-commit; if ``current.xml`` itself was torn, materialize it from
+  the nearest checkpoint) deterministically;
+- a checkpoint writes its snapshot, then the head that lists it: a
+  crash between them leaves an unreferenced snapshot for fsck.
+
+Stores written before the head held the checksums (see
+:mod:`~repro.versioning.layout`) open as they are; an old journal rolls
+forward into one head.
 
 :meth:`BackendRepository.verify` audits checksums and structure and
 returns findings; ``repro fsck`` (see :mod:`repro.versioning.fsck`)
@@ -51,8 +57,7 @@ wraps it with repair.  A stored file the backend cannot read (it
 raises :class:`~repro.xmlkit.errors.StorageError`) is never taken for
 a missing one: verification reports it as ``unreadable-file``, and
 recovery leaves that document's journal in place as ``unrecoverable``.
-A metadata or manifest read that fails raises it: the store as a whole
-is failing.
+A head read that fails raises it: the store as a whole is failing.
 """
 
 from __future__ import annotations
@@ -214,7 +219,7 @@ class BackendRepository:
         """Release backing resources; idempotent."""
         self.backend.close()
 
-    # -- metadata / manifest records -----------------------------------------
+    # -- the head record -----------------------------------------------------
 
     @contextmanager
     def pinned_head(self, doc_id: str):
@@ -273,25 +278,14 @@ class BackendRepository:
             raise RepositoryError(f"unknown document {doc_id!r}")
         return meta
 
-    def _store_meta(self, doc_id: str, meta: dict) -> None:
-        layout.put_record(
-            self.backend, layout.doc_prefix(doc_id), "meta", meta, label="meta"
+    def _store_head(self, doc_id: str, head: dict, replaces=None) -> None:
+        """Write ``doc_id``'s head (see :func:`layout.put_head`)."""
+        layout.put_head(
+            self.backend, layout.doc_prefix(doc_id), head, replaces=replaces
         )
         pin = self._pin_for(doc_id)
         if pin is not None:
-            pin[1] = meta
-
-    def _load_manifest(self, prefix: str) -> dict:
-        try:
-            return layout.get_record(self.backend, prefix, "manifest")
-        except FileNotFoundError:
-            # Only a *missing* manifest falls back — stores written
-            # before manifests existed keep working and fsck --repair
-            # backfills the record.  An unreadable manifest raises
-            # CorruptStoreError instead (with .path): silently
-            # regenerating would launder damaged checksums into
-            # trusted ones.
-            return layout.manifest({})
+            pin[1] = head
 
     def _load_tree(
         self, key: str, meta: dict, labels: Optional[str | list]
@@ -310,17 +304,7 @@ class BackendRepository:
 
     # -- documents -----------------------------------------------------------
 
-    def create(self, doc_id, document, allocator, commit_record=None):
-        """Store version 1 of a new document, under the XIDs it carries."""
-        self._create(
-            doc_id,
-            document,
-            allocator.next_xid,
-            layout.collect_xids(document),
-            commit_record,
-        )
-
-    def create_initial(self, doc_id, document, nodes, commit_record=None):
+    def create(self, doc_id, document, nodes, commit_record=None):
         """Store version 1 of a new document under its initial XIDs.
 
         The stored labels are what :func:`~repro.core.xid
@@ -332,15 +316,6 @@ class BackendRepository:
         .normalized_size`); :meth:`~repro.versioning.version_control
         .VersionStore.create` checks both in one walk.
         """
-        self._create(
-            doc_id,
-            document,
-            nodes + 1,
-            layout.initial_xids(nodes),
-            commit_record,
-        )
-
-    def _create(self, doc_id, document, next_xid, labels, commit_record):
         prefix = layout.doc_prefix(doc_id)
         if self.backend.exists(layout.key(prefix, "meta")):
             meta = layout.get_record(self.backend, prefix, "meta")
@@ -354,11 +329,11 @@ class BackendRepository:
         meta = {
             "doc_id": doc_id,
             "current_version": 1,
-            "next_xid": next_xid,
+            "next_xid": nodes + 1,
             "id_attributes": sorted(
                 list(pair) for pair in document.id_attributes
             ),
-            "xid_labels": labels,
+            "xid_labels": layout.initial_xids(nodes),
         }
         if commit_record is not None:
             meta["last_commit"] = dict(commit_record, version=1)
@@ -367,23 +342,18 @@ class BackendRepository:
                     "1": str(commit_record["request_id"])
                 }
         with self.backend.batch():
-            digest = self.backend.put(
-                layout.key(prefix, "current"),
-                serialize_bytes(document),
-                label="current",
-            )
-            layout.put_record(
-                self.backend,
-                prefix,
-                "manifest",
-                layout.manifest({layout.name("current"): digest}),
-                label="manifest",
-            )
+            meta["checksums"] = {
+                layout.name("current"): self.backend.put(
+                    layout.key(prefix, "current"),
+                    serialize_bytes(document),
+                    label="current",
+                )
+            }
             # meta.json lands last: its appearance is what makes the
             # document exist.  A crash before this point leaves an
             # incomplete prefix that the next create() overwrites and
             # fsck flags.
-            self._store_meta(doc_id, meta)
+            self._store_head(doc_id, meta)
 
     def exists(self, doc_id: str) -> bool:
         return self._head(doc_id) is not None
@@ -490,7 +460,8 @@ class BackendRepository:
             current_name = layout.name("current")
             delta_bytes = serialize_delta(delta).encode("utf-8")
             current_bytes = serialize_bytes(new_document)
-            manifest = self._load_manifest(prefix)
+            backend = self.backend
+            files = dict(layout.checksums(backend, prefix, meta))
             new_meta = dict(meta)
             new_meta["current_version"] = version + 1
             new_meta["next_xid"] = allocator.next_xid
@@ -515,11 +486,10 @@ class BackendRepository:
                     new_meta["attribution"] = attribution
             else:
                 new_meta.pop("last_commit", None)
-            files = dict(manifest.get("files", {}))
             pre_current = files.get(current_name)
             files[delta_name] = sha256_bytes(delta_bytes)
             files[current_name] = sha256_bytes(current_bytes)
-            new_manifest = layout.manifest(files)
+            new_meta["checksums"] = files
             journal = {
                 "doc_id": meta.get("doc_id", doc_id),
                 "base_version": version,
@@ -531,14 +501,12 @@ class BackendRepository:
                     delta_name: files[delta_name],
                 },
                 "meta": new_meta,
-                "manifest": new_manifest,
             }
-            # Commit protocol: intent first, content next, metadata
+            # Commit protocol: intent first, content next, the head
             # after the content it describes, journal removal last.
             # Every prefix of this sequence is recoverable.  The batch
             # scope lets a transactional backend make the whole
             # sequence atomic on top of that.
-            backend = self.backend
             with backend.batch():
                 layout.put_record(
                     backend, prefix, "journal", journal, label="journal"
@@ -551,10 +519,7 @@ class BackendRepository:
                     current_bytes,
                     label="current",
                 )
-                layout.put_record(
-                    backend, prefix, "manifest", new_manifest, label="manifest"
-                )
-                self._store_meta(doc_id, new_meta)
+                self._store_head(doc_id, new_meta, replaces=meta)
                 backend.delete(
                     layout.key(prefix, "journal"), label="journal-clear"
                 )
@@ -616,11 +581,16 @@ class BackendRepository:
         ) == post.get(delta_name)
         current_digest = _digest_or_none(backend, current_key)
         if delta_ok and current_digest == post.get(current_name):
-            # All content landed — the crash hit the metadata writes or
-            # the journal removal.  Roll forward from the journal's
-            # embedded copies.
-            layout.put_record(backend, prefix, "manifest", journal["manifest"])
-            layout.put_record(backend, prefix, "meta", journal["meta"])
+            # All content landed — the crash hit the head write or the
+            # journal removal.  Roll forward to the journal's head,
+            # which supersedes any manifest.json; a journal written
+            # before heads held the checksums carries them in its
+            # manifest.
+            head = journal["meta"]
+            if "manifest" in journal:
+                head = dict(head, checksums=journal["manifest"]["files"])
+            layout.put_record(backend, prefix, "meta", head)
+            backend.delete(layout.key(prefix, "manifest"))
             backend.delete(journal_key)
             return RecoveryEvent(
                 doc_ref,
@@ -778,24 +748,25 @@ class BackendRepository:
                 "unresolved commit journal "
                 "(recovery could not roll it back or forward)",
             )
-        manifest_key = layout.key(prefix, "manifest")
-        manifest_files: dict = {}
-        if layout.name("manifest") in keys:
+        manifest = layout.name("manifest")
+        manifest_key = layout.join(prefix, manifest)
+        files = meta.get("checksums")
+        if files is not None:
+            if manifest in keys:
+                message = f"{manifest} is left over: the head holds checksums"
+                add("unexpected-file", manifest_key, message, True)
+        elif manifest in keys:
             try:
-                manifest = layout.get_record(backend, prefix, "manifest")
-                manifest_files = dict(manifest.get("files", {}))
+                files = layout.checksums(backend, prefix, meta)
             except CorruptStoreError as exc:
                 add("missing-manifest", manifest_key, str(exc), True)
         elif backend.exists(manifest_key):
             findings.append(self._unreadable(doc_label, manifest_key))
         else:
-            add(
-                "missing-manifest",
-                manifest_key,
-                "no checksum manifest (store predates manifests?)",
-                True,
-            )
-        for name, digest in sorted(manifest_files.items()):
+            message = "no checksums in the head (store predates them?)"
+            add("missing-manifest", meta_key, message, True)
+        files = files or {}
+        for name, digest in sorted(files.items()):
             key = layout.join(prefix, name)
             # A full copy of a version can be replayed from another one.
             rederivable = layout.classify(name)[0] in ("current", "snapshot")
@@ -805,7 +776,7 @@ class BackendRepository:
                 findings.append(self._unreadable(doc_label, key, exc))
                 continue
             if stored is None:
-                message = f"{name} is listed in the manifest but missing"
+                message = f"{name} has a recorded checksum but is missing"
                 add("missing-file", key, message, rederivable)
             elif stored != digest:
                 message = f"{name} does not match its recorded SHA-256"
@@ -813,9 +784,9 @@ class BackendRepository:
         for base in range(1, int(meta.get("current_version", 1))):
             name = layout.name("delta", base)
             key = layout.join(prefix, name)
-            if name not in keys and name not in manifest_files:
+            if name not in keys and name not in files:
                 add("missing-file", key, f"delta {base}->{base + 1} is missing")
-            elif name in keys and manifest_files and name not in manifest_files:
+            elif name in keys and files and name not in files:
                 message = f"{name} has no recorded checksum"
                 add("missing-checksum", key, message, True)
         for name, key in keys.items():
@@ -836,21 +807,17 @@ class BackendRepository:
         """Keep a full copy of one historical version."""
         meta = self._load_meta(doc_id)
         prefix = layout.doc_prefix(doc_id)
+        snapshots = dict(meta.get("snapshots", {}))
+        snapshots[str(version)] = layout.collect_xids(document)
+        files = dict(layout.checksums(self.backend, prefix, meta))
         with self.backend.batch():
-            digest = self.backend.put(
+            files[layout.name("snapshot", version)] = self.backend.put(
                 layout.key(prefix, "snapshot", version),
                 serialize_bytes(document),
                 label="snapshot",
             )
-            manifest = self._load_manifest(prefix)
-            files = manifest.setdefault("files", {})
-            files[layout.name("snapshot", version)] = digest
-            layout.put_record(
-                self.backend, prefix, "manifest", manifest, label="manifest"
-            )
-            snapshots = dict(meta.get("snapshots", {}))
-            snapshots[str(version)] = layout.collect_xids(document)
-            self._store_meta(doc_id, dict(meta, snapshots=snapshots))
+            head = dict(meta, snapshots=snapshots, checksums=files)
+            self._store_head(doc_id, head, replaces=meta)
 
     def load_snapshot(self, doc_id, version):
         """A stored historical snapshot, or ``None``."""
@@ -1013,7 +980,9 @@ def open_repository(
     if scheme is None:
         scheme = sniff_scheme(path)
     if scheme == "file":
-        if must_exist and not os.path.isdir(path):
+        # Refused before the backend creates its root, which would
+        # fail on the file with an OSError naming only the path.
+        if os.path.exists(path) and not os.path.isdir(path):
             raise RepositoryError(f"store {url!r} is not a directory")
         backend = FilesystemBackend(
             path, durability=durability, faults=faults

@@ -33,7 +33,7 @@ class VersionStore:
     Args:
         repository: Backing store; defaults to a repository on a
             private in-memory SQLite database, which keeps the same
-            journal, manifest and XML forms as an on-disk store and is
+            journal, head record and XML forms as an on-disk store and is
             gone when the store is dropped.
         config: Diff configuration used by :meth:`commit`.
         on_commit: Optional callback ``f(doc_id, delta, new_document)``
@@ -126,7 +126,7 @@ class VersionStore:
         with self._recorded("create", doc_id, tracer):
             working, nodes = _normalized(document)
             # The document node takes no label of its own.
-            self.repository.create_initial(
+            self.repository.create(
                 doc_id, working, nodes - 1, commit_record=commit_record
             )
         return 1

@@ -63,7 +63,7 @@ def test_bytes_by_kind_accounts_every_key(file_repo):
     by_kind = report["bytes_by_kind"]
     assert by_kind["snapshot"] > 0  # current.xml per document
     assert by_kind["delta"] > 0
-    assert by_kind["meta"] > 0  # meta.json + manifest.json
+    assert by_kind["meta"] > 0  # the head record, meta.json
     assert report["bytes_total"] == sum(by_kind.values())
     # The walk must agree with the backend's own accounting.
     backend = file_repo.backend

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from repro.core.signature import annotate
 from repro.core.xid import assign_initial_xids
 from repro.storage import FilesystemBackend, SQLiteBackend
-from repro.versioning import BackendRepository, VersionStore
+from repro.versioning import BackendRepository, VersionStore, layout
 from repro.xmlkit import (
     Comment,
     Document,
@@ -560,13 +560,19 @@ def write_history(make_backend, first, second):
 
 
 def old_create_bytes(make_backend, first):
-    """What ``create`` stored when it labelled a normalized clone."""
+    """What ``create`` stores for a normalized clone, checked against
+    the labels and next XID that labelling the clone gives."""
     backend = make_backend()
     try:
         working = old_clone(first, keep_xids=False)
         coalesce_text(working)
         allocator = assign_initial_xids(working)
-        BackendRepository(backend).create("doc", working, allocator)
+        BackendRepository(backend).create(
+            "doc", working, allocator.next_xid - 1
+        )
+        head = layout.get_record(backend, "doc", "meta")
+        assert head["xid_labels"] == layout.collect_xids(working)
+        assert head["next_xid"] == allocator.next_xid
         return store_bytes(backend)
     finally:
         backend.close()

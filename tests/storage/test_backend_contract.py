@@ -31,6 +31,8 @@ from repro.versioning import BackendRepository, fsck_store, layout
 from repro.versioning.version_control import VersionStore
 from repro.xmlkit import StorageError, parse, serialize_bytes
 
+from tests.versioning.old_layout import to_old_layout
+
 _ALL_BACKENDS = {
     "file": FilesystemBackend,
     "sqlite": SQLiteBackend,
@@ -56,7 +58,6 @@ APPEND_OPS = [
     ("write", "journal"),
     ("write", "delta"),
     ("write", "current"),
-    ("write", "manifest"),
     ("write", "meta"),
     ("unlink", "journal-clear"),
 ]
@@ -127,15 +128,14 @@ class TestKeyValueContract:
         assert backend.list_keys("nope/") == []
 
     def test_put_json_bytes_are_canonical(self, backend):
-        layout.put_record(backend, "doc", "meta", {"b": 1, "a": [2, 3]})
-        # indent=2, sorted keys, trailing newline — identical bytes on
-        # every backend, so checksums in manifests are portable.
-        assert backend.get("doc/meta.json") == (
-            b'{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
-        )
-        # The journal is compact: no whitespace but the trailing newline.
-        layout.put_record(backend, "doc", "journal", {"b": 1, "a": [2, 3]})
-        assert backend.get("doc/journal.json") == b'{"a":[2,3],"b":1}\n'
+        # Every record is compact JSON with sorted keys and a trailing
+        # newline — identical bytes on every backend, so the checksums
+        # a head records are portable.
+        for kind in ("meta", "journal"):
+            layout.put_record(backend, "doc", kind, {"b": 1, "a": [2, 3]})
+            assert backend.get(layout.key("doc", kind)) == (
+                b'{"a":[2,3],"b":1}\n'
+            )
 
     def test_batch_scope_makes_writes_visible(self, backend):
         with backend.batch():
@@ -192,7 +192,7 @@ def _reopen(tmp_path, scheme):
 
 class TestAppendProbe:
     def test_append_write_points_are_identical(self, tmp_path, scheme):
-        """Every backend sees the same six operations in the same order
+        """Every backend sees the same five operations in the same order
         — the crash matrix below covers each of them everywhere."""
         faults = FaultInjector()
         repo, store = _repo_at(tmp_path, scheme, faults=faults)
@@ -255,7 +255,7 @@ class TestTornWrites:
         )
         reopened.close()
 
-    @pytest.mark.parametrize("label", ["manifest", "meta"])
+    @pytest.mark.parametrize("label", ["meta"])
     def test_torn_metadata_rolls_forward(self, tmp_path, scheme, label):
         repo, store = _repo_at(tmp_path, scheme)
         store.create("doc", parse(V1))
@@ -376,12 +376,13 @@ class TestCrashDuringCreate:
 
 
 class TestManifestFallback:
-    """``_load_manifest``: missing is legacy, corrupt is damage."""
+    """A head without checksums reads them from ``manifest.json``:
+    missing is a store older than checksums, corrupt is damage."""
 
     def test_missing_manifest_regenerates_silently(self, tmp_path, scheme):
         repo, store = _repo_at(tmp_path, scheme)
         store.create("doc", parse(V1))
-        repo.backend.delete("doc/manifest.json")
+        to_old_layout(repo.backend, "doc", manifest=False)
         # commits still work (pre-manifest stores stay writable)...
         store.commit("doc", parse(V2))
         assert repo.current_version("doc") == 2
@@ -392,6 +393,7 @@ class TestManifestFallback:
 
         repo, store = _repo_at(tmp_path, scheme)
         store.create("doc", parse(V1))
+        to_old_layout(repo.backend, "doc")
         repo.backend.put("doc/manifest.json", b"{not json")
         with pytest.raises(CorruptStoreError) as info:
             store.commit("doc", parse(V2))

@@ -817,11 +817,14 @@ class TestStoreCommands:
         from repro.versioning import VersionStore, open_repository
         from repro.xmlkit import parse
 
+        from tests.versioning.old_layout import to_old_layout
+
         root = tmp_path / "warehouse"
         repo = open_repository(root)
         store = VersionStore(repo)
         store.create("doc-1", parse("<a><b>x</b></a>"))
-        repo.backend.delete("doc-1/manifest.json")
+        # A head without checksums, as stores older than them hold.
+        to_old_layout(repo.backend, "doc-1", manifest=False)
         repo.close()
 
         assert main(["fsck", f"file://{root}", "--repair"]) == 1

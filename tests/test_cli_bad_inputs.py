@@ -146,3 +146,26 @@ def test_a_site_that_is_a_file_is_one_error_line(tmp_path):
     assert code == 1
     (line,) = stderr.splitlines()
     assert line.startswith("error: ") and "Not a directory" in line
+
+
+def test_a_file_store_that_is_a_file_is_one_error_line(tmp_path):
+    # The file backend would create its root over the file and fail
+    # with an OSError naming only the path; every command refuses the
+    # store the same way instead.
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    (tmp_path / "new" / PAGE).write_text(V2)
+    (tmp_path / PAGE).write_text(V2)
+    (tmp_path / "plain").write_text("a regular file\n")
+    url = f"file://{tmp_path / 'plain'}"
+    for argv in (
+        ["store", "commit", PAGE, str(tmp_path / PAGE), "--store", url],
+        ["store", "cat", PAGE, "--store", url],
+        ["sitediff", str(tmp_path / "old"), str(tmp_path / "new"),
+         "--store", url],
+    ):
+        code, stderr = _run(argv)
+        assert code == 1, argv
+        assert stderr.splitlines() == [
+            f"error: store {url!r} is not a directory"
+        ], argv

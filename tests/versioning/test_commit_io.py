@@ -2,13 +2,12 @@
 range-notation XID labels.
 
 A commit reads the document's head once: ``meta.json`` and then
-``current.xml``, plus the manifest ``append`` extends, so three gets.
-A version read does too: ``meta.json`` once, the stored state it starts
-from, and the deltas it replays.
-It writes the journal, the delta, ``current.xml``, the manifest and the
-meta, so five puts.  XID labels (the current version's and every
-checkpoint's) are kept in the XID-map range notation deltas use, not as
-a JSON list of every node's XID.  Stores written before that, with
+``current.xml``, so two gets.  A version read does too: ``meta.json``
+once, the stored state it starts from, and the deltas it replays.
+It writes the journal, the delta, ``current.xml`` and the head, so four
+puts.  XID labels (the current version's and every checkpoint's) are
+kept in the XID-map range notation deltas use, not as a JSON list of
+every node's XID.  Stores written before that, with
 list-form labels, still open, commit, materialize and pass fsck.
 Runs against every storage backend; ``XYDIFF_BACKENDS`` narrows the
 sweep.
@@ -173,8 +172,8 @@ def test_every_front_end_commits_without_a_probe(
 ):
     # Each front end hands the commit to VersionStore.commit, which
     # reads the head once, inside its own pinned scope: an existing
-    # document costs 3 gets and 5 puts, a new one 1 get (its absent
-    # meta), 1 probe (create's strict check) and 3 puts.
+    # document costs 2 gets and 4 puts, a new one 1 get (its absent
+    # head), 1 probe (create's strict check) and 2 puts.
     url, commit = front_end
     texts = _chain()
     seed = VersionStore(BackendRepository(open_backend(url)))
@@ -182,10 +181,10 @@ def test_every_front_end_commits_without_a_probe(
     seed.repository.close()
     recorder = _Recorder(BACKEND_CLASSES[scheme], monkeypatch)
     commit(url, tmp_path, "doc.xml", texts[1])
-    assert recorder.counts == Counter(gets=3, puts=5)
+    assert recorder.counts == Counter(gets=2, puts=4)
     recorder.counts.clear()
     commit(url, tmp_path, "new.xml", texts[0])
-    assert recorder.counts == Counter(gets=1, probes=1, puts=3)
+    assert recorder.counts == Counter(gets=1, probes=1, puts=2)
     monkeypatch.undo()
     store = VersionStore(BackendRepository(open_backend(url)))
     assert store.current_version("doc.xml") == 2
@@ -205,7 +204,7 @@ def _assert_range_labels(record: dict) -> None:
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)
-def test_a_commit_makes_three_gets_and_five_puts(tmp_path, scheme):
+def test_a_commit_makes_two_gets_and_four_puts(tmp_path, scheme):
     _, repo = _open(tmp_path, scheme)
     store = VersionStore(repo, checkpoint_every=3)
     texts = _chain()
@@ -218,15 +217,15 @@ def test_a_commit_makes_three_gets_and_five_puts(tmp_path, scheme):
         made = recorder.counts - before
         names = [name for name, _ in recorder.puts]
         if version % 3:
-            assert made == Counter(gets=3, puts=5), version
+            assert made == Counter(gets=2, puts=4), version
             assert names == [
                 "journal.json", f"delta-{version - 1:04d}-{version:04d}.xml",
-                "current.xml", "manifest.json", "meta.json",
+                "current.xml", "meta.json",
             ]
         else:
-            # A checkpoint adds the snapshot, the manifest (read and
-            # written again) and the meta (rewritten, not read).
-            assert made == Counter(gets=4, puts=8), version
+            # A checkpoint adds the snapshot and the head (rewritten,
+            # not read).
+            assert made == Counter(gets=2, puts=6), version
         for name, data in recorder.puts:
             if name == "meta.json":
                 _assert_range_labels(json.loads(data))

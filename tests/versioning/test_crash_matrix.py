@@ -1,12 +1,12 @@
 """Crash matrix: every I/O boundary of a commit leaves a usable store.
 
-``BackendRepository.append`` is a compound operation — six storage
-operations in a fixed order (journal, delta, current, manifest, meta,
-journal removal).  These tests crash it at *every* boundary and prove
-the invariant the journal protocol promises: after reopening the store,
-either the commit never happened (pre-state, byte-identical) or it
-fully happened (post-state, metadata consistent) — and ``verify()``
-finds nothing to complain about.
+``BackendRepository.append`` is a compound operation — five storage
+operations in a fixed order (journal, delta, current, the head
+``meta.json``, journal removal).  These tests crash it at *every*
+boundary and prove the invariant the journal protocol promises: after
+reopening the store, either the commit never happened (pre-state,
+byte-identical) or it fully happened (post-state, metadata consistent)
+— and ``verify()`` finds nothing to complain about.
 """
 
 import pytest
@@ -25,7 +25,6 @@ APPEND_OPS = [
     ("write", "journal"),
     ("write", "delta"),
     ("write", "current"),
-    ("write", "manifest"),
     ("write", "meta"),
     ("unlink", "journal-clear"),
 ]
@@ -121,7 +120,7 @@ class TestTornWrites:
         assert reopened.current_version("doc") == 2
         assert _current_bytes(path) == pre_bytes
 
-    @pytest.mark.parametrize("label", ["manifest", "meta"])
+    @pytest.mark.parametrize("label", ["meta"])
     def test_torn_metadata_rolls_forward(self, tmp_path, label):
         path = tmp_path / "store"
         repo, store = _store_at(path)
@@ -233,9 +232,7 @@ class TestJournalFormat:
         text = journal.read_text(encoding="utf-8")
         assert text.endswith("\n") and "\n" not in text[:-1]
         assert ", " not in text and '": ' not in text
-        assert journal.read_bytes() == layout.encode_record(
-            "journal", json.loads(text)
-        )
+        assert journal.read_bytes() == layout.encode_record(json.loads(text))
 
     @pytest.mark.parametrize(
         "crash_after, action, version",

@@ -10,6 +10,8 @@ from repro.versioning.version_control import VersionStore
 from repro.xmlkit import parse
 from repro.xmlkit.errors import RepositoryError
 
+from tests.versioning.old_layout import to_old_layout
+
 V1 = "<doc><a>alpha alpha</a><b>beta beta</b></doc>"
 V2 = "<doc><a>alpha!</a><b>beta beta</b><c>gamma</c></doc>"
 V3 = "<doc><a>alpha!</a><c>gamma gamma</c></doc>"
@@ -148,20 +150,42 @@ class TestDeltaDamage:
 
 
 class TestManifest:
+    """Checksums missing from a head are rebuilt into it; a head in the
+    older layout, whose ``manifest.json`` held them, becomes one
+    record."""
+
+    def _old_layout(self, store_path, manifest):
+        repo = open_repository(store_path)
+        to_old_layout(repo.backend, "doc", manifest=manifest)
+        repo.close()
+
     def test_missing_manifest_rebuilt(self, store_path):
-        manifest_path = _doc_dir(store_path) / "manifest.json"
-        before = json.loads(manifest_path.read_text())
-        os.unlink(manifest_path)
+        meta_path = _doc_dir(store_path) / "meta.json"
+        before = json.loads(meta_path.read_text())
+        self._old_layout(store_path, manifest=False)
         report = fsck_store(store_path, repair=True)
         assert [f.kind for f in report.repaired] == ["missing-manifest"]
-        assert json.loads(manifest_path.read_text()) == before
+        assert json.loads(meta_path.read_text()) == before
         assert fsck_store(store_path).exit_code() == 0
 
     def test_corrupt_manifest_rebuilt(self, store_path):
+        self._old_layout(store_path, manifest=True)
         manifest_path = _doc_dir(store_path) / "manifest.json"
         manifest_path.write_text("{ not json")
         report = fsck_store(store_path, repair=True)
         assert [f.kind for f in report.repaired] == ["missing-manifest"]
+        assert not manifest_path.exists()
+        assert fsck_store(store_path).exit_code() == 0
+
+    def test_a_leftover_manifest_is_removed(self, store_path):
+        manifest_path = _doc_dir(store_path) / "manifest.json"
+        manifest_path.write_text("{}")
+        report = fsck_store(store_path, repair=True)
+        assert [(f.kind, f.message) for f in report.repaired] == [
+            ("unexpected-file",
+             "manifest.json is left over: the head holds checksums")
+        ]
+        assert not manifest_path.exists()
         assert fsck_store(store_path).exit_code() == 0
 
 

@@ -1,0 +1,289 @@
+"""One head record per document.
+
+A document's head, ``meta.json``, holds its version, XID state and the
+SHA-256 checksums of its XML values, so a commit reads and writes one
+record, and every record is compact JSON.  These tests crash a
+checkpoint write at each of its write points, open stores in the
+layout written before the head held the checksums (a ``manifest.json``
+beside an indented head, and journals that embed both), and count the
+garbage a commit leaves to the cycle collector.  Runs against every
+storage backend; ``XYDIFF_BACKENDS`` narrows the sweep.
+"""
+
+import gc
+import json
+import os
+
+import pytest
+
+from repro.storage import open_backend
+from repro.testing import FaultInjector, InjectedFault
+from repro.versioning import (
+    BackendRepository,
+    VersionStore,
+    fsck_store,
+    layout,
+)
+from repro.xmlkit import parse, serialize_bytes
+
+from tests.versioning.old_layout import old_journal, to_old_layout
+from tests.versioning.test_store_bytes import (
+    DOC_ID,
+    OLD_STORE_SHA256,
+    VERSIONS,
+    _history,
+    _store_digest,
+)
+
+BACKENDS = [
+    name.strip()
+    for name in os.environ.get("XYDIFF_BACKENDS", "file,sqlite").split(",")
+    if name.strip()
+]
+
+PREFIX = layout.doc_prefix(DOC_ID)
+META_KEY = layout.key(PREFIX, "meta")
+MANIFEST_KEY = layout.key(PREFIX, "manifest")
+
+#: The write points of one checkpoint, in order.
+SNAPSHOT_OPS = [("write", "snapshot"), ("write", "meta")]
+
+#: The write points of the first commit of a document in the older
+#: layout: its manifest goes after the head that supersedes it.
+MIGRATION_OPS = [
+    ("write", "journal"),
+    ("write", "delta"),
+    ("write", "current"),
+    ("write", "meta"),
+    ("unlink", "manifest-clear"),
+    ("unlink", "journal-clear"),
+]
+
+
+def _url(tmp_path, scheme):
+    return f"{scheme}://{tmp_path / 'store'}"
+
+
+def _open(tmp_path, scheme, faults=None):
+    return BackendRepository(
+        open_backend(_url(tmp_path, scheme), faults=faults)
+    )
+
+
+def _versions(repo) -> list[bytes]:
+    store = VersionStore(repo)
+    return [
+        serialize_bytes(store.get_version(DOC_ID, version))
+        for version in range(1, store.current_version(DOC_ID) + 1)
+    ]
+
+
+def _assert_one_compact_head(repo) -> dict:
+    names = [layout.split_key(key)[1] for key in layout.doc_keys(
+        repo.backend, PREFIX
+    )]
+    assert layout.name("manifest") not in names
+    assert layout.name("journal") not in names
+    data = repo.backend.get(META_KEY)
+    head = json.loads(data)
+    assert data == layout.encode_record(head)
+    assert layout.name("current") in head["checksums"]
+    return head
+
+
+# -- (a) a checkpoint crashed at each write point ----------------------------
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_a_checkpoint_writes_the_snapshot_then_the_head(tmp_path, scheme):
+    faults = FaultInjector()
+    repo = _open(tmp_path, scheme, faults=faults)
+    _history(repo)
+    faults.reset()
+    repo.store_snapshot(DOC_ID, 5, repo.materialize(DOC_ID, 5))
+    assert faults.ops == SNAPSHOT_OPS
+    assert repo.snapshot_versions(DOC_ID) == [2, 4, 5, 6]
+    assert repo.verify() == []
+    repo.close()
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+@pytest.mark.parametrize("crash_after", range(len(SNAPSHOT_OPS)))
+def test_every_checkpoint_crash_point_recovers(tmp_path, scheme, crash_after):
+    repo = _open(tmp_path, scheme)
+    _history(repo)
+    committed = _versions(repo)
+    tree = repo.materialize(DOC_ID, 5)
+    repo.faults = FaultInjector(crash_after=crash_after)
+    with pytest.raises(InjectedFault):
+        repo.store_snapshot(DOC_ID, 5, tree)
+    repo.close()
+
+    reopened = _open(tmp_path, scheme)
+    assert _versions(reopened) == committed
+    reopened.close()
+    assert fsck_store(_url(tmp_path, scheme), repair=True).exit_code() in (
+        0, 1
+    )
+    reopened = _open(tmp_path, scheme)
+    assert reopened.verify() == []
+    assert _versions(reopened) == committed
+    assert reopened.snapshot_versions(DOC_ID) in ([2, 4, 6], [2, 4, 5, 6])
+    reopened.close()
+
+
+# -- (b) a store in the older layout -----------------------------------------
+
+
+def _old_layout_store(tmp_path, scheme) -> list[bytes]:
+    """The pinned history in the older layout; returns its versions."""
+    repo = _open(tmp_path, scheme)
+    _history(repo)
+    committed = _versions(repo)
+    to_old_layout(repo.backend, PREFIX)
+    # Byte for byte what the code before one head record stored.
+    assert _store_digest(repo.backend) == OLD_STORE_SHA256
+    repo.close()
+    return committed
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_an_old_layout_store_reads_verifies_and_migrates(tmp_path, scheme):
+    committed = _old_layout_store(tmp_path, scheme)
+    repo = _open(tmp_path, scheme)
+    assert _versions(repo) == committed
+    assert repo.verify() == []
+    repo.close()
+    assert fsck_store(_url(tmp_path, scheme)).exit_code() == 0
+
+    faults = FaultInjector()
+    repo = _open(tmp_path, scheme, faults=faults)
+    store = VersionStore(repo, checkpoint_every=2)
+    store.commit(DOC_ID, parse(VERSIONS[0]))
+    assert faults.ops == MIGRATION_OPS
+    head = _assert_one_compact_head(repo)
+    assert head["current_version"] == len(VERSIONS) + 1
+    assert _versions(repo) == committed + [
+        serialize_bytes(store.get_version(DOC_ID, len(VERSIONS) + 1))
+    ]
+    assert repo.verify() == []
+    repo.close()
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+@pytest.mark.parametrize("crash_after", range(len(MIGRATION_OPS)))
+def test_every_migration_crash_point_recovers(tmp_path, scheme, crash_after):
+    committed = _old_layout_store(tmp_path, scheme)
+    repo = _open(tmp_path, scheme)
+    repo.faults = FaultInjector(crash_after=crash_after)
+    with pytest.raises(InjectedFault):
+        VersionStore(repo).commit(DOC_ID, parse(VERSIONS[0]))
+    repo.close()
+
+    reopened = _open(tmp_path, scheme)
+    assert reopened.verify() == []
+    versions = _versions(reopened)
+    assert versions[: len(committed)] == committed
+    if len(versions) > len(committed):
+        # Rolled forward: one head, and the manifest is gone.
+        _assert_one_compact_head(reopened)
+    reopened.close()
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_a_checkpoint_migrates_an_old_head(tmp_path, scheme):
+    committed = _old_layout_store(tmp_path, scheme)
+    faults = FaultInjector()
+    repo = _open(tmp_path, scheme, faults=faults)
+    repo.store_snapshot(DOC_ID, 5, repo.materialize(DOC_ID, 5))
+    assert faults.ops == SNAPSHOT_OPS + [("unlink", "manifest-clear")]
+    _assert_one_compact_head(repo)
+    assert repo.verify() == []
+    assert _versions(repo) == committed
+    repo.close()
+
+
+# -- (c) an old journal ------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_an_old_journal_rolls_forward_into_one_head(tmp_path, scheme):
+    committed = _old_layout_store(tmp_path, scheme)
+    repo = _open(tmp_path, scheme)
+    old_head = repo.backend.get(META_KEY)
+    old_manifest = repo.backend.get(MANIFEST_KEY)
+    journals = []
+    put = repo.backend.put
+
+    def recording_put(key, data, *, label=None):
+        if label == "journal":
+            journals.append(data)
+        return put(key, data, label=label)
+
+    repo.backend.put = recording_put
+    VersionStore(repo).commit(DOC_ID, parse(VERSIONS[0]))
+    repo.backend.put = put
+    new_head = repo.backend.get(META_KEY)
+    target = _versions(repo)[-1]
+    # Back to where the older code stopped when a crash hit it after
+    # current.xml: content landed, its head and manifest not yet, and
+    # its journal, which embeds both, in place.
+    (journal,) = journals
+    repo.backend.put(META_KEY, old_head)
+    repo.backend.put(MANIFEST_KEY, old_manifest)
+    repo.backend.put(
+        layout.key(PREFIX, "journal"),
+        layout.encode_record(old_journal(json.loads(journal))),
+    )
+    repo.close()
+
+    reopened = _open(tmp_path, scheme)
+    assert [e.action for e in reopened.recovery_events] == ["rolled-forward"]
+    _assert_one_compact_head(reopened)
+    assert reopened.backend.get(META_KEY) == new_head
+    assert _versions(reopened) == committed + [target]
+    assert reopened.verify() == []
+    reopened.close()
+
+
+# -- (d) no cyclic garbage ---------------------------------------------------
+
+
+def _cycle_garbage(work) -> int:
+    """Objects ``work()`` leaves that only the cycle collector frees."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        work()
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_a_commit_and_a_create_leave_no_cyclic_garbage(tmp_path, scheme):
+    repo = _open(tmp_path, scheme)
+    store = VersionStore(repo)
+    # Warm up: first calls fill caches that outlive them.
+    store.create("warm", parse(VERSIONS[0]))
+    store.commit("warm", parse(VERSIONS[1]))
+    trees = {text: parse(text) for text in VERSIONS[:3]}
+    garbage = dict(
+        create=_cycle_garbage(
+            lambda: store.create(DOC_ID, trees[VERSIONS[0]])
+        ),
+        commit=_cycle_garbage(
+            lambda: store.commit(DOC_ID, trees[VERSIONS[1]])
+        ),
+        first_commit=_cycle_garbage(
+            lambda: store.commit("other", trees[VERSIONS[2]])
+        ),
+    )
+    assert garbage == dict(create=0, commit=0, first_commit=0)
+    repo.close()

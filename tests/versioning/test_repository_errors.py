@@ -4,16 +4,13 @@ import json
 
 import pytest
 
-from repro.core import assign_initial_xids
-from repro.versioning import open_repository
+from repro.versioning import VersionStore, open_repository
 from repro.xmlkit import RepositoryError, StorageError, parse
 
 
 def make_repo(tmp_path):
     repo = open_repository(tmp_path / "store")
-    doc = parse("<a><b>x</b></a>")
-    allocator = assign_initial_xids(doc)
-    repo.create("d1", doc, allocator)
+    VersionStore(repo).create("d1", parse("<a><b>x</b></a>"))
     return repo
 
 
@@ -73,12 +70,17 @@ class TestCorruption:
         assert loaded.root.xid is not None  # postorder fallback
 
     def test_unlabelled_snapshot_rejected_on_store(self, tmp_path):
-        repo = open_repository(tmp_path / "store")
-        doc = parse("<a/>")  # no XIDs
-        from repro.core import XidAllocator
+        from repro.core import Delta
 
-        with pytest.raises(RepositoryError):
-            repo.create("d1", doc, XidAllocator())
+        repo = make_repo(tmp_path)
+        doc = parse("<a/>")  # no XIDs
+        keys = repo.backend.list_keys()
+        with pytest.raises(RepositoryError, match="lack XIDs"):
+            repo.append("d1", Delta([]), doc, repo.load_allocator("d1"))
+        with pytest.raises(RepositoryError, match="lack XIDs"):
+            repo.store_snapshot("d1", 1, doc)
+        assert repo.backend.list_keys() == keys
+        assert repo.current_version("d1") == 1
 
     def test_load_missing_delta(self, tmp_path):
         repo = make_repo(tmp_path)

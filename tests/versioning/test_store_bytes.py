@@ -4,10 +4,14 @@ One document with a storage prefix of its own making (``shop/catalog``
 sanitises to ``shop_catalog``) is created and committed five times,
 with a checkpoint every second version; two commits carry a
 ``commit_record`` with a ``request_id``.  The SHA-256 of the sorted
-``(key, value)`` pairs of the whole store covers the meta and manifest
-records, the current snapshot, the checkpoints and the delta chain.
-The journal a commit writes first is pinned too, captured as it is put
-by a commit that crashes on its next write.
+``(key, value)`` pairs of the whole store covers the head record, the
+current snapshot, the checkpoints and the delta chain.  The journal a
+commit writes first is pinned too, captured as it is put by a commit
+that crashes on its next write.
+
+Rewritten in the layout stores had before the head held the checksums
+(see :mod:`tests.versioning.old_layout`), the same store and journal
+hash to what that code wrote: only the head's bytes moved.
 
 Both backends store the same keys and values, so one hash holds for
 each.  Runs against every storage backend; ``XYDIFF_BACKENDS`` narrows
@@ -15,14 +19,17 @@ the sweep.
 """
 
 import hashlib
+import json
 import os
 
 import pytest
 
 from repro.storage import open_backend
 from repro.testing import FaultInjector, InjectedFault
-from repro.versioning import BackendRepository, VersionStore
+from repro.versioning import BackendRepository, VersionStore, layout
 from repro.xmlkit import parse
+
+from tests.versioning.old_layout import old_journal, to_old_layout
 
 BACKENDS = [
     name.strip()
@@ -65,9 +72,16 @@ RECORDS = {
 }
 
 STORE_SHA256 = (
-    "ff610a538bf7dc2a94d9f1a629f936de953c053424f092c976da7693e0ea9be0"
+    "3e3de93480012d39945e33b41b134068284efa40f425ed29d43d31980b794534"
 )
 JOURNAL_SHA256 = (
+    "3a1060132cf1540df3324ba27383f5cae3dd27f6d653c6c2384507a9cdcf4cbd"
+)
+#: The same store and journal in the older layout.
+OLD_STORE_SHA256 = (
+    "ff610a538bf7dc2a94d9f1a629f936de953c053424f092c976da7693e0ea9be0"
+)
+OLD_JOURNAL_SHA256 = (
     "6beba8d5be0708ef7d96dd25d36b91d40e7198c91284a35133c9cf2c3b76d772"
 )
 
@@ -105,9 +119,31 @@ def test_every_stored_byte_is_pinned(tmp_path, scheme):
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)
+def test_only_the_head_bytes_moved(tmp_path, scheme):
+    repo = _open(tmp_path, scheme)
+    _history(repo)
+    to_old_layout(repo.backend, "shop_catalog")
+    assert _store_digest(repo.backend) == OLD_STORE_SHA256
+    journal = json.loads(_crashed_journal(repo))
+    assert hashlib.sha256(
+        layout.encode_record(old_journal(journal))
+    ).hexdigest() == OLD_JOURNAL_SHA256
+    repo.close()
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
 def test_the_journal_bytes_are_pinned(tmp_path, scheme):
     repo = _open(tmp_path, scheme)
-    store = _history(repo)
+    _history(repo)
+    assert hashlib.sha256(_crashed_journal(repo)).hexdigest() == (
+        JOURNAL_SHA256
+    )
+    repo.close()
+
+
+def _crashed_journal(repo) -> bytes:
+    """The journal a commit of version 7 puts before it crashes."""
+    store = VersionStore(repo, checkpoint_every=2)
     written = []
     put = repo.backend.put
 
@@ -124,8 +160,9 @@ def test_the_journal_bytes_are_pinned(tmp_path, scheme):
             commit_record={"key": "key-7", "digest": "digest-7",
                            "request_id": "req-7"},
         )
+    repo.backend.put = put
+    repo.faults = None
     # The journal is the one write that landed before the crash.
     ((key, label, data),) = written[:1]
     assert (key, label) == ("shop_catalog/journal.json", "journal")
-    assert hashlib.sha256(data).hexdigest() == JOURNAL_SHA256
-    repo.close()
+    return data
