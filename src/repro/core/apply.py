@@ -4,7 +4,9 @@ Application contract (mirrors the position semantics documented in
 :mod:`repro.core.delta`):
 
 1. **Updates** (value and attribute changes) are applied first; they are
-   addressed purely by XID and never affect positions.
+   addressed purely by XID and never affect positions.  New attributes
+   go in after every attribute removal, in ascending position, so each
+   lands at its recorded index (one without a position is appended).
 2. **Detach phase** — everything that leaves its parent is detached:
    moves first (a subtree may move *out of* a region that is about to be
    deleted), then deletes.  Detaching is by XID, so ordering inside each
@@ -182,6 +184,7 @@ def invert(delta: Delta) -> Delta:
 
 
 def _apply_value_operations(delta, index, verify, forward):
+    attribute_inserts = []
     for operation in delta.operations:
         kind = operation.kind
         if kind == "update":
@@ -196,12 +199,7 @@ def _apply_value_operations(delta, index, verify, forward):
                 )
             node.value = operation.new_value
         elif kind == "attr-insert":
-            element = _element(index, operation.xid, kind)
-            if verify and operation.name in element.attributes:
-                raise ApplyError(
-                    f"attr-insert {operation.xid}: {operation.name!r} exists"
-                )
-            element.set_attribute(operation.name, operation.value)
+            attribute_inserts.append(operation)
         elif kind == "attr-delete":
             element = _element(index, operation.xid, kind)
             if operation.name not in element.attributes:
@@ -224,6 +222,22 @@ def _apply_value_operations(delta, index, verify, forward):
                     f"attr-update {operation.xid}: old value mismatch"
                 )
             element.set_attribute(operation.name, operation.new_value)
+    attribute_inserts.sort(
+        key=lambda op: (op.position is None, op.position or 0)
+    )
+    for operation in attribute_inserts:
+        element = _element(index, operation.xid, "attr-insert")
+        if verify and operation.name in element.attributes:
+            raise ApplyError(
+                f"attr-insert {operation.xid}: {operation.name!r} exists"
+            )
+        attributes = element.attributes
+        if operation.position is None or operation.position >= len(attributes):
+            element.set_attribute(operation.name, operation.value)
+        else:
+            items = list(attributes.items())
+            items.insert(operation.position, (operation.name, operation.value))
+            element.attributes = dict(items)
 
 
 def _lookup(index: dict[int, Node], xid: int, context: str) -> Node:

@@ -193,10 +193,16 @@ def _attribute_operations(old, new) -> list[Operation]:
     operations: list[Operation] = []
     old_attributes = old.attributes
     new_attributes = new.attributes
-    for name in old_attributes:
+    last = len(old_attributes) - 1
+    for position, name in enumerate(old_attributes):
         if name not in new_attributes:
             operations.append(
-                AttributeDelete(old.xid, name, old_attributes[name])
+                AttributeDelete(
+                    old.xid,
+                    name,
+                    old_attributes[name],
+                    position if position < last else None,
+                )
             )
         elif old_attributes[name] != new_attributes[name]:
             operations.append(
@@ -204,10 +210,16 @@ def _attribute_operations(old, new) -> list[Operation]:
                     old.xid, name, old_attributes[name], new_attributes[name]
                 )
             )
-    for name in new_attributes:
+    last = len(new_attributes) - 1
+    for position, name in enumerate(new_attributes):
         if name not in old_attributes:
             operations.append(
-                AttributeInsert(old.xid, name, new_attributes[name])
+                AttributeInsert(
+                    old.xid,
+                    name,
+                    new_attributes[name],
+                    position if position < last else None,
+                )
             )
     return operations
 

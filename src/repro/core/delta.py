@@ -249,44 +249,68 @@ class Update(Operation):
 
 
 class AttributeInsert(Operation):
-    """A new attribute on an existing (matched) element."""
+    """A new attribute on an existing (matched) element.
 
-    __slots__ = ("xid", "name", "value")
+    ``position`` is its index among the element's attributes after the
+    change, kept only when it is not the last one; ``None`` appends it.
+    Attribute order carries no meaning, but a version's bytes do.
+    """
+
+    __slots__ = ("xid", "name", "value", "position")
 
     kind = "attr-insert"
 
-    def __init__(self, xid: int, name: str, value: str):
+    def __init__(
+        self, xid: int, name: str, value: str, position: Optional[int] = None
+    ):
         self.xid = xid
         self.name = name
         self.value = value
+        self.position = position
 
     def inverted(self) -> "AttributeDelete":
-        return AttributeDelete(self.xid, self.name, self.value)
+        return AttributeDelete(self.xid, self.name, self.value, self.position)
 
     def _identity(self) -> tuple:
-        return ("attr-insert", self.xid, self.name, self.value)
+        return ("attr-insert", self.xid, self.name, self.value, self.position)
 
     def __repr__(self):
         return f"AttributeInsert(xid={self.xid}, name={self.name!r})"
 
 
 class AttributeDelete(Operation):
-    """Removal of an attribute (old value retained for invertibility)."""
+    """Removal of an attribute (old value retained for invertibility).
 
-    __slots__ = ("xid", "name", "old_value")
+    ``position`` is its index among the element's attributes before the
+    change, kept only when it was not the last one, so the inverse puts
+    it back where it was.
+    """
+
+    __slots__ = ("xid", "name", "old_value", "position")
 
     kind = "attr-delete"
 
-    def __init__(self, xid: int, name: str, old_value: str):
+    def __init__(
+        self,
+        xid: int,
+        name: str,
+        old_value: str,
+        position: Optional[int] = None,
+    ):
         self.xid = xid
         self.name = name
         self.old_value = old_value
+        self.position = position
 
     def inverted(self) -> "AttributeInsert":
-        return AttributeInsert(self.xid, self.name, self.old_value)
+        return AttributeInsert(
+            self.xid, self.name, self.old_value, self.position
+        )
 
     def _identity(self) -> tuple:
-        return ("attr-delete", self.xid, self.name, self.old_value)
+        return (
+            "attr-delete", self.xid, self.name, self.old_value, self.position
+        )
 
     def __repr__(self):
         return f"AttributeDelete(xid={self.xid}, name={self.name!r})"

@@ -17,7 +17,12 @@ form, faithfully round-tripping every operation:
       <attr-update xid="4" name="status">
         <oldval>new</oldval><newval>sale</newval>
       </attr-update>
+      <attr-delete xid="4" name="color" oldValue="red" pos="0"/>
     </delta>
+
+An ``attr-insert`` or ``attr-delete`` carries ``pos`` only when its
+attribute is not the element's last one (after the insert, before the
+delete), so replay in either direction restores attribute order.
 
 Payload subtrees (the content of deletes/inserts) are embedded verbatim;
 non-element payload roots are wrapped in ``xy:text`` / ``xy:comment`` /
@@ -93,11 +98,17 @@ _OPERATION_ATTRIBUTES = {
         ("toPos", "to_position"),
     ),
     "update": (("xid", "xid"),),
-    "attr-insert": (("xid", "xid"), ("name", "name"), ("value", "value")),
+    "attr-insert": (
+        ("xid", "xid"),
+        ("name", "name"),
+        ("value", "value"),
+        ("pos", "position"),
+    ),
     "attr-delete": (
         ("xid", "xid"),
         ("name", "name"),
         ("oldValue", "old_value"),
+        ("pos", "position"),
     ),
     "attr-update": (("xid", "xid"), ("name", "name")),
 }
@@ -153,8 +164,11 @@ def _write_operation(write, operation: Operation) -> None:
     fields = _OPERATION_ATTRIBUTES.get(kind)
     if fields is None:
         raise DeltaError(f"cannot serialize operation kind {kind!r}")
+    # An attribute operation's position is written only when it has one.
     attributes = _attributes(
-        (name, getattr(operation, field)) for name, field in fields
+        (name, value)
+        for name, field in fields
+        if (value := getattr(operation, field)) is not None
     )
     if kind in ("delete", "insert"):
         write(f"<{kind}{attributes}>")
@@ -302,12 +316,14 @@ def _operation_from_element(element: Element) -> Operation:
             _required_int(element, "xid"),
             _required_attr(element, "name"),
             element.get("value", ""),
+            _int_attribute(element, "pos"),
         )
     if label == "attr-delete":
         return AttributeDelete(
             _required_int(element, "xid"),
             _required_attr(element, "name"),
             element.get("oldValue", ""),
+            _int_attribute(element, "pos"),
         )
     if label == "attr-update":
         old_value, new_value = _old_and_new_values(element)

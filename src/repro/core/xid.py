@@ -61,11 +61,6 @@ class XidAllocator:
         self.next_xid += 1
         return xid
 
-    def reserve(self, up_to: int) -> None:
-        """Ensure future allocations are strictly greater than ``up_to``."""
-        if up_to >= self.next_xid:
-            self.next_xid = up_to + 1
-
     def __repr__(self):
         return f"XidAllocator(next_xid={self.next_xid})"
 

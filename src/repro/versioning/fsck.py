@@ -11,14 +11,17 @@ and, with ``repair=True``, applies the deterministic fixes:
   beside a head that holds the checksums among them) are removed
   (they are invisible to every read path: the head never references
   them);
-- a **half-created document** (a prefix without a head, left by a
-  crash before the first commit completed) is removed;
+- a **half-created document** (a prefix with neither a head nor a
+  journal, which a crashed create left before creates were journaled)
+  is removed;
 - **missing checksums** (``missing-manifest``: a head with none and no
-  readable ``manifest.json``) are recomputed from the stored values
-  into the head (trust-on-first-hash, the only option for stores older
-  than checksums);
+  readable ``manifest.json``; ``missing-checksum``: a delta the head
+  does not list) are recomputed from the stored values into the head
+  (trust-on-first-hash, the only option for stores older than
+  checksums), through the same journaled write as a commit, so a crash
+  mid-repair recovers like a crashed commit;
 - a **damaged ``current.xml`` or checkpoint snapshot** is re-derived
-  with :meth:`~repro.versioning.repository.BackendRepository.materialize`
+  with :meth:`~repro.versioning.repository.BackendRepository.rederive`
   from the nearest *other* stored state, either direction: a
   checkpoint below replays the delta chain forward, ``current.xml`` or
   a checkpoint above replays it backward (completed deltas invert for
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.storage.atomic import sha256_bytes
 from repro.versioning import layout
 from repro.versioning.repository import (
     BackendRepository,
@@ -50,7 +52,6 @@ from repro.versioning.repository import (
     open_repository,
 )
 from repro.xmlkit.errors import ReproError
-from repro.xmlkit.serializer import serialize_bytes
 
 __all__ = ["FsckReport", "fsck_store"]
 
@@ -155,56 +156,32 @@ def _repair(repo: BackendRepository, finding: Finding) -> bool:
             for key in layout.doc_keys(backend, finding.key):
                 backend.delete(key)
             return True
-        prefix, name = layout.split_key(finding.key)
-        if finding.kind == "missing-manifest":
-            return _rebuild_checksums(backend, prefix)
-        if finding.kind == "missing-checksum":
-            head = layout.get_record(backend, prefix, "meta")
-            files = dict(layout.checksums(backend, prefix, head))
-            files[name] = backend.digest(finding.key)
-            layout.put_head(
-                backend, prefix, dict(head, checksums=files), replaces=head
-            )
-            return True
+        if finding.kind in ("missing-manifest", "missing-checksum"):
+            return _rehash(repo, finding)
         if finding.kind in ("checksum-mismatch", "missing-file"):
-            return _rederive(repo, finding.key)
+            return repo.rederive(finding.key)
         return False
     except (ReproError, OSError):
         return False
 
 
-def _rebuild_checksums(backend, prefix: str) -> bool:
-    """Recompute every checksum from the stored values into the head."""
+def _rehash(repo: BackendRepository, finding: Finding) -> bool:
+    """Record stored values' SHA-256 in the head: the one value a
+    ``missing-checksum`` finding names, or, for a head without readable
+    checksums, every value it describes (trust-on-first-hash)."""
+    backend = repo.backend
+    prefix, name = layout.split_key(finding.key)
     head = layout.get_record(backend, prefix, "meta")
-    files: dict[str, str] = {}
-    for key in layout.doc_keys(backend, prefix):
-        name = layout.split_key(key)[1]
+    if finding.kind == "missing-checksum":
+        files = dict(layout.checksums(backend, prefix, head))
+        names = [name]
+    else:
+        files = {}
+        names = [
+            layout.split_key(key)[1] for key in layout.doc_keys(backend, prefix)
+        ]
+    for name in names:
         if layout.checksummed(name, head):
-            files[name] = backend.digest(key)
-    layout.put_head(backend, prefix, dict(head, checksums=files), replaces=head)
-    return True
-
-
-def _rederive(repo: BackendRepository, key: str) -> bool:
-    """Rebuild the damaged current version or checkpoint at ``key``.
-
-    :meth:`~repro.versioning.repository.BackendRepository.materialize`
-    walks from the nearest *other* stored state, so the damaged copy is
-    never its own source.  The result only replaces it when its SHA-256
-    matches the head's record.
-    """
-    prefix, name = layout.split_key(key)
-    kind, version = layout.classify(name)
-    if kind not in ("current", "snapshot"):
-        return False
-    meta = layout.get_record(repo.backend, prefix, "meta")
-    if kind == "current":
-        version = int(meta.get("current_version", 1))
-    expected = layout.checksums(repo.backend, prefix, meta).get(name)
-    data = serialize_bytes(
-        repo.materialize(str(meta.get("doc_id", prefix)), version, damaged=name)
-    )
-    if expected is not None and sha256_bytes(data) != expected:
-        return False
-    repo.backend.put(key, data)
+            files[name] = backend.digest(layout.join(prefix, name))
+    repo.set_checksums(str(head.get("doc_id", prefix)), files)
     return True

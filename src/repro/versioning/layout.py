@@ -8,11 +8,11 @@ Every document lives under one key prefix of a store
 ``snapshot-NNNN.xml`` (``snapshot``, a checkpoint), ``meta.json``
 (``meta``, the document's head, which holds the SHA-256 checksums of
 its XML values; its appearance makes the document exist) and
-``journal.json`` (``journal``, a commit's intent record while it is in
-flight).  The XML values stay readable with any XML tool.  Both records
-are compact JSON with sorted keys (:func:`encode_record`); readers
-accept any JSON form.  The XIDs of a stored tree live in its head, in
-the XID-map range notation deltas use.
+``journal.json`` (``journal``, the intent record of a head change while
+it is in flight).  The XML values stay readable with any XML tool.
+Both records are compact JSON with sorted keys (:func:`encode_record`);
+readers accept any JSON form.  The XIDs of a stored tree live in its
+head, in the XID-map range notation deltas use.
 
 Stores written before the head held the checksums keep them in an
 older sixth value, ``manifest.json`` (``manifest``): :func:`checksums`

@@ -28,24 +28,28 @@ Durability
 ----------
 The delta model exists so any version can be *reconstructed* — which is
 only worth something if the stored bytes survive crashes.  The backend
-repository therefore commits with a write discipline:
+repository therefore writes with one discipline:
 
 - every value is written atomically through the backend (the
   filesystem backend uses :mod:`repro.storage.atomic`: temp file +
   ``os.replace``; ``durability=`` adds ``fsync``);
 - the SHA-256 checksums of the XML values live in the document's head,
   ``meta.json``, one record for the whole stored state;
-- :meth:`BackendRepository.append` is **journaled**: a commit-intent
-  record (``journal.json``) carrying the new head is written *first*,
-  then the delta, ``current.xml`` and the head, and it is removed
-  *last*, inside a backend ``batch()`` scope (a no-op on file-based
-  backends; a native transaction on SQLite).  On reopen, a leftover
-  journal identifies a torn commit, which is rolled forward (all
-  content landed — write the head) or rolled back (remove the
-  half-commit; if ``current.xml`` itself was torn, materialize it from
-  the nearest checkpoint) deterministically;
-- a checkpoint writes its snapshot, then the head that lists it: a
-  crash between them leaves an unreferenced snapshot for fsck.
+- every head change is one **journaled** write
+  (:meth:`BackendRepository._write`): a create, a commit with its
+  checkpoint when one is due, and fsck's checksum repairs.  A
+  commit-intent record (``journal.json``) carrying the new head and the
+  SHA-256 of each value before (``pre``) and after (``post``) the write
+  goes *first*, then the values, then the head, and the journal is
+  removed *last*, inside a backend ``batch()`` scope (a no-op on
+  file-based backends; a native transaction on SQLite).
+
+On reopen, a leftover journal is resolved by one rule.  If every
+``post`` value landed, the journal's head is written (rolled forward).
+Otherwise each value the write added is removed, and a value it
+overwrote that no longer holds its ``pre`` bytes is re-derived from the
+nearest other stored state (rolled back).  A ``pre`` of ``null`` is a
+hash the store never recorded: the value is trusted as it stands.
 
 Stores written before the head held the checksums (see
 :mod:`~repro.versioning.layout`) open as they are; an old journal rolls
@@ -278,14 +282,59 @@ class BackendRepository:
             raise RepositoryError(f"unknown document {doc_id!r}")
         return meta
 
-    def _store_head(self, doc_id: str, head: dict, replaces=None) -> None:
-        """Write ``doc_id``'s head (see :func:`layout.put_head`)."""
-        layout.put_head(
-            self.backend, layout.doc_prefix(doc_id), head, replaces=replaces
-        )
+    def _write(self, doc_id, head, new_head, values) -> None:
+        """Move ``doc_id``'s head from ``head`` (``None`` for a new
+        document) to ``new_head``, storing ``values`` (``name -> bytes``,
+        in write order) with it.  The new head records their checksums.
+
+        The one write of a head, journaled (see the module docstring):
+        intent first, the values next, the head after the values it
+        describes, journal removal last.  Every prefix of this sequence
+        is recoverable; the batch scope lets a transactional backend
+        make the whole sequence atomic on top of that.
+        """
+        backend = self.backend
+        prefix = layout.doc_prefix(doc_id)
+        files = dict(layout.checksums(backend, prefix, new_head))
+        post = {name: sha256_bytes(data) for name, data in values.items()}
+        # The values the write overwrites: the ones the old head describes.
+        pre = {
+            name: files.get(name)
+            for name in values
+            if head is not None and layout.checksummed(name, head)
+        }
+        files.update(post)
+        new_head = dict(new_head, checksums=files)
+        journal = {
+            "doc_id": new_head.get("doc_id", doc_id),
+            "base_version": int(head["current_version"]) if head else 0,
+            "target_version": new_head["current_version"],
+            "pre": pre,
+            "post": post,
+            "meta": new_head,
+        }
+        # A commit's journal also names its delta, as earlier readers
+        # of the journal expect.
+        for name in values:
+            if layout.classify(name)[0] == "delta":
+                journal["delta_file"] = name
+        with backend.batch():
+            layout.put_record(
+                backend, prefix, "journal", journal, label="journal"
+            )
+            for name, data in values.items():
+                backend.put(
+                    layout.join(prefix, name),
+                    data,
+                    label=layout.classify(name)[0],
+                )
+            layout.put_head(backend, prefix, new_head, replaces=head)
+            backend.delete(
+                layout.key(prefix, "journal"), label="journal-clear"
+            )
         pin = self._pin_for(doc_id)
         if pin is not None:
-            pin[1] = head
+            pin[1] = new_head
 
     def _load_tree(
         self, key: str, meta: dict, labels: Optional[str | list]
@@ -334,6 +383,7 @@ class BackendRepository:
                 list(pair) for pair in document.id_attributes
             ),
             "xid_labels": layout.initial_xids(nodes),
+            "checksums": {},
         }
         if commit_record is not None:
             meta["last_commit"] = dict(commit_record, version=1)
@@ -341,19 +391,8 @@ class BackendRepository:
                 meta["attribution"] = {
                     "1": str(commit_record["request_id"])
                 }
-        with self.backend.batch():
-            meta["checksums"] = {
-                layout.name("current"): self.backend.put(
-                    layout.key(prefix, "current"),
-                    serialize_bytes(document),
-                    label="current",
-                )
-            }
-            # meta.json lands last: its appearance is what makes the
-            # document exist.  A crash before this point leaves an
-            # incomplete prefix that the next create() overwrites and
-            # fsck flags.
-            self._store_head(doc_id, meta)
+        values = {layout.name("current"): serialize_bytes(document)}
+        self._write(doc_id, None, meta, values)
 
     def exists(self, doc_id: str) -> bool:
         return self._head(doc_id) is not None
@@ -445,8 +484,18 @@ class BackendRepository:
                 f"corrupt delta file {location}: {exc}", path=location
             ) from exc
 
-    def append(self, doc_id, delta, new_document, allocator, commit_record=None):
-        """Advance a document by one version."""
+    def append(
+        self,
+        doc_id,
+        delta,
+        new_document,
+        allocator,
+        commit_record=None,
+        *,
+        checkpoint=False,
+    ):
+        """Advance a document by one version; ``checkpoint`` also keeps
+        the new version as a checkpoint, in the same write."""
         span = None
         if self.tracer is not None:
             span = self.tracer.start_span("repo.append", doc_id=doc_id)
@@ -455,17 +504,13 @@ class BackendRepository:
             version = int(meta["current_version"])
             if span is not None:
                 span.attrs["base_version"] = version
-            prefix = layout.doc_prefix(doc_id)
-            delta_name = layout.name("delta", version)
-            current_name = layout.name("current")
-            delta_bytes = serialize_delta(delta).encode("utf-8")
             current_bytes = serialize_bytes(new_document)
-            backend = self.backend
-            files = dict(layout.checksums(backend, prefix, meta))
-            new_meta = dict(meta)
-            new_meta["current_version"] = version + 1
-            new_meta["next_xid"] = allocator.next_xid
-            new_meta["xid_labels"] = layout.collect_xids(new_document)
+            new_meta = dict(
+                meta,
+                current_version=version + 1,
+                next_xid=allocator.next_xid,
+                xid_labels=layout.collect_xids(new_document),
+            )
             # The idempotency record commits (and clears) *with* the
             # version it describes: it rides the journaled metadata, so
             # roll-forward preserves it and roll-back discards it along
@@ -486,43 +531,21 @@ class BackendRepository:
                     new_meta["attribution"] = attribution
             else:
                 new_meta.pop("last_commit", None)
-            pre_current = files.get(current_name)
-            files[delta_name] = sha256_bytes(delta_bytes)
-            files[current_name] = sha256_bytes(current_bytes)
-            new_meta["checksums"] = files
-            journal = {
-                "doc_id": meta.get("doc_id", doc_id),
-                "base_version": version,
-                "target_version": version + 1,
-                "delta_file": delta_name,
-                "pre": {current_name: pre_current},
-                "post": {
-                    current_name: files[current_name],
-                    delta_name: files[delta_name],
-                },
-                "meta": new_meta,
+            values = {
+                layout.name("delta", version): serialize_delta(delta).encode(
+                    "utf-8"
+                )
             }
-            # Commit protocol: intent first, content next, the head
-            # after the content it describes, journal removal last.
-            # Every prefix of this sequence is recoverable.  The batch
-            # scope lets a transactional backend make the whole
-            # sequence atomic on top of that.
-            with backend.batch():
-                layout.put_record(
-                    backend, prefix, "journal", journal, label="journal"
-                )
-                backend.put(
-                    layout.join(prefix, delta_name), delta_bytes, label="delta"
-                )
-                backend.put(
-                    layout.join(prefix, current_name),
-                    current_bytes,
-                    label="current",
-                )
-                self._store_head(doc_id, new_meta, replaces=meta)
-                backend.delete(
-                    layout.key(prefix, "journal"), label="journal-clear"
-                )
+            if checkpoint:
+                values[layout.name("snapshot", version + 1)] = current_bytes
+                snapshots = dict(meta.get("snapshots", {}))
+                snapshots[str(version + 1)] = new_meta["xid_labels"]
+                new_meta["snapshots"] = snapshots
+            # current.xml, the one value a commit overwrites, lands
+            # last: a crash before it is rolled back by removing what
+            # the commit added, with nothing to re-derive.
+            values[layout.name("current")] = current_bytes
+            self._write(doc_id, meta, new_meta, values)
         finally:
             if span is not None:
                 self.tracer.end_span(span)
@@ -570,18 +593,13 @@ class BackendRepository:
             # journal itself and nothing else changed: discard it.
             backend.delete(journal_key)
             return RecoveryEvent(doc_ref, "removed-invalid-journal")
-        post = journal.get("post", {})
-        pre = journal.get("pre", {})
-        delta_name = journal.get("delta_file", "")
-        delta_key = layout.join(prefix, delta_name)
-        current_name = layout.name("current")
-        current_key = layout.join(prefix, current_name)
-        delta_ok = bool(delta_name) and _digest_or_none(
-            backend, delta_key
-        ) == post.get(delta_name)
-        current_digest = _digest_or_none(backend, current_key)
-        if delta_ok and current_digest == post.get(current_name):
-            # All content landed — the crash hit the head write or the
+        pre, post = journal.get("pre", {}), journal.get("post", {})
+        landed = {
+            name: _digest_or_none(backend, layout.join(prefix, name))
+            for name in post
+        }
+        if landed == post:
+            # Every value landed — the crash hit the head write or the
             # journal removal.  Roll forward to the journal's head,
             # which supersedes any manifest.json; a journal written
             # before heads held the checksums carries them in its
@@ -597,51 +615,66 @@ class BackendRepository:
                 "rolled-forward",
                 f"to version {journal.get('target_version')}",
             )
-        pre_current = pre.get(current_name)
-        if current_digest is not None and pre_current in (None, current_digest):
-            # current.xml is still the pre-commit content (or a legacy
-            # store never recorded its hash — trust the write order:
-            # delta precedes current, and the delta did not land).
-            backend.delete(delta_key)
-            backend.delete(journal_key)
-            return RecoveryEvent(
-                doc_ref,
-                "rolled-back",
-                f"to version {journal.get('base_version')}",
-            )
-        # current.xml is neither pre nor post: it was torn.  Re-derive
-        # the pre-commit content from the nearest checkpoint — the
-        # recovery mechanism completed deltas make possible.  The
-        # metadata still describes the pre-commit version.
-        try:
-            replayed = self.materialize(
-                str(journal["doc_id"]),
-                int(journal.get("base_version", 0)),
-                damaged=current_name,
-            )
-        except (KeyError, ReproError, OSError):
-            replayed = None
-        if replayed is None:
-            return RecoveryEvent(
-                doc_ref,
-                "unrecoverable",
-                "current.xml torn and no checkpoint to replay from",
-            )
-        restored = serialize_bytes(replayed)
-        if pre_current is not None and sha256_bytes(restored) != pre_current:
-            return RecoveryEvent(
-                doc_ref,
-                "unrecoverable",
-                "replayed content does not match the recorded checksum",
-            )
-        backend.put(current_key, restored)
-        backend.delete(delta_key)
+        # Roll back; the head still describes the state before the
+        # write.  A value it overwrote that no longer holds its pre
+        # bytes was torn: re-derive it from the nearest other stored
+        # state — the recovery completed deltas make possible.
+        torn = [
+            name
+            for name, digest in pre.items()
+            if landed.get(name) is None or digest not in (None, landed[name])
+        ]
+        for name in torn:
+            try:
+                restored = self.rederive(layout.join(prefix, name))
+            except (ReproError, OSError):
+                restored = False
+            if not restored:
+                return RecoveryEvent(
+                    doc_ref,
+                    "unrecoverable",
+                    f"{name} torn and not re-derivable from another "
+                    "stored state",
+                )
+        # What the write added — a delta, a checkpoint, a new
+        # document's current.xml — goes.
+        for name in post:
+            if name not in pre:
+                backend.delete(layout.join(prefix, name))
         backend.delete(journal_key)
         return RecoveryEvent(
             doc_ref,
-            "rolled-back-replay",
-            f"current.xml re-derived for version {journal.get('base_version')}",
+            "rolled-back-replay" if torn else "rolled-back",
+            f"to version {journal.get('base_version')}",
         )
+
+    def rederive(self, key: str) -> bool:
+        """Rebuild the current version or checkpoint stored at ``key``
+        from the nearest *other* stored state (see :meth:`materialize`),
+        so the damaged copy is never its own source.  It is written only
+        when its SHA-256 matches the head's record (or the head has
+        none); returns whether it was.
+        """
+        prefix, name = layout.split_key(key)
+        kind, version = layout.classify(name)
+        if kind not in ("current", "snapshot"):
+            return False
+        meta = layout.get_record(self.backend, prefix, "meta")
+        if kind == "current":
+            version = int(meta.get("current_version", 1))
+        doc_id = str(meta.get("doc_id", prefix))
+        data = serialize_bytes(self.materialize(doc_id, version, damaged=name))
+        expected = layout.checksums(self.backend, prefix, meta).get(name)
+        if expected is not None and sha256_bytes(data) != expected:
+            return False
+        self.backend.put(key, data)
+        return True
+
+    def set_checksums(self, doc_id: str, checksums: dict) -> None:
+        """Replace the checksums in ``doc_id``'s head (fsck's repairs of
+        a head without them), in one journaled write."""
+        head = self._load_meta(doc_id)
+        self._write(doc_id, head, dict(head, checksums=checksums), {})
 
     # -- verification --------------------------------------------------------
 
@@ -801,23 +834,8 @@ class BackendRepository:
 
     # -- snapshot checkpoints ------------------------------------------------
     # Checkpoints are extra starting points for materialize(), bounding
-    # the delta walk for long histories.
-
-    def store_snapshot(self, doc_id, version, document):
-        """Keep a full copy of one historical version."""
-        meta = self._load_meta(doc_id)
-        prefix = layout.doc_prefix(doc_id)
-        snapshots = dict(meta.get("snapshots", {}))
-        snapshots[str(version)] = layout.collect_xids(document)
-        files = dict(layout.checksums(self.backend, prefix, meta))
-        with self.backend.batch():
-            files[layout.name("snapshot", version)] = self.backend.put(
-                layout.key(prefix, "snapshot", version),
-                serialize_bytes(document),
-                label="snapshot",
-            )
-            head = dict(meta, snapshots=snapshots, checksums=files)
-            self._store_head(doc_id, head, replaces=meta)
+    # the delta walk for long histories; a commit stores one through
+    # append(checkpoint=True).
 
     def load_snapshot(self, doc_id, version):
         """A stored historical snapshot, or ``None``."""

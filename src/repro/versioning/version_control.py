@@ -189,19 +189,20 @@ class VersionStore:
                     observe_stage_seconds(self.metrics, stats)
                 delta.base_version = base_version
                 delta.target_version = base_version + 1
+                # A due checkpoint rides in the commit's one write.  The
+                # keyword is passed only then, so a subclass overriding
+                # append without it still commits between checkpoints.
+                due = (
+                    self.checkpoint_every is not None
+                    and delta.target_version % self.checkpoint_every == 0
+                )
                 repository.append(
                     doc_id, delta, working, allocator,
                     commit_record=commit_record,
+                    **({"checkpoint": True} if due else {}),
                 )
                 if self._commits_total is not None:
                     self._commits_total.inc(engine=stats.engine)
-                if (
-                    self.checkpoint_every is not None
-                    and delta.target_version % self.checkpoint_every == 0
-                ):
-                    repository.store_snapshot(
-                        doc_id, delta.target_version, working
-                    )
                 if self.on_commit is not None:
                     self.on_commit(doc_id, delta, working)
                 fields["version"] = delta.target_version

@@ -23,6 +23,7 @@ from repro.core import (
     diff,
     invert,
 )
+from repro.core.deltaxml import parse_delta, serialize_delta
 from repro.xmlkit import ApplyError, Element, Text, parse, serialize
 
 
@@ -56,6 +57,38 @@ class TestApplyBasics:
             "attr-delete": 1,
             "attr-insert": 1,
         }
+
+    def test_a_deleted_attribute_returns_to_its_place(self):
+        old = parse('<e a="1" b="2" c="3"/>')
+        new = parse('<e a="1" c="3"/>')
+        delta = diff(old, new)
+        (operation,) = delta.operations
+        assert (operation.kind, operation.position) == ("attr-delete", 1)
+        backward = apply_backward(delta, new, verify=True)
+        assert serialize(backward) == '<e a="1" b="2" c="3"/>'
+
+    @pytest.mark.parametrize(
+        "old_text, new_text",
+        [
+            ('<e a="1" b="2" c="3" d="4"/>', '<e a="1" d="4"/>'),
+            ('<e a="1" b="2" c="3"/>', '<e x="7" y="8" a="1" c="3"/>'),
+            ('<e a="1" b="2" c="3"/>', '<e c="3" x="7"/>'),
+            ('<e a="1"/>', '<e b="2" a="1"/>'),
+            ('<e a="1" b="2"/>', "<e/>"),
+        ],
+    )
+    def test_attribute_order_survives_both_directions(
+        self, old_text, new_text
+    ):
+        old, new = parse(old_text), parse(new_text)
+        delta = parse_delta(serialize_delta(diff(old, new)))
+        assert serialize(apply_delta(delta, old, verify=True)) == new_text
+        assert serialize(apply_backward(delta, new, verify=True)) == old_text
+        # A delta's operations are a set: listed in reverse, they apply
+        # the same.
+        delta.operations.reverse()
+        assert serialize(apply_delta(delta, old, verify=True)) == new_text
+        assert serialize(apply_backward(delta, new, verify=True)) == old_text
 
     def test_subtree_insert(self):
         delta = roundtrip(

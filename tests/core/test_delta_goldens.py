@@ -3,9 +3,13 @@
 Every expected value below was produced by the earlier implementation
 (payloads cloned into a temporary document that the generic serializer
 wrote out, and a candidate index that re-scanned taken nodes); the
-per-engine pins by the plugin-registry engine layer.  A change to the
-delta writer, to phase 3's candidate index or to the engine layer must
-keep each of them: the same delta bytes and the same matcher decisions.
+per-engine pins by the plugin-registry engine layer.  The pins of
+deltas holding an attribute insert or delete that was not the
+element's last attribute moved once, when those operations began to
+record its position (`` pos="N"``); the bytes are otherwise the same.
+A change to the delta writer, to phase 3's candidate index or to the
+engine layer must keep each of them: the same delta bytes and the same
+matcher decisions.
 """
 
 import hashlib
@@ -61,13 +65,13 @@ def fig4_pair(nodes):
 
 
 FIG4_DELTA_SHA256 = {
-    5_000: "c1b979171f0e6ae58c0fecf696a4b5fa600b59ab3da148d5bce0adf1ec486da4",
-    20_000: "4d350fcc88ec24092186c7441246914cc89a5567e652ae7a8fe1e5848ae0e8cb",
-    60_000: "a386e617853e035612911b15ce8bab2cf54ac599819708cb993a2a5bf17cab40",
+    5_000: "0c32e7b08db9ec97c1fbc365be2761b0a4ec216a6a1d5fa0144ad46871e5cb5c",
+    20_000: "c7d13d2edcd185f463b7cf6ea761cf605396cd23cb9efa39637e1d7b30287c45",
+    60_000: "1e3e3473634edd65fb9e7f04847f2b85152967109ab3fa251e1a39a1133a0e85",
 }
 
 WEEKLY_DELTA_SHA256 = (
-    "b970d15e4bfa855356a6f6663311ffdba89378a6a5514ca0275bca10b10cef61"
+    "7f5c9df54ca55fabd344e195a2e02d99ca00b694116ced8e7f41b4ce03a9909a"
 )
 SITE_DELTA_SHA256 = (
     "6787d907b2c77efe64983e04819e2ffe0e21bd56d7087d65d0c0e9524ab4ec6a"
@@ -78,10 +82,10 @@ PROVENANCE_SHA256 = (
 
 #: Every engine's delta on the 1k-node FIG4 pair.
 ENGINE_DELTA_SHA256 = {
-    "buld": "d566393e3c88a826637d0f2e5a00610e91321eee3cc0dc275fe59a79243517e2",
+    "buld": "e0eb102f099fef64ab7d54a3a4a984f3e98db6674a586323fd140c1cfe286e87",
     "diffmk": "1116fe94d56627dc2e6f4d2fb23a84b703546449e77f117f5715335abf11e7ae",
-    "flat": "95a668c4cc1d739043fc15161c4e52faae60c25fa1d21fe9dc465fd0be7cba68",
-    "ladiff": "67ab536ab20e720cf10d9f214c70d4c322c0f5f255e68ac85b8d681e928ca52e",
+    "flat": "8c690e3cbf6ebedcb372b0fd3c65a75647a1d1325fcb3c913f38723420547ab1",
+    "ladiff": "c69676b20222f08d899e8a744fee179e86206fbc3e09d46c03c10aa12f9037be",
     "lu": "ecae6396e0f4355c7cb0025642c2b3d6961d7ea87ccc91d9155ebedb0775e77e",
 }
 

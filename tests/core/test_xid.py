@@ -21,13 +21,6 @@ class TestAllocator:
         allocator = XidAllocator()
         assert [allocator.allocate() for _ in range(3)] == [1, 2, 3]
 
-    def test_reserve(self):
-        allocator = XidAllocator(5)
-        allocator.reserve(10)
-        assert allocator.allocate() == 11
-        allocator.reserve(3)  # no-op backwards
-        assert allocator.allocate() == 12
-
     def test_invalid_start(self):
         with pytest.raises(ValueError):
             XidAllocator(0)

@@ -36,8 +36,8 @@ def test_fig5_ratio_to_the_perfect_delta():
         (300, 0.10): 1.3260682535130484,
         (300, 0.30): 1.1013840253460063,
         (1000, 0.01): 1.0926717992586257,
-        (1000, 0.10): 1.508871760384874,
-        (1000, 0.30): 1.021357347410551,
+        (1000, 0.10): 1.5092856034348974,
+        (1000, 0.30): 1.0219093951626816,
     })
 
 
@@ -98,7 +98,7 @@ def test_abl_delta_bytes_per_knob():
         "defaults": 20983,
         "no ID attributes": 20983,
         "inferred ID attributes": 20983,
-        "flat text weight": 22363,
+        "flat text weight": 22371,
         "eager down-propagation": 20822,
         "0 optimization passes": 26731,
         "4 optimization passes": 20983,

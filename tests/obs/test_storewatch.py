@@ -73,11 +73,10 @@ def test_bytes_by_kind_accounts_every_key(file_repo):
 
 def test_checkpoint_coverage_and_staleness(tmp_path):
     repository = open_repository(f"file://{tmp_path}/ck")
-    store = VersionStore(repository=repository)
+    store = VersionStore(repository=repository, checkpoint_every=4)
     _grow(store, "plain", 3)  # no checkpoint: staleness 3 - 1 = 2
-    _grow(store, "marked", 4)
     # Checkpoint at the head version: staleness 0.
-    repository.store_snapshot("marked", 4, store.get_current("marked"))
+    _grow(store, "marked", 4)
     report = collect_store_stats(repository)
     repository.close()
     checkpoints = report["checkpoints"]

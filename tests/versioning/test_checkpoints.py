@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.versioning import VersionStore, open_repository
+from repro.storage import open_backend
+from repro.versioning import BackendRepository, VersionStore, open_repository
 from repro.xmlkit import parse
 from repro.xmlkit.errors import RepositoryError
 
@@ -69,6 +70,29 @@ class TestCheckpointing:
         for text in texts[1:]:
             store.commit("d", parse(text))
         assert repository.snapshot_versions("d") == []
+
+    def test_only_a_due_checkpoint_passes_the_keyword(self, tmp_path):
+        # A repository overriding append with the signature it had
+        # before checkpoints rode in commits still commits between them.
+        calls = []
+
+        class Recording(BackendRepository):
+            def append(self, doc_id, delta, new_document, allocator,
+                       commit_record=None, **checkpoint):
+                calls.append(checkpoint)
+                return super().append(
+                    doc_id, delta, new_document, allocator,
+                    commit_record=commit_record, **checkpoint,
+                )
+
+        repository = Recording(open_backend(f"file://{tmp_path / 'repo'}"))
+        store = VersionStore(repository, checkpoint_every=3)
+        texts = versions(5)
+        store.create("d", parse(texts[0]))
+        for text in texts[1:]:
+            store.commit("d", parse(text))
+        assert calls == [{}, {"checkpoint": True}, {}, {}]
+        assert repository.snapshot_versions("d") == [3]
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

@@ -5,10 +5,12 @@ A commit reads the document's head once: ``meta.json`` and then
 ``current.xml``, so two gets.  A version read does too: ``meta.json``
 once, the stored state it starts from, and the deltas it replays.
 It writes the journal, the delta, ``current.xml`` and the head, so four
-puts.  XID labels (the current version's and every checkpoint's) are
-kept in the XID-map range notation deltas use, not as a JSON list of
-every node's XID.  Stores written before that, with
-list-form labels, still open, commit, materialize and pass fsck.
+puts; a checkpoint commit adds its snapshot to the same write, so five.
+A create writes the journal, ``current.xml`` and the head.  XID labels
+(the current version's and every checkpoint's) are kept in the XID-map
+range notation deltas use, not as a JSON list of every node's XID.
+Stores written before that, with list-form labels, still open, commit,
+materialize and pass fsck.
 Runs against every storage backend; ``XYDIFF_BACKENDS`` narrows the
 sweep.
 """
@@ -173,7 +175,7 @@ def test_every_front_end_commits_without_a_probe(
     # Each front end hands the commit to VersionStore.commit, which
     # reads the head once, inside its own pinned scope: an existing
     # document costs 2 gets and 4 puts, a new one 1 get (its absent
-    # head), 1 probe (create's strict check) and 2 puts.
+    # head), 1 probe (create's strict check) and 3 puts.
     url, commit = front_end
     texts = _chain()
     seed = VersionStore(BackendRepository(open_backend(url)))
@@ -184,7 +186,7 @@ def test_every_front_end_commits_without_a_probe(
     assert recorder.counts == Counter(gets=2, puts=4)
     recorder.counts.clear()
     commit(url, tmp_path, "new.xml", texts[0])
-    assert recorder.counts == Counter(gets=1, probes=1, puts=2)
+    assert recorder.counts == Counter(gets=1, probes=1, puts=3)
     monkeypatch.undo()
     store = VersionStore(BackendRepository(open_backend(url)))
     assert store.current_version("doc.xml") == 2
@@ -223,9 +225,12 @@ def test_a_commit_makes_two_gets_and_four_puts(tmp_path, scheme):
                 "current.xml", "meta.json",
             ]
         else:
-            # A checkpoint adds the snapshot and the head (rewritten,
-            # not read).
-            assert made == Counter(gets=2, puts=6), version
+            # A checkpoint adds its snapshot to the commit's one write.
+            assert made == Counter(gets=2, puts=5), version
+            assert names == [
+                "journal.json", f"delta-{version - 1:04d}-{version:04d}.xml",
+                f"snapshot-{version:04d}.xml", "current.xml", "meta.json",
+            ]
         for name, data in recorder.puts:
             if name == "meta.json":
                 _assert_range_labels(json.loads(data))
@@ -234,18 +239,33 @@ def test_a_commit_makes_two_gets_and_four_puts(tmp_path, scheme):
     repo.close()
 
 
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_a_create_writes_the_journal_current_and_the_head(tmp_path, scheme):
+    _, repo = _open(tmp_path, scheme)
+    recorder = _Recorder(repo.backend)
+    VersionStore(repo).create("doc", parse(_chain()[0]))
+    assert recorder.counts == Counter(puts=3, probes=1)
+    assert [name for name, _ in recorder.puts] == [
+        "journal.json", "current.xml", "meta.json",
+    ]
+    journal = json.loads(recorder.puts[0][1])
+    assert journal["pre"] == {} and list(journal["post"]) == ["current.xml"]
+    assert not repo.backend.exists("doc/journal.json")
+    repo.close()
+
+
 def test_a_checkpoint_leaves_the_pinned_meta_unchanged(tmp_path):
     # The pinned meta is shared with the meta it was copied from, so a
-    # checkpoint writes a new record instead of editing it in place.
+    # checkpoint commit writes a new record instead of editing it in
+    # place.
     _, repo = _open(tmp_path, "file")
-    store = VersionStore(repo)
+    store = VersionStore(repo, checkpoint_every=2)
     texts = _chain()
     store.create("doc", parse(texts[0]))
-    store.commit("doc", parse(texts[1]))
     with repo.pinned_head("doc"):
         pinned = repo._load_meta("doc")
         before = json.dumps(pinned, sort_keys=True)
-        repo.store_snapshot("doc", 2, repo.load_current("doc"))
+        store.commit("doc", parse(texts[1]))
         assert json.dumps(pinned, sort_keys=True) == before
         assert "2" in repo._load_meta("doc")["snapshots"]
     assert repo._pinned.head is None

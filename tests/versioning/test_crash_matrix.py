@@ -195,21 +195,36 @@ class TestEio:
 
 
 class TestCrashDuringCreate:
-    def test_crash_before_meta_leaves_removable_directory(self, tmp_path):
+    def test_crash_before_meta_rolls_back_on_reopen(self, tmp_path):
         path = tmp_path / "store"
         repo, store = _store_at(
             path, faults=FaultInjector(crash_after=1, label=None)
         )
         with pytest.raises(InjectedFault):
             store.create("doc", parse(V1))
-        # meta.json never landed, so the document does not exist...
+        # The create is journaled: reopening rolls it back, leaving
+        # neither the document nor a half-created directory.
+        reopened = open_repository(path)
+        assert [e.action for e in reopened.recovery_events] == [
+            "rolled-back"
+        ]
+        assert not reopened.exists("doc")
+        assert reopened.verify() == []
+        assert fsck_store(path).exit_code() == 0
+        VersionStore(reopened).create("doc", parse(V1))
+        assert reopened.current_version("doc") == 1
+
+    def test_a_prefix_without_a_head_is_removable(self, tmp_path):
+        # The shape a crashed create left before creates were
+        # journaled: current.xml and no meta.json.
+        path = tmp_path / "store"
+        (path / "doc").mkdir(parents=True)
+        (path / "doc" / "current.xml").write_text(V1)
         reopened = open_repository(path)
         assert not reopened.exists("doc")
-        # ...but the half-created directory is flagged and repairable.
         kinds = [finding.kind for finding in reopened.verify()]
         assert kinds == ["incomplete-document"]
-        report = fsck_store(path, repair=True)
-        assert report.exit_code() == 1
+        assert fsck_store(path, repair=True).exit_code() == 1
         assert fsck_store(path).exit_code() == 0
 
 
@@ -259,3 +274,19 @@ class TestJournalFormat:
         assert VersionStore(reopened).get_version("doc", version).deep_equal(
             parse(V3 if version == 3 else V2)
         )
+
+    def test_a_journal_without_a_recorded_hash_trusts_current(self, tmp_path):
+        import json
+
+        path = tmp_path / "store"
+        # Crashed before current.xml was written: it holds version 2.
+        journal = self._torn_commit(path, 2)
+        # A store older than checksums recorded no hash of current.xml:
+        # its journals hold null, and recovery trusts the write order.
+        payload = json.loads(journal.read_text(encoding="utf-8"))
+        payload["pre"] = {"current.xml": None}
+        journal.write_bytes(layout.encode_record(payload))
+        reopened = open_repository(path)
+        assert [e.action for e in reopened.recovery_events] == ["rolled-back"]
+        assert reopened.verify() == []
+        assert reopened.current_version("doc") == 2

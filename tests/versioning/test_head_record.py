@@ -1,15 +1,19 @@
-"""One head record per document.
+"""One head record per document, written one way.
 
 A document's head, ``meta.json``, holds its version, XID state and the
 SHA-256 checksums of its XML values, so a commit reads and writes one
-record, and every record is compact JSON.  These tests crash a
-checkpoint write at each of its write points, open stores in the
-layout written before the head held the checksums (a ``manifest.json``
-beside an indented head, and journals that embed both), and count the
-garbage a commit leaves to the cycle collector.  Runs against every
-storage backend; ``XYDIFF_BACKENDS`` narrows the sweep.
+record, and every record is compact JSON.  Every change of a head — a
+create, a commit, a checkpoint commit, fsck's checksum repairs — is one
+journaled write.  These tests crash each of them at every write point,
+both before the write and with half of it landed (torn), open stores in
+the layout written before the head held the checksums (a
+``manifest.json`` beside an indented head, and journals that embed
+both), and count the garbage a commit leaves to the cycle collector.
+Runs against every storage backend; ``XYDIFF_BACKENDS`` narrows the
+sweep.
 """
 
+import contextlib
 import gc
 import json
 import os
@@ -45,8 +49,44 @@ PREFIX = layout.doc_prefix(DOC_ID)
 META_KEY = layout.key(PREFIX, "meta")
 MANIFEST_KEY = layout.key(PREFIX, "manifest")
 
-#: The write points of one checkpoint, in order.
-SNAPSHOT_OPS = [("write", "snapshot"), ("write", "meta")]
+#: The write points of each head change, in order: one journaled write.
+WRITE_POINTS = {
+    "create": [
+        ("write", "journal"),
+        ("write", "current"),
+        ("write", "meta"),
+        ("unlink", "journal-clear"),
+    ],
+    "commit": [
+        ("write", "journal"),
+        ("write", "delta"),
+        ("write", "current"),
+        ("write", "meta"),
+        ("unlink", "journal-clear"),
+    ],
+    "checkpoint": [
+        ("write", "journal"),
+        ("write", "delta"),
+        ("write", "snapshot"),
+        ("write", "current"),
+        ("write", "meta"),
+        ("unlink", "journal-clear"),
+    ],
+    "missing-checksum": [
+        ("write", "journal"),
+        ("write", "meta"),
+        ("unlink", "journal-clear"),
+    ],
+    # The damaged head has no checksums, so it is replaced the way an
+    # older head is: any manifest.json goes with it.
+    "missing-manifest": [
+        ("write", "journal"),
+        ("write", "meta"),
+        ("unlink", "manifest-clear"),
+        ("unlink", "journal-clear"),
+    ],
+}
+REPAIRS = ["missing-checksum", "missing-manifest"]
 
 #: The write points of the first commit of a document in the older
 #: layout: its manifest goes after the head that supersedes it.
@@ -91,45 +131,120 @@ def _assert_one_compact_head(repo) -> dict:
     return head
 
 
-# -- (a) a checkpoint crashed at each write point ----------------------------
+# -- (a) every head change crashed at each write point ---------------------
+
+
+def _prepare(repo, operation):
+    """Bring ``repo`` to the state before ``operation``; returns a
+    callable that runs it."""
+    if operation == "create":
+        return lambda: VersionStore(repo).create(DOC_ID, parse(VERSIONS[0]))
+    _history(repo)
+    if operation in ("commit", "checkpoint"):
+        # Version 7 is a checkpoint only when checkpoints come every 7.
+        every = 7 if operation == "checkpoint" else 2
+        store = VersionStore(repo, checkpoint_every=every)
+        return lambda: store.commit(DOC_ID, parse(VERSIONS[0]))
+    head = json.loads(repo.backend.get(META_KEY))
+    if operation == "missing-checksum":
+        del head["checksums"][layout.name("delta", 1)]
+    else:
+        del head["checksums"]
+    repo.backend.put(META_KEY, layout.encode_record(head))
+    return lambda: fsck_store(repo, repair=True)
+
+
+def _state(repo):
+    """What a reader sees: versions, checkpoints and finding kinds."""
+    kinds = sorted(finding.kind for finding in repo.verify())
+    if not repo.exists(DOC_ID):
+        return [], [], kinds
+    return _versions(repo), repo.snapshot_versions(DOC_ID), kinds
+
+
+def _assert_recovers(tmp_path, scheme, operation, crash_after):
+    """Crash ``operation`` before its write ``crash_after``, and tear
+    that write: each time, the store reopens to the state before the
+    operation or after it, and ``fsck --repair`` leaves it clean."""
+    (tmp_path / "twin").mkdir()
+    twin = _open(tmp_path / "twin", scheme)
+    run = _prepare(twin, operation)
+    before = _state(twin)
+    twin.faults = probe = FaultInjector()
+    run()
+    assert probe.ops == WRITE_POINTS[operation]
+    twin.faults = None
+    after = _state(twin)
+    twin.close()
+    for mode in ("crash", "torn"):
+        path = tmp_path / mode
+        path.mkdir()
+        repo = _open(path, scheme)
+        run = _prepare(repo, operation)
+        repo.faults = faults = FaultInjector(crash_after=crash_after, mode=mode)
+        # fsck reports a repair that failed instead of raising.
+        with contextlib.suppress(InjectedFault):
+            run()
+        assert faults.fired
+        repo.close()
+
+        reopened = _open(path, scheme)
+        assert _state(reopened) in (before, after), mode
+        reopened.close()
+        assert fsck_store(_url(path, scheme), repair=True).exit_code() in (
+            0, 1
+        )
+        reopened = _open(path, scheme)
+        assert reopened.verify() == [], mode
+        reopened.close()
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)
 def test_a_checkpoint_writes_the_snapshot_then_the_head(tmp_path, scheme):
     faults = FaultInjector()
     repo = _open(tmp_path, scheme, faults=faults)
-    _history(repo)
+    run = _prepare(repo, "checkpoint")
     faults.reset()
-    repo.store_snapshot(DOC_ID, 5, repo.materialize(DOC_ID, 5))
-    assert faults.ops == SNAPSHOT_OPS
-    assert repo.snapshot_versions(DOC_ID) == [2, 4, 5, 6]
+    run()
+    assert faults.ops == WRITE_POINTS["checkpoint"]
+    assert repo.snapshot_versions(DOC_ID) == [2, 4, 6, 7]
     assert repo.verify() == []
     repo.close()
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)
-@pytest.mark.parametrize("crash_after", range(len(SNAPSHOT_OPS)))
-def test_every_checkpoint_crash_point_recovers(tmp_path, scheme, crash_after):
-    repo = _open(tmp_path, scheme)
-    _history(repo)
-    committed = _versions(repo)
-    tree = repo.materialize(DOC_ID, 5)
-    repo.faults = FaultInjector(crash_after=crash_after)
-    with pytest.raises(InjectedFault):
-        repo.store_snapshot(DOC_ID, 5, tree)
-    repo.close()
+@pytest.mark.parametrize("crash_after", range(len(WRITE_POINTS["create"])))
+def test_every_create_crash_point_recovers(tmp_path, scheme, crash_after):
+    _assert_recovers(tmp_path, scheme, "create", crash_after)
 
-    reopened = _open(tmp_path, scheme)
-    assert _versions(reopened) == committed
-    reopened.close()
-    assert fsck_store(_url(tmp_path, scheme), repair=True).exit_code() in (
-        0, 1
-    )
-    reopened = _open(tmp_path, scheme)
-    assert reopened.verify() == []
-    assert _versions(reopened) == committed
-    assert reopened.snapshot_versions(DOC_ID) in ([2, 4, 6], [2, 4, 5, 6])
-    reopened.close()
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+@pytest.mark.parametrize("crash_after", range(len(WRITE_POINTS["commit"])))
+def test_every_commit_crash_point_recovers(tmp_path, scheme, crash_after):
+    _assert_recovers(tmp_path, scheme, "commit", crash_after)
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+@pytest.mark.parametrize(
+    "crash_after", range(len(WRITE_POINTS["checkpoint"]))
+)
+def test_every_checkpoint_crash_point_recovers(tmp_path, scheme, crash_after):
+    _assert_recovers(tmp_path, scheme, "checkpoint", crash_after)
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+@pytest.mark.parametrize(
+    "repair, crash_after",
+    [
+        (repair, crash_after)
+        for repair in REPAIRS
+        for crash_after in range(len(WRITE_POINTS[repair]))
+    ],
+)
+def test_every_repair_crash_point_recovers(
+    tmp_path, scheme, repair, crash_after
+):
+    _assert_recovers(tmp_path, scheme, repair, crash_after)
 
 
 # -- (b) a store in the older layout -----------------------------------------
@@ -195,11 +310,16 @@ def test_a_checkpoint_migrates_an_old_head(tmp_path, scheme):
     committed = _old_layout_store(tmp_path, scheme)
     faults = FaultInjector()
     repo = _open(tmp_path, scheme, faults=faults)
-    repo.store_snapshot(DOC_ID, 5, repo.materialize(DOC_ID, 5))
-    assert faults.ops == SNAPSHOT_OPS + [("unlink", "manifest-clear")]
+    store = VersionStore(repo, checkpoint_every=len(VERSIONS) + 1)
+    store.commit(DOC_ID, parse(VERSIONS[0]))
+    ops = WRITE_POINTS["checkpoint"]
+    assert faults.ops == ops[:-1] + [("unlink", "manifest-clear")] + ops[-1:]
     _assert_one_compact_head(repo)
     assert repo.verify() == []
-    assert _versions(repo) == committed
+    assert repo.snapshot_versions(DOC_ID) == [2, 4, 6, 7]
+    assert _versions(repo) == committed + [
+        serialize_bytes(store.get_version(DOC_ID, len(VERSIONS) + 1))
+    ]
     repo.close()
 
 

@@ -52,7 +52,7 @@ class TestRepositoryContract:
         assert repository.load_allocator("d1").next_xid == allocator.next_xid
         new = parse("<a><b>y</b></a>")
         delta = diff(doc, new, allocator=allocator)
-        allocator.reserve(99)
+        allocator.next_xid = 100
         repository.append("d1", delta, new, allocator)
         assert repository.load_allocator("d1").next_xid == 100
 

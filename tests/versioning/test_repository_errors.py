@@ -78,7 +78,10 @@ class TestCorruption:
         with pytest.raises(RepositoryError, match="lack XIDs"):
             repo.append("d1", Delta([]), doc, repo.load_allocator("d1"))
         with pytest.raises(RepositoryError, match="lack XIDs"):
-            repo.store_snapshot("d1", 1, doc)
+            repo.append(
+                "d1", Delta([]), doc, repo.load_allocator("d1"),
+                checkpoint=True,
+            )
         assert repo.backend.list_keys() == keys
         assert repo.current_version("d1") == 1
 

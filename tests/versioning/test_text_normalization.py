@@ -97,7 +97,7 @@ def test_repository_refuses_a_tree_it_cannot_read_back(tmp_path, scheme, value):
         with pytest.raises(RepositoryError, match="empty or adjacent text"):
             repo.append("doc", delta, new, allocator)
         with pytest.raises(RepositoryError, match="empty or adjacent text"):
-            repo.store_snapshot("doc", 1, new)
+            repo.append("doc", delta, new, allocator, checkpoint=True)
 
         assert _contents(repo) == before
         assert store.current_version("doc") == 1
