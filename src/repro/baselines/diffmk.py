@@ -83,13 +83,6 @@ class DiffMkResult:
     old_tokens: int = 0
     new_tokens: int = 0
 
-    @property
-    def edit_tokens(self) -> int:
-        """Total number of tokens mentioned by the script."""
-        return sum(len(run) for run in self.inserted) + sum(
-            len(run) for run in self.deleted
-        )
-
 
 def diffmk(old_document: Document, new_document: Document) -> DiffMkResult:
     """Run the flattened-list diff between two documents."""
@@ -113,13 +106,3 @@ def diffmk(old_document: Document, new_document: Document) -> DiffMkResult:
     result.script_bytes = script_bytes
     return result
 
-
-def patch_tokens(old_tokens: list[str], new_tokens: list[str]) -> list[str]:
-    """Replay the Myers opcodes over token lists (test oracle)."""
-    out: list[str] = []
-    for tag, i1, i2, j1, j2 in myers_opcodes(old_tokens, new_tokens):
-        if tag == "equal":
-            out.extend(old_tokens[i1:i2])
-        elif tag == "insert":
-            out.extend(new_tokens[j1:j2])
-    return out

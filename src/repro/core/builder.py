@@ -53,7 +53,7 @@ from repro.core.xid import (
     max_xid,
 )
 from repro.xmlkit.errors import DeltaError
-from repro.xmlkit.model import Document, Node, postorder, preorder
+from repro.xmlkit.model import Document, Node
 
 __all__ = ["build_delta"]
 
@@ -68,6 +68,7 @@ def build_delta(
     weights: Optional[dict[Node, float]] = None,
     exact_move_threshold: int = DEFAULT_BLOCK_LENGTH,
     move_block_length: int = DEFAULT_BLOCK_LENGTH,
+    stats=None,
 ) -> Delta:
     """Derive the delta implied by a matching.
 
@@ -86,16 +87,24 @@ def build_delta(
             carries correct XIDs (e.g. during delta aggregation).
         weights: Optional node -> weight map (new-document nodes) steering
             which children the move detector keeps in place; defaults to
-            subtree sizes.
+            subtree sizes.  Without it the builder walks both trees
+            whole, settled regions included, and takes the sizes from
+            its labelling pass over the new tree.
         exact_move_threshold: Child-list length up to which the exact
             heaviest-increasing-subsequence is used; longer lists use the
             paper's chunked heuristic.
         move_block_length: Block length of the chunked heuristic.
+        stats: Optional :class:`~repro.engine.base.DiffStats`.  Without
+            ``weights``, its ``old_nodes``/``new_nodes`` are set to the
+            node counts of those whole-tree walks.
 
     Returns:
         The completed :class:`Delta` transforming old into new.
     """
-    settled_new = matching.settled_new
+    # Without weights, walk both trees whole: the sizes and counts.
+    whole = weights is None
+    settled_old = set() if whole else matching.settled_old
+    settled_new = set() if whole else matching.settled_new
     if old_document.xid is None and not has_xids(old_document):
         assign_initial_xids(old_document)
         # Settled regions copied the labels the old tree had before.
@@ -109,28 +118,31 @@ def build_delta(
         if allocator is None:
             allocator = XidAllocator(max_xid(old_document) + 1)
         next_xid_before = allocator.next_xid
-        _assign_new_document_xids(
-            new_document, matching, allocator, settled_new
-        )
-        next_xid_after = allocator.next_xid
     else:
-        next_xid_before = next_xid_after = None
-        _check_new_document_xids(new_document)
+        allocator = next_xid_before = None
+    sizes = _label_new_document(
+        new_document, matching, allocator, settled_new, whole
+    )
+    next_xid_after = None if allocator is None else allocator.next_xid
 
     operations: list[Operation] = []
     operations.extend(_update_operations(matching))
-    operations.extend(_delete_operations(old_document, matching))
+    deletes, old_nodes = _delete_operations(
+        old_document, matching, settled_old
+    )
+    operations.extend(deletes)
     operations.extend(_insert_operations(new_document, matching))
     operations.extend(
         _move_operations(
-            old_document,
-            new_document,
             matching,
-            weights,
+            weights if weights is not None else sizes,
             exact_move_threshold,
             move_block_length,
         )
     )
+    if whole and stats is not None:
+        stats.old_nodes = old_nodes
+        stats.new_nodes = sizes[new_document]
 
     return Delta(
         operations,
@@ -144,31 +156,41 @@ def build_delta(
 # ---------------------------------------------------------------------------
 
 
-def _assign_new_document_xids(
+def _label_new_document(
     new_document: Document,
     matching: Matching,
-    allocator: XidAllocator,
+    allocator: Optional[XidAllocator],
     settled_new: set,
-) -> None:
+    sizes: bool,
+) -> Optional[dict[Node, int]]:
+    """Label the new tree outside ``settled_new`` in one postorder
+    pass (with no ``allocator``, check its labels); with ``sizes``,
+    return every visited node's subtree size."""
+    subtree_sizes: Optional[dict[Node, int]] = {} if sizes else None
+    old_of = matching.old_of
     for node in pruned_postorder(new_document, settled_new):
+        if subtree_sizes is not None:
+            size = 1
+            for child in node.children:
+                size += subtree_sizes[child]
+            subtree_sizes[node] = size
         if node is new_document:
             continue
-        partner = matching.old_of(node)
+        if allocator is None:
+            if node.xid is None:
+                raise DeltaError(
+                    "assign_new_xids=False requires a fully XID-labelled "
+                    "new document"
+                )
+            continue
+        partner = old_of(node)
         if partner is not None:
             if partner.xid is None:
                 raise DeltaError("matched old node has no XID")
             node.xid = partner.xid
         else:
             node.xid = allocator.allocate()
-
-
-def _check_new_document_xids(new_document: Document) -> None:
-    for node in preorder(new_document):
-        if node is not new_document and node.xid is None:
-            raise DeltaError(
-                "assign_new_xids=False requires a fully XID-labelled "
-                "new document"
-            )
+    return subtree_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +206,40 @@ def _update_operations(matching: Matching) -> list[Operation]:
             if old.value != new.value:
                 operations.append(Update(old.xid, old.value, new.value))
         elif kind == "element":
-            if old.attributes != new.attributes:
+            old_attributes = old.attributes
+            new_attributes = new.attributes
+            # Equal dicts may still list their names in another order.
+            if old_attributes != new_attributes or (
+                len(old_attributes) > 1
+                and list(old_attributes) != list(new_attributes)
+            ):
                 operations.extend(_attribute_operations(old, new))
     return operations
 
 
+def _reordered(old_attributes: dict, new_attributes: dict) -> set:
+    """Kept names off a longest run in new order: they leave and
+    re-enter, so that the rest keep their relative order."""
+    new_positions = {name: index for index, name in enumerate(new_attributes)}
+    kept = [name for name in old_attributes if name in new_positions]
+    values = [new_positions[name] for name in kept]
+    if all(left < right for left, right in zip(values, values[1:])):
+        return set()
+    _, stay = heaviest_increasing_subsequence(values)
+    return set(kept) - {kept[index] for index in stay}
+
+
 def _attribute_operations(old, new) -> list[Operation]:
+    """Attribute deletes, updates and inserts; a kept attribute whose
+    place among the others changed is deleted and inserted again, both
+    at their positions, so the order replays in both directions."""
     operations: list[Operation] = []
     old_attributes = old.attributes
     new_attributes = new.attributes
+    moved = _reordered(old_attributes, new_attributes)
     last = len(old_attributes) - 1
     for position, name in enumerate(old_attributes):
-        if name not in new_attributes:
+        if name not in new_attributes or name in moved:
             operations.append(
                 AttributeDelete(
                     old.xid,
@@ -212,7 +256,7 @@ def _attribute_operations(old, new) -> list[Operation]:
             )
     last = len(new_attributes) - 1
     for position, name in enumerate(new_attributes):
-        if name not in old_attributes:
+        if name not in old_attributes or name in moved:
             operations.append(
                 AttributeInsert(
                     old.xid,
@@ -248,11 +292,14 @@ def _clone_excluding_matched(root: Node, is_matched) -> Node:
 
 
 def _delete_operations(
-    old_document: Document, matching: Matching
-) -> list[Operation]:
+    old_document: Document, matching: Matching, settled_old: set
+) -> tuple[list[Operation], int]:
+    """The deletes, and the number of old nodes walked for them."""
     operations: list[Operation] = []
     positions = _PositionCache()
-    for node in pruned_preorder(old_document, matching.settled_old):
+    walked = 0
+    for node in pruned_preorder(old_document, settled_old):
+        walked += 1
         if node is old_document or matching.has_old(node):
             continue
         parent = node.parent
@@ -262,7 +309,7 @@ def _delete_operations(
         operations.append(
             Delete(node.xid, parent.xid, positions.position(node), subtree)
         )
-    return operations
+    return operations, walked
 
 
 def _insert_operations(
@@ -308,18 +355,14 @@ class _PositionCache:
 
 
 def _move_operations(
-    old_document: Document,
-    new_document: Document,
     matching: Matching,
-    weights: Optional[dict[Node, float]],
+    weights: dict[Node, float],
     exact_move_threshold: int,
     move_block_length: int,
 ) -> list[Operation]:
     operations: list[Operation] = []
     old_positions = _PositionCache()
     new_positions_cache = _PositionCache()
-    if weights is None:
-        weights = _subtree_sizes(new_document)
 
     # Inter-parent moves: matched nodes whose parents do not correspond.
     for old, new in matching.loose_pairs():
@@ -384,13 +427,3 @@ def _move_operations(
             )
     return operations
 
-
-def _subtree_sizes(document: Document) -> dict[Node, int]:
-    """Every node's subtree size, from one postorder pass."""
-    sizes: dict[Node, int] = {}
-    for node in postorder(document):
-        size = 1
-        for child in node.children:
-            size += sizes[child]
-        sizes[node] = size
-    return sizes

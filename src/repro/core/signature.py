@@ -76,7 +76,9 @@ def annotate(
     A node's key is its content with its children's numbers in place of
     their subtrees, as one flat tuple: ``(label, attributes, *children)``
     for an element, the attributes being a tuple of ``(name,
-    str(value))`` pairs in name order; the value itself (a ``str``) for
+    str(value))`` pairs in document order (two elements whose
+    attributes differ only in order are not identical: the delta
+    records the order); the value itself (a ``str``) for
     a text; ``("C", value)`` for a comment; ``("P", target, value)`` for
     a processing instruction; and the children's numbers alone for the
     document.  No two kinds share a key: only a text's key is a string,
@@ -120,9 +122,9 @@ def annotate(
             if kind == "element":
                 attributes = node.attributes
                 if attributes:
-                    attributes = tuple(sorted(
+                    attributes = tuple(
                         zip(attributes, map(str, attributes.values()))
-                    ))
+                    )
                 else:
                     attributes = _EMPTY
                 if count:

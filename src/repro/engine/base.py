@@ -215,9 +215,10 @@ class DiffEngine:
         """Match ``old`` against ``new``, one ``with stage(name):`` per step.
 
         ``stage(name)`` is the run's timing context manager.  Returns the
-        matching and the new-side weights that steer the move detector
-        (``None``: subtree sizes).  An engine that counts the nodes anyway
-        may fill ``stats.old_nodes``/``stats.new_nodes``.
+        matching and the new-side weights that steer the move detector.
+        An engine that returns weights fills ``stats.old_nodes``/
+        ``stats.new_nodes`` itself; with ``None`` (subtree sizes) the
+        delta builder counts both trees in the walks it makes anyway.
         """
         raise NotImplementedError
 
@@ -304,10 +305,9 @@ class DiffEngine:
                     weights=weights,
                     exact_move_threshold=config.exact_move_threshold,
                     move_block_length=config.move_block_length,
+                    stats=stats,
                 )
         finally:
-            stats.old_nodes = stats.old_nodes or old_document.subtree_size()
-            stats.new_nodes = stats.new_nodes or new_document.subtree_size()
             if engine_span is not None:
                 engine_span.attrs["old_nodes"] = stats.old_nodes
                 engine_span.attrs["new_nodes"] = stats.new_nodes

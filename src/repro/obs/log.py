@@ -173,9 +173,6 @@ class EventLogger:
             stream = self._owned
         self._stream = stream
 
-    def enabled_for(self, level: str) -> bool:
-        return LEVELS[level] >= self._threshold
-
     def emit(self, event: str, level: str = "info", **fields) -> dict | None:
         """Record one event; returns the record, or ``None`` if filtered.
 

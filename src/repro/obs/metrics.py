@@ -231,14 +231,6 @@ class Histogram(_Instrument):
         series.total += value
         series.count += 1
 
-    def sample_count(self, **labels) -> int:
-        series = self._series.get(_label_key(labels))
-        return series.count if series else 0
-
-    def sample_sum(self, **labels) -> float:
-        series = self._series.get(_label_key(labels))
-        return series.total if series else 0.0
-
     def cumulative_buckets(self, **labels) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs ending at ``+Inf``."""
         series = self._series.get(_label_key(labels))

@@ -771,34 +771,6 @@ class ServerHandle:
         future = asyncio.run_coroutine_threadsafe(coroutine, self.loop)
         return future.result(timeout=self.op_timeout)
 
-    def submit_job(self, fn, label: str = "job"):
-        """Enqueue a raw pool job from any thread (test hook).
-
-        Returns a :class:`concurrent.futures.Future` mirroring the
-        pool-side result.
-        """
-
-        async def _submit():
-            return self.server.pool.submit(fn, label=label)
-
-        asyncio_future = self.run_coroutine(_submit())
-        import concurrent.futures
-
-        mirror: concurrent.futures.Future = concurrent.futures.Future()
-
-        def _copy(done):
-            if done.cancelled():
-                mirror.cancel()
-            elif done.exception() is not None:
-                mirror.set_exception(done.exception())
-            else:
-                mirror.set_result(done.result())
-
-        self.loop.call_soon_threadsafe(
-            asyncio_future.add_done_callback, _copy
-        )
-        return mirror
-
     def close(self) -> None:
         """Graceful shutdown (drains the pool), then join the thread."""
         if self.thread.is_alive():

@@ -6,9 +6,9 @@ deltas survive crashes.  Two layers provide that:
 
 - :mod:`repro.storage.atomic` — the write discipline every file-based
   path uses: temp file + ``os.replace`` (readers never observe a
-  half-written file), optional ``fsync`` per a durability policy, and
-  SHA-256 digests so a head record can later prove the bytes on disk are
-  the bytes that were committed.
+  half-written file) and optional ``fsync`` per a durability policy;
+  also the SHA-256 helpers with which a head record later proves that
+  the bytes on disk are the bytes that were committed.
 - :mod:`repro.storage.backend` — the :class:`StorageBackend` protocol
   the repository commits through, with two conforming
   implementations: :class:`~repro.storage.filesystem.FilesystemBackend`
@@ -27,7 +27,6 @@ __all__ = [
     "SQLiteBackend",
     "StorageBackend",
     "atomic_write",
-    "atomic_write_json",
     "check_durability",
     "open_backend",
     "parse_store_url",
@@ -37,7 +36,7 @@ __all__ = [
 
 _getattr, __dir__ = lazy_exports(__name__, {
     "atomic": (
-        "DURABILITY_LEVELS", "atomic_write", "atomic_write_json",
+        "DURABILITY_LEVELS", "atomic_write",
         "check_durability", "sha256_bytes", "sha256_file",
     ),
     "backend": (

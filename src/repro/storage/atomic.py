@@ -1,4 +1,4 @@
-"""Atomic file writes with checksums and a durability policy.
+"""Atomic file writes under a durability policy, and SHA-256 helpers.
 
 Every write goes to a hidden temp file in the *same directory* as the
 target and is published with ``os.replace`` — on POSIX a reader (or a
@@ -27,14 +27,12 @@ written, which is where crashes, EIO and torn writes are simulated.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import uuid
 
 __all__ = [
     "DURABILITY_LEVELS",
     "atomic_write",
-    "atomic_write_json",
     "check_durability",
     "fault_aware_unlink",
     "is_temp_file",
@@ -99,8 +97,8 @@ def atomic_write(
     durability: str = "none",
     faults=None,
     label: str | None = None,
-) -> str:
-    """Atomically replace ``path`` with ``data``; returns the hex SHA-256.
+) -> None:
+    """Atomically replace ``path`` with ``data``.
 
     Args:
         path: Target file path.
@@ -134,15 +132,6 @@ def atomic_write(
         raise
     if durability == "full":
         _fsync_directory(directory)
-    return sha256_bytes(data)
-
-
-def atomic_write_json(path, payload, **kwargs) -> str:
-    """Atomically write ``payload`` as stable, sorted JSON."""
-    data = (
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
-    return atomic_write(path, data, **kwargs)
 
 
 def fault_aware_unlink(path, *, faults=None, label: str | None = None) -> None:

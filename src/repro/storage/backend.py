@@ -64,8 +64,8 @@ class StorageBackend:
 
     # -- required primitives -------------------------------------------------
 
-    def put(self, key: str, data: bytes, *, label: Optional[str] = None) -> str:
-        """Atomically create or overwrite ``key``; returns the hex SHA-256."""
+    def put(self, key: str, data: bytes, *, label: Optional[str] = None) -> None:
+        """Atomically create or overwrite ``key``."""
         raise NotImplementedError
 
     def get(self, key: str) -> bytes:

@@ -73,12 +73,12 @@ class FilesystemBackend(StorageBackend):
         return os.path.join(self.root, *key.split("/"))
 
     @_store_errors
-    def put(self, key: str, data: bytes, *, label: Optional[str] = None) -> str:
+    def put(self, key: str, data: bytes, *, label: Optional[str] = None) -> None:
         path = self._path(key)
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        return atomic_write(
+        atomic_write(
             path,
             data,
             durability=self.durability,

@@ -35,7 +35,6 @@ import os
 import sqlite3
 from typing import Optional
 
-from repro.storage.atomic import sha256_bytes
 from repro.storage.backend import StorageBackend, register_scheme
 from repro.xmlkit.errors import StorageError
 
@@ -106,7 +105,7 @@ class SQLiteBackend(StorageBackend):
         )
 
     @_store_errors
-    def put(self, key: str, data: bytes, *, label: Optional[str] = None) -> str:
+    def put(self, key: str, data: bytes, *, label: Optional[str] = None) -> None:
         if self.faults is not None:
 
             def tear(half: bytes) -> None:
@@ -125,7 +124,6 @@ class SQLiteBackend(StorageBackend):
         self._upsert(key, data)
         if not self._in_batch:
             self._commit_if_open()
-        return sha256_bytes(data)
 
     @_store_errors
     def get(self, key: str) -> bytes:

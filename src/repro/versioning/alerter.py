@@ -98,13 +98,6 @@ class Alerter:
         self.subscriptions.append(subscription)
         return subscription
 
-    def unregister(self, name: str) -> None:
-        self.subscriptions = [
-            subscription
-            for subscription in self.subscriptions
-            if subscription.name != name
-        ]
-
     def process(
         self,
         delta: Delta,

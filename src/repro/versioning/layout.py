@@ -216,9 +216,9 @@ def get_record(backend, prefix: str, kind: str) -> dict:
         ) from exc
 
 
-def put_record(backend, prefix: str, kind: str, payload, *, label=None) -> str:
-    """Write one record of a document; returns its SHA-256."""
-    return backend.put(key(prefix, kind), encode_record(payload), label=label)
+def put_record(backend, prefix: str, kind: str, payload, *, label=None) -> None:
+    """Write one record of a document."""
+    backend.put(key(prefix, kind), encode_record(payload), label=label)
 
 
 def checksums(backend, prefix: str, head: dict) -> dict:

@@ -102,9 +102,6 @@ class Dtd:
         """``(element label, attribute name)`` pairs declared with type ID."""
         return {key for key, decl in self.attributes.items() if decl.is_id}
 
-    def attributes_of(self, element: str) -> list[AttributeDecl]:
-        return [d for (el, _), d in self.attributes.items() if el == element]
-
 
 def _strip_quotes(value: str) -> str:
     if len(value) >= 2 and value[0] in "\"'" and value[-1] == value[0]:

@@ -110,11 +110,6 @@ class _HtmlTreeBuilder(HTMLParser):
 
     # -- stack helpers --------------------------------------------------------
 
-    def _open_labels(self) -> list[str]:
-        return [
-            node.label for node in self._stack if node.kind == "element"
-        ]
-
     def _close_implicit(self, tag: str) -> None:
         closers = set(_IMPLICIT_CLOSERS.get(tag, frozenset()))
         if tag in _BLOCK_STARTERS_CLOSING_P:

@@ -176,14 +176,6 @@ class Node:
     # -- structure ---------------------------------------------------------
 
     @property
-    def is_element(self) -> bool:
-        return self.kind == "element"
-
-    @property
-    def is_text(self) -> bool:
-        return self.kind == "text"
-
-    @property
     def is_leaf(self) -> bool:
         return True
 
@@ -442,11 +434,6 @@ class Element(Node):
     def get(self, name: str, default=None):
         """Attribute lookup with a default, mirroring ``dict.get``."""
         return self.attributes.get(name, default)
-
-    def child_elements(self) -> Iterator["Element"]:
-        for child in self.children:
-            if child.kind == "element":
-                yield child
 
     # -- Node protocol -----------------------------------------------------
 

@@ -24,6 +24,7 @@ from repro.core import (
     invert,
 )
 from repro.core.deltaxml import parse_delta, serialize_delta
+from repro.engine.engines import ENGINES
 from repro.xmlkit import ApplyError, Element, Text, parse, serialize
 
 
@@ -89,6 +90,39 @@ class TestApplyBasics:
         delta.operations.reverse()
         assert serialize(apply_delta(delta, old, verify=True)) == new_text
         assert serialize(apply_backward(delta, new, verify=True)) == old_text
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize(
+        "old_text, new_text",
+        [
+            ('<e a="1" b="2"/>', '<e b="2" a="1"/>'),
+            ('<r><x/><e a="1" b="2" c="3"/></r>',
+             '<r><x/><e c="3" a="1" b="2"/></r>'),
+            ('<r><e a="1" b="2" c="3" d="4"/><f/></r>',
+             '<r><e d="4" b="9" a="1"/><f/></r>'),
+            ('<r><p><q k="1"><e a="1" b="2"/></q></p><z/></r>',
+             '<r><p><q k="1"><e b="2" a="1"/></q></p><z/></r>'),
+        ],
+    )
+    def test_kept_attributes_that_change_order_replay_in_both_directions(
+        self, engine, old_text, new_text
+    ):
+        old, new = parse(old_text), parse(new_text)
+        delta = parse_delta(
+            serialize_delta(diff(old, new, engine=engine))
+        )
+        assert not delta.is_empty()
+        assert serialize(apply_delta(delta, old, verify=True)) == new_text
+        assert serialize(apply_backward(delta, new, verify=True)) == old_text
+
+    def test_a_reordered_attribute_is_one_positioned_delete_and_insert(self):
+        delta = diff(parse('<e a="1" b="2" c="3"/>'),
+                     parse('<e c="3" a="1" b="2"/>'))
+        assert serialize_delta(delta) == (
+            '<delta nextXidBefore="2" nextXidAfter="2">'
+            '<attr-delete xid="1" name="c" oldValue="3"/>'
+            '<attr-insert xid="1" name="c" value="3" pos="0"/></delta>'
+        )
 
     def test_subtree_insert(self):
         delta = roundtrip(

@@ -44,11 +44,13 @@ class TestSignatures:
         first, second = root_numbers(a, b)
         assert first != second
 
-    def test_attribute_order_is_canonical(self):
+    def test_attribute_order_matters(self):
+        # A delta records attribute order, so a subtree whose attributes
+        # were only reordered is no identical match.
         a = parse("<a x='1' y='2'/>")
         b = parse("<a y='2' x='1'/>")
         first, second = root_numbers(a, b)
-        assert first == second
+        assert first != second
 
     def test_child_order_matters(self):
         a = parse("<a><b/><c/></a>")

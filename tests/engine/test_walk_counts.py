@@ -1,5 +1,8 @@
 """Whole-tree walks the diff and the store no longer repeat.
 
+No engine walks a tree only to count its nodes (see
+:class:`TestEnginesCountFromTheirOwnWalks`).
+
 A diff of an unlabelled old document labels it with postorder XIDs, and
 the allocator that labelling returns is already positioned past them: a
 ``max_xid`` walk to find the same number is waste.  A stored snapshot
@@ -14,8 +17,15 @@ import repro.core.xid as xid_module
 import repro.engine.base as base_module
 import repro.versioning.layout as layout_module
 import repro.xmlkit.model as model_module
-from repro.core import diff
+from repro.core import delta_by_xid_join, diff
 from repro.core.xid import XidAllocator, assign_initial_xids, format_xid_map
+from repro.engine.engines import ENGINES, diff_with_stats
+from repro.simulator import (
+    GeneratorConfig,
+    SimulatorConfig,
+    generate_document,
+    simulate_changes,
+)
 from repro.versioning.layout import restore_xids
 from repro.xmlkit import parse, postorder
 
@@ -114,3 +124,62 @@ class TestRestoreXids:
         restore_xids(loaded, labels)
         nodes = postorder(loaded)
         assert [n.xid for n in nodes] == list(range(1, len(nodes))) + [0]
+
+
+class TestEnginesCountFromTheirOwnWalks:
+    """Node counts come from walks a diff makes anyway.
+
+    No engine calls ``subtree_size`` to count a tree, and the delta
+    builder takes the move detector's subtree sizes from its one
+    postorder labelling pass over the new tree.
+    """
+
+    #: ``(old_nodes, new_nodes)`` of OLD/NEW, document nodes included.
+    COUNTS = (7, 8)
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = {"subtree_size": 0, "postorder": []}
+        real_size = model_module.Node.subtree_size
+        real_postorder = builder_module.pruned_postorder
+
+        def counting_size(node):
+            calls["subtree_size"] += 1
+            return real_size(node)
+
+        def recording_postorder(root, skip):
+            calls["postorder"].append(root)
+            return real_postorder(root, skip)
+
+        monkeypatch.setattr(model_module.Node, "subtree_size", counting_size)
+        monkeypatch.setattr(
+            builder_module, "pruned_postorder", recording_postorder
+        )
+        return calls
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_no_count_walk(self, walks, engine):
+        old = generate_document(GeneratorConfig(target_nodes=500, seed=3))
+        new = simulate_changes(old, SimulatorConfig(seed=4)).new_document
+        old, new = old.clone(keep_xids=False), new.clone(keep_xids=False)
+        walks["subtree_size"] = 0  # the simulator counts what it deletes
+        _, stats = diff_with_stats(old, new, engine=engine)
+        assert walks["subtree_size"] == 0
+        assert walks["postorder"] == [new]
+        assert (stats.old_nodes, stats.new_nodes) == (
+            len(postorder(old)), len(postorder(new))
+        )
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_counts_of_a_fixed_pair(self, engine):
+        _, stats = diff_with_stats(parse(OLD), parse(NEW), engine=engine)
+        assert (stats.old_nodes, stats.new_nodes) == self.COUNTS
+
+    def test_aggregation_takes_sizes_from_its_check_pass(self, walks):
+        old, new = parse(OLD), parse(NEW)
+        delta = diff(old, new)
+        walks["postorder"].clear()
+        delta_by_xid_join(old, new)
+        assert walks["subtree_size"] == 0
+        assert walks["postorder"] == [new]
+        assert not delta.is_empty()

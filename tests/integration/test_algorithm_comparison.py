@@ -13,6 +13,7 @@ from repro.simulator import (
     generate_document,
     simulate_changes,
 )
+from tests.baselines.token_oracle import edit_tokens
 
 
 def scenario(doc_seed, sim_seed, nodes=80, **probabilities):
@@ -92,7 +93,7 @@ class TestRelativeBehaviour:
         if moves >= 3:
             # the flat diff edits at least as many tokens as the tree diff
             # has operations: moves are paid twice in token-land
-            assert flat.edit_tokens > moves
+            assert edit_tokens(flat) > moves
 
     def test_identical_documents_all_empty(self):
         base = generate_document(GeneratorConfig(target_nodes=60, seed=10))
@@ -101,5 +102,5 @@ class TestRelativeBehaviour:
             new = base.clone(keep_xids=False)
             delta = algorithm(old, new)
             assert delta.is_empty(), f"{name} found changes in identity"
-        assert diffmk(base, base.clone()).edit_tokens == 0
+        assert edit_tokens(diffmk(base, base.clone())) == 0
         assert tree_edit_distance(base, base.clone()) == 0

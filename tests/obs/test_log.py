@@ -57,8 +57,6 @@ def test_level_threshold_filters():
     assert log.emit("server.complete", level="info") is None
     assert log.emit("server.shed", level="warning") is not None
     assert len(log) == 1
-    assert not log.enabled_for("info")
-    assert log.enabled_for("error")
 
 
 def test_invalid_level_and_capacity_rejected():

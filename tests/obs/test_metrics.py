@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram
+from tests.obs.histograms import samples
 
 # Prometheus text exposition format (version 0.0.4), the subset we emit:
 # comment lines and sample lines `name{labels} value`.
@@ -57,8 +58,9 @@ class TestHistogram:
         histogram = Histogram("seconds", buckets=(0.1, 1.0, 10.0))
         for value in (0.05, 0.5, 0.5, 5.0, 50.0):
             histogram.observe(value)
-        assert histogram.sample_count() == 5
-        assert histogram.sample_sum() == pytest.approx(56.05)
+        count, total = samples(histogram)
+        assert count == 5
+        assert total == pytest.approx(56.05)
         assert histogram.cumulative_buckets() == [
             (0.1, 1),
             (1.0, 3),

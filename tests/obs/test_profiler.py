@@ -13,6 +13,7 @@ from repro import MetricsRegistry, Tracer, diff_with_stats, parse
 from repro.engine import MatcherEngine
 from repro.obs.metrics import STAGE_BUCKETS, observe_stage_seconds
 from repro.versioning import VersionStore
+from tests.obs.histograms import samples
 
 OLD = (
     "<site><page><title>one</title><body>alpha beta</body></page>"
@@ -79,9 +80,8 @@ class TestProfilerMetrics:
         _, stats = diff_with_stats(parse(OLD), parse(NEW), metrics=metrics)
         histogram = metrics.get("repro_stage_seconds")
         for stage in BULD_STAGES:
-            assert histogram.sample_count(stage=stage) == 1
-            assert histogram.sample_sum(stage=stage) == (
-                stats.stage_seconds[stage]  # same float, not re-timed
+            assert samples(histogram, stage=stage) == (
+                1, stats.stage_seconds[stage]  # same float, not re-timed
             )
         assert metrics.get("repro_diffs_total").value(engine="buld") == 1
 
@@ -89,9 +89,9 @@ class TestProfilerMetrics:
         metrics = MetricsRegistry()
         for _ in range(3):
             diff_with_stats(parse(OLD), parse(NEW), metrics=metrics)
-        assert metrics.get("repro_stage_seconds").sample_count(
-            stage="annotate"
-        ) == 3
+        assert samples(
+            metrics.get("repro_stage_seconds"), stage="annotate"
+        )[0] == 3
 
     def test_span_stats_and_histogram_agree_bitwise(self):
         tracer, metrics = Tracer(), MetricsRegistry()
@@ -103,7 +103,7 @@ class TestProfilerMetrics:
         for stage in BULD_STAGES:
             seconds = stats.stage_seconds[stage]
             assert spans[stage].duration == seconds
-            assert histogram.sample_sum(stage=stage) == seconds
+            assert samples(histogram, stage=stage)[1] == seconds
 
     def test_version_store_commit_agrees_bitwise(self):
         tracer, metrics = Tracer(), MetricsRegistry()
@@ -118,7 +118,7 @@ class TestProfilerMetrics:
         for stage in BULD_STAGES:
             seconds = store.last_stats.stage_seconds[stage]
             assert spans[stage].duration == seconds
-            assert histogram.sample_sum(stage=stage) == seconds
+            assert samples(histogram, stage=stage)[1] == seconds
         assert metrics.get("repro_commits_total").value(engine="buld") == 1
 
     def test_failed_run_records_no_stage_samples(self):

@@ -11,6 +11,7 @@ These are the guarantees ``docs/server.md`` documents:
   invariant, here driven through the HTTP stack).
 """
 
+import concurrent.futures
 import http.client
 import json
 import threading
@@ -41,6 +42,31 @@ def post(handle, path, payload):
         connection.close()
 
 
+def submit_job(handle, fn, label):
+    """Enqueue a raw pool job on the server's loop from this thread.
+
+    Returns a :class:`concurrent.futures.Future` mirroring the
+    pool-side result.
+    """
+
+    async def submit():
+        return handle.server.pool.submit(fn, label=label)
+
+    pool_future = handle.run_coroutine(submit())
+    mirror = concurrent.futures.Future()
+
+    def copy(done):
+        if done.cancelled():
+            mirror.cancel()
+        elif done.exception() is not None:
+            mirror.set_exception(done.exception())
+        else:
+            mirror.set_result(done.result())
+
+    handle.loop.call_soon_threadsafe(pool_future.add_done_callback, copy)
+    return mirror
+
+
 def test_queue_overflow_sheds_with_429_and_loses_no_accepted_work():
     handle = serve_in_thread(
         ServerConfig(port=0, workers=1, queue_limit=2, retry_after=7)
@@ -48,9 +74,9 @@ def test_queue_overflow_sheds_with_429_and_loses_no_accepted_work():
     gate = threading.Event()
     try:
         # Occupy the single worker, then fill the queue to its limit.
-        blocker = handle.submit_job(gate.wait, label="blocker")
+        blocker = submit_job(handle, gate.wait, label="blocker")
         accepted = [
-            handle.submit_job(lambda i=i: i, label="fill") for i in range(2)
+            submit_job(handle, lambda i=i: i, label="fill") for i in range(2)
         ]
         status, headers, body = post(
             handle, "/diff", {"old": "<a/>", "new": "<b/>"}
@@ -90,8 +116,8 @@ def test_rejections_are_counted(tmp_path):
     )
     gate = threading.Event()
     try:
-        handle.submit_job(gate.wait, label="blocker")
-        handle.submit_job(lambda: None, label="fill")
+        submit_job(handle, gate.wait, label="blocker")
+        submit_job(handle, lambda: None, label="fill")
         status, _, _ = post(handle, "/diff",
                             {"old": "<a/>", "new": "<b/>"})
         assert status == 429
@@ -130,7 +156,7 @@ def test_graceful_shutdown_drains_in_flight_commit(tmp_path):
 
     # Park a job in front of the commit so the commit is still queued
     # when shutdown begins — drain must run it, not drop it.
-    handle.submit_job(slow_commit_shim, label="blocker")
+    submit_job(handle, slow_commit_shim, label="blocker")
     started.wait(timeout=30)
 
     results = {}

@@ -1,6 +1,5 @@
 """Tests for the atomic write layer."""
 
-import json
 import os
 
 import pytest
@@ -8,22 +7,22 @@ import pytest
 from repro.storage import (
     DURABILITY_LEVELS,
     atomic_write,
-    atomic_write_json,
     check_durability,
     sha256_bytes,
     sha256_file,
 )
 from repro.storage.atomic import fault_aware_unlink, is_temp_file
+from repro.storage.filesystem import FilesystemBackend
 from repro.testing import FaultInjector, InjectedCrash
+from repro.versioning.layout import put_record
 
 
 class TestAtomicWrite:
-    def test_creates_file_and_returns_checksum(self, tmp_path):
+    def test_creates_file(self, tmp_path):
         target = tmp_path / "a.bin"
-        digest = atomic_write(target, b"payload")
+        assert atomic_write(target, b"payload") is None
         assert target.read_bytes() == b"payload"
-        assert digest == sha256_bytes(b"payload")
-        assert digest == sha256_file(target)
+        assert sha256_file(target) == sha256_bytes(b"payload")
 
     def test_replaces_existing_content(self, tmp_path):
         target = tmp_path / "a.bin"
@@ -58,11 +57,12 @@ class TestAtomicWrite:
             check_durability("eventually")
 
     def test_json_writer_is_stable(self, tmp_path):
-        target = tmp_path / "a.json"
-        digest_one = atomic_write_json(target, {"b": 1, "a": 2})
-        digest_two = atomic_write_json(target, {"a": 2, "b": 1})
-        assert digest_one == digest_two  # sorted keys => stable bytes
-        assert json.loads(target.read_text()) == {"a": 2, "b": 1}
+        # Records are written as compact JSON with sorted keys.
+        backend = FilesystemBackend(tmp_path)
+        put_record(backend, "doc", "meta", {"b": 1, "a": 2})
+        first = backend.get("doc/meta.json")
+        put_record(backend, "doc", "meta", {"a": 2, "b": 1})
+        assert backend.get("doc/meta.json") == first == b'{"a":2,"b":1}\n'
 
     def test_is_temp_file(self, tmp_path):
         assert is_temp_file(".a.bin.0f3a9c12.tmp")

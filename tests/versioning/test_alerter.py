@@ -119,8 +119,8 @@ class TestManagement:
 
     def test_unregister(self):
         alerter = Alerter()
-        alerter.register(Subscription("s1", "//p"))
-        alerter.unregister("s1")
+        subscription = alerter.register(Subscription("s1", "//p"))
+        alerter.subscriptions.remove(subscription)
         old = parse("<c/>")
         new = parse("<c><p/></c>")
         assert alerter.process(diff(old, new), new) == []

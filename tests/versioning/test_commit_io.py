@@ -6,6 +6,7 @@ A commit reads the document's head once: ``meta.json`` and then
 once, the stored state it starts from, and the deltas it replays.
 It writes the journal, the delta, ``current.xml`` and the head, so four
 puts; a checkpoint commit adds its snapshot to the same write, so five.
+Only that write hashes: one SHA-256 per XML value the head records.
 A create writes the journal, ``current.xml`` and the head.  XID labels
 (the current version's and every checkpoint's) are kept in the XID-map
 range notation deltas use, not as a JSON list of every node's XID.
@@ -15,6 +16,7 @@ Runs against every storage backend; ``XYDIFF_BACKENDS`` narrows the
 sweep.
 """
 
+import hashlib
 import http.client
 import json
 import os
@@ -236,6 +238,29 @@ def test_a_commit_makes_two_gets_and_four_puts(tmp_path, scheme):
                 _assert_range_labels(json.loads(data))
             elif name == "journal.json":
                 _assert_range_labels(json.loads(data)["meta"])
+    repo.close()
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_only_the_head_write_hashes(tmp_path, scheme, monkeypatch):
+    """One SHA-256 per XML value a head records, and no other: a put
+    returns nothing, so neither backend hashes what it stores."""
+    _, repo = _open(tmp_path, scheme)
+    store = VersionStore(repo, checkpoint_every=3)
+    texts = _chain()
+    hashed = []
+    real = hashlib.sha256
+
+    def counting(*args, **kwargs):
+        hashed.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    # A create, a plain commit and a checkpoint commit.
+    for version, expected in ((1, 1), (2, 2), (3, 3)):
+        hashed.clear()
+        store.commit("doc", parse(texts[version - 1]))
+        assert len(hashed) == expected, version
     repo.close()
 
 

@@ -39,7 +39,7 @@ class TestCleanMerges:
         result = merge(base, ours, theirs)
         assert result.is_clean
         merged = result.document
-        labels = {c.label for c in merged.root.child_elements()}
+        labels = {c.label for c in merged.root.children if c.kind == "element"}
         assert labels == {"a", "b", "c"}
 
     def test_insert_plus_update(self):

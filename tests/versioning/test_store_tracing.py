@@ -4,6 +4,7 @@ from repro import MetricsRegistry, Tracer, parse
 from repro.versioning import open_repository
 from repro.versioning.sitediff import SiteSnapshot, diff_sites
 from repro.versioning.version_control import VersionStore
+from tests.obs.histograms import samples
 
 V1 = "<doc><title>report</title><body>first draft</body></doc>"
 V2 = "<doc><title>report</title><body>second draft</body></doc>"
@@ -50,7 +51,7 @@ class TestVersionStoreTracing:
         assert metrics.get("repro_commits_total").value(engine="buld") == 2
         # 2 commits x 5 BULD stages feed the histogram
         assert (
-            metrics.get("repro_stage_seconds").sample_count(stage="annotate")
+            samples(metrics.get("repro_stage_seconds"), stage="annotate")[0]
             == 2
         )
 

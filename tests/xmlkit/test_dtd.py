@@ -68,7 +68,7 @@ class TestParseDtd:
 
     def test_attributes_of(self):
         dtd = parse_dtd(SAMPLE)
-        names = {a.name for a in dtd.attributes_of("product")}
+        names = {name for label, name in dtd.attributes if label == "product"}
         assert names == {"sku", "lang", "status", "ref"}
 
     def test_root_name(self):

@@ -59,7 +59,7 @@ class TestVoidElements:
 
     def test_xhtml_style_self_closing(self):
         doc = htmlize("<div><br/><hr/></div>")
-        labels = [c.label for c in doc.root.child_elements()]
+        labels = [c.label for c in doc.root.children if c.kind == "element"]
         assert labels == ["br", "hr"]
 
     def test_end_tag_for_void_ignored(self):
@@ -95,11 +95,12 @@ class TestImplicitClosing:
     def test_block_element_closes_paragraph(self):
         doc = htmlize("<body><p>text<div>block</div></body>")
         body = doc.root
-        assert [c.label for c in body.child_elements()] == ["p", "div"]
+        labels = [c.label for c in body.children if c.kind == "element"]
+        assert labels == ["p", "div"]
 
     def test_definition_lists(self):
         doc = htmlize("<dl><dt>term<dd>def<dt>term2<dd>def2</dl>")
-        labels = [c.label for c in doc.root.child_elements()]
+        labels = [c.label for c in doc.root.children if c.kind == "element"]
         assert labels == ["dt", "dd", "dt", "dd"]
 
     def test_options(self):

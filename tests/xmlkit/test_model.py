@@ -231,17 +231,9 @@ class TestElementQueries:
         assert element.get("k") == "v"
         assert element.get("other", "d") == "d"
 
-    def test_child_elements_skips_text(self):
-        parent = Element("p")
-        parent.append(Text("t"))
-        parent.append(Element("a"))
-        assert [c.label for c in parent.child_elements()] == ["a"]
-
     def test_leaf_flags(self):
         assert Text("x").is_leaf
         assert Element("e").is_leaf
         parent = Element("p")
         parent.append(Text("x"))
         assert not parent.is_leaf
-        assert Text("x").is_text
-        assert Element("e").is_element
