@@ -12,7 +12,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "DiffMkResult",
-    "LaDiffConfig",
     "LuResult",
     "diffmk",
     "flatten",
@@ -27,7 +26,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "diffmk": ("DiffMkResult", "diffmk", "flatten", "node_tokens"),
-    "ladiff": ("LaDiffConfig", "ladiff_match"),
+    "ladiff": ("ladiff_match",),
     "lu": ("LuResult", "lu_match"),
     "unixdiff": ("patch", "unix_diff", "unix_diff_size"),
     "zhang_shasha": ("tree_edit_distance",),

@@ -23,31 +23,21 @@ This implementation follows that structure:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.lcs import lcs_pairs
 from repro.core.matching import Matching
 from repro.xmlkit.model import Document, Node, postorder
 
-__all__ = ["LaDiffConfig", "ladiff_match"]
+__all__ = ["ladiff_match"]
 
-
-@dataclass
-class LaDiffConfig:
-    """Thresholds of the matching criteria (the paper's f and t).
-
-    Attributes:
-        leaf_threshold: Minimum word-overlap ratio for two text leaves to
-            be considered similar (Chawathe's ``f``, typically 0.5-0.8).
-        inner_threshold: Minimum ratio of common matched descendants for
-            two internal nodes (Chawathe's ``t``, typically 0.5).
-        max_leaf_probe: Cap on descendants examined per similarity probe,
-            bounding worst-case cost on giant subtrees.
-    """
-
-    leaf_threshold: float = 0.6
-    inner_threshold: float = 0.5
-    max_leaf_probe: int = 512
+#: Minimum word-overlap ratio for two text leaves to be considered
+#: similar (Chawathe's ``f``, typically 0.5-0.8).
+LEAF_THRESHOLD = 0.6
+#: Minimum ratio of common matched descendants for two internal nodes
+#: (Chawathe's ``t``, typically 0.5).
+INNER_THRESHOLD = 0.5
+#: Cap on descendants examined per similarity probe, bounding
+#: worst-case cost on giant subtrees.
+MAX_LEAF_PROBE = 512
 
 
 def _words(value: str) -> set[str]:
@@ -73,8 +63,7 @@ def _chain_key(node: Node) -> tuple:
 
 
 class _LaDiffMatcher:
-    def __init__(self, old_document: Document, new_document: Document, config):
-        self.config = config
+    def __init__(self, old_document: Document, new_document: Document):
         self.matching = Matching()
         self.matching.add(old_document, new_document)
         self.old_document = old_document
@@ -91,7 +80,7 @@ class _LaDiffMatcher:
         if self.matching.has_old(old) or self.matching.has_new(new):
             return False
         if old.kind in ("text", "comment"):
-            return _text_similar(old, new, self.config.leaf_threshold)
+            return _text_similar(old, new, LEAF_THRESHOLD)
         if old.kind == "pi":
             return old.target == new.target
         # leaf elements: same label (chain already ensures it) + attributes
@@ -105,7 +94,7 @@ class _LaDiffMatcher:
         common = 0
         examined = 0
         total_old = 0
-        for descendant in _descendants(old, self.config.max_leaf_probe):
+        for descendant in _descendants(old, MAX_LEAF_PROBE):
             total_old += 1
             partner = self.matching.new_of(descendant)
             if partner is None:
@@ -113,11 +102,11 @@ class _LaDiffMatcher:
             examined += 1
             if self._has_ancestor(partner, new):
                 common += 1
-        total_new = _descendant_count(new, self.config.max_leaf_probe)
+        total_new = _descendant_count(new, MAX_LEAF_PROBE)
         denominator = max(total_old, total_new)
         if denominator == 0:
             return old.label == new.label
-        return common / denominator >= self.config.inner_threshold
+        return common / denominator >= INNER_THRESHOLD
 
     def _has_ancestor(self, node: Node, ancestor: Node) -> bool:
         target_depth = self._depths.get(ancestor, 0)
@@ -221,12 +210,6 @@ def _descendant_count(node: Node, cap: int) -> int:
     return count
 
 
-def ladiff_match(
-    old_document: Document,
-    new_document: Document,
-    config: LaDiffConfig | None = None,
-) -> Matching:
+def ladiff_match(old_document: Document, new_document: Document) -> Matching:
     """Compute the LaDiff-style matching between two documents."""
-    if config is None:
-        config = LaDiffConfig()
-    return _LaDiffMatcher(old_document, new_document, config).run()
+    return _LaDiffMatcher(old_document, new_document).run()

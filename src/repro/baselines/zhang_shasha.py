@@ -14,8 +14,6 @@ Complexity: ``O(n1·n2·min(depth1, leaves1)·min(depth2, leaves2))`` time,
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.xmlkit.model import Node, postorder
 
 __all__ = ["tree_edit_distance"]
@@ -30,7 +28,7 @@ def _node_value(node: Node) -> tuple:
     return (kind, node.value)
 
 
-def _default_rename_cost(a: Node, b: Node) -> float:
+def _rename_cost(a: Node, b: Node) -> float:
     return 0.0 if _node_value(a) == _node_value(b) else 1.0
 
 
@@ -60,37 +58,25 @@ class _ZsTree:
         return len(self.nodes)
 
 
-def tree_edit_distance(
-    old_root,
-    new_root,
-    *,
-    insert_cost: float = 1.0,
-    delete_cost: float = 1.0,
-    rename_cost: Optional[Callable[[Node, Node], float]] = None,
-) -> float:
+def tree_edit_distance(old_root, new_root) -> float:
     """Exact ordered tree edit distance between two (sub)trees.
 
     Args:
         old_root / new_root: Any model nodes (documents use their content).
-        insert_cost / delete_cost: Per-node costs.
-        rename_cost: ``f(old_node, new_node) -> float``; defaults to 0 for
-            equal (kind, label/value) and 1 otherwise.
 
     Returns:
-        The minimal total cost of node deletions, insertions and renames
+        The minimal number of node deletions, insertions and renames
         turning the old tree into the new one (no move operation exists in
-        this model).
+        this model).  Every operation costs 1, and a rename of a node to
+        an equal one (same kind and label or value) costs 0.
     """
-    if rename_cost is None:
-        rename_cost = _default_rename_cost
-
     t1 = _ZsTree(old_root)
     t2 = _ZsTree(new_root)
     n1, n2 = len(t1), len(t2)
     if n1 == 0:
-        return n2 * insert_cost
+        return float(n2)
     if n2 == 0:
-        return n1 * delete_cost
+        return float(n1)
 
     treedist = [[0.0] * n2 for _ in range(n1)]
 
@@ -99,33 +85,11 @@ def tree_edit_distance(
 
     for k1 in t1.keyroots:
         for k2 in t2.keyroots:
-            _forest_distance(
-                k1,
-                k2,
-                l1,
-                l2,
-                nodes1,
-                nodes2,
-                treedist,
-                insert_cost,
-                delete_cost,
-                rename_cost,
-            )
+            _forest_distance(k1, k2, l1, l2, nodes1, nodes2, treedist)
     return treedist[n1 - 1][n2 - 1]
 
 
-def _forest_distance(
-    k1,
-    k2,
-    l1,
-    l2,
-    nodes1,
-    nodes2,
-    treedist,
-    insert_cost,
-    delete_cost,
-    rename_cost,
-):
+def _forest_distance(k1, k2, l1, l2, nodes1, nodes2, treedist):
     """Fill treedist for the keyroot pair (k1, k2) — the classic inner DP."""
     first1 = l1[k1]
     first2 = l2[k2]
@@ -133,9 +97,9 @@ def _forest_distance(
     cols = k2 - first2 + 2
     forest = [[0.0] * cols for _ in range(rows)]
     for i in range(1, rows):
-        forest[i][0] = forest[i - 1][0] + delete_cost
+        forest[i][0] = forest[i - 1][0] + 1.0
     for j in range(1, cols):
-        forest[0][j] = forest[0][j - 1] + insert_cost
+        forest[0][j] = forest[0][j - 1] + 1.0
     for i in range(1, rows):
         node1 = nodes1[first1 + i - 1]
         for j in range(1, cols):
@@ -143,9 +107,9 @@ def _forest_distance(
             if l1[first1 + i - 1] == first1 and l2[first2 + j - 1] == first2:
                 # both forests are whole trees: record a tree distance
                 cost = min(
-                    forest[i - 1][j] + delete_cost,
-                    forest[i][j - 1] + insert_cost,
-                    forest[i - 1][j - 1] + rename_cost(node1, node2),
+                    forest[i - 1][j] + 1.0,
+                    forest[i][j - 1] + 1.0,
+                    forest[i - 1][j - 1] + _rename_cost(node1, node2),
                 )
                 forest[i][j] = cost
                 treedist[first1 + i - 1][first2 + j - 1] = cost
@@ -154,8 +118,8 @@ def _forest_distance(
                 sub1 = l1[first1 + i - 1] - first1  # rows consumed by tree i
                 sub2 = l2[first2 + j - 1] - first2
                 forest[i][j] = min(
-                    forest[i - 1][j] + delete_cost,
-                    forest[i][j - 1] + insert_cost,
+                    forest[i - 1][j] + 1.0,
+                    forest[i][j - 1] + 1.0,
                     forest[sub1][sub2]
                     + treedist[first1 + i - 1][first2 + j - 1],
                 )

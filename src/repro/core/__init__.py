@@ -57,7 +57,6 @@ __all__ = [
     "nodes_touched",
     "operation_count",
     "invert",
-    "match_documents",
     "max_xid",
     "moves_to_edits",
     "parse_delta",
@@ -66,7 +65,6 @@ __all__ = [
     "serialize_delta",
     "subtree_xids",
     "xid_index",
-    "xid_map_of",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -75,7 +73,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "invert",
     ),
     "builder": ("build_delta",),
-    "buld": ("BuldMatcher", "match_documents"),
+    "buld": ("BuldMatcher",),
     "config": ("DiffConfig",),
     "delta": (
         "AttributeDelete", "AttributeInsert", "AttributeUpdate", "Delete",
@@ -95,6 +93,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "xid": (
         "DOCUMENT_XID", "XidAllocator", "assign_initial_xids",
         "format_xid_map", "max_xid", "parse_xid_map", "subtree_xids",
-        "xid_index", "xid_map_of",
+        "xid_index",
     ),
 })

@@ -65,7 +65,6 @@ __all__ = [
     "BuldMatcher",
     "CANDIDATE_PROBES",
     "SETTLED_NODES",
-    "match_documents",
 ]
 
 #: An index entry: the old node that holds the key alone, a list when
@@ -85,24 +84,20 @@ SETTLED_NODES = "buld_settled_nodes"
 
 
 class BuldMatcher:
-    """Stateful runner for one old/new document pair.
-
-    Use :func:`match_documents` unless you need phase-by-phase control
-    (the instrumented benchmarks do).
-    """
+    """Stateful runner for one old/new document pair; the ``buld``
+    engine (:class:`~repro.engine.engines.BuldEngine`) runs its phases
+    as stages."""
 
     def __init__(
         self,
         old_document: Document,
         new_document: Document,
         config,
-        extra_id_attributes: Optional[set[tuple[str, str]]] = None,
         recorder=None,
     ):
         self.old_document = old_document
         self.new_document = new_document
         self.config = config
-        self.extra_id_attributes = extra_id_attributes or set()
         # A disabled recorder (e.g. NullRecorder) is normalized to None so
         # every hot-path guard is a single identity check.
         if recorder is not None and not getattr(recorder, "enabled", True):
@@ -134,9 +129,7 @@ class BuldMatcher:
         if not self.config.use_id_attributes:
             return 0
         id_attributes = (
-            self.old_document.id_attributes
-            | self.new_document.id_attributes
-            | self.extra_id_attributes
+            self.old_document.id_attributes | self.new_document.id_attributes
         )
         if not id_attributes and getattr(
             self.config, "infer_id_attributes", False
@@ -469,11 +462,9 @@ class BuldMatcher:
     # Phase 4 — bottom-up / top-down structural propagation
     # ------------------------------------------------------------------
 
-    def phase4_propagate(self, passes: Optional[int] = None) -> None:
+    def phase4_propagate(self) -> None:
         """Run the optimization passes (bottom-up votes, unique children)."""
-        if passes is None:
-            passes = self.config.optimization_passes
-        for _ in range(max(passes, 0)):
+        for _ in range(max(self.config.optimization_passes, 0)):
             before = len(self.matching)
             self._propagate_to_parents()
             self._propagate_to_children()
@@ -549,29 +540,6 @@ class BuldMatcher:
             new_child = new_unique.get(key)
             if new_child is not None and matching.can_match(old_child, new_child):
                 matching.add(old_child, new_child)
-
-    # ------------------------------------------------------------------
-
-    def run(self) -> Matching:
-        """Execute phases 1-4 and return the matching."""
-        self.phase2_annotate()
-        self.phase1_id_attributes()
-        self.phase3_match_subtrees()
-        self.phase4_propagate()
-        return self.matching
-
-
-def match_documents(
-    old_document: Document, new_document: Document, config=None
-) -> BuldMatcher:
-    """Run BULD and return the matcher (matching + annotations inside)."""
-    if config is None:
-        from repro.core.config import DiffConfig
-
-        config = DiffConfig()
-    matcher = BuldMatcher(old_document, new_document, config)
-    matcher.run()
-    return matcher
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ def moves_to_edits(
     delta: Delta,
     old_document: Document,
     *,
-    intra_parent_only: bool = False,
     allocator: Optional[XidAllocator] = None,
 ) -> Delta:
     """Rewrite move operations as delete + insert pairs.
@@ -42,9 +41,6 @@ def moves_to_edits(
         delta: A delta applicable to ``old_document``.
         old_document: The base version (provides the moved subtrees'
             content, which a delete+insert representation must carry).
-        intra_parent_only: Convert only moves within one parent (the
-            specific trade-off the paper's conclusion mentions); moves
-            across parents stay moves.
         allocator: XID source for the re-inserted subtrees; defaults to
             continuing after every XID visible in the document and delta.
 
@@ -57,19 +53,13 @@ def moves_to_edits(
         DeltaError: when a moved XID cannot be found in the old document.
     """
     index = xid_index(old_document)
-    candidates = [
-        operation
-        for operation in delta.by_kind("move")
-        if not intra_parent_only
-        or operation.from_parent_xid == operation.to_parent_xid
-    ]
     # Only *simple* moves convert safely: if any other operation touches a
     # node inside the moved subtree (an update to its text, a nested move,
     # an insert under it), delete+insert with fresh XIDs would break those
     # references.  Such moves stay moves.
     moves = [
         operation
-        for operation in candidates
+        for operation in delta.by_kind("move")
         if _is_simple_move(operation, delta, index)
     ]
     if not moves:

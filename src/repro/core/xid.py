@@ -34,7 +34,6 @@ __all__ = [
     "parse_xid_map",
     "subtree_xids",
     "xid_index",
-    "xid_map_of",
     "xid_map_runs",
 ]
 
@@ -204,8 +203,3 @@ def xid_map_runs(text: str) -> list[range]:
             raise DeltaError(f"descending XID range {part!r}")
         runs.append(range(start, end + 1))
     return runs
-
-
-def xid_map_of(node: Node) -> str:
-    """The XID-map string of the subtree rooted at ``node``."""
-    return format_xid_map(subtree_xids(node))

@@ -50,7 +50,6 @@ __all__ = [
     "EventLogger",
     "Gauge",
     "Histogram",
-    "MatchRecorder",
     "MetricsRegistry",
     "NULL_RECORDER",
     "NULL_TRACER",
@@ -88,7 +87,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "STAGE_BUCKETS", "observe_stage_seconds",
     ),
     "provenance": (
-        "NULL_RECORDER", "MatchRecorder", "NullRecorder",
+        "NULL_RECORDER", "NullRecorder",
         "ProvenanceRecorder", "ProvenanceReport", "build_report",
         "publish_provenance_metrics",
     ),

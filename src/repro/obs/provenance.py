@@ -35,7 +35,7 @@ so the disabled path is the seed's exact path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional
 
 from repro.xmlkit.model import Document, Node, preorder
 from repro.xmlkit.path import path_of
@@ -43,7 +43,6 @@ from repro.xmlkit.path import path_of
 __all__ = [
     "MATCH_PHASES",
     "MatchRecord",
-    "MatchRecorder",
     "NULL_RECORDER",
     "NullRecorder",
     "ProvenanceRecorder",
@@ -121,44 +120,21 @@ _PHASE_TEXT = {
 }
 
 
-@runtime_checkable
-class MatchRecorder(Protocol):
-    """What BULD expects from a recorder threaded through a run.
-
-    ``enabled`` is the activation switch: the engine normalizes a
-    recorder with ``enabled = False`` to ``None`` before the run, so
-    implementations never see calls while disabled.  ``phase`` and
-    ``anchor`` are *written by the matcher* (cheap attribute stores)
-    before each batch of decisions; the record methods observe and must
-    never influence the matching.
-    """
-
-    enabled: bool
-    phase: str
-    anchor: Optional[Node]
-
-    def record_match(self, old: Node, new: Node) -> None: ...
-
-    def record_lock(self, node: Node) -> None: ...
-
-    def record_rejection(
-        self,
-        reason: str,
-        old: Optional[Node] = None,
-        new: Optional[Node] = None,
-    ) -> None: ...
-
-    def set_weights(self, old_annotations, new_annotations) -> None: ...
-
-    def match_count(self) -> int: ...
-
-
 class NullRecorder:
     """The do-nothing recorder (``enabled = False``).
 
     Exists so callers can hold a recorder unconditionally; the engine
     treats it exactly like ``None`` — the hot paths never call it, and
     traces/metrics stay byte-identical to a run without a recorder.
+
+    Its members are what BULD expects of any recorder threaded through
+    a run (:class:`ProvenanceRecorder` is the one that records).
+    ``enabled`` is the activation switch: the engine normalizes a
+    recorder with ``enabled = False`` to ``None`` before the run, so
+    implementations never see calls while disabled.  ``phase`` and
+    ``anchor`` are *written by the matcher* (cheap attribute stores)
+    before each batch of decisions; the record methods observe and must
+    never influence the matching.
     """
 
     __slots__ = ()

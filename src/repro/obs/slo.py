@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 __all__ = [
-    "DEFAULT_OBJECTIVE",
+    "OBJECTIVE",
     "RouteSlo",
     "SCHEMA",
     "SloReport",
@@ -37,8 +37,12 @@ __all__ = [
 #: Schema identifier of the ``/slo`` payload.
 SCHEMA = "repro.slo/1"
 
-#: Default availability objective (three nines).
-DEFAULT_OBJECTIVE = 0.999
+#: Availability objective (three nines) the error budget burns against.
+OBJECTIVE = 0.999
+
+#: The server instruments the report reads.
+REQUESTS_METRIC = "repro_server_requests_total"
+LATENCY_METRIC = "repro_server_request_seconds"
 
 
 def histogram_quantile(histogram, quantile: float, **labels) -> float:
@@ -122,23 +126,15 @@ def _round_ms(seconds: float) -> float:
     return round(seconds * 1000.0, 3)
 
 
-def compute_slo(
-    metrics,
-    objective: float = DEFAULT_OBJECTIVE,
-    *,
-    requests_metric: str = "repro_server_requests_total",
-    latency_metric: str = "repro_server_request_seconds",
-) -> SloReport:
+def compute_slo(metrics) -> SloReport:
     """Build an :class:`SloReport` from a :class:`MetricsRegistry`.
 
     A registry without the server instruments (nothing served yet)
     yields an all-zero report rather than an error — ``/slo`` must
     answer from the first request on.
     """
-    if not 0.0 < objective < 1.0:
-        raise ValueError("objective must be strictly between 0 and 1")
     requests = errors = 0
-    counter = metrics.get(requests_metric)
+    counter = metrics.get(REQUESTS_METRIC)
     if counter is not None:
         for key, value in counter.labelled_values().items():
             labels = dict(key)
@@ -146,12 +142,12 @@ def compute_slo(
             if str(labels.get("status", "")).startswith("5"):
                 errors += int(value)
     error_ratio = errors / requests if requests else 0.0
-    budget = 1.0 - objective
+    budget = 1.0 - OBJECTIVE
     burn = error_ratio / budget
 
     routes: list[RouteSlo] = []
     overall = {0.5: 0.0, 0.95: 0.0, 0.99: 0.0}
-    histogram = metrics.get(latency_metric)
+    histogram = metrics.get(LATENCY_METRIC)
     if histogram is not None:
         per_route = histogram.labelled_values()
         for key in sorted(per_route):
@@ -183,7 +179,7 @@ def compute_slo(
             for quantile in overall:
                 overall[quantile] = histogram_quantile(view, quantile)
     return SloReport(
-        objective=objective,
+        objective=OBJECTIVE,
         requests=requests,
         errors=errors,
         error_ratio=round(error_ratio, 6),

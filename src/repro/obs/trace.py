@@ -191,11 +191,6 @@ class Tracer:
         finally:
             self.end_span(opened)
 
-    @property
-    def current_span(self) -> Optional[Span]:
-        """The innermost open span, or ``None``."""
-        return self._stack[-1] if self._stack else None
-
     # -- export ------------------------------------------------------------
 
     def iter_spans(self) -> Iterable[Span]:
@@ -265,10 +260,6 @@ class NullTracer:
         return None
 
     def end_span(self, span, duration=None):
-        return None
-
-    @property
-    def current_span(self):
         return None
 
     def iter_spans(self):

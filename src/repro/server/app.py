@@ -60,7 +60,6 @@ from repro.server.deadline import (
     DeadlineExceeded,
 )
 from repro.server.http import (
-    DEFAULT_MAX_BODY,
     HttpError,
     Request,
     Response,
@@ -110,25 +109,16 @@ class ServerConfig:
             request id) to one rotating ``traces.jsonl`` there;
             ``None`` keeps them in memory only long enough to echo
             the span id.
-        max_body_bytes: Request body cap (413 beyond it).
         durability: Write policy handed to every store backend.
         default_deadline: Per-request time budget, in seconds, when the
             client sends no ``X-Repro-Deadline-Ms`` header.
         max_deadline: Hard ceiling on any request budget — the header
             is clamped to this, and internal waits (thread handle
             operations, shutdown joins) are derived from it.
-        idempotency_ttl: Seconds a recorded commit response stays
-            replayable from the in-memory cache (the store journal
-            covers retries beyond it).
-        idempotency_max: Bound on cached commit responses (oldest
-            evicted first).
         log_level: Minimum severity the structured event log records
             (``debug``/``info``/``warning``/``error``).
         log_out: Optional JSONL file every event is appended to
             (the in-memory ring behind ``GET /logz`` always runs).
-        log_capacity: Events kept in the ring for ``GET /logz``.
-        slo_objective: Availability objective ``GET /slo`` computes
-            error-budget burn against.
         scrub_interval: Seconds between background scrub ticks
             (0 disables the scrubber — the default).
         scrub_batch: Max documents re-verified per scrub tick.
@@ -144,16 +134,11 @@ class ServerConfig:
     retry_after: float = 1.0
     trace_sample: int = 0
     trace_dir: Optional[str] = None
-    max_body_bytes: int = DEFAULT_MAX_BODY
     durability: str = "none"
     default_deadline: float = 30.0
     max_deadline: float = 120.0
-    idempotency_ttl: float = 600.0
-    idempotency_max: int = 1024
     log_level: str = "info"
     log_out: Optional[str] = None
-    log_capacity: int = 4096
-    slo_objective: float = 0.999
     scrub_interval: float = 0.0
     scrub_batch: int = 16
 
@@ -166,12 +151,6 @@ class ServerConfig:
             raise ValueError(
                 f"unknown log_level {self.log_level!r}; expected one of "
                 f"{sorted(LEVELS)}"
-            )
-        if self.log_capacity < 1:
-            raise ValueError("log_capacity must be >= 1")
-        if not 0.0 < self.slo_objective < 1.0:
-            raise ValueError(
-                "slo_objective must be strictly between 0 and 1"
             )
         if self.scrub_interval < 0:
             raise ValueError("scrub_interval must be >= 0 seconds")
@@ -204,11 +183,7 @@ class DiffServer:
                 f"unknown default engine {config.engine!r}; "
                 f"choose from {self.available_engines}"
             )
-        self.events = EventLogger(
-            capacity=config.log_capacity,
-            level=config.log_level,
-            path=config.log_out,
-        )
+        self.events = EventLogger(level=config.log_level, path=config.log_out)
         self.pool = WorkerPool(
             workers=config.workers,
             queue_limit=config.queue_limit,
@@ -244,10 +219,7 @@ class DiffServer:
             help="Commits answered from a recorded response instead of "
                  "re-executing, by source (cache or journal).",
         )
-        self.idempotency = IdempotencyCache(
-            max_entries=config.idempotency_max,
-            ttl=config.idempotency_ttl,
-        )
+        self.idempotency = IdempotencyCache()
         if config.scrub_interval > 0:
             from repro.server.scrub import Scrubber
 
@@ -420,9 +392,7 @@ class DiffServer:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, max_body=self.config.max_body_bytes
-                    )
+                    request = await read_request(reader)
                 except HttpError as error:
                     response = Response.error(
                         error.status, "protocol-error", error.message

@@ -37,7 +37,7 @@ __all__ = [
 #: Hard limits, generous for XML documents but bounded.
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_BYTES = 65536
-DEFAULT_MAX_BODY = 32 * 1024 * 1024
+MAX_BODY = 32 * 1024 * 1024
 
 _REASONS = {
     200: "OK",
@@ -158,9 +158,7 @@ class Response:
         return head + self.body
 
 
-async def read_request(
-    reader: asyncio.StreamReader, max_body: int = DEFAULT_MAX_BODY
-) -> Optional[Request]:
+async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request; ``None`` on a clean EOF before any bytes.
 
     Raises :class:`HttpError` for malformed or over-limit input — the
@@ -212,10 +210,10 @@ async def read_request(
             raise HttpError(400, "malformed Content-Length") from None
         if length < 0:
             raise HttpError(400, "malformed Content-Length")
-        if length > max_body:
+        if length > MAX_BODY:
             raise HttpError(
                 413, f"body of {length} bytes exceeds the "
-                     f"{max_body}-byte limit"
+                     f"{MAX_BODY}-byte limit"
             )
         try:
             body = await reader.readexactly(length)

@@ -21,10 +21,10 @@ layers:
    produced the current version and the retry replays instead of
    re-appending.  See ``BackendRepository.last_commit``.
 
-Entries are evicted two ways: by age (``ttl`` seconds — a retry older
-than that is answered from the journal layer) and by count
-(``max_entries``, oldest first — the cache is a bounded buffer, not a
-database).  The clock is injectable for tests.
+Entries are evicted two ways: by age (:data:`TTL` seconds — a retry
+older than that is answered from the journal layer) and by count
+(:data:`MAX_ENTRIES`, oldest first — the cache is a bounded buffer, not
+a database).  The clock is injectable for tests.
 """
 
 from __future__ import annotations
@@ -41,6 +41,12 @@ IDEMPOTENCY_HEADER = "Idempotency-Key"
 
 #: Response header marking a replayed (not re-executed) commit.
 REPLAY_HEADER = "X-Repro-Idempotent-Replay"
+
+#: Seconds a recorded commit response stays replayable.
+TTL = 600.0
+
+#: Cached commit responses kept at most (oldest evicted first).
+MAX_ENTRIES = 1024
 
 
 def body_digest(*parts: bytes) -> str:
@@ -70,18 +76,7 @@ class IdempotencyCache:
     its result lands back on the loop).
     """
 
-    def __init__(
-        self,
-        max_entries: int = 1024,
-        ttl: float = 600.0,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if ttl <= 0:
-            raise ValueError("ttl must be > 0 seconds")
-        self.max_entries = max_entries
-        self.ttl = ttl
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
         self._clock = clock
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
 
@@ -92,10 +87,10 @@ class IdempotencyCache:
         now = self._clock()
         while self._entries:
             _, entry = next(iter(self._entries.items()))
-            if now - entry.stored_at <= self.ttl:
+            if now - entry.stored_at <= TTL:
                 break
             self._entries.popitem(last=False)
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > MAX_ENTRIES:
             self._entries.popitem(last=False)
 
     def get(self, store: str, doc_id: str, key: str) -> Optional[_Entry]:
@@ -104,7 +99,7 @@ class IdempotencyCache:
         entry = self._entries.get((store, doc_id, key))
         if entry is None:
             return None
-        if self._clock() - entry.stored_at > self.ttl:
+        if self._clock() - entry.stored_at > TTL:
             del self._entries[(store, doc_id, key)]
             return None
         return entry

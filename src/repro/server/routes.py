@@ -555,11 +555,7 @@ async def handle_slo(server, request: Request, params, obs) -> Response:
     from the server's own metrics (schema ``repro.slo/1``)."""
     from repro.obs.slo import compute_slo
 
-    return Response.json(
-        compute_slo(
-            server.metrics, objective=server.config.slo_objective
-        ).to_dict()
-    )
+    return Response.json(compute_slo(server.metrics).to_dict())
 
 
 async def handle_statz(server, request: Request, params, obs) -> Response:

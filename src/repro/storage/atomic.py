@@ -61,12 +61,12 @@ def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def sha256_file(path, chunk_size: int = 1 << 20) -> str:
-    """Hex SHA-256 of a file's contents (chunked read)."""
+def sha256_file(path) -> str:
+    """Hex SHA-256 of a file's contents, read 1 MiB at a time."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         while True:
-            chunk = handle.read(chunk_size)
+            chunk = handle.read(1 << 20)
             if not chunk:
                 break
             digest.update(chunk)

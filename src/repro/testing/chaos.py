@@ -54,10 +54,21 @@ __all__ = [
     "run_scenario",
 ]
 
+#: The client workload every scenario drives: this many clients, each
+#: committing this many versions of its own document.
+CLIENTS = 3
+COMMITS_PER_CLIENT = 6
+#: Each client's per-request timeout (s), retries, and circuit
+#: breaker's failure threshold and reset (s).
+CLIENT_TIMEOUT = 10.0
+RETRIES = 5
+BREAKER_THRESHOLD = 3
+BREAKER_RESET = 0.2
+
 
 @dataclass
 class ChaosScenario:
-    """One fault shape plus the client workload driven against it.
+    """One fault shape, driven by the module's client workload.
 
     ``faults`` is a factory (not an instance) so a scenario list can be
     run repeatedly, each run with a freshly armed injector.
@@ -66,13 +77,6 @@ class ChaosScenario:
     name: str
     description: str
     faults: Callable[[], FaultInjector]
-    clients: int = 3
-    commits_per_client: int = 6
-    client_timeout: float = 10.0
-    retries: int = 5
-    breaker_threshold: int = 3
-    breaker_reset: float = 0.2
-    deadline_ms: Optional[int] = None
 
 
 @dataclass
@@ -173,14 +177,9 @@ def _documents_equal(stored_xml: str, submitted_xml: str) -> bool:
     )
 
 
-def run_scenario(
-    scenario: ChaosScenario, store_url: Optional[str] = None
-) -> ChaosReport:
-    """Run one scenario against a live server; returns the report.
-
-    ``store_url`` overrides the default temp ``sqlite://`` store (CI
-    passes one to pin the backend under test).
-    """
+def run_scenario(scenario: ChaosScenario) -> ChaosReport:
+    """Run one scenario against a live server on a temporary
+    ``sqlite://`` store; returns the report."""
     from repro.obs.log import EventLogger
     from repro.obs.metrics import MetricsRegistry
     from repro.server import ServerConfig, serve_in_thread
@@ -200,7 +199,7 @@ def run_scenario(
     client_events = EventLogger(capacity=8192, level="debug")
 
     with tempfile.TemporaryDirectory() as tmp, ExitStack() as cleanup:
-        url = store_url or f"sqlite://{tmp}/chaos.db"
+        url = f"sqlite://{tmp}/chaos.db"
         handle = serve_in_thread(
             ServerConfig(
                 port=0,
@@ -217,17 +216,16 @@ def run_scenario(
         clients = [
             DiffClient(
                 handle.url().rstrip("/"),
-                timeout=scenario.client_timeout,
-                retries=scenario.retries,
+                timeout=CLIENT_TIMEOUT,
+                retries=RETRIES,
                 backoff_base=0.01,
                 backoff_cap=0.1,
-                breaker_threshold=scenario.breaker_threshold,
-                breaker_reset=scenario.breaker_reset,
-                deadline_ms=scenario.deadline_ms,
+                breaker_threshold=BREAKER_THRESHOLD,
+                breaker_reset=BREAKER_RESET,
                 events=client_events,
                 rng=random.Random(1000 + index),
             )
-            for index in range(scenario.clients)
+            for index in range(CLIENTS)
         ]
         for client in clients:
             cleanup.callback(client.close)
@@ -235,7 +233,7 @@ def run_scenario(
         def worker(index: int) -> None:
             client = clients[index]
             doc_id = f"doc-{index}"
-            for step in range(scenario.commits_per_client):
+            for step in range(COMMITS_PER_CLIENT):
                 content = _content(index, step)
                 with state_lock:
                     counters["requests"] += 1
@@ -267,7 +265,7 @@ def run_scenario(
 
         threads = [
             threading.Thread(target=worker, args=(index,), daemon=True)
-            for index in range(scenario.clients)
+            for index in range(CLIENTS)
         ]
         for thread in threads:
             thread.start()
@@ -369,9 +367,10 @@ def run_scenario(
     )
 
 
-def _recovers(client: DiffClient, within: float = 5.0) -> bool:
-    """Whether a client's breaker closes once the faults stop."""
-    end = time.monotonic() + within
+def _recovers(client: DiffClient) -> bool:
+    """Whether a client's breaker closes within 5 s once the faults
+    stop."""
+    end = time.monotonic() + 5.0
     while time.monotonic() < end:
         try:
             client.healthz()

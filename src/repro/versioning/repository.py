@@ -36,8 +36,9 @@ repository therefore writes with one discipline:
 - the SHA-256 checksums of the XML values live in the document's head,
   ``meta.json``, one record for the whole stored state;
 - every head change is one **journaled** write
-  (:meth:`BackendRepository._write`): a create, a commit with its
-  checkpoint when one is due, and fsck's checksum repairs.  A
+  (:meth:`BackendRepository._write`): a create, a commit (with its
+  checkpoint every :data:`CHECKPOINT_EVERY` versions), and fsck's
+  checksum repairs.  A
   commit-intent record (``journal.json``) carrying the new head and the
   SHA-256 of each value before (``pre``) and after (``post``) the write
   goes *first*, then the values, then the head, and the journal is
@@ -107,6 +108,12 @@ __all__ = [
 
 #: A pinned head not read yet (see BackendRepository.pinned_head).
 _UNREAD = object()
+
+#: A commit keeps every version that is a multiple of this as a
+#: checkpoint: a second stored copy that bounds a version read's walk
+#: and that fsck can rebuild a damaged ``current.xml`` from.  Read at
+#: call time, so tests can patch it.
+CHECKPOINT_EVERY = 8
 
 
 @dataclass
@@ -484,18 +491,10 @@ class BackendRepository:
                 f"corrupt delta file {location}: {exc}", path=location
             ) from exc
 
-    def append(
-        self,
-        doc_id,
-        delta,
-        new_document,
-        allocator,
-        commit_record=None,
-        *,
-        checkpoint=False,
-    ):
-        """Advance a document by one version; ``checkpoint`` also keeps
-        the new version as a checkpoint, in the same write."""
+    def append(self, doc_id, delta, new_document, allocator, commit_record=None):
+        """Advance a document by one version.  A new version that is a
+        multiple of :data:`CHECKPOINT_EVERY` is also kept as a
+        checkpoint, in the same write."""
         span = None
         if self.tracer is not None:
             span = self.tracer.start_span("repo.append", doc_id=doc_id)
@@ -536,7 +535,7 @@ class BackendRepository:
                     "utf-8"
                 )
             }
-            if checkpoint:
+            if (version + 1) % CHECKPOINT_EVERY == 0:
                 values[layout.name("snapshot", version + 1)] = current_bytes
                 snapshots = dict(meta.get("snapshots", {}))
                 snapshots[str(version + 1)] = new_meta["xid_labels"]
@@ -799,21 +798,37 @@ class BackendRepository:
             message = "no checksums in the head (store predates them?)"
             add("missing-manifest", meta_key, message, True)
         files = files or {}
-        for name, digest in sorted(files.items()):
+        stored = {}
+        for name in sorted(files):
             key = layout.join(prefix, name)
-            # A full copy of a version can be replayed from another one.
-            rederivable = layout.classify(name)[0] in ("current", "snapshot")
             try:
-                stored = _digest_or_none(backend, key)
+                stored[name] = _digest_or_none(backend, key)
             except StorageError as exc:
                 findings.append(self._unreadable(doc_label, key, exc))
+        # The full copies of a version the head lists that are intact:
+        # a damaged one is replayed from another of them.
+        states = [layout.name("current")] + [
+            layout.name("snapshot", int(version))
+            for version in meta.get("snapshots", {})
+        ]
+        intact = {
+            name for name in states
+            if name in stored and stored[name] == files[name]
+        }
+        for name, digest in stored.items():
+            if digest == files[name]:
                 continue
-            if stored is None:
+            key = layout.join(prefix, name)
+            rederivable = name in states and bool(intact - {name})
+            if digest is None:
                 message = f"{name} has a recorded checksum but is missing"
-                add("missing-file", key, message, rederivable)
-            elif stored != digest:
+                kind = "missing-file"
+            else:
                 message = f"{name} does not match its recorded SHA-256"
-                add("checksum-mismatch", key, message, rederivable)
+                kind = "checksum-mismatch"
+            if name in states and not rederivable:
+                message += " (no other intact stored state to rebuild it from)"
+            add(kind, key, message, rederivable)
         for base in range(1, int(meta.get("current_version", 1))):
             name = layout.name("delta", base)
             key = layout.join(prefix, name)
@@ -834,8 +849,8 @@ class BackendRepository:
 
     # -- snapshot checkpoints ------------------------------------------------
     # Checkpoints are extra starting points for materialize(), bounding
-    # the delta walk for long histories; a commit stores one through
-    # append(checkpoint=True).
+    # the delta walk for long histories; append() stores one every
+    # CHECKPOINT_EVERY versions.
 
     def load_snapshot(self, doc_id, version):
         """A stored historical snapshot, or ``None``."""

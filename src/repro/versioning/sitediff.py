@@ -148,7 +148,6 @@ def diff_sites(
     *,
     tracer=None,
     metrics=None,
-    on_error: str = "record",
 ) -> SiteDelta:
     """Compute the site delta between two snapshots.
 
@@ -157,12 +156,10 @@ def diff_sites(
     :func:`repro.core.diff.diff` documents.
 
     A failure while comparing one pair (a malformed tree, a diff
-    error) is isolated by default: the key moves to
-    :attr:`SiteDelta.failed`, the ``repro_errors_total`` metric is
-    incremented, the document's ``sitediff.doc`` span is tagged with an
-    ``error`` attribute, and the remaining documents are still
-    processed.  Pass ``on_error="raise"`` to abort on the first failure
-    instead.
+    error) is isolated: the key moves to :attr:`SiteDelta.failed`, the
+    ``repro_errors_total`` metric is incremented, the document's
+    ``sitediff.doc`` span is tagged with an ``error`` attribute, and
+    the remaining documents are still processed.
 
     Args:
         tracer: Optional :class:`repro.obs.trace.Tracer`; the whole run
@@ -174,11 +171,7 @@ def diff_sites(
             per-document diffs feed the shared stage histograms and
             ``repro_diffs_total``; isolated failures feed
             ``repro_errors_total``.
-        on_error: ``"record"`` (default, degrade gracefully) or
-            ``"raise"``.
     """
-    if on_error not in ("record", "raise"):
-        raise ValueError(f"on_error must be 'record' or 'raise', not {on_error!r}")
     if config is None:
         config = DiffConfig()
     result = SiteDelta()
@@ -205,8 +198,6 @@ def diff_sites(
                     old_document, new_document, config, key, tracer, metrics
                 )
             except ReproError as error:
-                if on_error == "raise":
-                    raise
                 record_site_error(result, key, error, metrics)
                 continue
             if delta.is_empty():

@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from typing import Callable, Optional
 
 from repro.core.apply import aggregate, apply_delta
-from repro.core.config import DiffConfig
 from repro.core.delta import Delta
 from repro.engine import DiffContext, DiffEngine, DiffStats, get_engine
 from repro.obs.context import current_request_id
@@ -35,7 +34,6 @@ class VersionStore:
             private in-memory SQLite database, which keeps the same
             journal, head record and XML forms as an on-disk store and is
             gone when the store is dropped.
-        config: Diff configuration used by :meth:`commit`.
         on_commit: Optional callback ``f(doc_id, delta, new_document)``
             invoked after every successful commit — this is where the
             paper's *Alerter* (subscription system) hooks in.
@@ -64,9 +62,7 @@ class VersionStore:
     def __init__(
         self,
         repository: Optional[BackendRepository] = None,
-        config: Optional[DiffConfig] = None,
         on_commit: Optional[Callable[[str, Delta, Document], None]] = None,
-        checkpoint_every: Optional[int] = None,
         engine: str | DiffEngine = "buld",
         tracer=None,
         metrics=None,
@@ -80,11 +76,7 @@ class VersionStore:
 
             repository = BackendRepository(SQLiteBackend(":memory:"))
         self.repository = repository
-        self.config = config or DiffConfig()
         self.on_commit = on_commit
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        self.checkpoint_every = checkpoint_every
         self.engine = get_engine(engine)
         self.tracer = tracer
         self.metrics = metrics
@@ -176,9 +168,7 @@ class VersionStore:
                 if span is not None:
                     span.attrs["base_version"] = base_version
                 working, _ = _normalized(new_document)
-                context = DiffContext(
-                    config=self.config, allocator=allocator, tracer=tracer
-                )
+                context = DiffContext(allocator=allocator, tracer=tracer)
                 delta, stats = self.engine.diff_with_stats(
                     current, working, context=context
                 )
@@ -189,17 +179,9 @@ class VersionStore:
                     observe_stage_seconds(self.metrics, stats)
                 delta.base_version = base_version
                 delta.target_version = base_version + 1
-                # A due checkpoint rides in the commit's one write.  The
-                # keyword is passed only then, so a subclass overriding
-                # append without it still commits between checkpoints.
-                due = (
-                    self.checkpoint_every is not None
-                    and delta.target_version % self.checkpoint_every == 0
-                )
                 repository.append(
                     doc_id, delta, working, allocator,
                     commit_record=commit_record,
-                    **({"checkpoint": True} if due else {}),
                 )
                 if self._commits_total is not None:
                     self._commits_total.inc(engine=stats.engine)
@@ -256,8 +238,9 @@ class VersionStore:
         """Reconstruct any stored version.
 
         The walk starts from the nearest stored state, in either
-        direction: the current snapshot, or a checkpoint when
-        ``checkpoint_every`` stored one closer.  Deltas apply forward
+        direction: the current snapshot, or a checkpoint (one every
+        :data:`~repro.versioning.repository.CHECKPOINT_EVERY` versions)
+        when one is closer.  Deltas apply forward
         from a state below the requested version and backward from one
         above (see :meth:`~repro.versioning.repository
         .BackendRepository.materialize`).

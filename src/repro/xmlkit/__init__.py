@@ -36,7 +36,6 @@ __all__ = [
     "XmlSerializeError",
     "canonical_bytes",
     "coalesce_text",
-    "document_byte_size",
     "escape_attribute",
     "escape_text",
     "find_all",
@@ -77,7 +76,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "path_of",
     ),
     "serializer": (
-        "document_byte_size", "escape_attribute", "escape_text", "serialize",
-        "serialize_bytes", "write_file",
+        "escape_attribute", "escape_text", "serialize", "serialize_bytes",
+        "write_file",
     ),
 })

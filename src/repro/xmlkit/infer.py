@@ -203,16 +203,18 @@ def _is_id_candidate(key, per_doc_values) -> bool:
     return saw_any
 
 
-def infer_id_attributes(
-    *documents: Document,
-    min_value_overlap: float = 0.5,
-) -> set[tuple[str, str]]:
+#: Share of the larger value set two documents' values of an inferred
+#: ID attribute must have in common.
+MIN_VALUE_OVERLAP = 0.5
+
+
+def infer_id_attributes(*documents: Document) -> set[tuple[str, str]]:
     """ID-typed ``(element, attribute)`` pairs safe for cross-version
     matching.
 
     An attribute qualifies only if it qualifies in **every** given
     document independently *and* its value sets overlap across the
-    documents (``min_value_overlap`` of the larger side by default).
+    documents (:data:`MIN_VALUE_OVERLAP` of the larger side).
     The second condition is what makes inference safe for the diff: a
     merely *accidentally unique* attribute (random per-version values)
     would lock every node whose value changed — precisely the nodes the
@@ -236,7 +238,7 @@ def infer_id_attributes(
     result = candidate_sets[0]
     for candidates in candidate_sets[1:]:
         result &= candidates
-    if len(documents) < 2 or min_value_overlap <= 0:
+    if len(documents) < 2:
         return result
     safe = set()
     for key in result:
@@ -245,7 +247,7 @@ def infer_id_attributes(
             a = first.get(key, set())
             b = second.get(key, set())
             larger = max(len(a), len(b))
-            if larger and len(a & b) / larger < min_value_overlap:
+            if larger and len(a & b) / larger < MIN_VALUE_OVERLAP:
                 overlap_ok = False
                 break
         if overlap_ok:

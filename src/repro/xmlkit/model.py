@@ -175,10 +175,6 @@ class Node:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_leaf(self) -> bool:
-        return True
-
     def position(self) -> int:
         """Index of this node in its parent's child list.
 
@@ -356,10 +352,6 @@ class Element(Node):
             dict(attributes) if attributes else _NO_ATTRIBUTES
         )
         self.children: Sequence[Node] = _NO_CHILDREN
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
     # -- mutation ----------------------------------------------------------
 
@@ -552,10 +544,6 @@ class Document(Node):
         self.id_attributes: set[tuple[str, str]] = set()
         if root is not None:
             self.append(root)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
     def _own_children(self) -> list[Node]:
         return self.children

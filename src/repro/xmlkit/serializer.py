@@ -43,8 +43,6 @@ _ATTR_ESCAPES = {
 _TEXT_SPECIAL = re.compile("[" + re.escape("".join(_TEXT_ESCAPES)) + "]")
 _ATTR_SPECIAL = re.compile("[" + re.escape("".join(_ATTR_ESCAPES)) + "]")
 
-_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>'
-
 
 def escape_text(value: str) -> str:
     """Escape character data for element content."""
@@ -79,7 +77,6 @@ def serialize(
     node: Node,
     *,
     indent: Optional[int] = None,
-    xml_declaration: bool = False,
     sort_attributes: bool = False,
 ) -> str:
     """Serialize a node (or whole document) to an XML string.
@@ -90,7 +87,6 @@ def serialize(
             of spaces per nesting level for human-readable output.  Indented
             output inserts whitespace text and is therefore only identical
             to the source modulo whitespace.
-        xml_declaration: Prefix output with ``<?xml version="1.0"?>``.
         sort_attributes: Emit attributes in sorted-name order (used by the
             canonical form); default preserves insertion order.
 
@@ -102,13 +98,11 @@ def serialize(
     else:
         top_level = [node]
     if indent is None:
-        parts = [_DECLARATION] if xml_declaration else []
+        parts: list[str] = []
         _write_compact(parts, top_level, sort_attributes)
         return "".join(parts)
 
     out = io.StringIO()
-    if xml_declaration:
-        out.write(_DECLARATION + "\n")
     for index, top in enumerate(top_level):
         if index > 0 and not out.getvalue().endswith("\n"):
             out.write("\n")
@@ -233,8 +227,3 @@ def write_file(node: Node, path, **kwargs) -> int:
         with io.open(path, "wb") as handle:
             handle.write(data)
     return len(data)
-
-
-def document_byte_size(node: Node) -> int:
-    """Byte size of the compact serialization (used by benchmarks)."""
-    return len(serialize_bytes(node))

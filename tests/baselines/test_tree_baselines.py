@@ -129,11 +129,6 @@ class TestZhangShasha:
         bound = (a.subtree_size() - 1) + (b.subtree_size() - 1)
         assert tree_edit_distance(a, b) <= bound
 
-    def test_custom_costs(self):
-        a = parse("<a><b/></a>")
-        b = parse("<a/>")
-        assert tree_edit_distance(a, b, delete_cost=5.0) == 5.0
-
 
 class TestLaDiff:
     def test_similar_text_matches(self):

@@ -1,6 +1,8 @@
 """Tests for the BULD matching algorithm itself (Phases 1-4)."""
 
-from repro.core import DiffConfig, match_documents
+from repro.core import DiffConfig
+
+from tests.core.buld_phases import match_documents
 from repro.xmlkit import parse
 
 

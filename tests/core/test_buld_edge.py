@@ -8,9 +8,10 @@ from repro.core import (
     MatchingError,
     apply_delta,
     diff,
-    match_documents,
 )
 from repro.xmlkit import Element, Text, parse
+
+from tests.core.buld_phases import match_documents
 
 
 class TestMatchingClass:

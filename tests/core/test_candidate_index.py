@@ -23,6 +23,8 @@ from repro.simulator import (
 from repro.xmlkit import parse
 from repro.xmlkit.model import Node
 
+from tests.core.buld_phases import run_phases
+
 #: Probes per new node may grow by at most this factor from 4k to 36k
 #: nodes (×9 the nodes).  A scan that revisits taken nodes grows ×3.2.
 PROBE_GROWTH_BOUND = 1.5
@@ -140,10 +142,9 @@ class TestCompaction:
         self, max_candidates
     ):
         old, new = simulated_pair(600, seed=11)
-        matcher = CheckedMatcher(
-            old, new, DiffConfig(max_candidates=max_candidates)
+        matcher = run_phases(
+            CheckedMatcher(old, new, DiffConfig(max_candidates=max_candidates))
         )
-        matcher.run()
         assert matcher.lookups > 0
 
     @pytest.mark.parametrize("max_candidates", [1, 3, 32])
@@ -152,10 +153,9 @@ class TestCompaction:
         # one on the secondary index; every other entry it inspects is
         # taken and dropped, which happens once per entry and index.
         old, new = simulated_pair(3_000, seed=21)
-        matcher = CountingMatcher(
-            old, new, DiffConfig(max_candidates=max_candidates)
+        matcher = run_phases(
+            CountingMatcher(old, new, DiffConfig(max_candidates=max_candidates))
         )
-        matcher.run()
         stored = sum(len(full) for _, _, full in matcher.full_buckets)
         bound = matcher.lookups * (max_candidates + 1) + stored
         assert matcher.candidate_probes <= bound

@@ -32,6 +32,7 @@ from repro.simulator import (
 )
 from repro.xmlkit import Element, Text, parse, postorder, preorder, serialize
 
+from tests.core.buld_phases import run_phases
 from tests.integration.cycle_garbage import fig4_texts
 
 #: ``buld_settled_nodes`` of the FIG4 1k-node pair (1,084 new nodes)
@@ -105,8 +106,7 @@ class TestSameOutput:
         old_text, new_text = texts
         old, new = parse(old_text), parse(new_text)
         assign_initial_xids(old)
-        matcher = BuldMatcher(old, new, DiffConfig())
-        matching = matcher.run()
+        matching = run_phases(BuldMatcher(old, new, DiffConfig())).matching
         assert matching.settled_nodes > 0
         skipped = serialize_delta(build_delta(old, new, matching))
         # The same matching with its settled regions forgotten: every

@@ -34,17 +34,19 @@ class TestMovesToEdits:
             "<r><c>cccc</c><a>aaaa</a><b>bbbb</b></r>",
         )
         assert delta.summary() == {"move": 1}
-        rewritten = moves_to_edits(delta, old, intra_parent_only=True)
+        rewritten = moves_to_edits(delta, old)
         assert rewritten.by_kind("move") == []
         assert apply_delta(rewritten, old, verify=True).deep_equal(new)
 
-    def test_intra_parent_only_keeps_cross_parent_moves(self):
+    def test_cross_parent_move_converted(self):
         old, new, delta = diff_pair(
             "<r><p1><thing><d>content here</d></thing></p1><p2/></r>",
             "<r><p1/><p2><thing><d>content here</d></thing></p2></r>",
         )
-        rewritten = moves_to_edits(delta, old, intra_parent_only=True)
-        assert len(rewritten.by_kind("move")) == 1  # untouched
+        assert delta.summary() == {"move": 1}
+        rewritten = moves_to_edits(delta, old)
+        assert rewritten.by_kind("move") == []
+        assert apply_delta(rewritten, old, verify=True).deep_equal(new)
 
     def test_delta_without_moves_unchanged(self):
         old, new, delta = diff_pair("<a><b>x</b></a>", "<a><b>y</b></a>")
@@ -104,8 +106,6 @@ class TestMovesToEdits:
         delta = diff(old, new)
         rewritten = moves_to_edits(delta, old)
         assert apply_delta(rewritten, old, verify=True).deep_equal(new)
-        rewritten_intra = moves_to_edits(delta, old, intra_parent_only=True)
-        assert apply_delta(rewritten_intra, old, verify=True).deep_equal(new)
 
 
 class TestStripMetadata:

@@ -11,7 +11,6 @@ from repro.core import (
     parse_xid_map,
     subtree_xids,
     xid_index,
-    xid_map_of,
 )
 from repro.xmlkit import DeltaError, parse, postorder
 
@@ -97,8 +96,8 @@ class TestXidMapFormat:
         doc = parse("<a><b><c/><d/></b><e/></a>")
         assign_initial_xids(doc)
         # postorder: c=1, d=2, b=3, e=4, a=5
-        assert xid_map_of(doc.root.children[0]) == "(1-3)"
-        assert xid_map_of(doc.root) == "(1-5)"
+        assert format_xid_map(subtree_xids(doc.root.children[0])) == "(1-3)"
+        assert format_xid_map(subtree_xids(doc.root)) == "(1-5)"
 
     def test_every_node_has_unique_xid_after_assignment(self):
         doc = parse("<a><b><c>t</c></b><d/><e>u</e></a>")

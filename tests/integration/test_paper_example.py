@@ -8,7 +8,9 @@ exactly one delete, one insert, one move and one update — and our diff
 must find precisely that interpretation.
 """
 
-from repro.core import apply_backward, apply_delta, diff, match_documents
+from repro.core import apply_backward, apply_delta, diff
+
+from tests.core.buld_phases import match_documents
 from repro.xmlkit import parse
 
 OLD = (

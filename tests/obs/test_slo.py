@@ -6,7 +6,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
-    DEFAULT_OBJECTIVE,
+    OBJECTIVE,
     SCHEMA,
     compute_slo,
     histogram_quantile,
@@ -69,15 +69,8 @@ def test_empty_registry_yields_all_zero_report():
     assert report.error_budget_burn == 0.0
     assert report.p50_ms == report.p95_ms == report.p99_ms == 0.0
     assert report.routes == []
-    assert report.objective == DEFAULT_OBJECTIVE
+    assert report.objective == OBJECTIVE == 0.999
     assert report.to_dict()["schema"] == SCHEMA
-
-
-def test_objective_must_be_a_ratio():
-    with pytest.raises(ValueError):
-        compute_slo(MetricsRegistry(), objective=1.0)
-    with pytest.raises(ValueError):
-        compute_slo(MetricsRegistry(), objective=0.0)
 
 
 def test_error_budget_burn_is_5xx_share_over_budget():
@@ -89,7 +82,7 @@ def test_error_budget_burn_is_5xx_share_over_budget():
     # 4xx are the caller's fault — they do not burn server budget.
     counter.inc(50, route="commit", status="404")
 
-    report = compute_slo(registry, objective=0.999)
+    report = compute_slo(registry)
     assert report.requests == 1050
     assert report.errors == 3
     assert report.error_ratio == pytest.approx(3 / 1050, abs=1e-6)
@@ -104,7 +97,7 @@ def test_burn_exactly_one_when_budget_exactly_spent():
     counter = registry.counter("repro_server_requests_total")
     counter.inc(999, route="diff", status="200")
     counter.inc(1, route="diff", status="500")
-    report = compute_slo(registry, objective=0.999)
+    report = compute_slo(registry)
     assert report.error_budget_burn == pytest.approx(1.0)
 
 

@@ -71,9 +71,10 @@ def test_bytes_by_kind_accounts_every_key(file_repo):
     assert report["bytes_total"] == expected
 
 
-def test_checkpoint_coverage_and_staleness(tmp_path):
+def test_checkpoint_coverage_and_staleness(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.versioning.repository.CHECKPOINT_EVERY", 4)
     repository = open_repository(f"file://{tmp_path}/ck")
-    store = VersionStore(repository=repository, checkpoint_every=4)
+    store = VersionStore(repository=repository)
     _grow(store, "plain", 3)  # no checkpoint: staleness 3 - 1 = 2
     # Checkpoint at the head version: staleness 0.
     _grow(store, "marked", 4)

@@ -79,11 +79,18 @@ class TestSpanNesting:
         assert span.duration == 1.5
 
     def test_current_span(self):
+        # The innermost open span is the parent of the next one opened.
         tracer = Tracer()
-        assert tracer.current_span is None
         with tracer.span("outer") as outer:
-            assert tracer.current_span is outer
-        assert tracer.current_span is None
+            with tracer.span("inner") as inner:
+                pass
+            with tracer.span("sibling") as sibling:
+                pass
+        with tracer.span("root") as root:
+            pass
+        assert outer.children == [inner, sibling]
+        assert [span.name for span in tracer.roots] == ["outer", "root"]
+        assert root.children == []
 
     def test_exception_inside_span_still_closes_it(self):
         tracer = Tracer()
@@ -193,7 +200,6 @@ class TestNullTracer:
         assert NULL_TRACER.to_jsonl() == ""
         assert NULL_TRACER.render() == ""
         assert list(NULL_TRACER.iter_spans()) == []
-        assert NULL_TRACER.current_span is None
 
     def test_span_context_reused(self):
         assert NULL_TRACER.span("a") is NULL_TRACER.span("b")

@@ -7,6 +7,7 @@ that, over arbitrary generated documents, arbitrary simulated change
 scripts, and arbitrary *unrelated* document pairs.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -15,13 +16,17 @@ from repro.core import (
     apply_delta,
     diff,
     invert,
+    parse_delta,
+    serialize_delta,
 )
+from repro.engine.engines import ENGINES
 from repro.simulator import (
     GeneratorConfig,
     SimulatorConfig,
     generate_document,
     simulate_changes,
 )
+from repro.xmlkit import parse, serialize
 
 from tests.property.strategies import documents
 
@@ -130,7 +135,7 @@ def test_inferred_ids_stay_correct(doc_seed, sim_seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_matching_respects_labels_and_kinds(seed):
-    from repro.core import match_documents
+    from tests.core.buld_phases import match_documents
 
     base = generate_document(GeneratorConfig(target_nodes=70, seed=seed))
     result = simulate_changes(base, SimulatorConfig(seed=seed + 5))
@@ -139,3 +144,29 @@ def test_matching_respects_labels_and_kinds(seed):
         assert old_node.kind == new_node.kind
         if old_node.kind == "element":
             assert old_node.label == new_node.label
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize(
+    "strip_whitespace", [True, False], ids=["strip", "keep"]
+)
+@settings(max_examples=15, deadline=None)
+@given(doc_seed=st.integers(0, 10_000), sim_seed=st.integers(0, 10_000))
+def test_every_engine_round_trips_bytes(
+    engine, strip_whitespace, doc_seed, sim_seed
+):
+    """For Δ = diff(a, b) through the delta's XML form, apply(Δ, a) and
+    apply(invert(Δ), b) serialize to the bytes of b and a: on
+    pretty-printed pairs, under either whitespace policy."""
+    base = generate_document(GeneratorConfig(target_nodes=60, seed=doc_seed))
+    changed = simulate_changes(
+        base, SimulatorConfig(0.1, 0.1, 0.1, 0.1, seed=sim_seed)
+    ).new_document
+    old, new = (
+        parse(serialize(fresh(document), indent=2),
+              strip_whitespace=strip_whitespace)
+        for document in (base, changed)
+    )
+    delta = parse_delta(serialize_delta(diff(old, new, engine=engine)))
+    assert serialize(apply_delta(delta, old)) == serialize(new)
+    assert serialize(apply_delta(invert(delta), new)) == serialize(old)

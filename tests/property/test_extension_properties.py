@@ -62,9 +62,8 @@ def test_merge_with_empty_side_applies_other_side(doc_seed, sim_seed):
 @given(
     st.integers(0, 5_000),
     st.integers(0, 5_000),
-    st.booleans(),
 )
-def test_moves_to_edits_preserves_content(doc_seed, sim_seed, intra_only):
+def test_moves_to_edits_preserves_content(doc_seed, sim_seed):
     base = generate_document(GeneratorConfig(target_nodes=60, seed=doc_seed))
     result = simulate_changes(
         base, SimulatorConfig(0.05, 0.05, 0.05, 0.25, seed=sim_seed)
@@ -72,7 +71,7 @@ def test_moves_to_edits_preserves_content(doc_seed, sim_seed, intra_only):
     old = base.clone(keep_xids=False)
     new = result.new_document.clone(keep_xids=False)
     delta = diff(old, new)
-    rewritten = moves_to_edits(delta, old, intra_parent_only=intra_only)
+    rewritten = moves_to_edits(delta, old)
     assert apply_delta(rewritten, old, verify=True).deep_equal(new)
 
 

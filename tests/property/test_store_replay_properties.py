@@ -11,6 +11,7 @@ promise from every stored state on every kind of store.
 
 import os
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,17 +26,24 @@ from repro.simulator import (
 )
 from repro.versioning import open_repository
 from repro.versioning import layout
+from repro.versioning import repository as repository_module
 from repro.versioning.version_control import VersionStore
 from repro.xmlkit.model import postorder
 from repro.xmlkit.serializer import serialize_bytes
+
+#: Stores here keep a checkpoint every second version, so short chains
+#: hold several stored states to rebuild from.
+EVERY_SECOND_VERSION = mock.patch.object(
+    repository_module, "CHECKPOINT_EVERY", 2
+)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**16), steps=st.integers(1, 4))
 def test_replay_reproduces_every_committed_snapshot(seed, steps):
-    with tempfile.TemporaryDirectory() as root:
+    with tempfile.TemporaryDirectory() as root, EVERY_SECOND_VERSION:
         repo = open_repository(root)
-        store = VersionStore(repo, checkpoint_every=2)
+        store = VersionStore(repo)
         document = generate_document(
             GeneratorConfig(target_nodes=60, seed=seed)
         )
@@ -102,9 +110,9 @@ def test_materialize_from_every_start_matches_commits(kind, seed, steps):
     """Every version rebuilt from every stored state — current.xml and
     each checkpoint, forward or backward — has the committed bytes and
     the committed XID labelling."""
-    with tempfile.TemporaryDirectory() as root:
+    with tempfile.TemporaryDirectory() as root, EVERY_SECOND_VERSION:
         repo = _open_store(kind, root)
-        store = VersionStore(repo, checkpoint_every=2)
+        store = VersionStore(repo)
         store.create("doc", generate_document(
             GeneratorConfig(target_nodes=60, seed=seed)
         ))

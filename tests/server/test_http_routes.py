@@ -4,16 +4,16 @@ import asyncio
 
 import pytest
 
-from repro.server.http import HttpError, Response, read_request
+from repro.server.http import MAX_BODY, HttpError, Response, read_request
 from repro.server.routes import ROUTES, match_route, route_table
 
 
-def parse_request(raw: bytes, **kwargs):
+def parse_request(raw: bytes):
     async def scenario():
         reader = asyncio.StreamReader()
         reader.feed_data(raw)
         reader.feed_eof()
-        return await read_request(reader, **kwargs)
+        return await read_request(reader)
 
     return asyncio.run(scenario())
 
@@ -60,10 +60,11 @@ def test_chunked_transfer_encoding_is_411():
 
 
 def test_oversized_body_is_413():
+    # The cap is checked against Content-Length, before any body is read.
     with pytest.raises(HttpError) as excinfo:
         parse_request(
-            b"POST /diff HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + b"x" * 100,
-            max_body=10,
+            f"POST /diff HTTP/1.1\r\nContent-Length: {MAX_BODY + 1}\r\n\r\n"
+            .encode("latin-1")
         )
     assert excinfo.value.status == 413
 

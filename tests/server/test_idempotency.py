@@ -15,7 +15,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.server import ServerConfig, serve_in_thread
 from repro.server.idempotency import (
     IDEMPOTENCY_HEADER,
+    MAX_ENTRIES,
     REPLAY_HEADER,
+    TTL,
     IdempotencyCache,
     body_digest,
 )
@@ -61,39 +63,33 @@ def test_cache_roundtrip_and_miss():
 
 def test_cache_expires_entries_by_ttl():
     clock = FakeClock()
-    cache = IdempotencyCache(ttl=10.0, clock=clock)
+    cache = IdempotencyCache(clock=clock)
     cache.put("s", "d", "k", "digest", 200, {})
-    clock.now = 9.0
+    clock.now = TTL - 1
     assert cache.get("s", "d", "k") is not None
-    clock.now = 11.0
+    clock.now = TTL + 1
     assert cache.get("s", "d", "k") is None
     assert len(cache) == 0
 
 
 def test_cache_evicts_oldest_beyond_max_entries():
-    cache = IdempotencyCache(max_entries=2)
-    for index in range(3):
+    cache = IdempotencyCache()
+    for index in range(MAX_ENTRIES + 1):
         cache.put("s", "d", f"k{index}", "digest", 200, {})
+    assert len(cache) == MAX_ENTRIES
     assert cache.get("s", "d", "k0") is None
     assert cache.get("s", "d", "k1") is not None
-    assert cache.get("s", "d", "k2") is not None
+    assert cache.get("s", "d", f"k{MAX_ENTRIES}") is not None
 
 
 def test_reput_refreshes_eviction_position():
-    cache = IdempotencyCache(max_entries=2)
-    cache.put("s", "d", "k0", "digest", 200, {})
-    cache.put("s", "d", "k1", "digest", 200, {})
+    cache = IdempotencyCache()
+    for index in range(MAX_ENTRIES):
+        cache.put("s", "d", f"k{index}", "digest", 200, {})
     cache.put("s", "d", "k0", "digest", 200, {})  # k0 now newest
-    cache.put("s", "d", "k2", "digest", 200, {})
+    cache.put("s", "d", "new", "digest", 200, {})
     assert cache.get("s", "d", "k1") is None
     assert cache.get("s", "d", "k0") is not None
-
-
-def test_cache_constructor_validation():
-    with pytest.raises(ValueError):
-        IdempotencyCache(max_entries=0)
-    with pytest.raises(ValueError):
-        IdempotencyCache(ttl=0)
 
 
 # -- the journal-durable commit record ---------------------------------------

@@ -180,9 +180,9 @@ class TestSQLiteBatchRollback:
         backend.close()
 
 
-def _repo_at(tmp_path, scheme, faults=None, checkpoint_every=None):
+def _repo_at(tmp_path, scheme, faults=None):
     repo = BackendRepository(_make_backend(tmp_path, scheme, faults=faults))
-    return repo, VersionStore(repo, checkpoint_every=checkpoint_every)
+    return repo, VersionStore(repo)
 
 
 def _reopen(tmp_path, scheme):
@@ -271,8 +271,11 @@ class TestTornWrites:
         assert reopened.current_version("doc") == 3
         reopened.close()
 
-    def test_torn_current_replays_from_checkpoint(self, tmp_path, scheme):
-        repo, store = _repo_at(tmp_path, scheme, checkpoint_every=2)
+    def test_torn_current_replays_from_checkpoint(
+        self, tmp_path, scheme, monkeypatch
+    ):
+        monkeypatch.setattr("repro.versioning.repository.CHECKPOINT_EVERY", 2)
+        repo, store = _repo_at(tmp_path, scheme)
         store.create("doc", parse(V1))
         store.commit("doc", parse(V2))  # checkpoint at version 2
         pre_bytes = serialize_bytes(repo.load_current("doc", readonly=True))

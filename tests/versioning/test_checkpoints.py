@@ -1,8 +1,12 @@
 """Tests for snapshot checkpointing in the version store."""
 
+import os
+
 import pytest
 
+from repro.cli import main
 from repro.storage import open_backend
+from repro.versioning import repository as repository_module
 from repro.versioning import BackendRepository, VersionStore, open_repository
 from repro.xmlkit import parse
 from repro.xmlkit.errors import RepositoryError
@@ -10,6 +14,14 @@ from repro.xmlkit.errors import RepositoryError
 
 def versions(count):
     return [f"<d><v>{i}</v><pad>some padding text</pad></d>" for i in range(count)]
+
+
+@pytest.fixture
+def every(monkeypatch):
+    """Set the store's checkpoint interval for one test."""
+    return lambda interval: monkeypatch.setattr(
+        repository_module, "CHECKPOINT_EVERY", interval
+    )
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -20,16 +32,18 @@ def repository(request, tmp_path):
 
 
 class TestCheckpointing:
-    def test_checkpoints_created_on_schedule(self, repository):
-        store = VersionStore(repository, checkpoint_every=3)
+    def test_checkpoints_created_on_schedule(self, repository, every):
+        every(3)
+        store = VersionStore(repository)
         texts = versions(10)
         store.create("d", parse(texts[0]))
         for text in texts[1:]:
             store.commit("d", parse(text))
         assert repository.snapshot_versions("d") == [3, 6, 9]
 
-    def test_every_version_still_reconstructs(self, repository):
-        store = VersionStore(repository, checkpoint_every=3)
+    def test_every_version_still_reconstructs(self, repository, every):
+        every(3)
+        store = VersionStore(repository)
         texts = versions(10)
         store.create("d", parse(texts[0]))
         for text in texts[1:]:
@@ -39,10 +53,11 @@ class TestCheckpointing:
                 f"version {number}"
             )
 
-    def test_checkpoint_xids_match_chain_reconstruction(self, repository):
+    def test_checkpoint_xids_match_chain_reconstruction(self, repository, every):
         from repro.core import xid_index
 
-        store = VersionStore(repository, checkpoint_every=2)
+        every(2)
+        store = VersionStore(repository)
         texts = versions(6)
         store.create("d", parse(texts[0]))
         for text in texts[1:]:
@@ -64,6 +79,7 @@ class TestCheckpointing:
         } == {xid for xid in xid_index(document)}
 
     def test_no_checkpoints_by_default(self, repository):
+        # Below the first multiple of the interval, nothing is kept.
         store = VersionStore(repository)
         texts = versions(5)
         store.create("d", parse(texts[0]))
@@ -71,37 +87,47 @@ class TestCheckpointing:
             store.commit("d", parse(text))
         assert repository.snapshot_versions("d") == []
 
-    def test_only_a_due_checkpoint_passes_the_keyword(self, tmp_path):
-        # A repository overriding append with the signature it had
-        # before checkpoints rode in commits still commits between them.
+    def test_checkpoints_by_default(self, repository):
+        store = VersionStore(repository)
+        texts = versions(17)
+        store.create("d", parse(texts[0]))
+        for text in texts[1:]:
+            store.commit("d", parse(text))
+        assert repository_module.CHECKPOINT_EVERY == 8
+        assert repository.snapshot_versions("d") == [8, 16]
+
+    def test_append_override_keeps_checkpoints(
+        self, tmp_path, every
+    ):
+        # A repository that overrides append with the plain signature
+        # (as the benchmark's traced one does) keeps checkpoints too:
+        # append itself decides, from the head it reads.
         calls = []
 
         class Recording(BackendRepository):
             def append(self, doc_id, delta, new_document, allocator,
-                       commit_record=None, **checkpoint):
-                calls.append(checkpoint)
+                       commit_record=None):
+                calls.append(delta.target_version)
                 return super().append(
                     doc_id, delta, new_document, allocator,
-                    commit_record=commit_record, **checkpoint,
+                    commit_record=commit_record,
                 )
 
         repository = Recording(open_backend(f"file://{tmp_path / 'repo'}"))
-        store = VersionStore(repository, checkpoint_every=3)
+        every(3)
+        store = VersionStore(repository)
         texts = versions(5)
         store.create("d", parse(texts[0]))
         for text in texts[1:]:
             store.commit("d", parse(text))
-        assert calls == [{}, {"checkpoint": True}, {}, {}]
+        assert calls == [2, 3, 4, 5]
         assert repository.snapshot_versions("d") == [3]
 
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            VersionStore(checkpoint_every=0)
-
-    def test_changes_between_still_exact(self, repository):
+    def test_changes_between_still_exact(self, repository, every):
         from repro.core import apply_delta
 
-        store = VersionStore(repository, checkpoint_every=2)
+        every(2)
+        store = VersionStore(repository)
         texts = versions(7)
         store.create("d", parse(texts[0]))
         for text in texts[1:]:
@@ -111,9 +137,10 @@ class TestCheckpointing:
         v6 = store.get_version("d", 6)
         assert apply_delta(combined, v2, verify=True).deep_equal(v6)
 
-    def test_directory_snapshot_files_exist(self, tmp_path):
+    def test_directory_snapshot_files_exist(self, tmp_path, every):
         repository = open_repository(tmp_path / "repo")
-        store = VersionStore(repository, checkpoint_every=2)
+        every(2)
+        store = VersionStore(repository)
         texts = versions(4)
         store.create("d", parse(texts[0]))
         for text in texts[1:]:
@@ -121,10 +148,11 @@ class TestCheckpointing:
         assert (tmp_path / "repo" / "d" / "snapshot-0002.xml").exists()
         assert (tmp_path / "repo" / "d" / "snapshot-0004.xml").exists()
 
-    def test_reconstruction_walk_is_shorter_with_checkpoints(self, repository):
+    def test_reconstruction_walk_is_shorter_with_checkpoints(self, repository, every):
         """Behavioural check: asking for a version right below a
         checkpoint must not touch earlier deltas."""
-        store = VersionStore(repository, checkpoint_every=5)
+        every(5)
+        store = VersionStore(repository)
         texts = versions(12)
         store.create("d", parse(texts[0]))
         for text in texts[1:]:
@@ -144,8 +172,8 @@ class TestCheckpointing:
         assert touched == [9]
 
 
-def committed_store(repository, count, checkpoint_every):
-    store = VersionStore(repository, checkpoint_every=checkpoint_every)
+def committed_store(repository, count):
+    store = VersionStore(repository)
     texts = versions(count)
     store.create("d", parse(texts[0]))
     for text in texts[1:]:
@@ -188,40 +216,45 @@ def walk(store, version):
 class TestMaterializeWalk:
     """Which stored state a read starts from, and how far it walks."""
 
-    def test_version_above_checkpoint_replays_forward(self, repository):
-        store, texts = committed_store(repository, 12, checkpoint_every=5)
+    def test_version_above_checkpoint_replays_forward(self, repository, every):
+        every(5)
+        store, texts = committed_store(repository, 12)
         document, touched, starts = walk(store, 6)
         # checkpoint 5 is one delta away: forward over delta 5->6 only
         assert starts == [5]
         assert touched == [5]
         assert document.deep_equal(parse(texts[5]))
 
-    def test_tie_goes_to_the_higher_start(self, repository):
-        store, texts = committed_store(repository, 12, checkpoint_every=4)
+    def test_tie_goes_to_the_higher_start(self, repository, every):
+        every(4)
+        store, texts = committed_store(repository, 12)
         # checkpoints 4 and 8 are both two deltas from version 6
         document, touched, starts = walk(store, 6)
         assert starts == [8]
         assert touched == [7, 6]
         assert document.deep_equal(parse(texts[5]))
 
-    def test_current_wins_over_checkpoint_of_same_version(self, repository):
-        store, texts = committed_store(repository, 10, checkpoint_every=5)
+    def test_current_wins_over_checkpoint_of_same_version(self, repository, every):
+        every(5)
+        store, texts = committed_store(repository, 10)
         document, touched, starts = walk(store, 10)
         assert starts == ["current"]
         assert touched == []
         assert document.deep_equal(parse(texts[9]))
 
-    def test_stored_checkpoint_returned_without_replay(self, repository):
-        store, texts = committed_store(repository, 12, checkpoint_every=5)
+    def test_stored_checkpoint_returned_without_replay(self, repository, every):
+        every(5)
+        store, texts = committed_store(repository, 12)
         document, touched, starts = walk(store, 5)
         assert starts == [5]
         assert touched == []
         assert document.deep_equal(parse(texts[4]))
 
-    def test_unloadable_checkpoint_falls_back_to_next_nearest(self, tmp_path):
-        store, texts = committed_store(
-            open_repository(tmp_path / "repo"), 12, checkpoint_every=5
-        )
+    def test_unloadable_checkpoint_falls_back_to_next_nearest(
+        self, tmp_path, every
+    ):
+        every(5)
+        store, texts = committed_store(open_repository(tmp_path / "repo"), 12)
         (tmp_path / "repo" / "d" / "snapshot-0005.xml").unlink()
         document, touched, starts = walk(store, 6)
         # checkpoint 5 is gone: checkpoint 10 is next, four deltas back
@@ -229,8 +262,66 @@ class TestMaterializeWalk:
         assert touched == [9, 8, 7, 6]
         assert document.deep_equal(parse(texts[5]))
 
-    def test_out_of_range_version_rejected(self, repository):
-        store, _ = committed_store(repository, 3, checkpoint_every=2)
+    def test_out_of_range_version_rejected(self, repository, every):
+        every(2)
+        store, _ = committed_store(repository, 3)
         for version in (0, 4):
             with pytest.raises(RepositoryError, match="versions 1..3"):
                 store.get_version("d", version)
+
+
+BACKENDS = [
+    name.strip()
+    for name in os.environ.get("XYDIFF_BACKENDS", "file,sqlite").split(",")
+    if name.strip()
+]
+
+
+def _cli_store(tmp_path, scheme, count):
+    """A store written only through ``xydiff store commit``: ``count``
+    versions of one document ``d``; returns its URL and the bytes of
+    ``current.xml``."""
+    url = f"{scheme}://{tmp_path / 'st'}"
+    for number, text in enumerate(versions(count)):
+        path = tmp_path / f"v{number}.xml"
+        path.write_text(text)
+        assert main(["store", "commit", "--store", url, "d", str(path)]) == 0
+    with open_backend(url) as backend:
+        return url, backend.get("d/current.xml")
+
+
+def _truncate_current(url, original):
+    with open_backend(url) as backend:
+        backend.put("d/current.xml", original[: len(original) // 2])
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_a_cli_store_keeps_a_checkpoint_that_fsck_repairs_from(
+    tmp_path, scheme, capsys
+):
+    url, original = _cli_store(tmp_path, scheme, 9)
+    repository = open_repository(url)
+    assert repository.snapshot_versions("d") == [8]
+    assert repository.load_snapshot("d", 8).deep_equal(parse(versions(9)[7]))
+    repository.close()
+    _truncate_current(url, original)
+    capsys.readouterr()
+    assert main(["fsck", url, "--repair"]) == 1
+    assert "repaired=1 unrepaired=0" in capsys.readouterr().out
+    with open_backend(url) as backend:
+        assert backend.get("d/current.xml") == original
+    assert main(["fsck", url]) == 0
+
+
+@pytest.mark.parametrize("scheme", BACKENDS)
+def test_a_store_below_its_first_checkpoint_promises_no_repair(
+    tmp_path, scheme
+):
+    url, original = _cli_store(tmp_path, scheme, 3)
+    _truncate_current(url, original)
+    repository = open_repository(url)
+    assert [(f.kind, f.repairable) for f in repository.verify()] == [
+        ("checksum-mismatch", False)
+    ]
+    repository.close()
+    assert main(["fsck", url, "--repair"]) == 2

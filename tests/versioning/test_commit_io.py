@@ -40,6 +40,7 @@ from repro.storage import open_backend
 from repro.storage.filesystem import FilesystemBackend
 from repro.storage.sqlite_store import SQLiteBackend
 from repro.versioning import BackendRepository, VersionStore, layout
+from repro.versioning import repository as repository_module
 from repro.xmlkit import parse, postorder, serialize, serialize_bytes
 
 BACKENDS = [
@@ -51,11 +52,11 @@ BACKENDS = [
 COMMITS = 6
 
 
-def _chain(seed: int = 5) -> list[str]:
+def _chain(seed: int = 5, commits: int = COMMITS) -> list[str]:
     """Serialized versions of a simulator chain, oldest first."""
     document = generate_document(GeneratorConfig(target_nodes=120, seed=seed))
     texts = [serialize(document.clone(keep_xids=False))]
-    for step in range(COMMITS):
+    for step in range(commits):
         document = simulate_changes(
             document, SimulatorConfig(0.1, 0.1, 0.1, 0.1, seed=seed + step)
         ).new_document
@@ -210,8 +211,9 @@ def _assert_range_labels(record: dict) -> None:
 @pytest.mark.parametrize("scheme", BACKENDS)
 def test_a_commit_makes_two_gets_and_four_puts(tmp_path, scheme):
     _, repo = _open(tmp_path, scheme)
-    store = VersionStore(repo, checkpoint_every=3)
-    texts = _chain()
+    store = VersionStore(repo)
+    # Past version 8, the first a store keeps as a checkpoint.
+    texts = _chain(commits=9)
     store.create("doc", parse(texts[0]))
     recorder = _Recorder(repo.backend)
     for version, text in enumerate(texts[1:], start=2):
@@ -220,7 +222,7 @@ def test_a_commit_makes_two_gets_and_four_puts(tmp_path, scheme):
         store.commit("doc", parse(text))
         made = recorder.counts - before
         names = [name for name, _ in recorder.puts]
-        if version % 3:
+        if version % 8:
             assert made == Counter(gets=2, puts=4), version
             assert names == [
                 "journal.json", f"delta-{version - 1:04d}-{version:04d}.xml",
@@ -246,7 +248,8 @@ def test_only_the_head_write_hashes(tmp_path, scheme, monkeypatch):
     """One SHA-256 per XML value a head records, and no other: a put
     returns nothing, so neither backend hashes what it stores."""
     _, repo = _open(tmp_path, scheme)
-    store = VersionStore(repo, checkpoint_every=3)
+    monkeypatch.setattr(repository_module, "CHECKPOINT_EVERY", 3)
+    store = VersionStore(repo)
     texts = _chain()
     hashed = []
     real = hashlib.sha256
@@ -279,12 +282,13 @@ def test_a_create_writes_the_journal_current_and_the_head(tmp_path, scheme):
     repo.close()
 
 
-def test_a_checkpoint_leaves_the_pinned_meta_unchanged(tmp_path):
+def test_a_checkpoint_leaves_the_pinned_meta_unchanged(tmp_path, monkeypatch):
     # The pinned meta is shared with the meta it was copied from, so a
     # checkpoint commit writes a new record instead of editing it in
     # place.
     _, repo = _open(tmp_path, "file")
-    store = VersionStore(repo, checkpoint_every=2)
+    monkeypatch.setattr(repository_module, "CHECKPOINT_EVERY", 2)
+    store = VersionStore(repo)
     texts = _chain()
     store.create("doc", parse(texts[0]))
     with repo.pinned_head("doc"):
@@ -299,9 +303,10 @@ def test_a_checkpoint_leaves_the_pinned_meta_unchanged(tmp_path):
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)
-def test_no_json_label_list_is_stored(tmp_path, scheme):
+def test_no_json_label_list_is_stored(tmp_path, scheme, monkeypatch):
     _, repo = _open(tmp_path, scheme)
-    store = VersionStore(repo, checkpoint_every=2)
+    monkeypatch.setattr(repository_module, "CHECKPOINT_EVERY", 2)
+    store = VersionStore(repo)
     texts = _chain()
     store.create("doc", parse(texts[0]))
     for text in texts[1:]:
@@ -335,9 +340,12 @@ def _to_list_layout(repo: BackendRepository, doc_id: str) -> None:
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)
-def test_an_old_layout_store_opens_commits_and_passes_fsck(tmp_path, scheme):
+def test_an_old_layout_store_opens_commits_and_passes_fsck(
+    tmp_path, scheme, monkeypatch
+):
     url, repo = _open(tmp_path, scheme)
-    store = VersionStore(repo, checkpoint_every=2)
+    monkeypatch.setattr(repository_module, "CHECKPOINT_EVERY", 2)
+    store = VersionStore(repo)
     texts = _chain()
     store.create("doc", parse(texts[0]))
     for text in texts[1:-1]:
@@ -355,7 +363,7 @@ def test_an_old_layout_store_opens_commits_and_passes_fsck(tmp_path, scheme):
     assert all(isinstance(v, list) for v in old_meta["snapshots"].values())
 
     repo = BackendRepository(open_backend(url))
-    store = VersionStore(repo, checkpoint_every=2)
+    store = VersionStore(repo)
     for version in range(1, versions + 1):
         assert _bytes_and_xids(
             store.get_version("doc", version)

@@ -30,9 +30,9 @@ APPEND_OPS = [
 ]
 
 
-def _store_at(path, faults=None, checkpoint_every=None):
+def _store_at(path, faults=None):
     repo = open_repository(path, faults=faults)
-    return repo, VersionStore(repo, checkpoint_every=checkpoint_every)
+    return repo, VersionStore(repo)
 
 
 def _current_bytes(path):
@@ -136,11 +136,12 @@ class TestTornWrites:
         assert reopened.verify() == []
         assert reopened.current_version("doc") == 3
 
-    def test_torn_current_replays_from_checkpoint(self, tmp_path):
+    def test_torn_current_replays_from_checkpoint(self, tmp_path, monkeypatch):
         """The worst tear hits current.xml itself; with a checkpoint the
         pre-commit content is re-derived by replaying the delta chain."""
+        monkeypatch.setattr("repro.versioning.repository.CHECKPOINT_EVERY", 2)
         path = tmp_path / "store"
-        repo, store = _store_at(path, checkpoint_every=2)
+        repo, store = _store_at(path)
         store.create("doc", parse(V1))
         store.commit("doc", parse(V2))  # checkpoint at version 2
         pre_bytes = _current_bytes(path)

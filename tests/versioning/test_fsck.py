@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.versioning import fsck_store, open_repository
+from repro.versioning import repository as repository_module
 from repro.versioning.version_control import VersionStore
 from repro.xmlkit import parse
 from repro.xmlkit.errors import RepositoryError
@@ -18,10 +19,11 @@ V3 = "<doc><a>alpha!</a><c>gamma gamma</c></doc>"
 
 
 @pytest.fixture
-def store_path(tmp_path):
+def store_path(tmp_path, monkeypatch):
     """A healthy three-version store with a checkpoint at version 2."""
+    monkeypatch.setattr(repository_module, "CHECKPOINT_EVERY", 2)
     path = tmp_path / "store"
-    store = VersionStore(open_repository(path), checkpoint_every=2)
+    store = VersionStore(open_repository(path))
     store.create("doc", parse(V1))
     store.commit("doc", parse(V2))
     store.commit("doc", parse(V3))
@@ -80,6 +82,31 @@ class TestCurrentRepair:
         assert [f.kind for f in report.unrepaired] == ["checksum-mismatch"]
         assert report.exit_code() == 2
 
+    def test_no_other_stored_state_means_no_repair_is_promised(
+        self, tmp_path
+    ):
+        path = tmp_path / "store"
+        store = VersionStore(open_repository(path))  # below a checkpoint
+        store.create("doc", parse(V1))
+        store.commit("doc", parse(V2))
+        store.commit("doc", parse(V3))
+        current = path / "doc" / "current.xml"
+        current.write_bytes(current.read_bytes()[:10])
+        findings = open_repository(path).verify()
+        assert [(f.kind, f.repairable) for f in findings] == [
+            ("checksum-mismatch", False)
+        ]
+        assert "no other intact stored state" in findings[0].message
+
+    def test_two_damaged_copies_cannot_rebuild_each_other(self, store_path):
+        for name in ("current.xml", "snapshot-0002.xml"):
+            (_doc_dir(store_path) / name).write_bytes(b"<doc>gone</doc>")
+        findings = open_repository(store_path).verify()
+        assert [(f.kind, f.repairable) for f in findings] == [
+            ("checksum-mismatch", False),
+            ("checksum-mismatch", False),
+        ]
+
     def test_missing_current_rederived(self, store_path):
         current = _doc_dir(store_path) / "current.xml"
         original = current.read_bytes()
@@ -100,12 +127,13 @@ class TestSnapshotRepair:
         assert fsck_store(store_path).exit_code() == 0
 
     def test_damaged_checkpoint_rederived_from_nearer_checkpoint(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         """Checkpoint 2 is rebuilt backward from intact checkpoint 4, two
         deltas away, not from current.xml seven deltas away."""
+        monkeypatch.setattr(repository_module, "CHECKPOINT_EVERY", 2)
         path = tmp_path / "store"
-        store = VersionStore(open_repository(path), checkpoint_every=2)
+        store = VersionStore(open_repository(path))
         store.create("doc", parse(V1))
         for step in range(8):
             store.commit("doc", parse(V2 if step % 2 == 0 else V3))

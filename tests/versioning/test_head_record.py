@@ -17,6 +17,7 @@ import contextlib
 import gc
 import json
 import os
+from unittest import mock
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.versioning import (
     fsck_store,
     layout,
 )
+from repro.versioning import repository as repository_module
 from repro.xmlkit import parse, serialize_bytes
 
 from tests.versioning.old_layout import old_journal, to_old_layout
@@ -141,10 +143,15 @@ def _prepare(repo, operation):
         return lambda: VersionStore(repo).create(DOC_ID, parse(VERSIONS[0]))
     _history(repo)
     if operation in ("commit", "checkpoint"):
+        store = VersionStore(repo)
         # Version 7 is a checkpoint only when checkpoints come every 7.
         every = 7 if operation == "checkpoint" else 2
-        store = VersionStore(repo, checkpoint_every=every)
-        return lambda: store.commit(DOC_ID, parse(VERSIONS[0]))
+
+        def commit():
+            with mock.patch.object(repository_module, "CHECKPOINT_EVERY", every):
+                store.commit(DOC_ID, parse(VERSIONS[0]))
+
+        return commit
     head = json.loads(repo.backend.get(META_KEY))
     if operation == "missing-checksum":
         del head["checksums"][layout.name("delta", 1)]
@@ -273,7 +280,7 @@ def test_an_old_layout_store_reads_verifies_and_migrates(tmp_path, scheme):
 
     faults = FaultInjector()
     repo = _open(tmp_path, scheme, faults=faults)
-    store = VersionStore(repo, checkpoint_every=2)
+    store = VersionStore(repo)
     store.commit(DOC_ID, parse(VERSIONS[0]))
     assert faults.ops == MIGRATION_OPS
     head = _assert_one_compact_head(repo)
@@ -306,11 +313,14 @@ def test_every_migration_crash_point_recovers(tmp_path, scheme, crash_after):
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)
-def test_a_checkpoint_migrates_an_old_head(tmp_path, scheme):
+def test_a_checkpoint_migrates_an_old_head(tmp_path, scheme, monkeypatch):
     committed = _old_layout_store(tmp_path, scheme)
     faults = FaultInjector()
     repo = _open(tmp_path, scheme, faults=faults)
-    store = VersionStore(repo, checkpoint_every=len(VERSIONS) + 1)
+    monkeypatch.setattr(
+        repository_module, "CHECKPOINT_EVERY", len(VERSIONS) + 1
+    )
+    store = VersionStore(repo)
     store.commit(DOC_ID, parse(VERSIONS[0]))
     ops = WRITE_POINTS["checkpoint"]
     assert faults.ops == ops[:-1] + [("unlink", "manifest-clear")] + ops[-1:]

@@ -69,7 +69,7 @@ class TestCorruption:
         loaded = repo.load_current("d1")
         assert loaded.root.xid is not None  # postorder fallback
 
-    def test_unlabelled_snapshot_rejected_on_store(self, tmp_path):
+    def test_unlabelled_snapshot_rejected_on_store(self, tmp_path, monkeypatch):
         from repro.core import Delta
 
         repo = make_repo(tmp_path)
@@ -77,11 +77,10 @@ class TestCorruption:
         keys = repo.backend.list_keys()
         with pytest.raises(RepositoryError, match="lack XIDs"):
             repo.append("d1", Delta([]), doc, repo.load_allocator("d1"))
+        # Every version a checkpoint: the snapshot's write is refused too.
+        monkeypatch.setattr("repro.versioning.repository.CHECKPOINT_EVERY", 1)
         with pytest.raises(RepositoryError, match="lack XIDs"):
-            repo.append(
-                "d1", Delta([]), doc, repo.load_allocator("d1"),
-                checkpoint=True,
-            )
+            repo.append("d1", Delta([]), doc, repo.load_allocator("d1"))
         assert repo.backend.list_keys() == keys
         assert repo.current_version("d1") == 1
 

@@ -122,18 +122,6 @@ class TestDiffSites:
         assert delta.unchanged == ["b"]
         assert delta.summary()["failed"] == 1
 
-    def test_on_error_raise_aborts(self):
-        old = snapshot(a="<p>one</p>")
-        new = snapshot(a="<p>ONE</p>")
-        old._documents["broken"] = _Exploding()
-        new._documents["broken"] = _Exploding()
-        with pytest.raises(ReproError):
-            diff_sites(old, new, on_error="raise")
-
-    def test_invalid_on_error_rejected(self):
-        with pytest.raises(ValueError):
-            diff_sites(SiteSnapshot(), SiteSnapshot(), on_error="ignore")
-
     def test_failure_counted_in_metrics(self):
         from repro.obs import MetricsRegistry
 

@@ -21,12 +21,14 @@ the sweep.
 import hashlib
 import json
 import os
+from unittest import mock
 
 import pytest
 
 from repro.storage import open_backend
 from repro.testing import FaultInjector, InjectedFault
 from repro.versioning import BackendRepository, VersionStore, layout
+from repro.versioning import repository as repository_module
 from repro.xmlkit import parse
 
 from tests.versioning.old_layout import old_journal, to_old_layout
@@ -100,10 +102,13 @@ def _store_digest(backend) -> str:
 
 
 def _history(repo) -> VersionStore:
-    store = VersionStore(repo, checkpoint_every=2)
-    store.create(DOC_ID, parse(VERSIONS[0]))
-    for version, text in enumerate(VERSIONS[1:], start=2):
-        store.commit(DOC_ID, parse(text), commit_record=RECORDS.get(version))
+    store = VersionStore(repo)
+    with mock.patch.object(repository_module, "CHECKPOINT_EVERY", 2):
+        store.create(DOC_ID, parse(VERSIONS[0]))
+        for version, text in enumerate(VERSIONS[1:], start=2):
+            store.commit(
+                DOC_ID, parse(text), commit_record=RECORDS.get(version)
+            )
     return store
 
 
@@ -143,7 +148,7 @@ def test_the_journal_bytes_are_pinned(tmp_path, scheme):
 
 def _crashed_journal(repo) -> bytes:
     """The journal a commit of version 7 puts before it crashes."""
-    store = VersionStore(repo, checkpoint_every=2)
+    store = VersionStore(repo)
     written = []
     put = repo.backend.put
 

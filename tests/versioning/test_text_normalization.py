@@ -79,7 +79,9 @@ def test_empty_text_node_reads_back_after_reopen(tmp_path, scheme, step):
 
 @pytest.mark.parametrize("scheme", BACKENDS)
 @pytest.mark.parametrize("value", ["", "c"], ids=["empty", "adjacent"])
-def test_repository_refuses_a_tree_it_cannot_read_back(tmp_path, scheme, value):
+def test_repository_refuses_a_tree_it_cannot_read_back(
+    tmp_path, scheme, value, monkeypatch
+):
     repo = _open(tmp_path, scheme)
     try:
         store = VersionStore(repo)
@@ -96,8 +98,10 @@ def test_repository_refuses_a_tree_it_cannot_read_back(tmp_path, scheme, value):
 
         with pytest.raises(RepositoryError, match="empty or adjacent text"):
             repo.append("doc", delta, new, allocator)
+        # Every version a checkpoint: the snapshot's write is refused too.
+        monkeypatch.setattr("repro.versioning.repository.CHECKPOINT_EVERY", 1)
         with pytest.raises(RepositoryError, match="empty or adjacent text"):
-            repo.append("doc", delta, new, allocator, checkpoint=True)
+            repo.append("doc", delta, new, allocator)
 
         assert _contents(repo) == before
         assert store.current_version("doc") == 1

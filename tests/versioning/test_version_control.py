@@ -119,7 +119,9 @@ class TestHooks:
 
 
 class TestDefaultStore:
-    def test_default_and_file_stores_write_the_same_bytes(self, tmp_path):
+    def test_default_and_file_stores_write_the_same_bytes(
+        self, tmp_path, monkeypatch
+    ):
         """The default store is the file store's code on another backend:
         every delta and every materialized version serializes to the
         same bytes."""
@@ -132,10 +134,11 @@ class TestDefaultStore:
         )
         from repro.xmlkit.serializer import serialize_bytes
 
-        default = VersionStore(checkpoint_every=2)
-        on_disk = VersionStore(
-            open_repository(tmp_path / "repo"), checkpoint_every=2
+        monkeypatch.setattr(
+            "repro.versioning.repository.CHECKPOINT_EVERY", 2
         )
+        default = VersionStore()
+        on_disk = VersionStore(open_repository(tmp_path / "repo"))
         document = generate_document(GeneratorConfig(target_nodes=80, seed=7))
         for store in (default, on_disk):
             store.create("doc", document)

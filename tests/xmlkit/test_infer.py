@@ -99,7 +99,9 @@ class TestInferIdAttributes:
 
 class TestDiffIntegration:
     def test_inferred_ids_drive_matching(self):
-        from repro.core import DiffConfig, apply_delta, diff, match_documents
+        from repro.core import DiffConfig, apply_delta, diff
+
+        from tests.core.buld_phases import match_documents
 
         old = parse(
             "<catalog>"

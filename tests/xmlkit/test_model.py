@@ -231,9 +231,3 @@ class TestElementQueries:
         assert element.get("k") == "v"
         assert element.get("other", "d") == "d"
 
-    def test_leaf_flags(self):
-        assert Text("x").is_leaf
-        assert Element("e").is_leaf
-        parent = Element("p")
-        parent.append(Text("x"))
-        assert not parent.is_leaf

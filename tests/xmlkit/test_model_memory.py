@@ -121,7 +121,7 @@ class TestSharedEmptyContainers:
         parent = Element("p")
         child = parent.append(Text("x"))
         child.detach()
-        assert len(parent.children) == 0 and parent.is_leaf
+        assert len(parent.children) == 0
         parent.append(child)
         assert parent.children == [child]
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.xmlkit import (
     XmlParseError,
-    document_byte_size,
     escape_attribute,
     escape_text,
     parse,
@@ -131,10 +130,6 @@ class TestSerializer:
         doc = parse('<a z="1" a="2"/>')
         assert serialize(doc, sort_attributes=True) == '<a a="2" z="1"/>'
 
-    def test_xml_declaration(self):
-        doc = parse("<a/>")
-        assert serialize(doc, xml_declaration=True).startswith("<?xml")
-
     def test_indented_output_reparses_equal(self):
         doc = parse("<a><b><c>deep</c></b><d/></a>")
         pretty = serialize(doc, indent=2)
@@ -151,9 +146,6 @@ class TestSerializer:
         size = write_file(doc, target)
         assert target.read_bytes() == b"<a>x</a>"
         assert size == 8
-
-    def test_document_byte_size(self):
-        assert document_byte_size(parse("<a/>")) == 4
 
 
 class TestRoundTrip:

@@ -7,12 +7,14 @@ included) must be named somewhere in ``src/``, ``benchmarks/``,
 only tests reach is code the program carries for nothing: delete it, or
 give it a caller in one of those trees.
 
-A name counts as used when it occurs as a whole word more than once in
-those trees' ``.py`` files (code, strings and comments alike): a name
-defined in several classes is an interface its definitions share.
-Exempt are names listed in a module's ``__all__`` (public API), dunder
-methods, and ``handle_*`` methods of an ``HTMLParser`` subclass (the
-parser calls them by name).
+A name counts as used when it occurs as a whole word in those trees'
+``.py`` files (code, strings and comments alike) more often than it is
+defined or exported there.  So a name defined in several classes is
+used only when something besides those definitions names it, and a
+mention in a module's ``__all__`` or in a :func:`repro._lazy
+.lazy_exports` table is no use: a public name needs a caller too.
+Exempt are dunder methods, and ``handle_*`` methods of an
+``HTMLParser`` subclass (the parser calls them by name).
 
 Usage: ``python tools/unused_defs.py`` (from anywhere; prints one
 ``path:line: name`` per unused definition and exits 1 if there is any).
@@ -36,22 +38,39 @@ def _python_files(root: pathlib.Path, tree: str) -> list[pathlib.Path]:
     return sorted((root / tree).rglob("*.py"))
 
 
-def _exported(module: ast.Module) -> set[str]:
-    """The string names of a module's ``__all__``."""
-    names: set[str] = set()
-    for statement in module.body:
-        if isinstance(statement, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = getattr(statement, "targets", None) or [statement.target]
-            if any(
+def _not_uses(module: ast.Module) -> Counter[str]:
+    """Mentions of names that are no use of them: their ``def`` and
+    ``class`` statements, and the strings of an ``__all__`` or of a
+    ``lazy_exports`` call."""
+    found: Counter[str] = Counter()
+    for node in ast.walk(module):
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            found[node.name] += 1
+            continue
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if not any(
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in targets
-            ) and isinstance(statement.value, (ast.List, ast.Tuple)):
-                names.update(
-                    element.value
-                    for element in statement.value.elts
-                    if isinstance(element, ast.Constant)
-                )
-    return names
+            ):
+                continue
+            table = node.value
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "lazy_exports"
+        ):
+            table = node
+        else:
+            continue
+        found.update(
+            inner.value
+            for inner in ast.walk(table)
+            if isinstance(inner, ast.Constant) and isinstance(inner.value, str)
+        )
+    return found
 
 
 def _definitions(module: ast.Module):
@@ -80,23 +99,22 @@ def _definitions(module: ast.Module):
 
 def unused_definitions(root: pathlib.Path = ROOT) -> list[tuple[str, int, str]]:
     """``(path, line, name)`` of every unused definition, sorted."""
-    words: Counter[str] = Counter()
+    uses: Counter[str] = Counter()
     for tree in CALLER_TREES:
         for path in _python_files(root, tree):
-            words.update(WORD_RE.findall(path.read_text(encoding="utf-8")))
-    exported: set[str] = set()
+            text = path.read_text(encoding="utf-8")
+            uses.update(WORD_RE.findall(text))
+            uses.subtract(_not_uses(ast.parse(text, str(path))))
     found: list[tuple[str, int, str]] = []
     for path in _python_files(root, "src"):
         module = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        exported |= _exported(module)
         for name, line in _definitions(module):
             found.append((str(path.relative_to(root)), line, name))
     return sorted(
         (path, line, name)
         for path, line, name in found
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in exported
-        and words[name] <= 1
+        and uses[name] <= 0
     )
 
 
